@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import re
 import sys
 
@@ -150,14 +149,6 @@ def _pick(args_value, cfg: dict, key: str, default):
     if key in cfg:
         return cfg[key]
     return default
-
-
-def _thread_cap() -> int:
-    raw = os.environ.get("FGI_THREADS", "")
-    try:
-        return max(1, int(raw)) if raw else 1
-    except ValueError:
-        return 1
 
 
 def _s_list(args, cfg) -> list[float]:
@@ -345,7 +336,6 @@ _COMMANDS = {
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    _thread_cap()  # serial implementation; the cap is validated, workers <= cap
     try:
         cfg = _load_config(getattr(args, "config", None))
         rows, failures = _COMMANDS[args.command](args, cfg)

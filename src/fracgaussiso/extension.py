@@ -45,6 +45,8 @@ LEVELSET_GRID_HALFWIDTH = 8.0
 LEVELSET_GRID_STEP = 1e-3
 _BISECT_TOL = 1e-10
 _MAX_CROSSINGS = 64
+# Points per Mehler block: each (n_quad x block) temporary stays under 1 MB.
+_MEHLER_BLOCK = 1024
 
 
 def _check_sigma(sigma: float) -> None:
@@ -109,9 +111,6 @@ class SubordinationProfile:
 
     def psi(self, xi) -> np.ndarray:
         return psi_bulk(self.sigma, xi)
-
-    def psi_scalar(self, xi: float) -> float:
-        return float(psi_bulk(self.sigma, np.array([xi]))[0])
 
 
 @dataclass
@@ -212,23 +211,32 @@ def boundary_flux_richardson(sigma: float, k: int,
     return vals[0], right
 
 
+def _semigroup_rows(E: GaussianSet, taus, x: np.ndarray) -> np.ndarray:
+    """Row i holds (P_{taus[i]} chi_E)(x) for the 1-D array x, clipped to [0, 1].
+
+    decay and d come from math.exp/math.expm1 for each tau (np.exp may differ
+    in the last bit), so a row does not depend on the other taus or points.
+    """
+    if min(taus) <= 0.0:
+        raise DomainError("semigroup time must be positive")
+    decay = np.array([[math.exp(-tau)] for tau in taus])
+    d = np.array([[math.sqrt(-math.expm1(-2.0 * tau))] for tau in taus])
+    out = np.zeros((len(taus), x.size))
+    for a, b in E.intervals:
+        hi = special.ndtr((b - decay * x) / d) if math.isfinite(b) else 1.0
+        lo = special.ndtr((a - decay * x) / d) if math.isfinite(a) else 0.0
+        out += hi - lo
+    return np.clip(out, 0.0, 1.0, out=out)
+
+
 def mehler_semigroup(E: GaussianSet, tau: float, x: np.ndarray) -> np.ndarray:
     """Ornstein-Uhlenbeck semigroup on an indicator, in closed form.
 
     (P_tau chi_E)(x) = sum_i Phi((b_i - e^{-tau} x)/d) - Phi((a_i - e^{-tau} x)/d),
     d = sqrt(1 - e^{-2 tau}).
     """
-    if tau <= 0.0:
-        raise DomainError("semigroup time must be positive")
     x = np.asarray(x, dtype=float)
-    decay = math.exp(-tau)
-    d = math.sqrt(-math.expm1(-2.0 * tau))
-    out = np.zeros_like(x)
-    for a, b in E.intervals:
-        hi = special.ndtr((b - decay * x) / d) if math.isfinite(b) else 1.0
-        lo = special.ndtr((a - decay * x) / d) if math.isfinite(a) else 0.0
-        out += hi - lo
-    return np.clip(out, 0.0, 1.0)
+    return _semigroup_rows(E, (tau,), x.ravel())[0].reshape(x.shape)
 
 
 @lru_cache(maxsize=64)
@@ -252,11 +260,18 @@ def mehler_extension(E: GaussianSet, sigma: float, x, z: float,
     if z <= 0.0:
         raise DomainError("mehler_extension needs z > 0")
     u, w = _genlaguerre_rule(sigma, n_quad)
+    taus = [z * z / (4.0 * ui) for ui in u]
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    acc = np.zeros_like(x)
-    for ui, wi in zip(u, w):
-        acc += wi * mehler_semigroup(E, z * z / (4.0 * ui), x)
-    return acc
+    flat = x.ravel()
+    acc = np.zeros_like(flat)
+    for start in range(0, flat.size, _MEHLER_BLOCK):
+        block = slice(start, start + _MEHLER_BLOCK)
+        rows = _semigroup_rows(E, taus, flat[block])
+        acc_block = acc[block]
+        # Node by node: a matmul or a pairwise sum would round differently.
+        for wi, row in zip(w, rows):
+            acc_block += wi * row
+    return acc.reshape(x.shape)
 
 
 @dataclass(frozen=True)
@@ -291,24 +306,19 @@ def _extract_level_set(F: ExtensionField, t: float, z: float, n_quad: int) -> Ga
         raise ResolutionError(
             f"{flips.size} sign changes at t={t}, z={z}: oscillation "
             f"exceeds the level-set resolution contract")
-    sigma = F.profile.sigma
-    E = F.coeffs.set
-
-    def u(x: float) -> float:
-        return float(mehler_extension(E, sigma, np.array([x]), z, n_quad)[0])
-
-    crossings = []
-    for i in flips:
-        lo, hi = grid[i], grid[i + 1]
-        f_lo = vals[i] - t
-        while hi - lo > _BISECT_TOL:
-            mid = 0.5 * (lo + hi)
-            f_mid = u(mid) - t
-            if (f_mid > 0.0) == (f_lo > 0.0):
-                lo, f_lo = mid, f_mid
-            else:
-                hi = mid
-        crossings.append(0.5 * (lo + hi))
+    lo, hi = grid[flips], grid[flips + 1]
+    f_lo = vals[flips] - t
+    while True:
+        active = np.nonzero(hi - lo > _BISECT_TOL)[0]
+        if active.size == 0:
+            break
+        mid = 0.5 * (lo[active] + hi[active])
+        f_mid = mehler_extension(F.coeffs.set, F.profile.sigma, mid, z, n_quad) - t
+        keep_lo = (f_mid > 0.0) == (f_lo[active] > 0.0)
+        moved = active[keep_lo]
+        lo[moved], f_lo[moved] = mid[keep_lo], f_mid[keep_lo]
+        hi[active[~keep_lo]] = mid[~keep_lo]
+    crossings = 0.5 * (lo + hi)
 
     inside = bool(sign[0])
     pieces = []
@@ -335,6 +345,13 @@ def level_set(F: ExtensionField, t: float, z: float) -> LevelSetRecord:
     [0, 1] everywhere and far-field truncation oscillations cannot create
     spurious crossings.  The grid covers [-8, 8] with step 1e-3; the Gaussian
     mass outside is below 1e-15.
+
+    Every grid cell where U - t changes sign is a bracket, and all brackets
+    are bisected together: each step evaluates the midpoints of the brackets
+    still wider than the tolerance in one Mehler call.  A bracket sees the
+    same midpoints and comparisons as when bisected alone, so the crossings
+    do not depend on how many brackets share a call.  A grid without a sign
+    change gives the full line or the empty set.
     """
     if z <= 0.0:
         raise DomainError("level sets are defined for z > 0")

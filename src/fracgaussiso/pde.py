@@ -74,13 +74,12 @@ def _z_weight_integral(a: float, b: float, s: float) -> float:
 
 def _boundary_data(E: GaussianSet, x: np.ndarray) -> np.ndarray:
     data = np.zeros_like(x)
-    eps = 0.0
     for i, xi in enumerate(x):
         if any(math.isfinite(e) and xi == e for e in E.finite_endpoints):
             data[i] = 0.5  # symmetric value at jump nodes
         elif E.contains(xi):
             data[i] = 1.0
-    return data + eps
+    return data
 
 
 def _x_masses(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -231,7 +230,6 @@ def pde_energy_cylinder(E1: GaussianSet, s, domain: tuple[float, float] = (6.0, 
         fixed[ids] = True
         vals[ids] = data_x[ix_]
     # Tensorized seed: replicate the one-axis solution across y.
-    x0 = np.repeat(v1.reshape(Nz1, Nx), Ny).reshape(Nz1, Nx, Ny).transpose(0, 1, 2).ravel()
     x0 = np.tile(v1.reshape(Nz1 * Nx, 1), (1, Ny)).ravel()
     energy, _ = _solve_energy(Lap, fixed, vals, x0=x0, use_cg=True)
     return 0.5 * energy

@@ -2,16 +2,24 @@ import math
 
 import numpy as np
 import pytest
+from scipy import special
 
 from fracgaussiso.errors import DomainError
-from fracgaussiso.extension import (SubordinationProfile, boundary_flux_check,
+from fracgaussiso.extension import (LEVELSET_GRID_HALFWIDTH,
+                                    LEVELSET_GRID_STEP, _BISECT_TOL,
+                                    _LEVELSET_QUAD, _MEHLER_BLOCK,
+                                    SubordinationProfile, boundary_flux_check,
                                     boundary_flux_richardson,
                                     evaluate_extension, extension_field,
                                     level_set, level_set_with_budget,
                                     mehler_extension, mehler_semigroup,
                                     profile_psi, psi_bulk, trace_gap)
 from fracgaussiso.gauss_core import beta_coefficient, k_coefficient
-from fracgaussiso.sets import GaussianSet, halfline, interval, measure, symm_diff
+from fracgaussiso.sets import (EMPTY, FULL_LINE, GaussianSet, halfline,
+                               interval, measure, symm_diff)
+
+THREE_PIECES = GaussianSet.from_intervals([(-2.5, -1.4), (-0.6, 0.3), (0.9, 1.6)])
+TAILED = GaussianSet.from_intervals([(-1.2, -0.3), (0.4, math.inf)])
 
 
 def test_psi_half_is_exponential():
@@ -135,3 +143,66 @@ def test_level_set_degenerate_t():
     assert rec.mu == 0.0
     with pytest.raises(DomainError):
         level_set(F, 0.5, 0.0)
+
+
+def _levelset_grid():
+    n = int(round(2 * LEVELSET_GRID_HALFWIDTH / LEVELSET_GRID_STEP)) + 1
+    return np.linspace(-LEVELSET_GRID_HALFWIDTH, LEVELSET_GRID_HALFWIDTH, n)
+
+
+def _node_by_node_extension(E, sigma, x, z, n_quad):
+    u, w = special.roots_genlaguerre(n_quad, sigma - 1.0)
+    w = w / np.sum(w)
+    acc = np.zeros_like(x)
+    for ui, wi in zip(u, w):
+        acc += wi * mehler_semigroup(E, z * z / (4.0 * ui), x)
+    return acc
+
+
+@pytest.mark.parametrize("E", [TAILED, THREE_PIECES], ids=["tailed", "three"])
+def test_mehler_extension_matches_node_by_node_sum(E):
+    rng = np.random.default_rng(3)
+    sizes = (1, _MEHLER_BLOCK - 1, _MEHLER_BLOCK, _MEHLER_BLOCK + 1)
+    cases = [np.sort(rng.uniform(-4.0, 4.0, n)) for n in sizes] + [_levelset_grid()]
+    for x in cases:
+        for sigma, z, n_quad in ((0.25, 0.3, 80), (0.4, 0.05, 40)):
+            got = mehler_extension(E, sigma, x, z, n_quad)
+            assert got.shape == x.shape
+            assert np.array_equal(got, _node_by_node_extension(E, sigma, x, z, n_quad))
+
+
+def _scalar_bisection_level_set(E, sigma, t, z):
+    grid = _levelset_grid()
+    vals = mehler_extension(E, sigma, grid, z, _LEVELSET_QUAD)
+    sign = vals > t
+    crossings = []
+    for i in np.nonzero(sign[1:] != sign[:-1])[0]:
+        lo, hi, f_lo = grid[i], grid[i + 1], vals[i] - t
+        while hi - lo > _BISECT_TOL:
+            mid = 0.5 * (lo + hi)
+            f_mid = mehler_extension(E, sigma, np.array([mid]), z, _LEVELSET_QUAD)[0] - t
+            if (f_mid > 0.0) == (f_lo > 0.0):
+                lo, f_lo = mid, f_mid
+            else:
+                hi = mid
+        crossings.append(0.5 * (lo + hi))
+    edges = ([-math.inf] if sign[0] else []) + crossings + ([math.inf] if sign[-1] else [])
+    return GaussianSet.from_intervals(zip(edges[0::2], edges[1::2]))
+
+
+def test_batched_level_set_matches_scalar_bisection():
+    F = extension_field(THREE_PIECES, 0.5, 500)
+    for t, z in ((0.5, 0.05), (0.25, 0.05), (0.75, 0.02), (0.6, 0.002)):
+        rec = level_set(F, t, z)
+        assert len(rec.set.intervals) == 3
+        expected = _scalar_bisection_level_set(THREE_PIECES, 0.25, t, z)
+        assert rec.set.intervals == expected.intervals
+
+
+def test_level_set_without_sign_change():
+    # far up, U is the constant gamma(E) ~ 0.683 on the whole grid
+    F = extension_field(interval(-1.0, 1.0), 0.5, 500)
+    assert level_set(F, 0.5, 20.0).set == FULL_LINE
+    assert level_set(F, 0.9, 20.0).set == EMPTY
+    assert level_set(extension_field(FULL_LINE, 0.5, 500), 0.5, 0.1).set == FULL_LINE
+    assert level_set(extension_field(EMPTY, 0.5, 500), 0.5, 0.1).set == EMPTY

@@ -3,6 +3,9 @@
 Mirrors ``_kernels.pyx`` operation for operation: the same recurrences, the
 same Kahan compensation, the same evaluation order.  The compiled module is
 built with ``-ffp-contract=off`` so both backends produce identical doubles.
+The scalar recurrences take their sqrt(n) factors from numpy in chunks of
+``SQRT_CHUNK`` indices; IEEE square root is correctly rounded, so these are
+the same doubles ``math.sqrt`` gives, at a fraction of the per-step cost.
 
 All Hermite polynomials here are the orthonormal probabilists' family
 h_0 = 1, h_1 = x, h_{n+1} = (x h_n - sqrt(n) h_{n-1}) / sqrt(n+1).
@@ -14,6 +17,19 @@ import math
 import numpy as np
 
 BACKEND_NAME = "python"
+
+SQRT_CHUNK = 4096
+
+
+def _sqrt_chunks(n_stop: int):
+    """Yield (n0, [sqrt(n0), ..., sqrt(n1)]) over chunks [n0, n1) of 1..n_stop-1.
+
+    Each list holds one root more than its chunk has steps, so step n reads
+    sqrt(n) and sqrt(n + 1).  Chunking keeps the transient lists O(SQRT_CHUNK).
+    """
+    for n0 in range(1, n_stop, SQRT_CHUNK):
+        n1 = min(n0 + SQRT_CHUNK, n_stop)
+        yield n0, np.sqrt(np.arange(n0, n1 + 1, dtype=float)).tolist()
 
 
 def coeff_antideriv_table(x: float, K: int) -> np.ndarray:
@@ -27,17 +43,22 @@ def coeff_antideriv_table(x: float, K: int) -> np.ndarray:
     if K < 1:
         return A
     g_prev = math.exp(-0.5 * x * x)  # e^{-x^2/2} h_0(x)
-    A[1] = g_prev / math.sqrt(2.0 * math.pi)
-    if K == 1:
-        return A
-    g = x * g_prev  # e^{-x^2/2} h_1(x)
-    A[2] = g / math.sqrt(2.0 * math.pi * 2.0)
-    for k in range(3, K + 1):
-        n = k - 2  # recurrence index: computing h_{n+1} = h_{k-1}
-        g_next = (x * g - math.sqrt(float(n)) * g_prev) / math.sqrt(float(n + 1))
-        g_prev = g
-        g = g_next
-        A[k] = g / math.sqrt(2.0 * math.pi * float(k))
+    A[1] = g_prev
+    if K >= 2:
+        g = x * g_prev  # e^{-x^2/2} h_1(x)
+        A[2] = g
+        # Step n computes h_{n+1} = h_{k-1}, stored at k = n + 2.
+        for n0, roots in _sqrt_chunks(K - 1):
+            out = []
+            append = out.append
+            for rn, rn1 in zip(roots, roots[1:]):
+                g_prev, g = g, (x * g - rn * g_prev) / rn1
+                append(g)
+            A[n0 + 2:n0 + 2 + len(out)] = out
+    scale = np.arange(1, K + 1, dtype=float)
+    scale *= 2.0 * math.pi
+    np.sqrt(scale, out=scale)
+    A[1:] /= scale
     return A
 
 
@@ -76,22 +97,21 @@ def halfspace_series_sum(r: float, p: float, K: int) -> float:
     """sum_{k=1}^{K} k^p (e^{-r^2/2} h_{k-1}(r))^2, Kahan-compensated."""
     s = 0.0
     comp = 0.0
-    g_prev = math.exp(-0.5 * r * r)
-    g = r * g_prev
-    for k in range(1, K + 1):
-        if k == 1:
-            gk = g_prev  # e^{-r^2/2} h_0(r)
-        elif k == 2:
-            gk = g
-        else:
-            n_rec = k - 2
-            g_next = (r * g - math.sqrt(float(n_rec)) * g_prev) / math.sqrt(float(n_rec + 1))
-            g_prev = g
-            g = g_next
-            gk = g
+    g_prev = math.exp(-0.5 * r * r)  # e^{-r^2/2} h_0(r)
+    g = r * g_prev  # e^{-r^2/2} h_1(r)
+    for k, gk in ((1, g_prev), (2, g))[:K]:
         term = math.pow(float(k), p) * gk * gk
         y = term - comp
         t = s + y
         comp = (t - s) - y
         s = t
+    # Step n computes h_{n+1} = h_{k-1} for the term k = n + 2.
+    for n0, roots in _sqrt_chunks(K - 1):
+        for k, rn, rn1 in zip(range(n0 + 2, K + 1), roots, roots[1:]):
+            g_prev, g = g, (r * g - rn * g_prev) / rn1
+            term = math.pow(float(k), p) * g * g
+            y = term - comp
+            t = s + y
+            comp = (t - s) - y
+            s = t
     return s

@@ -19,7 +19,7 @@ from scipy import integrate, special
 from ._backend import hermite_weighted_series
 from .errors import DomainError, QuadratureError, ResolutionError
 from .gauss_core import FractionalOrder, as_order, gamma_fn, k_coefficient
-from .sets import EMPTY, FULL_LINE, GaussianSet, measure
+from .sets import EMPTY, GaussianSet, measure
 from .spectral import SpectralCoefficients, spectral_coefficients
 
 __all__ = [
@@ -333,7 +333,7 @@ def _extract_level_set(F: ExtensionField, t: float, z: float, n_quad: int) -> Ga
     if inside:
         pieces.append((start, math.inf))
     if not pieces:
-        return FULL_LINE if sign[0] else EMPTY
+        return EMPTY
     return GaussianSet.from_intervals(pieces)
 
 

@@ -14,13 +14,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from ._backend import coeff_antideriv_table, halfspace_series_sum
 from .errors import DomainError
 from .gauss_core import FractionalOrder, as_order, k_coefficient, phi
-from .sets import FULL_LINE, GaussianSet, measure
+from .sets import GaussianSet, measure
 
 __all__ = [
     "SpectralCoefficients",
@@ -74,25 +75,29 @@ class PerimeterValue:
     convention: str
 
 
+@lru_cache(maxsize=4, typed=True)
 def coeff_table(E: GaussianSet, K: int) -> np.ndarray:
-    """Coefficient vector f_0..f_K of chi_E.
+    """Coefficient vector f_0..f_K of chi_E, read-only.
 
     f_k for k >= 1 is assembled from the antiderivative of h_k against
     gamma_1: each interval (a, b) contributes A_k(a) - A_k(b), with
     A_k(x) = e^{-x^2/2} h_{k-1}(x)/sqrt(2 pi k) and A_k(+-inf) = 0.
+
+    The table does not depend on the order s, so it is memoized per (E, K):
+    a caller checking one set and its symmetrization over several orders
+    builds each table once.  The shared array is not writeable.
     """
     if K < 0:
         raise DomainError("truncation index must be nonnegative")
     f = np.zeros(K + 1)
+    if K >= 1:
+        for a, b in E.intervals:
+            if math.isfinite(a):
+                f += coeff_antideriv_table(a, K)
+            if math.isfinite(b):
+                f -= coeff_antideriv_table(b, K)
     f[0] = measure(E)
-    if K == 0:
-        return f
-    for a, b in E.intervals:
-        if math.isfinite(a):
-            f += coeff_antideriv_table(a, K)
-        if math.isfinite(b):
-            f -= coeff_antideriv_table(b, K)
-    f[0] = measure(E)
+    f.flags.writeable = False
     return f
 
 
@@ -179,38 +184,19 @@ def halfspace_series(r: float, s, K: int = 10_000,
 
 
 def cylinder_perimeter_2d(E1: GaussianSet, s, K: int = 10_000,
-                          convention: str = "with_constant",
-                          transverse_modes: int = 64) -> PerimeterValue:
+                          convention: str = "with_constant") -> PerimeterValue:
     """Perimeter of the cylinder R x E1 in the tensor Hermite basis.
 
     The basis function h_j (x) h_k (y) is an eigenfunction with eigenvalue
     j + k, and the coefficient of chi_{R x E1} on it is the product of the
-    j-th coefficient of chi_R and the k-th of chi_{E1}.  Only j = 0 survives
-    (the full line projects onto the constant mode), which is why the value
-    coincides with the one-dimensional perimeter.
+    j-th coefficient of chi_R and the k-th of chi_{E1}.  The full line
+    projects onto the constant mode (its coefficients are exactly 1 at j = 0
+    and 0 beyond), so only j = 0 survives and the tensor series is, term by
+    term, the one-dimensional series of E1.
     """
-    order = as_order(s)
-    _check_convention(convention)
     if K < 1:
         raise DomainError("cylinder perimeter needs K >= 1")
-    a = coeff_table(FULL_LINE, transverse_modes)
-    f = coeff_table(E1, K)
-    ks = np.arange(0, K + 1, dtype=float)
-    total = 0.0
-    for j in range(transverse_modes + 1):
-        if a[j] == 0.0:
-            continue
-        eig = ks + float(j)
-        coeffs_sq = (a[j] * f) ** 2
-        if j == 0:
-            # Skip the constant-constant mode (zero eigenvalue).
-            total += float(np.sum(eig[1:] ** (order.s / 2.0) * coeffs_sq[1:]))
-        else:
-            total += float(np.sum(eig ** (order.s / 2.0) * coeffs_sq))
-    terms = ks[1:] ** (order.s / 2.0) * f[1:] ** 2
-    factor = _factor(convention, order.s)
-    return PerimeterValue(factor * total, order, K,
-                          factor * _calibrated_tail(terms, order.s, K), convention)
+    return perimeter_spectral(E1, s, K, convention)
 
 
 def halfline_perimeter_reference(r: float, s, K: int = 1_000_000,

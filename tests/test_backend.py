@@ -1,3 +1,4 @@
+import math
 import os
 import subprocess
 import sys
@@ -11,11 +12,65 @@ def test_backend_selected():
     assert _backend.BACKEND in ("cython", "python")
 
 
+def _reference_antideriv_table(x, K):
+    """The scalar loop the kernels replaced, one math.sqrt per factor."""
+    A = np.zeros(K + 1)
+    if K < 1:
+        return A
+    g_prev = math.exp(-0.5 * x * x)  # e^{-x^2/2} h_0(x)
+    A[1] = g_prev / math.sqrt(2.0 * math.pi)
+    if K == 1:
+        return A
+    g = x * g_prev  # e^{-x^2/2} h_1(x)
+    A[2] = g / math.sqrt(2.0 * math.pi * 2.0)
+    for k in range(3, K + 1):
+        n = k - 2  # recurrence index: computing h_{n+1} = h_{k-1}
+        g_next = (x * g - math.sqrt(float(n)) * g_prev) / math.sqrt(float(n + 1))
+        g_prev = g
+        g = g_next
+        A[k] = g / math.sqrt(2.0 * math.pi * float(k))
+    return A
+
+
+def _reference_halfspace_sum(r, p, K):
+    """The scalar Kahan loop the kernels replaced, one math.sqrt per factor."""
+    s = 0.0
+    comp = 0.0
+    g_prev = math.exp(-0.5 * r * r)
+    g = r * g_prev
+    for k in range(1, K + 1):
+        if k == 1:
+            gk = g_prev  # e^{-r^2/2} h_0(r)
+        elif k == 2:
+            gk = g
+        else:
+            n_rec = k - 2
+            g_next = (r * g - math.sqrt(float(n_rec)) * g_prev) / math.sqrt(float(n_rec + 1))
+            g_prev = g
+            g = g_next
+            gk = g
+        term = math.pow(float(k), p) * gk * gk
+        y = term - comp
+        t = s + y
+        comp = (t - s) - y
+        s = t
+    return s
+
+
+POINTS = (-9.0, -2.3, 0.0, 0.7, 3.9)
+# Orders ending on both sides of the fallback's first sqrt-chunk boundary,
+# and one spanning three chunks.
+CHUNK = _kernels_py.SQRT_CHUNK
+ORDERS = (0, 1, 2, 3, CHUNK - 1, CHUNK, CHUNK + 1, CHUNK + 2, 10_000)
+
+
 def test_antideriv_tables_bit_identical():
-    for x in (-2.3, 0.0, 0.7, 3.9):
-        a = _backend.coeff_antideriv_table(x, 3000)
-        b = _kernels_py.coeff_antideriv_table(x, 3000)
-        assert np.array_equal(a, b)
+    for x in POINTS:
+        for K in ORDERS:
+            ref = _reference_antideriv_table(x, K).tobytes()
+            for kernels in (_kernels_py, _backend):
+                got = kernels.coeff_antideriv_table(x, K)
+                assert got.tobytes() == ref, (kernels.__name__, x, K)
 
 
 def test_weighted_series_bit_identical():
@@ -28,10 +83,12 @@ def test_weighted_series_bit_identical():
 
 
 def test_halfspace_sum_bit_identical():
-    for r in (-1.0, 0.0, 0.4):
-        a = _backend.halfspace_series_sum(r, -0.75, 5000)
-        b = _kernels_py.halfspace_series_sum(r, -0.75, 5000)
-        assert a == b
+    for r in POINTS:
+        for K in ORDERS:
+            ref = np.float64(_reference_halfspace_sum(r, -0.75, K)).tobytes()
+            for kernels in (_kernels_py, _backend):
+                got = kernels.halfspace_series_sum(r, -0.75, K)
+                assert np.float64(got).tobytes() == ref, (kernels.__name__, r, K)
 
 
 def test_env_forces_python_backend():

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
+from fracgaussiso import spectral
 from fracgaussiso.errors import DomainError
 from fracgaussiso.gauss_core import hermite_eval, k_coefficient
 from fracgaussiso.sets import GaussianSet, halfline, interval
@@ -37,6 +38,37 @@ def test_set_coefficients_vs_quadrature():
     E = GaussianSet.from_intervals([(-1.5, -0.2), (0.4, 1.1)])
     for k in (0, 1, 3, 7):
         assert coeff_set(E, k) == pytest.approx(_coeff_oracle(E, k), abs=1e-10)
+
+
+TWO_PIECES = GaussianSet.from_intervals([(-1.5, -0.2), (0.4, 1.1)])
+
+
+def test_coeff_table_built_once_per_set(monkeypatch):
+    # The table does not depend on s: three orders build it from 4 endpoints once.
+    calls = []
+    kernel = spectral.coeff_antideriv_table
+
+    def counted(x, K):
+        calls.append((x, K))
+        return kernel(x, K)
+
+    monkeypatch.setattr(spectral, "coeff_antideriv_table", counted)
+    coeff_table.cache_clear()
+    for s in (0.25, 0.5, 0.75):
+        perimeter_spectral(TWO_PIECES, s, 2000)
+    assert len(calls) == 4
+
+
+def test_coeff_table_is_read_only():
+    f = coeff_table(TWO_PIECES, 100)
+    with pytest.raises(ValueError):
+        f[1] = 0.0
+
+
+def test_cached_coeff_table_equals_fresh_build():
+    warm = coeff_table(TWO_PIECES, 3000)
+    assert coeff_table(TWO_PIECES, 3000) is warm
+    assert warm.tobytes() == coeff_table.__wrapped__(TWO_PIECES, 3000).tobytes()
 
 
 def test_coeff_table_consistency():

@@ -162,7 +162,9 @@ def _s_list(args, cfg) -> list[float]:
 
 
 def _convention(args, cfg) -> str:
-    c = _pick(args.convention, cfg, "convention", "with-constant")
+    # asymptotic rows are bare series values, so its header names 'remark'
+    default = "remark" if args.command == "asymptotic" else "with-constant"
+    c = _pick(args.convention, cfg, "convention", default)
     return c.replace("-", "_")
 
 
@@ -312,6 +314,8 @@ def cmd_asymptotic(args, cfg) -> tuple[list[dict], int]:
     K = int(_pick(args.K, cfg, "K", 100_000))
     grid = _pick(args.s_grid, cfg, "s_grid", "0.9:0.999:0.045")
     r = float(args.r)
+    if _convention(args, cfg) != "remark":
+        raise DomainError("asymptotic computes the remark convention only")
     limit = asymptotic_limit(r)
     rows = []
     for s in _parse_grid(grid):

@@ -11,13 +11,19 @@ boundaries.  Half the minimal energy is the fractional perimeter in the
 The z-mesh is graded like z_j = Z (j/n_z)^{2/s} to resolve the degenerate
 weight; the x-mesh is graded algebraically toward the jump points of the
 boundary data, where the energy density concentrates.
+
+On a tensor mesh with product weights the discrete energy operator is one
+object in any dimension: the Kronecker sum of 1-D weighted path Laplacians,
+one per axis, each multiplied by the node weights of the other axes.  The
+planar energy uses the axes (z, x) and the cylinder energy (z, x, y); both
+are assembled by `_energy_operator`.
 """
 from __future__ import annotations
 
 import math
 
 import numpy as np
-from scipy.sparse import coo_matrix, csr_matrix
+from scipy.sparse import csr_matrix, diags, kron
 from scipy.sparse.linalg import cg, spsolve
 
 from .errors import DomainError, QuadratureError
@@ -61,17 +67,6 @@ def graded_x_mesh(anchors, L: float, n_x: int, power: float = 2.0) -> np.ndarray
     return np.unique(mesh)
 
 
-def _z_mesh(Z: float, n_z: int, grading: float) -> np.ndarray:
-    j = np.arange(n_z + 1, dtype=float)
-    return Z * (j / n_z) ** grading
-
-
-def _z_weight_integral(a: float, b: float, s: float) -> float:
-    """int_a^b z^{1-s} dz."""
-    p = 2.0 - s
-    return (b ** p - a ** p) / p
-
-
 def _boundary_data(E: GaussianSet, x: np.ndarray) -> np.ndarray:
     data = np.zeros_like(x)
     for i, xi in enumerate(x):
@@ -94,62 +89,58 @@ def _x_masses(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return omega, mu
 
 
-def _laplacian(edge_a: np.ndarray, edge_b: np.ndarray, edge_c: np.ndarray,
-               n_nodes: int) -> csr_matrix:
-    rows = np.concatenate([edge_a, edge_b, edge_a, edge_b])
-    cols = np.concatenate([edge_a, edge_b, edge_b, edge_a])
-    data = np.concatenate([edge_c, edge_c, -edge_c, -edge_c])
-    return coo_matrix((data, (rows, cols)), shape=(n_nodes, n_nodes)).tocsr()
+def _axis(nodes: np.ndarray, edge_w: np.ndarray, node_w: np.ndarray):
+    """(path Laplacian with conductances edge_w / h^2, node weights) of one axis."""
+    c = edge_w / np.diff(nodes) ** 2
+    return diags([-c, np.pad(c, (0, 1)) + np.pad(c, (1, 0)), -c], [-1, 0, 1]), node_w
 
 
-def _assemble_1dx(E: GaussianSet, s: float, L: float, Z: float,
-                  n_x: int, n_z: int, grading: float):
-    x = graded_x_mesh(E.finite_endpoints, L, n_x)
-    z = _z_mesh(Z, n_z, grading)
-    Nx, Nz1 = x.shape[0], z.shape[0]
-    omega, mu = _x_masses(x)
-    dx = np.diff(x)
-    dz = np.diff(z)
-    W = np.array([_z_weight_integral(z[j], z[j + 1], s) for j in range(Nz1 - 1)])
+def _energy_operator(axes) -> csr_matrix:
+    """Kronecker sum of the axis Laplacians, slowest axis first.
+
+    Each axis Laplacian is multiplied by the node weights of the other axes,
+    so the quadratic form is sum over mesh edges of c_e (v_a - v_b)^2.
+    """
+    (Lap, weight), *rest = axes
+    for T, w in rest:
+        Lap = kron(Lap, diags(w)) + kron(diags(weight), T)
+        weight = np.outer(weight, w).ravel()
+    return Lap.tocsr()
+
+
+def _planar(E: GaussianSet, s, domain, n_x: int, n_z: int, grading):
+    """Validated x-mesh and [z, x] axes of the planar energy of E."""
+    order = as_order(s)
+    L, Z = domain
+    if L < 6.0 or Z < 4.0:
+        raise DomainError("domain must satisfy L >= 6, Z >= 4")
+    if n_x < 64 or n_z < 64:
+        raise DomainError("mesh must satisfy n_x, n_z >= 64")
+    g = grading if grading is not None else 2.0 / order.s
+    z = Z * (np.arange(n_z + 1, dtype=float) / n_z) ** g
     zmid = np.concatenate([[0.0], 0.5 * (z[:-1] + z[1:]), [Z]])
-    m = np.array([_z_weight_integral(zmid[j], zmid[j + 1], s) for j in range(Nz1)])
-
-    def nid(i, j):
-        return j * Nx + i
-
-    ii, jj = np.meshgrid(np.arange(Nx - 1), np.arange(Nz1), indexing="ij")
-    ax = nid(ii.ravel(), jj.ravel())
-    bx = ax + 1
-    cx = (np.outer(omega / dx ** 2, m)).ravel()
-
-    ii, jj = np.meshgrid(np.arange(Nx), np.arange(Nz1 - 1), indexing="ij")
-    az = nid(ii.ravel(), jj.ravel())
-    bz = az + Nx
-    cz = (np.outer(mu, W / dz ** 2)).ravel()
-
-    Lap = _laplacian(np.concatenate([ax, az]), np.concatenate([bx, bz]),
-                     np.concatenate([cx, cz]), Nx * Nz1)
-    fixed = np.zeros(Nx * Nz1, dtype=bool)
-    fixed[:Nx] = True
-    vals = np.zeros(Nx * Nz1)
-    vals[:Nx] = _boundary_data(E, x)
-    return Lap, fixed, vals, x, z
+    p = 2.0 - order.s  # the weights are int z^{1-s} dz over cells and dual cells
+    x = graded_x_mesh(E.finite_endpoints, L, n_x)
+    return x, [_axis(z, np.diff(z ** p) / p, np.diff(zmid ** p) / p),
+               _axis(x, *_x_masses(x))]
 
 
-def _solve_energy(Lap: csr_matrix, fixed: np.ndarray, vals: np.ndarray,
-                  x0: np.ndarray | None = None, use_cg: bool = False) -> float:
-    free = ~fixed
-    A = Lap[free][:, free]
-    b = -Lap[free][:, fixed] @ vals[fixed]
-    if use_cg:
-        guess = x0[free] if x0 is not None else None
-        sol, info = cg(A, b, x0=guess, rtol=1e-12, atol=0.0, maxiter=20_000)
+def _solve_energy(Lap: csr_matrix, bottom: np.ndarray,
+                  seed: np.ndarray | None = None) -> tuple[float, np.ndarray]:
+    """(energy, minimizer) with the leading z = 0 block of nodes fixed to bottom.
+
+    Solved by sparse LU, or by conjugate gradients from seed when one is given.
+    """
+    n = bottom.shape[0]
+    A = Lap[n:, n:]
+    b = -(Lap[n:, :n] @ bottom)
+    if seed is not None:
+        sol, info = cg(A, b, x0=seed[n:], rtol=1e-12, atol=0.0, maxiter=20_000)
         if info != 0:
             raise QuadratureError(f"CG failed to converge (info={info})")
     else:
         sol = spsolve(A.tocsc(), b)
-    v = vals.copy()
-    v[free] = sol
+    v = np.concatenate([bottom, sol])
     return float(v @ (Lap @ v)), v
 
 
@@ -159,16 +150,8 @@ def pde_energy(E: GaussianSet, s, domain: tuple[float, float] = (6.0, 4.0),
 
     domain = (L, Z) truncates to [-L, L] x (0, Z]; mesh = (n_x, n_z).
     """
-    order = as_order(s)
-    L, Z = domain
-    n_x, n_z = mesh
-    if L < 6.0 or Z < 4.0:
-        raise DomainError("domain must satisfy L >= 6, Z >= 4")
-    if n_x < 64 or n_z < 64:
-        raise DomainError("mesh must satisfy n_x, n_z >= 64")
-    g = grading if grading is not None else 2.0 / order.s
-    Lap, fixed, vals, _, _ = _assemble_1dx(E, order.s, L, Z, n_x, n_z, g)
-    energy, _ = _solve_energy(Lap, fixed, vals)
+    x, axes = _planar(E, s, domain, *mesh, grading)
+    energy, _ = _solve_energy(_energy_operator(axes), _boundary_data(E, x))
     return 0.5 * energy
 
 
@@ -177,59 +160,17 @@ def pde_energy_cylinder(E1: GaussianSet, s, domain: tuple[float, float] = (6.0, 
                         grading: float | None = None) -> float:
     """Discrete energy of the cylinder data chi_{R x E1} with a transverse axis.
 
-    Builds the genuine (y, x, z) operator with the boundary data constant in
+    Builds the genuine (z, x, y) operator with the boundary data constant in
     the transverse coordinate y and solves it by conjugate gradients seeded
     with the tensorized one-axis solution (which the dimension-independence
-    statement predicts to be the minimizer).
+    statement predicts to be the minimizer).  The domain and the (n_x, n_z)
+    mesh are checked as in `pde_energy`; n_y is free.
     """
-    order = as_order(s)
-    L, Z = domain
     n_y, n_x, n_z = mesh
-    g = grading if grading is not None else 2.0 / order.s
-
-    Lap1, fixed1, vals1, x, z = _assemble_1dx(E1, order.s, L, Z, n_x, n_z, g)
-    _, v1 = _solve_energy(Lap1, fixed1, vals1)
-
-    y = np.linspace(-L, L, n_y + 1)
-    Ny = y.shape[0]
-    Nx, Nz1 = x.shape[0], z.shape[0]
-    omega_y, mu_y = _x_masses(y)
-    omega_x, mu_x = _x_masses(x)
-    dy, dx, dz = np.diff(y), np.diff(x), np.diff(z)
-    W = np.array([_z_weight_integral(z[j], z[j + 1], order.s) for j in range(Nz1 - 1)])
-    zmid = np.concatenate([[0.0], 0.5 * (z[:-1] + z[1:]), [Z]])
-    m = np.array([_z_weight_integral(zmid[j], zmid[j + 1], order.s) for j in range(Nz1)])
-
-    def nid(iy, ix, j):
-        return (j * Nx + ix) * Ny + iy
-
-    # y-edges
-    iy, ix, jj = np.meshgrid(np.arange(Ny - 1), np.arange(Nx), np.arange(Nz1), indexing="ij")
-    ay = nid(iy.ravel(), ix.ravel(), jj.ravel())
-    by = ay + 1
-    cy = (omega_y / dy ** 2)[iy.ravel()] * mu_x[ix.ravel()] * m[jj.ravel()]
-    # x-edges
-    iy, ix, jj = np.meshgrid(np.arange(Ny), np.arange(Nx - 1), np.arange(Nz1), indexing="ij")
-    ax = nid(iy.ravel(), ix.ravel(), jj.ravel())
-    bx = ax + Ny
-    cx = mu_y[iy.ravel()] * (omega_x / dx ** 2)[ix.ravel()] * m[jj.ravel()]
-    # z-edges
-    iy, ix, jj = np.meshgrid(np.arange(Ny), np.arange(Nx), np.arange(Nz1 - 1), indexing="ij")
-    az = nid(iy.ravel(), ix.ravel(), jj.ravel())
-    bz = az + Ny * Nx
-    cz = mu_y[iy.ravel()] * mu_x[ix.ravel()] * (W / dz ** 2)[jj.ravel()]
-
-    n_nodes = Ny * Nx * Nz1
-    Lap = _laplacian(np.concatenate([ay, ax, az]), np.concatenate([by, bx, bz]),
-                     np.concatenate([cy, cx, cz]), n_nodes)
-    fixed = np.zeros(n_nodes, dtype=bool)
-    vals = np.zeros(n_nodes)
-    data_x = _boundary_data(E1, x)
-    for ix_ in range(Nx):
-        ids = nid(np.arange(Ny), ix_, 0)
-        fixed[ids] = True
-        vals[ids] = data_x[ix_]
-    # Tensorized seed: replicate the one-axis solution across y.
-    x0 = np.tile(v1.reshape(Nz1 * Nx, 1), (1, Ny)).ravel()
-    energy, _ = _solve_energy(Lap, fixed, vals, x0=x0, use_cg=True)
+    x, axes = _planar(E1, s, domain, n_x, n_z, grading)
+    bottom = _boundary_data(E1, x)
+    _, v1 = _solve_energy(_energy_operator(axes), bottom)
+    y = np.linspace(-domain[0], domain[0], n_y + 1)
+    Lap = _energy_operator(axes + [_axis(y, *_x_masses(y))])
+    energy, _ = _solve_energy(Lap, np.repeat(bottom, n_y + 1), seed=np.repeat(v1, n_y + 1))
     return 0.5 * energy

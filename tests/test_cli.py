@@ -95,6 +95,17 @@ def test_main_bad_convention_grid(capsys):
     assert code == 2
 
 
+def test_asymptotic_convention(capsys):
+    code = main(["asymptotic", "--s-grid", "0.9", "--K", "1000"])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert out.startswith("# frac-gauss-iso v1, convention=remark\n")
+    assert main(["asymptotic", "--s-grid", "0.9", "--K", "1000", "--convention", "remark"]) == 0
+    capsys.readouterr()
+    assert main(["asymptotic", "--convention", "with-constant"]) == 2
+    assert capsys.readouterr().out == ""
+
+
 def test_config_file_and_override(tmp_path, capsys):
     cfg = tmp_path / "run.json"
     cfg.write_text(json.dumps({"set": "(0,1)", "s": 0.5, "K": 300}))

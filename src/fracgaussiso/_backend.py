@@ -1,19 +1,13 @@
 """Backend selection: compiled kernels when available, numpy fallback otherwise.
 
-Set ``FGI_BACKEND=python`` to force the fallback (useful for benchmarking and
-for cross-checking the two implementations).
+Import ``_kernels_py`` directly to run or cross-check the fallback.
 """
 from __future__ import annotations
 
-import os
-
-if os.environ.get("FGI_BACKEND", "").lower() == "python":
+try:
+    from . import _kernels as kernels  # type: ignore[attr-defined]
+except ImportError:
     from . import _kernels_py as kernels
-else:
-    try:
-        from . import _kernels as kernels  # type: ignore[attr-defined]
-    except ImportError:
-        from . import _kernels_py as kernels
 
 BACKEND = kernels.BACKEND_NAME
 

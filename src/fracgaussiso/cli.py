@@ -10,6 +10,7 @@ import argparse
 import json
 import re
 import sys
+from typing import Callable, NamedTuple
 
 from .errors import DomainError, SetParseError
 from .inequality import ConstantParams, verify_main
@@ -85,13 +86,7 @@ def _fmt(v) -> str:
 
 
 def _json_value(v) -> str:
-    if isinstance(v, bool):
-        return "true" if v else "false"
-    if isinstance(v, float):
-        return f"{v:.17g}"
-    if isinstance(v, int):
-        return str(v)
-    return json.dumps(str(v))
+    return _fmt(v) if isinstance(v, (bool, int, float)) else json.dumps(str(v))
 
 
 def emit(rows: list[dict], fmt: str, out, convention: str) -> None:
@@ -132,127 +127,46 @@ def _parse_grid(spec: str) -> list[float]:
     return vals
 
 
-def _load_config(path: str | None) -> dict:
-    if path is None:
-        return {}
-    with open(path, "r", encoding="utf-8") as fh:
-        cfg = json.load(fh)
-    if not isinstance(cfg, dict):
-        raise DomainError("config file must hold a JSON object")
-    return cfg
-
-
-def _pick(args_value, cfg: dict, key: str, default):
-    """CLI flag wins over config file wins over default."""
-    if args_value is not None:
-        return args_value
-    if key in cfg:
-        return cfg[key]
-    return default
-
-
-def _s_list(args, cfg) -> list[float]:
-    s = _pick(args.s, cfg, "s", None)
-    grid = _pick(args.s_grid, cfg, "s_grid", None)
+def _s_list(o: dict) -> list[float]:
+    """The orders to run: --s-grid, else --s, else 0.5; not both."""
+    s, grid = o["s"], o["s_grid"]
     if s is not None and grid is not None:
         raise DomainError("give either --s or --s-grid, not both")
     if grid is not None:
         return _parse_grid(grid)
-    return [float(s) if s is not None else 0.5]
+    return [0.5 if s is None else s]
 
 
-def _convention(args, cfg) -> str:
-    # asymptotic rows are bare series values, so its header names 'remark'
-    default = "remark" if args.command == "asymptotic" else "with-constant"
-    c = _pick(args.convention, cfg, "convention", default)
-    return c.replace("-", "_")
-
-
-def _open_out(args, cfg):
-    path = _pick(args.out, cfg, "out", None)
-    if path is None:
-        return sys.stdout, False
-    return open(path, "w", encoding="utf-8"), True
-
-
-def _common_flags(p: argparse.ArgumentParser, with_set=True) -> None:
-    if with_set:
-        p.add_argument("--set", dest="set_text")
-    p.add_argument("--s", type=float)
-    p.add_argument("--s-grid", dest="s_grid")
-    p.add_argument("--K", type=int)
-    p.add_argument("--convention", choices=("with-constant", "remark"))
-    p.add_argument("--c", type=float)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--format", choices=("csv", "json"))
-    p.add_argument("--out")
-    p.add_argument("--config")
-
-
-def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(prog="frac-gauss-iso",
-                                 description="Fractional Gaussian perimeters, "
-                                             "asymmetries and deficit checks.")
-    sub = ap.add_subparsers(dest="command", required=True)
-
-    for name in ("perimeter", "asymmetry", "deficit"):
-        p = sub.add_parser(name)
-        _common_flags(p)
-
-    p = sub.add_parser("extension-eval")
-    _common_flags(p)
-    p.add_argument("--x", default="0.0", help="comma-separated evaluation points")
-    p.add_argument("--z", type=float, default=0.1)
-
-    p = sub.add_parser("verify")
-    _common_flags(p, with_set=False)
-    p.add_argument("--suite", choices=SUITE_NAMES + ("all",))
-    p.add_argument("--n", type=int)
-
-    p = sub.add_parser("sweep")
-    _common_flags(p, with_set=False)
-    p.add_argument("--r-grid", dest="r_grid", default="-2:2:0.5")
-
-    p = sub.add_parser("asymptotic")
-    _common_flags(p, with_set=False)
-    p.add_argument("--r", type=float, default=0.0)
-    return ap
-
-
-def _require_set(args, cfg) -> GaussianSet:
-    text = _pick(getattr(args, "set_text", None), cfg, "set", None)
-    if text is None:
+def _require_set(o: dict) -> GaussianSet:
+    if o["set"] is None:
         raise DomainError("--set is required for this command")
-    return parse_set(text)
+    return parse_set(o["set"])
 
 
-def cmd_perimeter(args, cfg) -> tuple[list[dict], int]:
-    E = _require_set(args, cfg)
-    K = int(_pick(args.K, cfg, "K", 10_000))
-    conv = _convention(args, cfg)
+def cmd_perimeter(o: dict) -> tuple[list[dict], int]:
+    E = _require_set(o)
+    K, conv = o["K"], o["convention"]
     rows = []
-    for s in _s_list(args, cfg):
+    for s in _s_list(o):
         pv = perimeter_spectral(E, s, K, conv)
         rows.append({"set": str(E), "s": s, "K": K, "convention": conv,
                      "value": pv.value, "tail_bound": pv.tail_bound})
     return rows, 0
 
 
-def cmd_asymmetry(args, cfg) -> tuple[list[dict], int]:
-    E = _require_set(args, cfg)
+def cmd_asymmetry(o: dict) -> tuple[list[dict], int]:
+    E = _require_set(o)
     ratio, half = best_halfline(E)
     return [{"set": str(E), "m": measure(E), "asym": ratio,
              "orientation": half.orientation, "threshold": half.threshold}], 0
 
 
-def cmd_deficit(args, cfg) -> tuple[list[dict], int]:
-    E = _require_set(args, cfg)
-    K = int(_pick(args.K, cfg, "K", 10_000))
-    conv = _convention(args, cfg)
-    params = ConstantParams(float(_pick(args.c, cfg, "c", 1.0)))
+def cmd_deficit(o: dict) -> tuple[list[dict], int]:
+    E = _require_set(o)
+    K, conv = o["K"], o["convention"]
     rows, failures = [], 0
-    for s in _s_list(args, cfg):
-        rep = verify_main(E, s, params, K, conv)
+    for s in _s_list(o):
+        rep = verify_main(E, s, ConstantParams(o["c"]), K, conv)
         if not rep.satisfied:
             failures += 1
         rows.append({"set": str(E), "s": s, "K": K, "convention": conv,
@@ -263,30 +177,26 @@ def cmd_deficit(args, cfg) -> tuple[list[dict], int]:
     return rows, failures
 
 
-def cmd_extension_eval(args, cfg) -> tuple[list[dict], int]:
-    E = _require_set(args, cfg)
-    K = int(_pick(args.K, cfg, "K", 10_000))
-    s = _s_list(args, cfg)[0]
+def cmd_extension_eval(o: dict) -> tuple[list[dict], int]:
+    E = _require_set(o)
+    s, K, z = o["s"], o["K"], o["z"]
     F = extension_field(E, s, K)
     rows = []
-    for tok in str(args.x).split(","):
+    for tok in o["x"].split(","):
         x = float(tok)
-        rows.append({"set": str(E), "s": s, "K": K, "x": x, "z": args.z,
-                     "value": evaluate_extension(F, x, args.z)})
+        rows.append({"set": str(E), "s": s, "K": K, "x": x, "z": z,
+                     "value": evaluate_extension(F, x, z)})
     return rows, 0
 
 
-def cmd_verify(args, cfg) -> tuple[list[dict], int]:
-    suite = _pick(args.suite, cfg, "suite", "all")
-    n = int(_pick(args.n, cfg, "n", 12))
-    seed = int(_pick(args.seed, cfg, "seed", 0))
-    K = _pick(args.K, cfg, "K", None)
-    c = float(_pick(args.c, cfg, "c", 1.0))
-    conv = _convention(args, cfg)
-    names = SUITE_NAMES if suite == "all" else (suite,)
+def cmd_verify(o: dict) -> tuple[list[dict], int]:
+    if o["n"] < 1:
+        raise DomainError(f"--n must be at least 1, got {o['n']}")
+    names = SUITE_NAMES if o["suite"] == "all" else (o["suite"],)
     summary, total_failures = [], 0
     for name in names:
-        rows, failures = run_suite(name, n, seed, K=K, c=c, convention=conv)
+        rows, failures = run_suite(name, o["n"], o["seed"], K=o["K"], c=o["c"],
+                                   convention=o["convention"])
         total_failures += failures
         summary.append({"suite": name, "cases": len(rows),
                         "failures": failures, "passed": failures == 0})
@@ -298,27 +208,22 @@ def cmd_verify(args, cfg) -> tuple[list[dict], int]:
     return summary, total_failures
 
 
-def cmd_sweep(args, cfg) -> tuple[list[dict], int]:
-    K = int(_pick(args.K, cfg, "K", 10_000))
-    conv = _convention(args, cfg)
+def cmd_sweep(o: dict) -> tuple[list[dict], int]:
+    K, conv = o["K"], o["convention"]
     rows = []
-    for r in _parse_grid(args.r_grid):
-        for s in _s_list(args, cfg):
+    for r in _parse_grid(o["r_grid"]):
+        for s in _s_list(o):
             pv = halfspace_series(r, s, K, conv)
             rows.append({"r": r, "s": s, "K": K, "convention": conv,
                          "value": pv.value, "tail_bound": pv.tail_bound})
     return rows, 0
 
 
-def cmd_asymptotic(args, cfg) -> tuple[list[dict], int]:
-    K = int(_pick(args.K, cfg, "K", 100_000))
-    grid = _pick(args.s_grid, cfg, "s_grid", "0.9:0.999:0.045")
-    r = float(args.r)
-    if _convention(args, cfg) != "remark":
-        raise DomainError("asymptotic computes the remark convention only")
+def cmd_asymptotic(o: dict) -> tuple[list[dict], int]:
+    r, K = o["r"], o["K"]
     limit = asymptotic_limit(r)
     rows = []
-    for s in _parse_grid(grid):
+    for s in _parse_grid(o["s_grid"]):
         pv = asymptotic_series_value(r, s, K, "remark")
         scaled = (1.0 - s) * pv.value
         rows.append({"r": r, "s": s, "K": K, "scaled_value": scaled,
@@ -327,31 +232,106 @@ def cmd_asymptotic(args, cfg) -> tuple[list[dict], int]:
     return rows, 0
 
 
-_COMMANDS = {
-    "perimeter": cmd_perimeter,
-    "asymmetry": cmd_asymmetry,
-    "deficit": cmd_deficit,
-    "extension-eval": cmd_extension_eval,
-    "verify": cmd_verify,
-    "sweep": cmd_sweep,
-    "asymptotic": cmd_asymptotic,
+# Every option a subcommand can read, with its argparse keywords.  The name
+# is the config-file key; the flag is "--" + name with "_" written "-".
+_OPTIONS = {
+    "set": {},
+    "s": {"type": float},
+    "s_grid": {},
+    "K": {"type": int},
+    "convention": {"choices": ("with-constant", "remark")},
+    "c": {"type": float},
+    "suite": {"choices": SUITE_NAMES + ("all",)},
+    "n": {"type": int},
+    "seed": {"type": int},
+    "x": {"help": "comma-separated evaluation points"},
+    "z": {"type": float},
+    "r_grid": {},
+    "r": {"type": float},
+    "format": {"choices": ("csv", "json")},
+    "out": {},
 }
+
+
+class _Command(NamedTuple):
+    run: Callable[[dict], tuple[list[dict], int]]
+    options: dict          # option name -> default, in help order
+    header: str | None     # fixed header convention, for commands without --convention
+
+
+def _cmd(run, header=None, **options) -> _Command:
+    return _Command(run, {**options, "format": "csv", "out": None}, header)
+
+
+_COMMANDS = {
+    "perimeter": _cmd(cmd_perimeter, set=None, s=None, s_grid=None, K=10_000,
+                      convention="with-constant"),
+    "asymmetry": _cmd(cmd_asymmetry, "with_constant", set=None),
+    "deficit": _cmd(cmd_deficit, set=None, s=None, s_grid=None, K=10_000,
+                    convention="with-constant", c=1.0),
+    "extension-eval": _cmd(cmd_extension_eval, "with_constant", set=None,
+                           s=0.5, K=10_000, x="0.0", z=0.1),
+    "verify": _cmd(cmd_verify, suite="all", n=12, seed=0, K=None, c=1.0,
+                   convention="with-constant"),
+    "sweep": _cmd(cmd_sweep, r_grid="-2:2:0.5", s=None, s_grid=None, K=10_000,
+                  convention="with-constant"),
+    # asymptotic rows are bare series values, so its header names 'remark'
+    "asymptotic": _cmd(cmd_asymptotic, "remark", r=0.0,
+                       s_grid="0.9:0.999:0.045", K=100_000),
+}
+
+
+def build_parser() -> argparse.ArgumentParser:
+    ap = argparse.ArgumentParser(prog="frac-gauss-iso", allow_abbrev=False,
+                                 description="Fractional Gaussian perimeters, "
+                                             "asymmetries and deficit checks.")
+    sub = ap.add_subparsers(dest="command", required=True)
+    for name, cmd in _COMMANDS.items():
+        p = sub.add_parser(name, allow_abbrev=False)
+        for key in cmd.options:
+            p.add_argument("--" + key.replace("_", "-"), dest=key, **_OPTIONS[key])
+        p.add_argument("--config", help="JSON file of option defaults")
+    return ap
+
+
+def _resolve(cmd: _Command, args) -> dict:
+    """Each option from its flag, else the config file, else its default."""
+    cfg = {}
+    if args.config is not None:
+        with open(args.config, "r", encoding="utf-8") as fh:
+            cfg = json.load(fh)
+        if not isinstance(cfg, dict):
+            raise DomainError("config file must hold a JSON object")
+    unread = sorted(set(cfg) - set(cmd.options))
+    if unread:
+        raise DomainError(f"{args.command} reads no config key {', '.join(map(repr, unread))}")
+    o = {}
+    for key, default in cmd.options.items():
+        value = getattr(args, key)
+        if value is None and key in cfg:
+            try:
+                value = _OPTIONS[key].get("type", str)(cfg[key])
+            except (TypeError, ValueError):
+                raise DomainError(f"config key {key!r}: bad value {cfg[key]!r}") from None
+        o[key] = default if value is None else value
+    if "convention" in o:  # the library spells conventions with '_'
+        o["convention"] = o["convention"].replace("-", "_")
+    return o
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    cmd = _COMMANDS[args.command]
     try:
-        cfg = _load_config(getattr(args, "config", None))
-        rows, failures = _COMMANDS[args.command](args, cfg)
-        fmt = _pick(getattr(args, "format", None), cfg, "format", "csv")
-        conv = _convention(args, cfg)
-        out, close = _open_out(args, cfg)
-        try:
-            emit(rows, fmt, out, conv)
-        finally:
-            if close:
-                out.close()
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+        o = _resolve(cmd, args)
+        rows, failures = cmd.run(o)
+        conv = cmd.header or o["convention"]
+        if o["out"] is None:
+            emit(rows, o["format"], sys.stdout, conv)
+        else:
+            with open(o["out"], "w", encoding="utf-8") as out:
+                emit(rows, o["format"], out, conv)
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return 1 if failures else 0

@@ -1,7 +1,4 @@
 import math
-import os
-import subprocess
-import sys
 
 import numpy as np
 
@@ -90,10 +87,3 @@ def test_halfspace_sum_bit_identical():
                 got = kernels.halfspace_series_sum(r, -0.75, K)
                 assert np.float64(got).tobytes() == ref, (kernels.__name__, r, K)
 
-
-def test_env_forces_python_backend():
-    env = dict(os.environ, FGI_BACKEND="python")
-    out = subprocess.run(
-        [sys.executable, "-c", "from fracgaussiso._backend import BACKEND; print(BACKEND)"],
-        capture_output=True, text=True, env=env)
-    assert out.stdout.strip() == "python"

@@ -1,12 +1,14 @@
 import csv
 import json
 import math
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
-from fracgaussiso.cli import main, parse_set
+from fracgaussiso.cli import _COMMANDS, build_parser, main, parse_set
 from fracgaussiso.errors import SetParseError
 from fracgaussiso.sets import GaussianSet, halfline
 
@@ -100,10 +102,11 @@ def test_asymptotic_convention(capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert out.startswith("# frac-gauss-iso v1, convention=remark\n")
-    assert main(["asymptotic", "--s-grid", "0.9", "--K", "1000", "--convention", "remark"]) == 0
-    capsys.readouterr()
-    assert main(["asymptotic", "--convention", "with-constant"]) == 2
-    assert capsys.readouterr().out == ""
+    for conv in ("remark", "with-constant"):
+        with pytest.raises(SystemExit) as exc:
+            main(["asymptotic", "--convention", conv])
+        assert exc.value.code == 2
+        assert capsys.readouterr().out == ""
 
 
 def test_config_file_and_override(tmp_path, capsys):
@@ -118,6 +121,65 @@ def test_config_file_and_override(tmp_path, capsys):
     out2 = capsys.readouterr().out
     assert code == 0
     assert ",200," in out2
+
+
+@pytest.mark.parametrize("cfg, key", [
+    ({"set": "(0,1)", "c": 9}, "'c'"),
+    ({"set": "(0,1)", "K": None}, "'K'"),
+])
+def test_config_key_errors(tmp_path, capsys, cfg, key):
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["perimeter", "--config", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert key in captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    ["asymmetry", "--set", "(0,1)", "--K", "5"],
+    ["extension-eval", "--set", "(0,1)", "--s-grid", "0.25:0.75:0.25"],
+    ["asymptotic", "--s", "0.5"],  # would abbreviate --s-grid
+    ["deficit", "--set", "(0,1)", "--seed", "3"],
+    ["verify", "--s-grid", "0.5"],
+    ["perimeter", "--se", "(0,1)"],  # an abbreviation of --set
+    ["perimeter", "--set", "(0,1)", "--conv", "remark"],  # of --convention
+])
+def test_unread_flags_are_usage_errors(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--suite", "main", "--n", "0"],
+    ["verify", "--suite", "levelset", "--n", "-4"],
+])
+def test_verify_needs_cases(capsys, argv):
+    assert main(argv) == 2
+    assert capsys.readouterr().out == ""
+
+
+def _readme_cli_section() -> str:
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    return text.split("## CLI", 1)[1].split("\n## ", 1)[0]
+
+
+def test_readme_examples_parse():
+    lines = [line for line in _readme_cli_section().splitlines()
+             if line.startswith("frac-gauss-iso ")]
+    assert lines
+    for line in lines:
+        build_parser().parse_args(shlex.split(line)[1:])
+
+
+def test_readme_lists_each_commands_options():
+    section = _readme_cli_section()
+    for name, cmd in _COMMANDS.items():
+        opts = " ".join(f"`{k}`" if v is None else f"`{k}={v}`"
+                        for k, v in cmd.options.items())
+        assert f"| `{name}` | {opts} |" in section
 
 
 def test_out_file(tmp_path, capsys):

@@ -313,10 +313,17 @@ def _resolve(cmd: _Command, args) -> dict:
                 value = _OPTIONS[key].get("type", str)(cfg[key])
             except (TypeError, ValueError):
                 raise DomainError(f"config key {key!r}: bad value {cfg[key]!r}") from None
-        o[key] = default if value is None else value
-    if "convention" in o:  # the library spells conventions with '_'
-        o["convention"] = o["convention"].replace("-", "_")
+            choices = [_spelled(key, c) for c in _OPTIONS[key].get("choices", ())]
+            if choices and _spelled(key, value) not in choices:
+                raise DomainError(f"config key {key!r}: {cfg[key]!r} is not one of "
+                                  f"{', '.join(choices)}")
+        o[key] = _spelled(key, default if value is None else value)
     return o
+
+
+def _spelled(key: str, value):
+    """The library spells conventions with '_'."""
+    return value.replace("-", "_") if key == "convention" else value
 
 
 def main(argv=None) -> int:

@@ -14,17 +14,23 @@ boundary data, where the energy density concentrates.
 
 On a tensor mesh with product weights the discrete energy operator is one
 object in any dimension: the Kronecker sum of 1-D weighted path Laplacians,
-one per axis, each multiplied by the node weights of the other axes.  The
-planar energy uses the axes (z, x) and the cylinder energy (z, x, y); both
-are assembled by `_energy_operator`.
+one per axis, each multiplied by the node weights of the other axes
+(`_energy_operator`).  The planar energy on the axes (z, x) is solved by fast
+diagonalization (Lynch, Rice & Thomas 1964) without assembling that sum: one
+eigenbasis of the x-pencil turns it into independent tridiagonal z-problems,
+one per x-mode, solved together in one Thomas sweep.  This costs
+O(n_x^3 + n_x^2 n_z) time and O(n_x^2 + n_x n_z) memory.  The cylinder energy
+on the axes (z, x, y) assembles the 3-D operator and solves it by conjugate
+gradients from the planar minimizer.
 """
 from __future__ import annotations
 
 import math
 
 import numpy as np
+from scipy.linalg import eigh_tridiagonal
 from scipy.sparse import csr_matrix, diags, kron
-from scipy.sparse.linalg import cg, spsolve
+from scipy.sparse.linalg import cg, spsolve  # spsolve: unused, perfbench/spans.py wraps it by name
 
 from .errors import DomainError, QuadratureError
 from .gauss_core import as_order, phi
@@ -125,21 +131,50 @@ def _planar(E: GaussianSet, s, domain, n_x: int, n_z: int, grading):
                _axis(x, *_x_masses(x))]
 
 
+def _solve_planar(axes, bottom: np.ndarray) -> tuple[float, np.ndarray]:
+    """(energy, minimizer) on the [z, x] axes with the z = 0 row fixed to bottom.
+
+    With Phi = W_x^{-1/2} Q, where Q diagonalizes W_x^{-1/2} L_x W_x^{-1/2},
+    Phi^T L_x Phi = diag(lam) and Phi^T W_x Phi = I.  The modal field U with
+    V = U Phi^T then solves (L_z + lam_m W_z) U[:, m] = 0 above z = 0 for each
+    mode m, with U[0] = Phi^T W_x bottom.  The minimizer is returned as the
+    flattened (z, x) field, in the node order of `_energy_operator`.
+    """
+    (Lz, wz), (Lx, wx) = axes
+    r = 1.0 / np.sqrt(wx)
+    lam, Q = eigh_tridiagonal(Lx.diagonal() * r * r, Lx.diagonal(1) * r[:-1] * r[1:])
+    Phi = r[:, None] * Q
+    sub, diag, sup = Lz.diagonal(-1), Lz.diagonal(), np.append(Lz.diagonal(1), 0.0)
+    n_z = diag.shape[0] - 1
+    # Thomas sweep over z, all modes at once.  Elimination leaves row j as
+    # U[j] + cp[j] U[j + 1] = g[j], with g kept in U; the fixed z = 0 row
+    # has cp[0] = 0 and the top row cp[n_z] = 0.
+    U = np.empty((n_z + 1, lam.shape[0]))
+    cp = np.zeros_like(U)
+    U[0] = (wx * bottom) @ Phi
+    for j in range(1, n_z + 1):
+        pivot = diag[j] + wz[j] * lam - sub[j - 1] * cp[j - 1]
+        U[j] = -sub[j - 1] * U[j - 1] / pivot
+        cp[j] = sup[j] / pivot
+    for j in range(n_z - 1, 0, -1):
+        U[j] -= cp[j] * U[j + 1]
+    V = U @ Phi.T
+    V[0] = bottom
+    energy = np.sum((Lz @ V) * V * wx) + np.sum((Lx @ V.T).T * V * wz[:, None])
+    return float(energy), V.ravel()
+
+
 def _solve_energy(Lap: csr_matrix, bottom: np.ndarray,
-                  seed: np.ndarray | None = None) -> tuple[float, np.ndarray]:
+                  seed: np.ndarray) -> tuple[float, np.ndarray]:
     """(energy, minimizer) with the leading z = 0 block of nodes fixed to bottom.
 
-    Solved by sparse LU, or by conjugate gradients from seed when one is given.
+    Solved by conjugate gradients from seed.
     """
     n = bottom.shape[0]
-    A = Lap[n:, n:]
-    b = -(Lap[n:, :n] @ bottom)
-    if seed is not None:
-        sol, info = cg(A, b, x0=seed[n:], rtol=1e-12, atol=0.0, maxiter=20_000)
-        if info != 0:
-            raise QuadratureError(f"CG failed to converge (info={info})")
-    else:
-        sol = spsolve(A.tocsc(), b)
+    sol, info = cg(Lap[n:, n:], -(Lap[n:, :n] @ bottom), x0=seed[n:],
+                   rtol=1e-12, atol=0.0, maxiter=20_000)
+    if info != 0:
+        raise QuadratureError(f"CG failed to converge (info={info})")
     v = np.concatenate([bottom, sol])
     return float(v @ (Lap @ v)), v
 
@@ -151,7 +186,7 @@ def pde_energy(E: GaussianSet, s, domain: tuple[float, float] = (6.0, 4.0),
     domain = (L, Z) truncates to [-L, L] x (0, Z]; mesh = (n_x, n_z).
     """
     x, axes = _planar(E, s, domain, *mesh, grading)
-    energy, _ = _solve_energy(_energy_operator(axes), _boundary_data(E, x))
+    energy, _ = _solve_planar(axes, _boundary_data(E, x))
     return 0.5 * energy
 
 
@@ -169,7 +204,7 @@ def pde_energy_cylinder(E1: GaussianSet, s, domain: tuple[float, float] = (6.0, 
     n_y, n_x, n_z = mesh
     x, axes = _planar(E1, s, domain, n_x, n_z, grading)
     bottom = _boundary_data(E1, x)
-    _, v1 = _solve_energy(_energy_operator(axes), bottom)
+    _, v1 = _solve_planar(axes, bottom)
     y = np.linspace(-domain[0], domain[0], n_y + 1)
     Lap = _energy_operator(axes + [_axis(y, *_x_masses(y))])
     energy, _ = _solve_energy(Lap, np.repeat(bottom, n_y + 1), seed=np.repeat(v1, n_y + 1))

@@ -142,12 +142,15 @@ def test_criterion_10_asymptotic_s_to_one():
 
 def test_criterion_11_pde_cross_check():
     ref = halfline_perimeter_reference(0.0, 0.5, 1_000_000).value
-    errs = []
-    for n in (128, 256, 512):
-        val = pde_energy(fg.halfline(0.0), 0.5, mesh=(n, n))
-        errs.append(abs(val - ref) / ref)
+    v = [pde_energy(fg.halfline(0.0), 0.5, mesh=(n, n)) for n in (128, 256, 512, 1024)]
+    errs = [abs(val - ref) / ref for val in v[:3]]
     ok = errs[-1] < 0.02 and errs[0] > errs[1] > errs[2]
-    _report(11, "PDE energy within 2% at 512^2 with observed convergence", ok)
+    # reference-free observed orders from the 128/256/512 and 256/512/1024 triples
+    p = [math.log2((v[i + 1] - v[i]) / (v[i + 2] - v[i + 1])) for i in (0, 1)]
+    richardson = v[3] + (v[3] - v[2]) / (2.0 ** p[1] - 1.0)
+    _report(11, f"PDE energy within 2% at 512^2 with observed convergence "
+                f"(order {p[0]:.2f}, {p[1]:.2f}; Richardson {richardson:.6f}, "
+                f"reference {ref:.6f})", ok)
 
 
 def test_criterion_12_cli_determinism_golden():

@@ -126,6 +126,8 @@ def test_config_file_and_override(tmp_path, capsys):
 @pytest.mark.parametrize("cfg, key", [
     ({"set": "(0,1)", "c": 9}, "'c'"),
     ({"set": "(0,1)", "K": None}, "'K'"),
+    ({"set": "(0,1)", "format": "xml"}, "'format'"),
+    ({"set": "(0,1)", "convention": "bogus"}, "'convention'"),
 ])
 def test_config_key_errors(tmp_path, capsys, cfg, key):
     path = tmp_path / "run.json"
@@ -134,6 +136,15 @@ def test_config_key_errors(tmp_path, capsys, cfg, key):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert key in captured.err
+
+
+@pytest.mark.parametrize("spelling", ["with-constant", "with_constant", "remark"])
+def test_config_convention_spellings(tmp_path, capsys, spelling):
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps({"set": "(0,1)", "K": 300, "convention": spelling}))
+    assert main(["perimeter", "--config", str(path)]) == 0
+    header = capsys.readouterr().out.splitlines()[0]
+    assert header == f"# frac-gauss-iso v1, convention={spelling.replace('-', '_')}"
 
 
 @pytest.mark.parametrize("argv", [

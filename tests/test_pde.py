@@ -3,10 +3,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.sparse import coo_matrix
+from scipy.sparse.linalg import spsolve
 
 from fracgaussiso.errors import DomainError
-from fracgaussiso.pde import (_axis, _energy_operator, _planar, _x_masses, graded_x_mesh,
-                              pde_energy, pde_energy_cylinder)
+from fracgaussiso.pde import (_axis, _boundary_data, _energy_operator, _planar, _solve_planar,
+                              _x_masses, graded_x_mesh, pde_energy, pde_energy_cylinder)
 from fracgaussiso.sets import GaussianSet, complement, halfline, interval
 from fracgaussiso.spectral import halfline_perimeter_reference, perimeter_spectral
 
@@ -159,3 +160,34 @@ def test_pde_energy_complement_invariant(E):
     a = pde_energy(E, 0.5, mesh=(64, 64))
     b = pde_energy(complement(E), 0.5, mesh=(64, 64))
     assert b == pytest.approx(a, rel=1e-10)
+
+
+# Sparse LU on the assembled operator, kept as a reference for the
+# fast-diagonalization solve.
+def _check_against_lu(E, s, n):
+    x, axes = _planar(E, s, (6.0, 4.0), n, n, None)
+    bottom = _boundary_data(E, x)
+    Lap = _energy_operator(axes)
+    k = bottom.shape[0]
+    coupling = Lap[k:, :k] @ bottom
+    v_lu = np.concatenate([bottom, spsolve(Lap[k:, k:].tocsc(), -coupling)])
+    energy, v = _solve_planar(axes, bottom)
+    assert energy == pytest.approx(float(v_lu @ (Lap @ v_lu)), rel=1e-9)
+    assert np.array_equal(v[:k], bottom)
+    # the minimizer solves the interior equations
+    assert np.linalg.norm(Lap[k:] @ v) <= 1e-10 * np.linalg.norm(coupling)
+    assert 0.5 * energy == pde_energy(E, s, mesh=(n, n))
+
+
+@pytest.mark.parametrize("n", [256, 512])
+@pytest.mark.parametrize("E, s", [(halfline(0.0), 0.5), (interval(0.0, 1.0), 0.25)],
+                         ids=["halfline", "interval"])
+def test_planar_solve_matches_lu(E, s, n):
+    _check_against_lu(E, s, n)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.lists(st.integers(-30, 30), min_size=2, max_size=6, unique=True).map(_grid_set),
+       st.sampled_from([0.05, 0.1, 0.25, 0.5, 0.75, 0.9, 0.95]))
+def test_planar_solve_matches_lu_on_grid_sets(E, s):
+    _check_against_lu(E, s, 64)

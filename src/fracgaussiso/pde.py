@@ -15,11 +15,12 @@ boundary data, where the energy density concentrates.
 On a tensor mesh with product weights the discrete energy operator is one
 object in any dimension: the Kronecker sum of 1-D weighted path Laplacians,
 one per axis, each multiplied by the node weights of the other axes
-(`_energy_operator`).  The planar energy on the axes (z, x) is solved by fast
+(`_energy_bands`).  The planar energy on the axes (z, x) is solved by fast
 diagonalization (Lynch, Rice & Thomas 1964) without assembling that sum: one
 eigenbasis of the x-pencil turns it into independent tridiagonal z-problems,
-one per x-mode, solved together in one Thomas sweep.  This costs
-O(n_x^3 + n_x^2 n_z) time and O(n_x^2 + n_x n_z) memory.  The cylinder energy
+one per x-mode, eliminated together in one sweep over z.  The energy costs
+O(n_x^3 + n_x n_z) time and O(n_x^2) memory; the minimizer adds
+O(n_x^2 n_z) time and O(n_x n_z) memory.  The cylinder energy
 on the axes (z, x, y) assembles the 3-D operator and solves it by conjugate
 gradients from the planar minimizer.
 """
@@ -29,7 +30,7 @@ import math
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
-from scipy.sparse import csr_matrix, diags, kron
+from scipy.sparse import dia_matrix, diags
 from scipy.sparse.linalg import cg, spsolve  # spsolve: unused, perfbench/spans.py wraps it by name
 
 from .errors import DomainError, QuadratureError
@@ -101,17 +102,35 @@ def _axis(nodes: np.ndarray, edge_w: np.ndarray, node_w: np.ndarray):
     return diags([-c, np.pad(c, (0, 1)) + np.pad(c, (1, 0)), -c], [-1, 0, 1]), node_w
 
 
-def _energy_operator(axes) -> csr_matrix:
-    """Kronecker sum of the axis Laplacians, slowest axis first.
+def _energy_bands(axes) -> dict[int, np.ndarray]:
+    """Kronecker sum of the axis Laplacians, slowest axis first, by its bands.
 
     Each axis Laplacian is multiplied by the node weights of the other axes,
-    so the quadratic form is sum over mesh edges of c_e (v_a - v_b)^2.
+    so the quadratic form is sum over mesh edges of c_e (v_a - v_b)^2.  The
+    sum is banded: an axis couples nodes whose flat indices differ by the
+    product of the sizes of the faster axes.  It is built one band at a time
+    from Kronecker products of vectors (the same products and sums, in the
+    same order, as the sparse Kronecker products, without their COO
+    temporaries).  Returns {offset: upper band}; the matrix is symmetric.
     """
-    (Lap, weight), *rest = axes
+    (T, weight), *rest = axes
+    bands = {0: T.diagonal(), 1: T.diagonal(1)}
     for T, w in rest:
-        Lap = kron(Lap, diags(w)) + kron(diags(weight), T)
+        bands = {k * w.shape[0]: np.kron(band, w) for k, band in bands.items()}
+        bands[0] = bands[0] + np.kron(weight, T.diagonal())
+        bands[1] = np.kron(weight, np.append(T.diagonal(1), 0.0))[:-1]
         weight = np.outer(weight, w).ravel()
-    return Lap.tocsr()
+    return bands
+
+
+def _band_matrix(bands, skip: int = 0) -> dia_matrix:
+    """The symmetric matrix with these upper bands, without its first skip rows and columns.
+
+    The +-1 bands hold explicit zeros where a line of the fastest axis ends.
+    """
+    offsets = sorted(bands)
+    return diags([bands[k][skip:] for k in offsets[:0:-1]] + [bands[k][skip:] for k in offsets],
+                 [-k for k in offsets[:0:-1]] + offsets)
 
 
 def _planar(E: GaussianSet, s, domain, n_x: int, n_z: int, grading):
@@ -131,52 +150,60 @@ def _planar(E: GaussianSet, s, domain, n_x: int, n_z: int, grading):
                _axis(x, *_x_masses(x))]
 
 
-def _solve_planar(axes, bottom: np.ndarray) -> tuple[float, np.ndarray]:
+def _solve_planar(axes, bottom: np.ndarray,
+                  minimizer: bool = True) -> tuple[float, np.ndarray | None]:
     """(energy, minimizer) on the [z, x] axes with the z = 0 row fixed to bottom.
 
     With Phi = W_x^{-1/2} Q, where Q diagonalizes W_x^{-1/2} L_x W_x^{-1/2},
     Phi^T L_x Phi = diag(lam) and Phi^T W_x Phi = I.  The modal field U with
     V = U Phi^T then solves (L_z + lam_m W_z) U[:, m] = 0 above z = 0 for each
-    mode m, with U[0] = Phi^T W_x bottom.  The minimizer is returned as the
-    flattened (z, x) field, in the node order of `_energy_operator`.
+    mode m, with U[0] = Phi^T W_x bottom: a path of z-edges with conductances
+    c_j = -L_z[j, j + 1] and a leak lam_m w_z[j] at each node.  Eliminating
+    from the zero-flux top down, node j sees the conductance
+    G[j] = lam w_z[j] + c_j G[j + 1] / (c_j + G[j + 1]), and
+    U[j + 1] = U[j] c_j / (c_j + G[j + 1]).  The energy is
+    sum_m G_m[0] U[0, m]^2, a sum of nonnegative terms.  The minimizer, None
+    unless asked for, is the flattened (z, x) field in the node order of
+    `_energy_bands`.
     """
     (Lz, wz), (Lx, wx) = axes
     r = 1.0 / np.sqrt(wx)
     lam, Q = eigh_tridiagonal(Lx.diagonal() * r * r, Lx.diagonal(1) * r[:-1] * r[1:])
-    Phi = r[:, None] * Q
-    sub, diag, sup = Lz.diagonal(-1), Lz.diagonal(), np.append(Lz.diagonal(1), 0.0)
-    n_z = diag.shape[0] - 1
-    # Thomas sweep over z, all modes at once.  Elimination leaves row j as
-    # U[j] + cp[j] U[j + 1] = g[j], with g kept in U; the fixed z = 0 row
-    # has cp[0] = 0 and the top row cp[n_z] = 0.
-    U = np.empty((n_z + 1, lam.shape[0]))
-    cp = np.zeros_like(U)
-    U[0] = (wx * bottom) @ Phi
-    for j in range(1, n_z + 1):
-        pivot = diag[j] + wz[j] * lam - sub[j - 1] * cp[j - 1]
-        U[j] = -sub[j - 1] * U[j - 1] / pivot
-        cp[j] = sup[j] / pivot
-    for j in range(n_z - 1, 0, -1):
-        U[j] -= cp[j] * U[j + 1]
-    V = U @ Phi.T
+    c = -Lz.diagonal(1)
+    # One sweep over z, all modes at once; U[j + 1] holds the ratio U[j + 1] / U[j].
+    U = np.empty((c.shape[0] + 1, lam.shape[0])) if minimizer else None
+    G = wz[-1] * lam
+    for j in range(c.shape[0] - 1, -1, -1):
+        ratio = c[j] / (c[j] + G)
+        G = wz[j] * lam + ratio * G
+        if minimizer:
+            U[j + 1] = ratio
+    U0 = (bottom / r) @ Q
+    energy = float(G @ (U0 * U0))
+    if not minimizer:
+        return energy, None
+    U[0] = U0
+    V = (np.cumprod(U, axis=0, out=U) @ Q.T) * r
     V[0] = bottom
-    energy = np.sum((Lz @ V) * V * wx) + np.sum((Lx @ V.T).T * V * wz[:, None])
-    return float(energy), V.ravel()
+    return energy, V.ravel()
 
 
-def _solve_energy(Lap: csr_matrix, bottom: np.ndarray,
-                  seed: np.ndarray) -> tuple[float, np.ndarray]:
-    """(energy, minimizer) with the leading z = 0 block of nodes fixed to bottom.
+def _solve_energy(bands, bottom: np.ndarray, seed: np.ndarray) -> float:
+    """Minimal energy on the bands of `_energy_bands`, the z = 0 layer fixed to bottom.
 
-    Solved by conjugate gradients from seed.
+    Solved by conjugate gradients from seed.  Only the z-band, whose offset
+    is the layer size, couples the free nodes to the fixed layer.
     """
     n = bottom.shape[0]
-    sol, info = cg(Lap[n:, n:], -(Lap[n:, :n] @ bottom), x0=seed[n:],
+    rhs = np.zeros(bands[0].shape[0] - n)
+    rhs[:n] = -bands[n][:n] * bottom
+    sol, info = cg(_band_matrix(bands, skip=n), rhs, x0=seed[n:],
                    rtol=1e-12, atol=0.0, maxiter=20_000)
     if info != 0:
         raise QuadratureError(f"CG failed to converge (info={info})")
     v = np.concatenate([bottom, sol])
-    return float(v @ (Lap @ v)), v
+    # the sum over mesh edges of c_e (v_a - v_b)^2; an off-diagonal entry is -c_e
+    return float(-sum(band @ (v[:-k] - v[k:]) ** 2 for k, band in bands.items() if k))
 
 
 def pde_energy(E: GaussianSet, s, domain: tuple[float, float] = (6.0, 4.0),
@@ -186,7 +213,7 @@ def pde_energy(E: GaussianSet, s, domain: tuple[float, float] = (6.0, 4.0),
     domain = (L, Z) truncates to [-L, L] x (0, Z]; mesh = (n_x, n_z).
     """
     x, axes = _planar(E, s, domain, *mesh, grading)
-    energy, _ = _solve_planar(axes, _boundary_data(E, x))
+    energy, _ = _solve_planar(axes, _boundary_data(E, x), minimizer=False)
     return 0.5 * energy
 
 
@@ -206,6 +233,5 @@ def pde_energy_cylinder(E1: GaussianSet, s, domain: tuple[float, float] = (6.0, 
     bottom = _boundary_data(E1, x)
     _, v1 = _solve_planar(axes, bottom)
     y = np.linspace(-domain[0], domain[0], n_y + 1)
-    Lap = _energy_operator(axes + [_axis(y, *_x_masses(y))])
-    energy, _ = _solve_energy(Lap, np.repeat(bottom, n_y + 1), seed=np.repeat(v1, n_y + 1))
-    return 0.5 * energy
+    bands = _energy_bands(axes + [_axis(y, *_x_masses(y))])
+    return 0.5 * _solve_energy(bands, np.repeat(bottom, n_y + 1), seed=np.repeat(v1, n_y + 1))

@@ -6,8 +6,9 @@ from scipy.sparse import coo_matrix
 from scipy.sparse.linalg import spsolve
 
 from fracgaussiso.errors import DomainError
-from fracgaussiso.pde import (_axis, _boundary_data, _energy_operator, _planar, _solve_planar,
-                              _x_masses, graded_x_mesh, pde_energy, pde_energy_cylinder)
+from fracgaussiso.pde import (_axis, _band_matrix, _boundary_data, _energy_bands, _planar,
+                              _solve_energy, _solve_planar, _x_masses, graded_x_mesh,
+                              pde_energy, pde_energy_cylinder)
 from fracgaussiso.sets import GaussianSet, complement, halfline, interval
 from fracgaussiso.spectral import halfline_perimeter_reference, perimeter_spectral
 
@@ -117,6 +118,7 @@ def _reference_3d(y, x, z, s):
 
 def _assert_same_operator(Lap, ref):
     Lap, ref = Lap.tocsr(), ref.tocsr()
+    Lap.eliminate_zeros()
     Lap.sort_indices()
     ref.sort_indices()
     assert Lap.shape == ref.shape
@@ -133,7 +135,7 @@ def test_energy_operator_matches_edge_assembly_2d():
     s, n = 0.5, 128
     x, axes = _planar(E, s, (6.0, 4.0), n, n, None)
     z = 4.0 * (np.arange(n + 1, dtype=float) / n) ** (2.0 / s)
-    _assert_same_operator(_energy_operator(axes), _reference_2d(x, z, s))
+    _assert_same_operator(_band_matrix(_energy_bands(axes)), _reference_2d(x, z, s))
 
 
 def test_energy_operator_matches_edge_assembly_cylinder():
@@ -141,7 +143,7 @@ def test_energy_operator_matches_edge_assembly_cylinder():
     x, axes = _planar(halfline(0.0), s, (6.0, 4.0), n_x, n_z, None)
     z = 4.0 * (np.arange(n_z + 1, dtype=float) / n_z) ** (2.0 / s)
     y = np.linspace(-6.0, 6.0, n_y + 1)
-    Lap = _energy_operator(axes + [_axis(y, *_x_masses(y))])
+    Lap = _band_matrix(_energy_bands(axes + [_axis(y, *_x_masses(y))]))
     _assert_same_operator(Lap, _reference_3d(y, x, z, s))
 
 
@@ -167,12 +169,15 @@ def test_pde_energy_complement_invariant(E):
 def _check_against_lu(E, s, n):
     x, axes = _planar(E, s, (6.0, 4.0), n, n, None)
     bottom = _boundary_data(E, x)
-    Lap = _energy_operator(axes)
+    bands = _energy_bands(axes)
+    Lap = _band_matrix(bands).tocsr()
     k = bottom.shape[0]
     coupling = Lap[k:, :k] @ bottom
     v_lu = np.concatenate([bottom, spsolve(Lap[k:, k:].tocsc(), -coupling)])
     energy, v = _solve_planar(axes, bottom)
     assert energy == pytest.approx(float(v_lu @ (Lap @ v_lu)), rel=1e-9)
+    # the CG path of the cylinder, on the planar bands
+    assert _solve_energy(bands, bottom, seed=v) == pytest.approx(energy, rel=1e-9)
     assert np.array_equal(v[:k], bottom)
     # the minimizer solves the interior equations
     assert np.linalg.norm(Lap[k:] @ v) <= 1e-10 * np.linalg.norm(coupling)

@@ -189,14 +189,26 @@ def cmd_extension_eval(o: dict) -> tuple[list[dict], int]:
     return rows, 0
 
 
+# The options of `verify` each suite reads; a suite's own defaults fill in
+# those not given.
+_SUITE_OPTIONS = {"transfer": (), "levelset": ("K",), "bounds": ("K",),
+                  "main": ("K", "c", "convention")}
+
+
 def cmd_verify(o: dict) -> tuple[list[dict], int]:
     if o["n"] < 1:
         raise DomainError(f"--n must be at least 1, got {o['n']}")
     names = SUITE_NAMES if o["suite"] == "all" else (o["suite"],)
+    read = {key for name in names for key in _SUITE_OPTIONS[name]}
+    unread = [key for key in ("K", "c", "convention")
+              if o[key] is not None and key not in read]
+    if unread:
+        raise DomainError(f"verify --suite {o['suite']} reads no "
+                          f"{', '.join('--' + key for key in unread)}")
     summary, total_failures = [], 0
     for name in names:
-        rows, failures = run_suite(name, o["n"], o["seed"], K=o["K"], c=o["c"],
-                                   convention=o["convention"])
+        knobs = {key: o[key] for key in _SUITE_OPTIONS[name] if o[key] is not None}
+        rows, failures = run_suite(name, o["n"], o["seed"], **knobs)
         total_failures += failures
         summary.append({"suite": name, "cases": len(rows),
                         "failures": failures, "passed": failures == 0})
@@ -256,7 +268,7 @@ _OPTIONS = {
 class _Command(NamedTuple):
     run: Callable[[dict], tuple[list[dict], int]]
     options: dict          # option name -> default, in help order
-    header: str | None     # fixed header convention, for commands without --convention
+    header: str | None     # header convention when --convention is absent or not given
 
 
 def _cmd(run, header=None, **options) -> _Command:
@@ -271,8 +283,9 @@ _COMMANDS = {
                     convention="with-constant", c=1.0),
     "extension-eval": _cmd(cmd_extension_eval, "with_constant", set=None,
                            s=0.5, K=10_000, x="0.0", z=0.1),
-    "verify": _cmd(cmd_verify, suite="all", n=12, seed=0, K=None, c=1.0,
-                   convention="with-constant"),
+    # verify's header names the main suite's default when --convention is not given
+    "verify": _cmd(cmd_verify, "with_constant", suite="all", n=12, seed=0, K=None,
+                   c=None, convention=None),
     "sweep": _cmd(cmd_sweep, r_grid="-2:2:0.5", s=None, s_grid=None, K=10_000,
                   convention="with-constant"),
     # asymptotic rows are bare series values, so its header names 'remark'
@@ -323,7 +336,7 @@ def _resolve(cmd: _Command, args) -> dict:
 
 def _spelled(key: str, value):
     """The library spells conventions with '_'."""
-    return value.replace("-", "_") if key == "convention" else value
+    return value.replace("-", "_") if key == "convention" and value else value
 
 
 def main(argv=None) -> int:
@@ -332,7 +345,7 @@ def main(argv=None) -> int:
     try:
         o = _resolve(cmd, args)
         rows, failures = cmd.run(o)
-        conv = cmd.header or o["convention"]
+        conv = o.get("convention") or cmd.header
         if o["out"] is None:
             emit(rows, o["format"], sys.stdout, conv)
         else:

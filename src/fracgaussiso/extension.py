@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-from scipy import integrate, special
+from scipy import special
 
 from ._backend import hermite_weighted_series
 from .errors import DomainError, QuadratureError, ResolutionError
@@ -47,6 +47,11 @@ _BISECT_TOL = 1e-10
 _MAX_CROSSINGS = 64
 # Points per Mehler block: each (n_quad x block) temporary stays under 1 MB.
 _MEHLER_BLOCK = 1024
+# ndtr is exactly 1.0 at arguments >= _NDTR_ONE and exactly 0.0 at <= _NDTR_ZERO.
+_NDTR_ONE = 9.0
+_NDTR_ZERO = -40.0
+# Relative margin of the plateau point thresholds against argument rounding.
+_PLATEAU_MARGIN = 1e-9
 
 
 def _check_sigma(sigma: float) -> None:
@@ -60,6 +65,8 @@ def profile_psi(sigma: float, xi: float) -> float:
     This is the reference evaluator; ``psi_bulk`` is the fast path used for
     whole coefficient vectors and is cross-checked against this one.
     """
+    from scipy import integrate  # imported here: this is its only user
+
     _check_sigma(sigma)
     if xi < 0.0:
         raise DomainError("profile argument must be nonnegative")
@@ -211,20 +218,41 @@ def boundary_flux_richardson(sigma: float, k: int,
     return vals[0], right
 
 
-def _semigroup_rows(E: GaussianSet, taus, x: np.ndarray) -> np.ndarray:
-    """Row i holds (P_{taus[i]} chi_E)(x) for the 1-D array x, clipped to [0, 1].
+def _node_constants(taus) -> tuple[np.ndarray, np.ndarray]:
+    """Columns of e^{-tau} and sqrt(1 - e^{-2 tau}), one row per time tau.
 
-    decay and d come from math.exp/math.expm1 for each tau (np.exp may differ
-    in the last bit), so a row does not depend on the other taus or points.
+    Both come from math.exp/math.expm1 (np.exp may differ in the last bit), so
+    a row does not depend on the other taus or on the points.
     """
     if min(taus) <= 0.0:
         raise DomainError("semigroup time must be positive")
     decay = np.array([[math.exp(-tau)] for tau in taus])
     d = np.array([[math.sqrt(-math.expm1(-2.0 * tau))] for tau in taus])
-    out = np.zeros((len(taus), x.size))
+    return decay, d
+
+
+def _ndtr_plateau(arg: np.ndarray) -> np.ndarray:
+    """special.ndtr(arg), calling ndtr only where -40 < arg < 9.
+
+    ndtr is exactly 1.0 from about 8.3 up and exactly 0.0 from about -37.7
+    down, so the plateau values written at or beyond the limits are the ones
+    ndtr returns there.
+    """
+    one = arg >= _NDTR_ONE
+    out = one.astype(float)
+    live = ~(one | (arg <= _NDTR_ZERO))
+    out[live] = special.ndtr(arg[live])
+    return out
+
+
+def _semigroup_rows(E: GaussianSet, decay: np.ndarray, d: np.ndarray,
+                    x: np.ndarray) -> np.ndarray:
+    """Row i holds (P_tau chi_E)(x) at the i-th node of ``_node_constants``,
+    for the 1-D array x, clipped to [0, 1]."""
+    out = np.zeros((len(decay), x.size))
     for a, b in E.intervals:
-        hi = special.ndtr((b - decay * x) / d) if math.isfinite(b) else 1.0
-        lo = special.ndtr((a - decay * x) / d) if math.isfinite(a) else 0.0
+        hi = _ndtr_plateau((b - decay * x) / d) if math.isfinite(b) else 1.0
+        lo = _ndtr_plateau((a - decay * x) / d) if math.isfinite(a) else 0.0
         out += hi - lo
     return np.clip(out, 0.0, 1.0, out=out)
 
@@ -236,13 +264,54 @@ def mehler_semigroup(E: GaussianSet, tau: float, x: np.ndarray) -> np.ndarray:
     d = sqrt(1 - e^{-2 tau}).
     """
     x = np.asarray(x, dtype=float)
-    return _semigroup_rows(E, (tau,), x.ravel())[0].reshape(x.shape)
+    decay, d = _node_constants((tau,))
+    return _semigroup_rows(E, decay, d, x.ravel())[0].reshape(x.shape)
 
 
 @lru_cache(maxsize=64)
 def _genlaguerre_rule(sigma: float, n: int):
     u, w = special.roots_genlaguerre(n, sigma - 1.0)
     return u, w / np.sum(w)
+
+
+@lru_cache(maxsize=256)
+def _mehler_nodes(sigma: float, z: float, n_quad: int):
+    """(decay, d, w, w_total) of the subordination nodes tau_i = z^2/(4 u_i).
+
+    w_total is the weight sum in node order, the value at a point where every
+    row is 1; it need not be exactly 1.0.
+    """
+    u, w = _genlaguerre_rule(sigma, n_quad)
+    decay, d = _node_constants([z * z / (4.0 * ui) for ui in u])
+    return decay, d, w[:, None], np.add.accumulate(w)[-1]
+
+
+@lru_cache(maxsize=256)
+def _plateau_bounds(E: GaussianSet, sigma: float, z: float, n_quad: int):
+    """(below, above, sign, base) over the finite endpoints e of E.
+
+    Below ``below[j]`` every node's argument (e - decay x)/d at e is at least
+    _NDTR_ONE, so every row's Phi term there is 1; above ``above[j]`` it is at
+    most _NDTR_ZERO and the term is 0.  Each bound carries a margin far above
+    the rounding of the arguments.  A node with decay 0 sees no x, so it
+    leaves no point on a plateau.  A point on a plateau at every endpoint has
+    the same row at every node, 0 or 1: base (the intervals open to +inf)
+    plus sign (+1 at right ends, -1 at left ends) summed over the endpoints
+    it lies below, clipped.
+    """
+    decay, d = _mehler_nodes(sigma, z, n_quad)[:2]
+    c, d = decay[:, 0], d[:, 0]
+    ends = [(e, sign) for ab in E.intervals for e, sign in zip(ab, (-1, 1))
+            if math.isfinite(e)]
+    below, above = [], []
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for e, _ in ends:
+            slack = _PLATEAU_MARGIN * (1.0 + abs(e) - _NDTR_ZERO * d)
+            below.append(np.where(c > 0.0, (e - _NDTR_ONE * d - slack) / c, -math.inf).min())
+            above.append(np.where(c > 0.0, (e - _NDTR_ZERO * d + slack) / c, math.inf).max())
+    base = sum(1 for _, b in E.intervals if not math.isfinite(b))
+    return (np.array(below), np.array(above),
+            np.array([sign for _, sign in ends], dtype=np.int64), base)
 
 
 def mehler_extension(E: GaussianSet, sigma: float, x, z: float,
@@ -252,25 +321,31 @@ def mehler_extension(E: GaussianSet, sigma: float, x, z: float,
     U(x, z) = (1/Gamma(sigma)) int_0^inf e^{-u} u^{sigma-1}
               (P_{z^2/(4u)} chi_E)(x) du,
     evaluated with a generalized Gauss-Laguerre rule normalized so constant
-    data maps to exactly 1.  Unlike the truncated Hermite series this stays
-    in [0, 1] for every x, which is what the level-set extraction needs far
-    from the set.
+    data maps to (to rounding) 1.  Unlike the truncated Hermite series this
+    stays in [0, 1] for every x, which is what the level-set extraction needs
+    far from the set.
+
+    The value is the node-order weighted sum of the semigroup rows.  A point
+    far enough from every endpoint that each node's Phi argument lies on the
+    plateau where ndtr is exactly 0 or 1 gets that sum directly, 0.0 or the
+    node-order weight sum; only the other points are evaluated, in blocks.
+    The result is bit-identical to evaluating every node at every point.
     """
     _check_sigma(sigma)
     if z <= 0.0:
         raise DomainError("mehler_extension needs z > 0")
-    u, w = _genlaguerre_rule(sigma, n_quad)
-    taus = [z * z / (4.0 * ui) for ui in u]
+    decay, d, w, w_total = _mehler_nodes(sigma, z, n_quad)
+    below, above, sign, base = _plateau_bounds(E, sigma, z, n_quad)
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    flat = x.ravel()
-    acc = np.zeros_like(flat)
-    for start in range(0, flat.size, _MEHLER_BLOCK):
-        block = slice(start, start + _MEHLER_BLOCK)
-        rows = _semigroup_rows(E, taus, flat[block])
-        acc_block = acc[block]
-        # Node by node: a matmul or a pairwise sum would round differently.
-        for wi, row in zip(w, rows):
-            acc_block += wi * row
+    flat_x = x.ravel()
+    under = flat_x[:, None] < below
+    acc = np.where(base + under @ sign > 0, w_total, 0.0)
+    live = np.flatnonzero(~(under | (flat_x[:, None] > above)).all(axis=1))
+    for start in range(0, live.size, _MEHLER_BLOCK):
+        block = live[start:start + _MEHLER_BLOCK]
+        rows = _semigroup_rows(E, decay, d, flat_x[block])
+        # In node order: a matmul or a pairwise sum would round differently.
+        acc[block] = np.add.accumulate(w * rows, axis=0)[-1]
     return acc.reshape(x.shape)
 
 

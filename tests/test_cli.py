@@ -172,6 +172,56 @@ def test_verify_needs_cases(capsys, argv):
     assert capsys.readouterr().out == ""
 
 
+# transfer reads none of K, c and convention; levelset and bounds read only K
+_DROPPED = [("transfer", "K", "4000"), ("transfer", "c", "1.0"),
+            ("transfer", "convention", "with-constant"),
+            ("levelset", "c", "1.0"), ("levelset", "convention", "remark"),
+            ("bounds", "c", "2"), ("bounds", "convention", "with-constant")]
+
+
+@pytest.mark.parametrize("suite, key, value", _DROPPED)
+def test_verify_rejects_options_its_suite_drops(tmp_path, capsys, suite, key, value):
+    assert main(["verify", "--suite", suite, "--n", "1", f"--{key}", value]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"--{key}" in captured.err
+    path = tmp_path / "run.json"
+    cfg_value = value if key == "convention" else json.loads(value)
+    path.write_text(json.dumps({"suite": suite, "n": 1, key: cfg_value}))
+    assert main(["verify", "--config", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"--{key}" in captured.err
+
+
+@pytest.mark.parametrize("suite, kept", [
+    ("main", ("K", "c", "convention")), ("levelset", ("K",)), ("bounds", ("K",)),
+])
+def test_verify_passes_options_to_the_suites_that_read_them(monkeypatch, capsys,
+                                                             suite, kept):
+    calls = []
+
+    def fake_run_suite(name, n, seed, **knobs):
+        calls.append((name, knobs))
+        return [], 0
+
+    monkeypatch.setattr("fracgaussiso.cli.run_suite", fake_run_suite)
+    given = {"K": ("700", 700), "c": ("2.5", 2.5), "convention": ("remark", "remark")}
+    argv = ["verify", "--suite", suite]
+    for key in kept:
+        argv += [f"--{key}", given[key][0]]
+    assert main(argv) == 0
+    assert calls == [(suite, {key: given[key][1] for key in kept})]
+    header = capsys.readouterr().out.splitlines()[0]
+    conv = "remark" if "convention" in kept else "with_constant"
+    assert header == f"# frac-gauss-iso v1, convention={conv}"
+    calls.clear()
+    assert main(["verify", "--suite", "all", "--K", "700", "--c", "2.5",
+                 "--convention", "remark"]) == 0
+    assert calls == [("transfer", {}), ("levelset", {"K": 700}), ("bounds", {"K": 700}),
+                     ("main", {"K": 700, "c": 2.5, "convention": "remark"})]
+
+
 def _readme_cli_section() -> str:
     text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
     return text.split("## CLI", 1)[1].split("\n## ", 1)[0]

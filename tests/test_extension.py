@@ -1,7 +1,11 @@
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import special
 
 from fracgaussiso.errors import DomainError
@@ -150,13 +154,31 @@ def _levelset_grid():
     return np.linspace(-LEVELSET_GRID_HALFWIDTH, LEVELSET_GRID_HALFWIDTH, n)
 
 
+def _dense_rows(E, taus, x):
+    """(P_tau chi_E)(x) for each tau: ndtr at every point, no plateau skip."""
+    rows = []
+    for tau in taus:
+        decay = math.exp(-tau)
+        d = math.sqrt(-math.expm1(-2.0 * tau))
+        row = np.zeros(x.size)
+        for a, b in E.intervals:
+            hi = special.ndtr((b - decay * x) / d) if math.isfinite(b) else 1.0
+            lo = special.ndtr((a - decay * x) / d) if math.isfinite(a) else 0.0
+            row += hi - lo
+        rows.append(np.clip(row, 0.0, 1.0))
+    return rows
+
+
 def _node_by_node_extension(E, sigma, x, z, n_quad):
+    """Dense oracle of mehler_extension: every node at every point, summed
+    node by node."""
     u, w = special.roots_genlaguerre(n_quad, sigma - 1.0)
     w = w / np.sum(w)
-    acc = np.zeros_like(x)
-    for ui, wi in zip(u, w):
-        acc += wi * mehler_semigroup(E, z * z / (4.0 * ui), x)
-    return acc
+    flat = np.asarray(x, dtype=float).ravel()
+    acc = np.zeros(flat.size)
+    for wi, row in zip(w, _dense_rows(E, [z * z / (4.0 * ui) for ui in u], flat)):
+        acc += wi * row
+    return acc.reshape(np.shape(x))
 
 
 @pytest.mark.parametrize("E", [TAILED, THREE_PIECES], ids=["tailed", "three"])
@@ -165,7 +187,7 @@ def test_mehler_extension_matches_node_by_node_sum(E):
     sizes = (1, _MEHLER_BLOCK - 1, _MEHLER_BLOCK, _MEHLER_BLOCK + 1)
     cases = [np.sort(rng.uniform(-4.0, 4.0, n)) for n in sizes] + [_levelset_grid()]
     for x in cases:
-        for sigma, z, n_quad in ((0.25, 0.3, 80), (0.4, 0.05, 40)):
+        for sigma, z, n_quad in ((0.25, 0.3, 80), (0.4, 0.05, 40), (0.25, 1e-3, 80)):
             got = mehler_extension(E, sigma, x, z, n_quad)
             assert got.shape == x.shape
             assert np.array_equal(got, _node_by_node_extension(E, sigma, x, z, n_quad))
@@ -206,3 +228,70 @@ def test_level_set_without_sign_change():
     assert level_set(F, 0.9, 20.0).set == EMPTY
     assert level_set(extension_field(FULL_LINE, 0.5, 500), 0.5, 0.1).set == FULL_LINE
     assert level_set(extension_field(EMPTY, 0.5, 500), 0.5, 0.1).set == EMPTY
+
+
+def test_ndtr_is_exactly_flat_beyond_the_plateau_limits():
+    # the Mehler evaluator writes these values instead of calling ndtr
+    rng = np.random.default_rng(5)
+    ones = np.concatenate([[9.0, 40.0], np.linspace(9.0, 40.0, 3001), rng.uniform(9.0, 40.0, 5000)])
+    zeros = np.concatenate([[-40.0, -1e3], np.linspace(-1e3, -40.0, 3001),
+                            rng.uniform(-1e3, -40.0, 5000)])
+    assert np.all(special.ndtr(ones) == 1.0)
+    assert np.all(special.ndtr(zeros) == 0.0)
+
+
+def test_mehler_semigroup_matches_dense_rows():
+    rng = np.random.default_rng(11)
+    x = rng.uniform(-30.0, 30.0, 3000)
+    for E in (TAILED, THREE_PIECES, halfline(0.7), interval(0.3, 0.3 + 1e-9), FULL_LINE):
+        for tau in (1e-17, 1e-10, 1e-4, 0.5, 3.0, 50.0, 800.0):
+            assert np.array_equal(mehler_semigroup(E, tau, x), _dense_rows(E, [tau], x)[0])
+
+
+def test_mehler_extension_needs_a_positive_node_time():
+    # z^2 underflows to 0, so every node time is 0
+    with pytest.raises(DomainError):
+        mehler_extension(interval(0.0, 1.0), 0.25, np.array([-1.0, 0.5, 2.0]), 1e-170)
+    with pytest.raises(DomainError):
+        mehler_semigroup(interval(0.0, 1.0), 0.0, np.array([0.5]))
+
+
+@st.composite
+def _plateau_cases(draw):
+    ends = sorted(draw(st.lists(st.floats(-6.0, 6.0), min_size=2, max_size=8, unique=True)))
+    ends = ends[: len(ends) // 2 * 2]
+    if draw(st.booleans()):
+        ends[0] = -math.inf
+    if draw(st.booleans()):
+        ends[-1] = math.inf
+    E = GaussianSet.from_intervals(zip(ends[0::2], ends[1::2]))
+    z = 10.0 ** draw(st.floats(-7.0, math.log10(40.0)))
+    sigma = draw(st.one_of(st.just(0.25), st.floats(0.01, 0.49)))
+    n_quad = draw(st.sampled_from([40, 80]))
+    # uniform points plus points at every scale around each finite endpoint,
+    # where the plateau limits fall
+    x = draw(st.lists(st.floats(-30.0, 30.0), min_size=1, max_size=60))
+    for e in E.finite_endpoints:
+        x += [e + v * 10.0 ** k for v, k in draw(st.lists(
+            st.tuples(st.floats(-1.0, 1.0), st.integers(-9, 1)), max_size=40))]
+    x = np.array(draw(st.permutations(x)))
+    if x.size % 2 == 0 and draw(st.booleans()):
+        x = x.reshape(2, -1)
+    return E, sigma, x, z, n_quad
+
+
+@settings(max_examples=150, deadline=None)
+@given(_plateau_cases())
+def test_mehler_extension_matches_dense_oracle(case):
+    E, sigma, x, z, n_quad = case
+    got = mehler_extension(E, sigma, x, z, n_quad)
+    assert got.shape == x.shape
+    assert np.array_equal(got, _node_by_node_extension(E, sigma, x, z, n_quad))
+
+
+def test_import_leaves_scipy_integrate_unloaded():
+    # only profile_psi needs scipy.integrate, and it imports it when called
+    code = "import sys, fracgaussiso; print('scipy.integrate' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True).stdout
+    assert out.strip() == "False"

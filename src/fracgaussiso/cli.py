@@ -18,7 +18,7 @@ from .extension import evaluate_extension, extension_field
 from .sets import GaussianSet, best_halfline, measure
 from .spectral import (asymptotic_limit, asymptotic_series_value,
                        halfspace_series, perimeter_spectral)
-from .suites import SUITE_NAMES, run_suite
+from .suites import SUITE_NAMES, SUITE_OPTIONS, run_suite
 
 FORMAT_VERSION = "frac-gauss-iso v1"
 
@@ -189,17 +189,11 @@ def cmd_extension_eval(o: dict) -> tuple[list[dict], int]:
     return rows, 0
 
 
-# The options of `verify` each suite reads; a suite's own defaults fill in
-# those not given.
-_SUITE_OPTIONS = {"transfer": (), "levelset": ("K",), "bounds": ("K",),
-                  "main": ("K", "c", "convention")}
-
-
 def cmd_verify(o: dict) -> tuple[list[dict], int]:
     if o["n"] < 1:
         raise DomainError(f"--n must be at least 1, got {o['n']}")
     names = SUITE_NAMES if o["suite"] == "all" else (o["suite"],)
-    read = {key for name in names for key in _SUITE_OPTIONS[name]}
+    read = {key for name in names for key in SUITE_OPTIONS[name]}
     unread = [key for key in ("K", "c", "convention")
               if o[key] is not None and key not in read]
     if unread:
@@ -207,7 +201,8 @@ def cmd_verify(o: dict) -> tuple[list[dict], int]:
                           f"{', '.join('--' + key for key in unread)}")
     summary, total_failures = [], 0
     for name in names:
-        knobs = {key: o[key] for key in _SUITE_OPTIONS[name] if o[key] is not None}
+        # a suite's own defaults fill in the options not given
+        knobs = {key: o[key] for key in SUITE_OPTIONS[name] if o[key] is not None}
         rows, failures = run_suite(name, o["n"], o["seed"], **knobs)
         total_failures += failures
         summary.append({"suite": name, "cases": len(rows),

@@ -419,7 +419,10 @@ def level_set(F: ExtensionField, t: float, z: float) -> LevelSetRecord:
     x, quadrature only in the subordination variable), so the values stay in
     [0, 1] everywhere and far-field truncation oscillations cannot create
     spurious crossings.  The grid covers [-8, 8] with step 1e-3; the Gaussian
-    mass outside is below 1e-15.
+    mass outside is below 1e-15.  At small z most grid points lie where every
+    node's Phi term is exactly 0 or 1, and ``mehler_extension`` gives those
+    their value without evaluating them, so the grid costs little more than
+    the points near the endpoints of E.
 
     Every grid cell where U - t changes sign is a bracket, and all brackets
     are bisected together: each step evaluates the midpoints of the brackets

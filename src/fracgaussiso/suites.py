@@ -18,6 +18,7 @@ from .spectral import perimeter_spectral
 
 __all__ = [
     "SUITE_NAMES",
+    "SUITE_OPTIONS",
     "random_gaussian_set",
     "run_transfer_suite",
     "run_levelset_suite",
@@ -27,6 +28,9 @@ __all__ = [
 ]
 
 SUITE_NAMES = ("transfer", "levelset", "bounds", "main")
+# The run_suite knobs each suite reads; run_suite drops the others.
+SUITE_OPTIONS = {"transfer": (), "levelset": ("K",), "bounds": ("K",),
+                 "main": ("K", "c", "convention")}
 
 _MIN_MEASURE = 0.05
 _MAX_MEASURE = 0.95

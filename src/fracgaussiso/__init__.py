@@ -19,9 +19,9 @@ from .sets import (EMPTY, FULL_LINE, GaussianSet, Halfline, asymmetry,
                    symm_diff, union)
 from .spectral import (PerimeterValue, SpectralCoefficients,
                        asymptotic_limit, asymptotic_series_value,
-                       coeff_halfline, coeff_set, cylinder_perimeter_2d,
-                       halfline_perimeter_reference, halfspace_series,
-                       perimeter_spectral, spectral_coefficients)
+                       coeff_halfline, coeff_set, halfline_perimeter_reference,
+                       halfspace_series, perimeter_spectral,
+                       spectral_coefficients)
 from .extension import (ExtensionField, LevelSetRecord, SubordinationProfile,
                         boundary_flux_check, boundary_flux_richardson,
                         evaluate_extension, extension_field, level_set,

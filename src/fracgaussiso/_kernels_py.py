@@ -1,9 +1,7 @@
-"""Pure-Python (numpy) fallback for the hot series kernels.
+"""The three Hermite series kernels, in numpy and plain Python.
 
-Mirrors ``_kernels.pyx`` operation for operation: the same recurrences, the
-same Kahan compensation, the same evaluation order.  The compiled module is
-built with ``-ffp-contract=off`` so both backends produce identical doubles.
-The scalar recurrences take their sqrt(n) factors from numpy in chunks of
+The sums are Kahan-compensated in a fixed evaluation order.  The scalar
+recurrences take their sqrt(n) factors from numpy in chunks of
 ``SQRT_CHUNK`` indices; IEEE square root is correctly rounded, so these are
 the same doubles ``math.sqrt`` gives, at a fraction of the per-step cost.
 
@@ -15,8 +13,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-
-BACKEND_NAME = "python"
 
 SQRT_CHUNK = 4096
 

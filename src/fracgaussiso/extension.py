@@ -16,7 +16,7 @@ from functools import lru_cache
 import numpy as np
 from scipy import special
 
-from ._backend import hermite_weighted_series
+from ._kernels_py import hermite_weighted_series
 from .errors import DomainError, QuadratureError, ResolutionError
 from .gauss_core import FractionalOrder, as_order, gamma_fn, k_coefficient
 from .sets import EMPTY, GaussianSet, measure
@@ -316,14 +316,20 @@ def _plateau_bounds(E: GaussianSet, sigma: float, z: float, n_quad: int):
 
 def mehler_extension(E: GaussianSet, sigma: float, x, z: float,
                      n_quad: int = 80) -> np.ndarray:
-    """Exact extension U(x, z) by subordination over the Mehler semigroup.
+    """Extension U(x, z) by subordination over the Mehler semigroup.
 
     U(x, z) = (1/Gamma(sigma)) int_0^inf e^{-u} u^{sigma-1}
-              (P_{z^2/(4u)} chi_E)(x) du,
-    evaluated with a generalized Gauss-Laguerre rule normalized so constant
+              (P_{z^2/(4u)} chi_E)(x) du.
+    The semigroup term is exact in x; the integral over u is an
+    ``n_quad``-node generalized Gauss-Laguerre rule normalized so constant
     data maps to (to rounding) 1.  Unlike the truncated Hermite series this
     stays in [0, 1] for every x, which is what the level-set extraction needs
     far from the set.
+
+    The rule does not resolve small z: its smallest node (about 3.5e-3 for
+    sigma = 0.25 and 80 nodes) lies far above u = z^2/4, where the
+    semigroup time turns large, so the mass below it is missed (README,
+    "Numerical notes").
 
     The value is the node-order weighted sum of the semigroup rows.  A point
     far enough from every endpoint that each node's Phi argument lies on the

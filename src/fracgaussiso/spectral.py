@@ -18,7 +18,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from ._backend import coeff_antideriv_table, halfspace_series_sum
+from ._kernels_py import coeff_antideriv_table, halfspace_series_sum
 from .errors import DomainError
 from .gauss_core import FractionalOrder, as_order, k_coefficient, phi
 from .sets import GaussianSet, measure
@@ -33,7 +33,6 @@ __all__ = [
     "perimeter_spectral",
     "perimeter_from_coefficients",
     "halfspace_series",
-    "cylinder_perimeter_2d",
     "asymptotic_limit",
     "asymptotic_series_value",
     "halfline_perimeter_reference",
@@ -181,22 +180,6 @@ def halfspace_series(r: float, s, K: int = 10_000,
         ks = k_coefficient(order.s)
         raw, tail = ks * raw, ks * tail
     return PerimeterValue(raw, order, K, tail, convention)
-
-
-def cylinder_perimeter_2d(E1: GaussianSet, s, K: int = 10_000,
-                          convention: str = "with_constant") -> PerimeterValue:
-    """Perimeter of the cylinder R x E1 in the tensor Hermite basis.
-
-    The basis function h_j (x) h_k (y) is an eigenfunction with eigenvalue
-    j + k, and the coefficient of chi_{R x E1} on it is the product of the
-    j-th coefficient of chi_R and the k-th of chi_{E1}.  The full line
-    projects onto the constant mode (its coefficients are exactly 1 at j = 0
-    and 0 beyond), so only j = 0 survives and the tensor series is, term by
-    term, the one-dimensional series of E1.
-    """
-    if K < 1:
-        raise DomainError("cylinder perimeter needs K >= 1")
-    return perimeter_spectral(E1, s, K, convention)
 
 
 def halfline_perimeter_reference(r: float, s, K: int = 1_000_000,

@@ -28,7 +28,7 @@ __all__ = [
 ]
 
 SUITE_NAMES = ("transfer", "levelset", "bounds", "main")
-# The run_suite knobs each suite reads; run_suite drops the others.
+# The run_suite knobs each suite reads; the others are not accepted.
 SUITE_OPTIONS = {"transfer": (), "levelset": ("K",), "bounds": ("K",),
                  "main": ("K", "c", "convention")}
 
@@ -149,15 +149,12 @@ def run_main_suite(n: int = 200, seed: int = 0, s_values=(0.25, 0.5, 0.75),
     return rows, failures
 
 
-def run_suite(name: str, n: int, seed: int, K: int | None = None,
-              c: float = 1.0, convention: str = "with_constant") -> tuple[list[dict], int]:
-    """Dispatch one named suite with shared CLI-level knobs."""
-    if name == "transfer":
-        return run_transfer_suite(n, seed)
-    if name == "levelset":
-        return run_levelset_suite(n, seed, K=K or 4000)
-    if name == "bounds":
-        return run_bounds_suite(n, seed, K=K or 4000)
-    if name == "main":
-        return run_main_suite(n, seed, K=K or 10_000, c=c, convention=convention)
-    raise ValueError(f"unknown suite {name!r}")
+_SUITES = {"transfer": run_transfer_suite, "levelset": run_levelset_suite,
+           "bounds": run_bounds_suite, "main": run_main_suite}
+
+
+def run_suite(name: str, n: int, seed: int, **knobs) -> tuple[list[dict], int]:
+    """Run one named suite; its own defaults fill in the knobs not given."""
+    if name not in _SUITES:
+        raise ValueError(f"unknown suite {name!r}")
+    return _SUITES[name](n, seed, **knobs)

@@ -2,11 +2,13 @@ import math
 
 import numpy as np
 
+import fracgaussiso
 from fracgaussiso import _backend, _kernels_py
 
 
 def test_backend_selected():
-    assert _backend.BACKEND in ("cython", "python")
+    assert fracgaussiso.BACKEND == _backend.BACKEND == "python"
+    assert _backend.kernels is _kernels_py
 
 
 def _reference_antideriv_table(x, K):
@@ -54,8 +56,33 @@ def _reference_halfspace_sum(r, p, K):
     return s
 
 
+def _reference_weighted_series(c, x):
+    """The scalar Kahan loop over k at one point, one math.sqrt per factor."""
+    s = 0.0
+    comp = 0.0
+    h_prev = 1.0
+    h = x
+    for k in range(len(c)):
+        if k == 0:
+            hk = h_prev  # h_0(x)
+        elif k == 1:
+            hk = h  # h_1(x)
+        else:
+            n_rec = k - 1
+            h_next = (x * h - math.sqrt(float(n_rec)) * h_prev) / math.sqrt(float(n_rec + 1))
+            h_prev = h
+            h = h_next
+            hk = h
+        term = c[k] * hk
+        y = term - comp
+        t = s + y
+        comp = (t - s) - y
+        s = t
+    return s
+
+
 POINTS = (-9.0, -2.3, 0.0, 0.7, 3.9)
-# Orders ending on both sides of the fallback's first sqrt-chunk boundary,
+# Orders ending on both sides of the kernels' first sqrt-chunk boundary,
 # and one spanning three chunks.
 CHUNK = _kernels_py.SQRT_CHUNK
 ORDERS = (0, 1, 2, 3, CHUNK - 1, CHUNK, CHUNK + 1, CHUNK + 2, 10_000)
@@ -65,25 +92,24 @@ def test_antideriv_tables_bit_identical():
     for x in POINTS:
         for K in ORDERS:
             ref = _reference_antideriv_table(x, K).tobytes()
-            for kernels in (_kernels_py, _backend):
-                got = kernels.coeff_antideriv_table(x, K)
-                assert got.tobytes() == ref, (kernels.__name__, x, K)
+            got = _kernels_py.coeff_antideriv_table(x, K)
+            assert got.tobytes() == ref, (x, K)
 
 
 def test_weighted_series_bit_identical():
     rng = np.random.default_rng(11)
-    c = rng.standard_normal(2001)
     x = np.linspace(-5.0, 5.0, 101)
-    a = _backend.hermite_weighted_series(c, x)
-    b = _kernels_py.hermite_weighted_series(c, x)
-    assert np.array_equal(a, b)
+    for K in (0, 1, 2, 2000):
+        c = rng.standard_normal(K + 1)
+        ref = np.array([_reference_weighted_series(c, float(xi)) for xi in x])
+        got = _kernels_py.hermite_weighted_series(c, x)
+        assert got.tobytes() == ref.tobytes(), K
 
 
 def test_halfspace_sum_bit_identical():
     for r in POINTS:
         for K in ORDERS:
             ref = np.float64(_reference_halfspace_sum(r, -0.75, K)).tobytes()
-            for kernels in (_kernels_py, _backend):
-                got = kernels.halfspace_series_sum(r, -0.75, K)
-                assert np.float64(got).tobytes() == ref, (kernels.__name__, r, K)
+            got = _kernels_py.halfspace_series_sum(r, -0.75, K)
+            assert np.float64(got).tobytes() == ref, (r, K)
 

@@ -172,6 +172,15 @@ def test_verify_needs_cases(capsys, argv):
     assert capsys.readouterr().out == ""
 
 
+@pytest.mark.parametrize("suite", ["main", "levelset", "bounds"])
+def test_verify_passes_K_0_to_the_suite(capsys, suite):
+    # the suite's own K >= 1 check must see the 0, not a default in its place
+    assert main(["verify", "--suite", suite, "--n", "1", "--K", "0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "K >= 1" in captured.err
+
+
 # transfer reads none of K, c and convention; levelset and bounds read only K
 _DROPPED = [("transfer", "K", "4000"), ("transfer", "c", "1.0"),
             ("transfer", "convention", "with-constant"),

@@ -10,7 +10,7 @@ from fracgaussiso.gauss_core import hermite_eval, k_coefficient
 from fracgaussiso.sets import GaussianSet, halfline, interval
 from fracgaussiso.spectral import (asymptotic_limit, asymptotic_series_value,
                                    coeff_halfline, coeff_set, coeff_table,
-                                   cylinder_perimeter_2d, halfspace_series,
+                                   halfspace_series,
                                    halfline_perimeter_reference,
                                    perimeter_spectral, spectral_coefficients)
 
@@ -133,14 +133,6 @@ def test_tail_bound_covers_refinement():
     coarse = perimeter_spectral(E, 0.5, 2000)
     fine = perimeter_spectral(E, 0.5, 50_000)
     assert fine.value - coarse.value <= coarse.tail_bound
-
-
-def test_cylinder_matches_1d():
-    for s in (0.25, 0.5, 0.75):
-        for E in (halfline(0.0), interval(0.0, 1.0)):
-            p1 = perimeter_spectral(E, s, 1500).value
-            p2 = cylinder_perimeter_2d(E, s, 1500).value
-            assert p2 == pytest.approx(p1, abs=1e-12)
 
 
 def test_asymptotic_limit_value():

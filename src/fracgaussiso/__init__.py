@@ -9,10 +9,9 @@ verifiers for the quantitative isoperimetric inequality.
 from ._backend import BACKEND
 from .errors import (DegenerateSetError, DomainError, QuadratureError,
                      ResolutionError, SetParseError)
-from .gauss_core import (ConstantsTable, FractionalOrder, QuadratureRule,
-                         beta_coefficient, constants, gamma_fn,
-                         gauss_hermite_rule, hermite_eval, iso_function,
-                         k_coefficient, phi, phi_inv)
+from .gauss_core import (FractionalOrder, QuadratureRule, beta_coefficient,
+                         gamma_fn, gauss_hermite_rule, hermite_eval,
+                         iso_function, k_coefficient, phi, phi_inv)
 from .sets import (EMPTY, FULL_LINE, GaussianSet, Halfline, asymmetry,
                    best_halfline, complement, ehrhard_symmetrize, halfline,
                    interval, intersect, measure, reflect, set_minus,

@@ -26,8 +26,6 @@ gradients from the planar minimizer.
 """
 from __future__ import annotations
 
-import math
-
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
 from scipy.sparse import dia_matrix, diags
@@ -76,11 +74,9 @@ def graded_x_mesh(anchors, L: float, n_x: int, power: float = 2.0) -> np.ndarray
 
 def _boundary_data(E: GaussianSet, x: np.ndarray) -> np.ndarray:
     data = np.zeros_like(x)
-    for i, xi in enumerate(x):
-        if any(math.isfinite(e) and xi == e for e in E.finite_endpoints):
-            data[i] = 0.5  # symmetric value at jump nodes
-        elif E.contains(xi):
-            data[i] = 1.0
+    for a, b in E.intervals:
+        data[(a < x) & (x < b)] = 1.0
+    data[np.isin(x, E.finite_endpoints)] = 0.5  # symmetric value at jump nodes
     return data
 
 
@@ -165,6 +161,12 @@ def _solve_planar(axes, bottom: np.ndarray,
     sum_m G_m[0] U[0, m]^2, a sum of nonnegative terms.  The minimizer, None
     unless asked for, is the flattened (z, x) field in the node order of
     `_energy_bands`.
+
+    Constants span the kernel (the zero mode), but the computed zero
+    eigenvalue and eigenvector carry rounding, so the data's weighted mean
+    mean = sum_i w_x[i] bottom[i] would leak through Q into the energy and
+    the other modes.  The mean is subtracted before projecting and added
+    back to the minimizer, which leaves the exact solution unchanged.
     """
     (Lz, wz), (Lx, wx) = axes
     r = 1.0 / np.sqrt(wx)
@@ -178,12 +180,13 @@ def _solve_planar(axes, bottom: np.ndarray,
         G = wz[j] * lam + ratio * G
         if minimizer:
             U[j + 1] = ratio
-    U0 = (bottom / r) @ Q
+    mean = wx @ bottom
+    U0 = ((bottom - mean) / r) @ Q
     energy = float(G @ (U0 * U0))
     if not minimizer:
         return energy, None
     U[0] = U0
-    V = (np.cumprod(U, axis=0, out=U) @ Q.T) * r
+    V = (np.cumprod(U, axis=0, out=U) @ Q.T) * r + mean
     V[0] = bottom
     return energy, V.ravel()
 

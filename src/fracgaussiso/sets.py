@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .errors import DegenerateSetError, DomainError
-from .gauss_core import phi_inv, phi_total
+from .gauss_core import phi, phi_inv
 
 __all__ = [
     "GaussianSet",
@@ -120,7 +120,7 @@ def interval(a: float, b: float) -> GaussianSet:
 
 def measure(E: GaussianSet) -> float:
     """gamma_1(E) = sum_i Phi(b_i) - Phi(a_i)."""
-    total = math.fsum(phi_total(b) - phi_total(a) for a, b in E.intervals)
+    total = math.fsum(phi(b) - phi(a) for a, b in E.intervals)
     return min(1.0, max(0.0, total))
 
 

@@ -1,14 +1,15 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
-from scipy import integrate, special
+from scipy import integrate
 
 from fracgaussiso.errors import DomainError
 from fracgaussiso.gauss_core import (FractionalOrder, beta_coefficient,
-                                     constants, gamma_fn, gauss_hermite_rule,
+                                     gamma_fn, gauss_hermite_rule,
                                      hermite_eval, iso_function,
-                                     k_coefficient, phi, phi_inv, phi_total)
+                                     k_coefficient, phi, phi_inv)
 
 
 def test_fractional_order_validation():
@@ -24,9 +25,9 @@ def test_gamma_anchors():
     assert abs(gamma_fn(1.0) - 1.0) < 1e-14
 
 
-def test_gamma_against_scipy():
+def test_gamma_against_mpmath():
     for x in (-1.3, -0.25, 0.1, 0.7, 1.5, 3.2, 8.0, 12.5):
-        assert gamma_fn(x) == pytest.approx(float(special.gamma(x)), rel=1e-12)
+        assert gamma_fn(x) == pytest.approx(float(mpmath.gamma(x)), rel=1e-12)
 
 
 def test_gamma_pole():
@@ -40,8 +41,8 @@ def test_phi_values():
     oracle, _ = integrate.quad(lambda x: math.exp(-x * x / 2) / math.sqrt(2 * math.pi),
                                -np.inf, 1.0)
     assert abs(phi(1.0) - oracle) < 1e-10
-    assert phi_total(math.inf) == 1.0
-    assert phi_total(-math.inf) == 0.0
+    assert phi(math.inf) == 1.0
+    assert phi(-math.inf) == 0.0
 
 
 def test_phi_inv_roundtrip():
@@ -49,6 +50,14 @@ def test_phi_inv_roundtrip():
         assert phi(phi_inv(m)) == pytest.approx(m, abs=1e-13)
     with pytest.raises(DomainError):
         phi_inv(0.0)
+
+
+def test_phi_inv_against_mpmath():
+    # 1 - 2^-40 is the far tail that best_halfline reaches through phi_inv(1 - m)
+    for m in (2.0 ** -40, 1e-6, 0.1, 0.5, 0.77, 1 - 1e-6, 1 - 2.0 ** -40):
+        with mpmath.workdps(40):
+            exact = float(mpmath.sqrt(2) * mpmath.erfinv(2 * mpmath.mpf(m) - 1))
+        assert phi_inv(m) == pytest.approx(exact, rel=1e-13)
 
 
 def test_iso_function():
@@ -83,6 +92,20 @@ def test_quadrature_moments():
     assert rule.integrate(lambda x: x ** 3) == pytest.approx(0.0, abs=1e-13)
 
 
+@pytest.mark.parametrize("n", [199, 200, 250, 500])
+def test_quadrature_moments_high_order(n):
+    rule = gauss_hermite_rule(n)
+    assert rule.nodes.shape == rule.weights.shape == (n,)
+    assert abs(rule.integrate(np.ones_like) - 1.0) <= 1e-12
+    assert abs(rule.integrate(lambda x: x ** 2) - 1.0) <= 1e-12
+    assert abs(rule.integrate(lambda x: x ** 4) - 3.0) <= 1e-12
+
+
+def test_quadrature_weights_sum_to_one_for_every_order():
+    for n in range(1, 501):
+        assert abs(math.fsum(gauss_hermite_rule(n).weights) - 1.0) <= 1e-12, n
+
+
 def test_quadrature_order_bounds():
     with pytest.raises(DomainError):
         gauss_hermite_rule(0)
@@ -101,6 +124,3 @@ def test_constants_identity():
         lhs = k_coefficient(s) * beta_coefficient(s) * 2.0 ** s
         rhs = gamma_fn(1.0 - s / 2.0) / gamma_fn(1.0 + s / 2.0)
         assert lhs == pytest.approx(rhs, rel=1e-12)
-    tab = constants(0.5)
-    assert tab.K_s == pytest.approx(k_coefficient(0.5))
-    assert tab.beta_s == pytest.approx(beta_coefficient(0.5))

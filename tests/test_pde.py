@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.sparse import coo_matrix
 from scipy.sparse.linalg import spsolve
@@ -156,6 +156,7 @@ def _grid_set(ks):
 
 @settings(max_examples=20, deadline=None)
 @given(st.lists(st.integers(-30, 30), min_size=2, max_size=6, unique=True).map(_grid_set))
+@example(_grid_set([-17, -16]))  # sensitive to rounding in the zero mode (_solve_planar)
 def test_pde_energy_complement_invariant(E):
     # E and its complement share the anchors, hence the mesh, and their
     # boundary data sum to 1, which the operator maps to 0.
@@ -194,5 +195,6 @@ def test_planar_solve_matches_lu(E, s, n):
 @settings(max_examples=20, deadline=None)
 @given(st.lists(st.integers(-30, 30), min_size=2, max_size=6, unique=True).map(_grid_set),
        st.sampled_from([0.05, 0.1, 0.25, 0.5, 0.75, 0.9, 0.95]))
+@example(_grid_set([-16, 0, 1, 18]), 0.05)  # likewise
 def test_planar_solve_matches_lu_on_grid_sets(E, s):
     _check_against_lu(E, s, 64)

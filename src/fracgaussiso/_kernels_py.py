@@ -5,56 +5,80 @@ recurrences take their sqrt(n) factors from numpy in chunks of
 ``SQRT_CHUNK`` indices; IEEE square root is correctly rounded, so these are
 the same doubles ``math.sqrt`` gives, at a fraction of the per-step cost.
 
+Two things are computed once per process and reused, each in a bounded
+cache: the root chunks (the ``SQRT_CHUNKS_KEPT`` most recent, keyed by
+their first index, whatever the order K) and the read-only sqrt(2 pi k)
+scale of ``coeff_antideriv_table`` (for the ``SCALES_KEPT`` most recent K).
+Every table and sum is freshly computed from them, so a caller cannot
+change a later result, and the outputs are bit-identical to one
+``math.sqrt`` per factor.
+
 All Hermite polynomials here are the orthonormal probabilists' family
 h_0 = 1, h_1 = x, h_{n+1} = (x h_n - sqrt(n) h_{n-1}) / sqrt(n+1).
 """
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 
 import numpy as np
 
 SQRT_CHUNK = 4096
+# Three chunks cover K = 1e4; a larger K streams through the cache.
+SQRT_CHUNKS_KEPT = 4
+SCALES_KEPT = 4
 
 
-def _sqrt_chunks(n_stop: int):
-    """Yield (n0, [sqrt(n0), ..., sqrt(n1)]) over chunks [n0, n1) of 1..n_stop-1.
+@lru_cache(maxsize=SQRT_CHUNKS_KEPT)
+def _sqrt_chunk(n0: int) -> list[float]:
+    """[sqrt(n0), ..., sqrt(n0 + SQRT_CHUNK)] for the steps n0 .. n0 + SQRT_CHUNK - 1.
 
-    Each list holds one root more than its chunk has steps, so step n reads
-    sqrt(n) and sqrt(n + 1).  Chunking keeps the transient lists O(SQRT_CHUNK).
+    The list holds one root more than the chunk has steps, so step n reads
+    sqrt(n) and sqrt(n + 1).  It is shared by every caller, which only
+    reads it.
     """
-    for n0 in range(1, n_stop, SQRT_CHUNK):
-        n1 = min(n0 + SQRT_CHUNK, n_stop)
-        yield n0, np.sqrt(np.arange(n0, n1 + 1, dtype=float)).tolist()
+    return np.sqrt(np.arange(n0, n0 + SQRT_CHUNK + 1, dtype=float)).tolist()
+
+
+@lru_cache(maxsize=SCALES_KEPT)
+def _antideriv_scale(K: int) -> np.ndarray:
+    """sqrt(2 pi k) for k = 1..K, read-only."""
+    scale = np.arange(1, K + 1, dtype=float)
+    scale *= 2.0 * math.pi
+    np.sqrt(scale, out=scale)
+    scale.flags.writeable = False
+    return scale
+
+
+def _antideriv_terms(x: float, K: int):
+    """0.0, then e^{-x^2/2} h_{k-1}(x) for k = 1..K, in recurrence order."""
+    yield 0.0
+    g_prev = math.exp(-0.5 * x * x)  # e^{-x^2/2} h_0(x)
+    yield g_prev
+    if K < 2:
+        return
+    g = x * g_prev  # e^{-x^2/2} h_1(x)
+    yield g
+    # Step n computes h_{n+1} = h_{k-1} for k = n + 2.
+    for n0 in range(1, K - 1, SQRT_CHUNK):
+        roots = _sqrt_chunk(n0)
+        for rn, rn1 in zip(roots, roots[1:K - n0]):
+            g_prev, g = g, (x * g - rn * g_prev) / rn1
+            yield g
 
 
 def coeff_antideriv_table(x: float, K: int) -> np.ndarray:
     """Antiderivative values A_k(x) = e^{-x^2/2} h_{k-1}(x) / sqrt(2 pi k).
 
-    Returns an array A of length K+1 with A[0] = 0.0 (the k = 0 projection
-    is handled by the Gaussian CDF, not by this table).  The exponential
-    factor is folded into the recurrence so large |x| cannot overflow.
+    Returns a new array A of length K+1 with A[0] = 0.0 (the k = 0
+    projection is handled by the Gaussian CDF, not by this table).  The
+    exponential factor is folded into the recurrence so large |x| cannot
+    overflow.
     """
-    A = np.zeros(K + 1)
     if K < 1:
-        return A
-    g_prev = math.exp(-0.5 * x * x)  # e^{-x^2/2} h_0(x)
-    A[1] = g_prev
-    if K >= 2:
-        g = x * g_prev  # e^{-x^2/2} h_1(x)
-        A[2] = g
-        # Step n computes h_{n+1} = h_{k-1}, stored at k = n + 2.
-        for n0, roots in _sqrt_chunks(K - 1):
-            out = []
-            append = out.append
-            for rn, rn1 in zip(roots, roots[1:]):
-                g_prev, g = g, (x * g - rn * g_prev) / rn1
-                append(g)
-            A[n0 + 2:n0 + 2 + len(out)] = out
-    scale = np.arange(1, K + 1, dtype=float)
-    scale *= 2.0 * math.pi
-    np.sqrt(scale, out=scale)
-    A[1:] /= scale
+        return np.zeros(K + 1)
+    A = np.fromiter(_antideriv_terms(x, K), dtype=float, count=K + 1)
+    A[1:] /= _antideriv_scale(K)
     return A
 
 
@@ -102,7 +126,8 @@ def halfspace_series_sum(r: float, p: float, K: int) -> float:
         comp = (t - s) - y
         s = t
     # Step n computes h_{n+1} = h_{k-1} for the term k = n + 2.
-    for n0, roots in _sqrt_chunks(K - 1):
+    for n0 in range(1, K - 1, SQRT_CHUNK):
+        roots = _sqrt_chunk(n0)
         for k, rn, rn1 in zip(range(n0 + 2, K + 1), roots, roots[1:]):
             g_prev, g = g, (r * g - rn * g_prev) / rn1
             term = math.pow(float(k), p) * g * g

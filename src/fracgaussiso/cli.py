@@ -7,6 +7,7 @@ the seed), so files produced here can be used as golden references.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import re
 import sys
@@ -289,7 +290,9 @@ _COMMANDS = {
 }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing keeps no state in it."""
     ap = argparse.ArgumentParser(prog="frac-gauss-iso", allow_abbrev=False,
                                  description="Fractional Gaussian perimeters, "
                                              "asymmetries and deficit checks.")

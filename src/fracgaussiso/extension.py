@@ -304,7 +304,9 @@ def _plateau_bounds(E: GaussianSet, sigma: float, z: float, n_quad: int):
     ends = [(e, sign) for ab in E.intervals for e, sign in zip(ab, (-1, 1))
             if math.isfinite(e)]
     below, above = [], []
-    with np.errstate(divide="ignore", invalid="ignore"):
+    # Only nodes with c > 0 are kept.  A tiny c overflows the quotient to the
+    # correctly signed infinity, which is the bound rounded to a double.
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for e, _ in ends:
             slack = _PLATEAU_MARGIN * (1.0 + abs(e) - _NDTR_ZERO * d)
             below.append(np.where(c > 0.0, (e - _NDTR_ONE * d - slack) / c, -math.inf).min())

@@ -1,6 +1,7 @@
 import math
 
 import numpy as np
+import pytest
 
 import fracgaussiso
 from fracgaussiso import _backend, _kernels_py
@@ -83,9 +84,9 @@ def _reference_weighted_series(c, x):
 
 POINTS = (-9.0, -2.3, 0.0, 0.7, 3.9)
 # Orders ending on both sides of the kernels' first sqrt-chunk boundary,
-# and one spanning three chunks.
+# one spanning three chunks, and one spanning more chunks than are cached.
 CHUNK = _kernels_py.SQRT_CHUNK
-ORDERS = (0, 1, 2, 3, CHUNK - 1, CHUNK, CHUNK + 1, CHUNK + 2, 10_000)
+ORDERS = (0, 1, 2, 3, CHUNK - 1, CHUNK, CHUNK + 1, CHUNK + 2, 10_000, 5 * CHUNK + 3)
 
 
 def test_antideriv_tables_bit_identical():
@@ -113,3 +114,26 @@ def test_halfspace_sum_bit_identical():
             got = _kernels_py.halfspace_series_sum(r, -0.75, K)
             assert np.float64(got).tobytes() == ref, (r, K)
 
+
+
+def test_kernels_bit_identical_while_the_caches_evict():
+    # 5 * CHUNK + 3 walks six root chunks, more than are kept, so the
+    # K = 10_000 calls between them find their chunks evicted
+    assert 5 * CHUNK + 3 > _kernels_py.SQRT_CHUNKS_KEPT * CHUNK
+    x = 0.7
+    for K in (10_000, 5 * CHUNK + 3, 10_000, 5 * CHUNK + 3, 10_000):
+        got = _kernels_py.coeff_antideriv_table(x, K)
+        assert got.tobytes() == _reference_antideriv_table(x, K).tobytes(), K
+        got = _kernels_py.halfspace_series_sum(x, -0.75, K)
+        assert np.float64(got).tobytes() == \
+            np.float64(_reference_halfspace_sum(x, -0.75, K)).tobytes(), K
+
+
+def test_cached_scale_is_read_only_and_tables_are_fresh():
+    table = _kernels_py.coeff_antideriv_table(-2.3, 500)
+    scale = _kernels_py._antideriv_scale(500)
+    with pytest.raises(ValueError):
+        scale[0] = 1.0
+    table[:] = 7.0
+    again = _kernels_py.coeff_antideriv_table(-2.3, 500)
+    assert again.tobytes() == _reference_antideriv_table(-2.3, 500).tobytes()

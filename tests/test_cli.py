@@ -231,6 +231,30 @@ def test_verify_passes_options_to_the_suites_that_read_them(monkeypatch, capsys,
                      ("main", {"K": 700, "c": 2.5, "convention": "remark"})]
 
 
+def test_reused_parser_keeps_no_state(tmp_path, capsys):
+    # the parser is built once per process, so each call must start clean
+    assert build_parser() is build_parser()
+
+    def K_column():
+        lines = capsys.readouterr().out.strip().splitlines()
+        header, row = next(csv.reader([lines[1]])), next(csv.reader([lines[2]]))
+        return row[header.index("K")]
+
+    assert main(["deficit", "--set", "(-inf,0)", "--s", "0.5", "--K", "50"]) == 0
+    assert K_column() == "50"
+    assert main(["deficit", "--set", "(-inf,0)", "--s", "0.5"]) == 0
+    assert K_column() == "10000"
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps({"set": "(0,1)", "s": 0.5, "K": 300}))
+    assert main(["perimeter", "--config", str(path)]) == 0
+    assert ",300," in capsys.readouterr().out
+    # without --config no key of the file is read: --set is missing again
+    assert main(["perimeter", "--s", "0.5"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--set is required" in captured.err
+
+
 def _readme_cli_section() -> str:
     text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
     return text.split("## CLI", 1)[1].split("\n## ", 1)[0]

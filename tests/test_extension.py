@@ -1,6 +1,7 @@
 import math
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -254,6 +255,17 @@ def test_mehler_extension_needs_a_positive_node_time():
         mehler_extension(interval(0.0, 1.0), 0.25, np.array([-1.0, 0.5, 2.0]), 1e-170)
     with pytest.raises(DomainError):
         mehler_semigroup(interval(0.0, 1.0), 0.0, np.array([0.5]))
+
+
+def test_plateau_bounds_overflow_silently_at_a_tiny_node_decay():
+    # the smallest node has tau = 720, so its decay e^{-720} is subnormal and
+    # the plateau limits overflow to infinity
+    u_min = special.roots_genlaguerre(80, -0.75)[0].min()
+    E, x, z = interval(-0.3, 0.8), np.array([0.0, 0.5]), math.sqrt(4.0 * u_min * 720.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = mehler_extension(E, 0.25, x, z, 80)
+    assert np.array_equal(got, _node_by_node_extension(E, 0.25, x, z, 80))
 
 
 @st.composite

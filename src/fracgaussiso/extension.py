@@ -37,12 +37,17 @@ __all__ = [
     "mehler_extension",
     "level_set",
     "level_set_with_budget",
+    "LEVELSET_GRID",
     "LEVELSET_GRID_HALFWIDTH",
     "LEVELSET_GRID_STEP",
 ]
 
 LEVELSET_GRID_HALFWIDTH = 8.0
 LEVELSET_GRID_STEP = 1e-3
+# The bracketing grid of every level-set extraction, shared and read-only.
+LEVELSET_GRID = np.linspace(-LEVELSET_GRID_HALFWIDTH, LEVELSET_GRID_HALFWIDTH,
+                            int(round(2 * LEVELSET_GRID_HALFWIDTH / LEVELSET_GRID_STEP)) + 1)
+LEVELSET_GRID.flags.writeable = False
 _BISECT_TOL = 1e-10
 _MAX_CROSSINGS = 64
 # Points per Mehler block: each (n_quad x block) temporary stays under 1 MB.
@@ -57,6 +62,12 @@ _PLATEAU_MARGIN = 1e-9
 def _check_sigma(sigma: float) -> None:
     if not (0.0 < sigma < 1.0):
         raise DomainError(f"extension order must lie in (0, 1), got {sigma}")
+
+
+def _check_positive(value: float, what: str) -> None:
+    """Reject NaN, +inf and values <= 0; a NaN would pass a ``<= 0`` test."""
+    if not (value > 0.0 and math.isfinite(value)):
+        raise DomainError(f"{what} must be positive and finite, got {value}")
 
 
 def profile_psi(sigma: float, xi: float) -> float:
@@ -263,6 +274,7 @@ def mehler_semigroup(E: GaussianSet, tau: float, x: np.ndarray) -> np.ndarray:
     (P_tau chi_E)(x) = sum_i Phi((b_i - e^{-tau} x)/d) - Phi((a_i - e^{-tau} x)/d),
     d = sqrt(1 - e^{-2 tau}).
     """
+    _check_positive(tau, "semigroup time")
     x = np.asarray(x, dtype=float)
     decay, d = _node_constants((tau,))
     return _semigroup_rows(E, decay, d, x.ravel())[0].reshape(x.shape)
@@ -340,8 +352,7 @@ def mehler_extension(E: GaussianSet, sigma: float, x, z: float,
     The result is bit-identical to evaluating every node at every point.
     """
     _check_sigma(sigma)
-    if z <= 0.0:
-        raise DomainError("mehler_extension needs z > 0")
+    _check_positive(z, "mehler_extension height z")
     decay, d, w, w_total = _mehler_nodes(sigma, z, n_quad)
     below, above, sign, base = _plateau_bounds(E, sigma, z, n_quad)
     x = np.atleast_1d(np.asarray(x, dtype=float))
@@ -370,38 +381,60 @@ class LevelSetRecord:
 _LEVELSET_QUAD = 80
 
 
-def _grid_values(F: ExtensionField, z: float, n_quad: int) -> tuple[np.ndarray, np.ndarray]:
+def _grid_values(F: ExtensionField, z: float, n_quad: int) -> np.ndarray:
     key = (z, n_quad)
     cached = F._grid_cache.get(key)
     if cached is None:
-        n = int(round(2 * LEVELSET_GRID_HALFWIDTH / LEVELSET_GRID_STEP)) + 1
-        grid = np.linspace(-LEVELSET_GRID_HALFWIDTH, LEVELSET_GRID_HALFWIDTH, n)
-        cached = (grid, mehler_extension(F.coeffs.set, F.profile.sigma, grid, z, n_quad))
+        cached = mehler_extension(F.coeffs.set, F.profile.sigma, LEVELSET_GRID, z, n_quad)
         F._grid_cache[key] = cached
     return cached
 
 
+def _predicted_path(lo: float, hi: float, guess: float) -> list[float]:
+    """Bisection midpoints of [lo, hi] if the crossing lies at ``guess``:
+    the bracket keeps its upper half exactly when guess > mid."""
+    mids = []
+    while hi - lo > _BISECT_TOL:
+        mid = 0.5 * (lo + hi)
+        mids.append(mid)
+        if guess > mid:
+            lo = mid
+        else:
+            hi = mid
+    return mids
+
+
 def _extract_level_set(F: ExtensionField, t: float, z: float, n_quad: int) -> GaussianSet:
-    grid, vals = _grid_values(F, z, n_quad)
+    vals = _grid_values(F, z, n_quad)
     sign = vals > t
     flips = np.nonzero(sign[1:] != sign[:-1])[0]
     if flips.size > _MAX_CROSSINGS:
         raise ResolutionError(
             f"{flips.size} sign changes at t={t}, z={z}: oscillation "
             f"exceeds the level-set resolution contract")
-    lo, hi = grid[flips], grid[flips + 1]
-    f_lo = vals[flips] - t
-    while True:
-        active = np.nonzero(hi - lo > _BISECT_TOL)[0]
-        if active.size == 0:
-            break
-        mid = 0.5 * (lo[active] + hi[active])
-        f_mid = mehler_extension(F.coeffs.set, F.profile.sigma, mid, z, n_quad) - t
-        keep_lo = (f_mid > 0.0) == (f_lo[active] > 0.0)
-        moved = active[keep_lo]
-        lo[moved], f_lo[moved] = mid[keep_lo], f_mid[keep_lo]
-        hi[active[~keep_lo]] = mid[~keep_lo]
-    crossings = 0.5 * (lo + hi)
+    # one [lo, hi, f_lo, f_hi] row of Python floats per bracket
+    brackets = np.stack([LEVELSET_GRID[flips], LEVELSET_GRID[flips + 1],
+                         vals[flips] - t, vals[flips + 1] - t], axis=1).tolist()
+    while active := [b for b in brackets if b[1] - b[0] > _BISECT_TOL]:
+        # one of f_lo, f_hi is > 0 and the other <= 0, so the guess is in [lo, hi]
+        guesses = [lo + (hi - lo) * (f_lo / (f_lo - f_hi)) for lo, hi, f_lo, f_hi in active]
+        paths = [_predicted_path(b[0], b[1], g) for b, g in zip(active, guesses)]
+        f_all = (mehler_extension(F.coeffs.set, F.profile.sigma, np.concatenate(paths),
+                                  z, n_quad) - t).tolist()
+        # Replay each path with the bisection rule up to and including its
+        # first mispredicted step; the later midpoints of that path are unused.
+        offset = 0
+        for b, g, path in zip(active, guesses, paths):
+            for mid, f_mid in zip(path, f_all[offset:offset + len(path)]):
+                keep_lo = (f_mid > 0.0) == (b[2] > 0.0)
+                if keep_lo:
+                    b[0], b[2] = mid, f_mid
+                else:
+                    b[1], b[3] = mid, f_mid
+                if keep_lo != (g > mid):
+                    break
+            offset += len(path)
+    crossings = [0.5 * (lo + hi) for lo, hi, _, _ in brackets]
 
     inside = bool(sign[0])
     pieces = []
@@ -432,15 +465,23 @@ def level_set(F: ExtensionField, t: float, z: float) -> LevelSetRecord:
     their value without evaluating them, so the grid costs little more than
     the points near the endpoints of E.
 
-    Every grid cell where U - t changes sign is a bracket, and all brackets
-    are bisected together: each step evaluates the midpoints of the brackets
-    still wider than the tolerance in one Mehler call.  A bracket sees the
-    same midpoints and comparisons as when bisected alone, so the crossings
-    do not depend on how many brackets share a call.  A grid without a sign
-    change gives the full line or the empty set.
+    Every grid cell where U - t changes sign is a bracket, bisected to
+    width 1e-10.  The bisection is speculative: a bracket's linear
+    interpolation guess predicts every decision of its remaining bisection,
+    the predicted midpoints of all brackets go into one Mehler call, and each
+    bracket then replays its path with the bisection rule up to and
+    including the first step whose decision differs from the prediction.
+    That step is resolved too, so each round advances each bracket by at
+    least one step, and the crossings are the ones plain bisection gives,
+    bit for bit, whatever the guesses (a Mehler value does not depend on the
+    other points of its call).  An extraction then takes a few calls after
+    the grid instead of one per bisection step (24 from the grid step down
+    to the tolerance).  A grid without a sign change gives the full line or
+    the empty set.
     """
-    if z <= 0.0:
-        raise DomainError("level sets are defined for z > 0")
+    _check_positive(z, "level-set height z")
+    if not math.isfinite(t):
+        raise DomainError(f"level-set threshold must be finite, got {t}")
     if t >= 1.0:
         return LevelSetRecord(t, z, EMPTY, 0.0)
     E_tz = _extract_level_set(F, t, z, _LEVELSET_QUAD)

@@ -1,4 +1,5 @@
 import math
+import random
 import subprocess
 import sys
 import warnings
@@ -9,11 +10,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import special
 
+from fracgaussiso import extension, suites
 from fracgaussiso.errors import DomainError
-from fracgaussiso.extension import (LEVELSET_GRID_HALFWIDTH,
-                                    LEVELSET_GRID_STEP, _BISECT_TOL,
-                                    _LEVELSET_QUAD, _MEHLER_BLOCK,
-                                    SubordinationProfile, boundary_flux_check,
+from fracgaussiso.extension import (LEVELSET_GRID, _BISECT_TOL, _LEVELSET_QUAD,
+                                    _MEHLER_BLOCK, SubordinationProfile,
+                                    _extract_level_set, boundary_flux_check,
                                     boundary_flux_richardson,
                                     evaluate_extension, extension_field,
                                     level_set, level_set_with_budget,
@@ -150,11 +151,6 @@ def test_level_set_degenerate_t():
         level_set(F, 0.5, 0.0)
 
 
-def _levelset_grid():
-    n = int(round(2 * LEVELSET_GRID_HALFWIDTH / LEVELSET_GRID_STEP)) + 1
-    return np.linspace(-LEVELSET_GRID_HALFWIDTH, LEVELSET_GRID_HALFWIDTH, n)
-
-
 def _dense_rows(E, taus, x):
     """(P_tau chi_E)(x) for each tau: ndtr at every point, no plateau skip."""
     rows = []
@@ -186,7 +182,7 @@ def _node_by_node_extension(E, sigma, x, z, n_quad):
 def test_mehler_extension_matches_node_by_node_sum(E):
     rng = np.random.default_rng(3)
     sizes = (1, _MEHLER_BLOCK - 1, _MEHLER_BLOCK, _MEHLER_BLOCK + 1)
-    cases = [np.sort(rng.uniform(-4.0, 4.0, n)) for n in sizes] + [_levelset_grid()]
+    cases = [np.sort(rng.uniform(-4.0, 4.0, n)) for n in sizes] + [LEVELSET_GRID]
     for x in cases:
         for sigma, z, n_quad in ((0.25, 0.3, 80), (0.4, 0.05, 40), (0.25, 1e-3, 80)):
             got = mehler_extension(E, sigma, x, z, n_quad)
@@ -194,16 +190,16 @@ def test_mehler_extension_matches_node_by_node_sum(E):
             assert np.array_equal(got, _node_by_node_extension(E, sigma, x, z, n_quad))
 
 
-def _scalar_bisection_level_set(E, sigma, t, z):
-    grid = _levelset_grid()
-    vals = mehler_extension(E, sigma, grid, z, _LEVELSET_QUAD)
+def _scalar_bisection_level_set(E, sigma, t, z, n_quad=_LEVELSET_QUAD):
+    grid = LEVELSET_GRID
+    vals = mehler_extension(E, sigma, grid, z, n_quad)
     sign = vals > t
     crossings = []
     for i in np.nonzero(sign[1:] != sign[:-1])[0]:
         lo, hi, f_lo = grid[i], grid[i + 1], vals[i] - t
         while hi - lo > _BISECT_TOL:
             mid = 0.5 * (lo + hi)
-            f_mid = mehler_extension(E, sigma, np.array([mid]), z, _LEVELSET_QUAD)[0] - t
+            f_mid = mehler_extension(E, sigma, np.array([mid]), z, n_quad)[0] - t
             if (f_mid > 0.0) == (f_lo > 0.0):
                 lo, f_lo = mid, f_mid
             else:
@@ -213,13 +209,91 @@ def _scalar_bisection_level_set(E, sigma, t, z):
     return GaussianSet.from_intervals(zip(edges[0::2], edges[1::2]))
 
 
+LEVELSET_CASES = ((0.5, 0.05), (0.25, 0.05), (0.75, 0.02), (0.6, 0.002))
+
+
 def test_batched_level_set_matches_scalar_bisection():
+    # 40 nodes is the order level_set_with_budget compares against
     F = extension_field(THREE_PIECES, 0.5, 500)
-    for t, z in ((0.5, 0.05), (0.25, 0.05), (0.75, 0.02), (0.6, 0.002)):
-        rec = level_set(F, t, z)
-        assert len(rec.set.intervals) == 3
-        expected = _scalar_bisection_level_set(THREE_PIECES, 0.25, t, z)
-        assert rec.set.intervals == expected.intervals
+    for n_quad in (_LEVELSET_QUAD, _LEVELSET_QUAD // 2):
+        for t, z in LEVELSET_CASES:
+            got = _extract_level_set(F, t, z, n_quad)
+            assert len(got.intervals) == 3
+            assert got.intervals == _scalar_bisection_level_set(THREE_PIECES, 0.25, t, z,
+                                                                 n_quad).intervals
+    assert level_set(F, 0.5, 0.05).set == _extract_level_set(F, 0.5, 0.05, _LEVELSET_QUAD)
+
+
+@pytest.mark.parametrize("n_quad", [_LEVELSET_QUAD, _LEVELSET_QUAD // 2])
+def test_level_set_at_a_threshold_equal_to_a_grid_value(n_quad):
+    # t equal to the grid value at the lower end of a rising crossing's bracket
+    # makes f_lo == 0.0 there; at the upper end of a falling one, f_hi == 0.0
+    z = 0.05
+    vals = mehler_extension(THREE_PIECES, 0.25, LEVELSET_GRID, z, n_quad)
+    flips = np.nonzero((vals[1:] > 0.5) != (vals[:-1] > 0.5))[0]
+    rising = next(i for i in flips if vals[i] < vals[i + 1])
+    falling = next(i for i in flips if vals[i] > vals[i + 1])
+    for i, t in ((rising, vals[rising]), (falling, vals[falling + 1])):
+        assert (vals[i] > t) != (vals[i + 1] > t)
+        got = _extract_level_set(extension_field(THREE_PIECES, 0.5, 50), t, z, n_quad)
+        assert got.intervals == _scalar_bisection_level_set(THREE_PIECES, 0.25, t, z,
+                                                             n_quad).intervals
+
+
+def test_level_set_matches_scalar_bisection_on_random_sets():
+    rng = random.Random(2024)
+    crossings = 0
+    for _ in range(20):
+        E = suites.random_gaussian_set(rng)
+        F = extension_field(E, 0.5, 50)
+        for z in (1e-4, 5e-3):
+            for t in (0.25, 0.5, 0.75):
+                got = _extract_level_set(F, t, z, _LEVELSET_QUAD)
+                assert got.intervals == _scalar_bisection_level_set(E, 0.25, t, z).intervals
+                crossings += len(got.finite_endpoints)
+    assert crossings > 300
+
+
+def test_level_set_batches_its_bisection(monkeypatch):
+    # one grid call plus a few batched bisection calls per extraction; one
+    # bisection step per call takes 24 calls from the grid step to the tolerance
+    sizes = []
+    mehler = extension.mehler_extension
+
+    def counting(E, sigma, x, z, n_quad=80):
+        sizes.append(np.size(x))
+        return mehler(E, sigma, x, z, n_quad)
+
+    monkeypatch.setattr(extension, "mehler_extension", counting)
+    for t, z in LEVELSET_CASES:
+        sizes.clear()
+        level_set_with_budget(extension_field(THREE_PIECES, 0.5, 500), t, z)
+        assert sizes.count(LEVELSET_GRID.size) == 2
+        assert len(sizes) <= 2 * (1 + 5)
+
+
+def test_levelset_grid_is_shared_and_read_only():
+    assert LEVELSET_GRID.size == 16_001
+    assert LEVELSET_GRID[0] == -8.0 and LEVELSET_GRID[-1] == 8.0
+    with pytest.raises(ValueError):
+        LEVELSET_GRID[0] = 0.0
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_heights_and_thresholds_raise(bad):
+    E = interval(0.0, 1.0)
+    F = extension_field(E, 0.5, 500)
+    x = np.array([0.5])
+    with pytest.raises(DomainError):
+        level_set_with_budget(F, bad, 0.05)
+    with pytest.raises(DomainError):
+        level_set(F, bad, 0.05)
+    with pytest.raises(DomainError):
+        level_set(F, 0.5, bad)
+    with pytest.raises(DomainError):
+        mehler_extension(E, 0.25, x, bad)
+    with pytest.raises(DomainError):
+        mehler_semigroup(E, bad, x)
 
 
 def test_level_set_without_sign_change():

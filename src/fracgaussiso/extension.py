@@ -148,8 +148,8 @@ class ExtensionField:
     def psi_factors(self, z: float) -> np.ndarray:
         """psi_{s/2}(sqrt(k) z) for k = 0..K (the k = 0 factor is 1)."""
         z = float(z)
-        if z < 0.0:
-            raise DomainError("height z must be nonnegative")
+        if not 0.0 <= z < math.inf:  # a NaN would pass a ``< 0`` test
+            raise DomainError(f"height z must be nonnegative and finite, got {z}")
         cached = self._psi_cache.get(z)
         if cached is None:
             xi = np.sqrt(np.arange(self.K + 1, dtype=float)) * z
@@ -176,8 +176,7 @@ def evaluate_extension(F: ExtensionField, x, z: float):
 
 def trace_gap(E: GaussianSet, s, z: float, K: int = 10_000) -> float:
     """int_E (1 - U_E(., z)) dgamma = sum_{k>=1} f_k^2 (1 - psi_{s/2}(sqrt(k) z))."""
-    if z <= 0.0:
-        raise DomainError("trace gap needs z > 0")
+    _check_positive(z, "trace gap height z")
     F = extension_field(E, s, K)
     f = F.coeffs.f
     psi = F.psi_factors(z)

@@ -14,24 +14,28 @@ boundary data, where the energy density concentrates.
 
 On a tensor mesh with product weights the discrete energy operator is one
 object in any dimension: the Kronecker sum of 1-D weighted path Laplacians,
-one per axis, each multiplied by the node weights of the other axes
-(`_energy_bands`).  The planar energy on the axes (z, x) is solved by fast
-diagonalization (Lynch, Rice & Thomas 1964) without assembling that sum: one
-eigenbasis of the x-pencil turns it into independent tridiagonal z-problems,
-one per x-mode, eliminated together in one sweep over z.  The energy costs
-O(n_x^3 + n_x n_z) time and O(n_x^2) memory; the minimizer adds
-O(n_x^2 n_z) time and O(n_x n_z) memory.  The cylinder energy
-on the axes (z, x, y) assembles the 3-D operator and solves it by conjugate
-gradients from the planar minimizer.
+one per axis, each multiplied by the node weights of the other axes.  Both
+the planar energy on the axes (z, x) and the cylinder energy on the axes
+(z, x, y) are solved by fast diagonalization (Lynch, Rice & Thomas 1964)
+without assembling that sum: one eigenbasis per transverse pencil turns it
+into independent tridiagonal z-problems, one per mode of the Kronecker sum,
+eliminated together in one sweep over z (`_solve_tensor`).  The planar
+energy costs O(n_x^3 + n_x n_z) time and O(n_x^2) memory; the minimizer adds
+O(n_x^2 n_z) time and O(n_x n_z) memory.  The cylinder energy costs
+O(n_x^3 + n_y^3 + n_x n_y (n_x + n_y + n_z)) time.  The independent check of
+this algebra is in the tests: the operator assembled edge by edge, solved by
+sparse LU, in two and three dimensions.
 """
 from __future__ import annotations
 
+from functools import reduce
+
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
-from scipy.sparse import dia_matrix, diags
-from scipy.sparse.linalg import cg, spsolve  # spsolve: unused, perfbench/spans.py wraps it by name
+# Neither solver is called here; perfbench/spans.py wraps both by name.
+from scipy.sparse.linalg import cg, spsolve  # noqa: F401
 
-from .errors import DomainError, QuadratureError
+from .errors import DomainError
 from .gauss_core import as_order, phi
 from .sets import GaussianSet
 
@@ -93,51 +97,32 @@ def _x_masses(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _axis(nodes: np.ndarray, edge_w: np.ndarray, node_w: np.ndarray):
-    """(path Laplacian with conductances edge_w / h^2, node weights) of one axis."""
-    c = edge_w / np.diff(nodes) ** 2
-    return diags([-c, np.pad(c, (0, 1)) + np.pad(c, (1, 0)), -c], [-1, 0, 1]), node_w
+    """(edge conductances edge_w / h^2, node weights) of one axis's weighted path."""
+    return edge_w / np.diff(nodes) ** 2, node_w
 
 
-def _energy_bands(axes) -> dict[int, np.ndarray]:
-    """Kronecker sum of the axis Laplacians, slowest axis first, by its bands.
+def _pencil(c: np.ndarray, w: np.ndarray):
+    """(r, lam, Q) with r = w^{-1/2} and Q diag(lam) Q^T = R L R for R = diag(r).
 
-    Each axis Laplacian is multiplied by the node weights of the other axes,
-    so the quadratic form is sum over mesh edges of c_e (v_a - v_b)^2.  The
-    sum is banded: an axis couples nodes whose flat indices differ by the
-    product of the sizes of the faster axes.  It is built one band at a time
-    from Kronecker products of vectors (the same products and sums, in the
-    same order, as the sparse Kronecker products, without their COO
-    temporaries).  Returns {offset: upper band}; the matrix is symmetric.
+    L is the path Laplacian with edge conductances c and W = diag(w).
     """
-    (T, weight), *rest = axes
-    bands = {0: T.diagonal(), 1: T.diagonal(1)}
-    for T, w in rest:
-        bands = {k * w.shape[0]: np.kron(band, w) for k, band in bands.items()}
-        bands[0] = bands[0] + np.kron(weight, T.diagonal())
-        bands[1] = np.kron(weight, np.append(T.diagonal(1), 0.0))[:-1]
-        weight = np.outer(weight, w).ravel()
-    return bands
-
-
-def _band_matrix(bands, skip: int = 0) -> dia_matrix:
-    """The symmetric matrix with these upper bands, without its first skip rows and columns.
-
-    The +-1 bands hold explicit zeros where a line of the fastest axis ends.
-    """
-    offsets = sorted(bands)
-    return diags([bands[k][skip:] for k in offsets[:0:-1]] + [bands[k][skip:] for k in offsets],
-                 [-k for k in offsets[:0:-1]] + offsets)
+    r = 1.0 / np.sqrt(w)
+    diagonal = np.pad(c, (0, 1)) + np.pad(c, (1, 0))
+    lam, Q = eigh_tridiagonal(diagonal * r * r, -c * r[:-1] * r[1:])
+    return r, lam, Q
 
 
 def _planar(E: GaussianSet, s, domain, n_x: int, n_z: int, grading):
     """Validated x-mesh and [z, x] axes of the planar energy of E."""
     order = as_order(s)
     L, Z = domain
-    if L < 6.0 or Z < 4.0:
-        raise DomainError("domain must satisfy L >= 6, Z >= 4")
+    if not (6.0 <= L < np.inf and 4.0 <= Z < np.inf):
+        raise DomainError(f"domain must satisfy 6 <= L < inf, 4 <= Z < inf, got {domain}")
     if n_x < 64 or n_z < 64:
         raise DomainError("mesh must satisfy n_x, n_z >= 64")
     g = grading if grading is not None else 2.0 / order.s
+    if not 0.0 < g < np.inf:
+        raise DomainError(f"grading must be positive and finite, got {grading}")
     z = Z * (np.arange(n_z + 1, dtype=float) / n_z) ** g
     zmid = np.concatenate([[0.0], 0.5 * (z[:-1] + z[1:]), [Z]])
     p = 2.0 - order.s  # the weights are int z^{1-s} dz over cells and dual cells
@@ -146,32 +131,33 @@ def _planar(E: GaussianSet, s, domain, n_x: int, n_z: int, grading):
                _axis(x, *_x_masses(x))]
 
 
-def _solve_planar(axes, bottom: np.ndarray,
-                  minimizer: bool = True) -> tuple[float, np.ndarray | None]:
-    """(energy, minimizer) on the [z, x] axes with the z = 0 row fixed to bottom.
+def _solve_tensor(axes, bottom: np.ndarray,
+                  minimizer: bool = False) -> tuple[float, np.ndarray | None]:
+    """(energy, minimizer) on the axes [z, x] or [z, x, y] with the z = 0 layer fixed to bottom.
 
-    With Phi = W_x^{-1/2} Q, where Q diagonalizes W_x^{-1/2} L_x W_x^{-1/2},
-    Phi^T L_x Phi = diag(lam) and Phi^T W_x Phi = I.  The modal field U with
-    V = U Phi^T then solves (L_z + lam_m W_z) U[:, m] = 0 above z = 0 for each
-    mode m, with U[0] = Phi^T W_x bottom: a path of z-edges with conductances
-    c_j = -L_z[j, j + 1] and a leak lam_m w_z[j] at each node.  Eliminating
-    from the zero-flux top down, node j sees the conductance
+    bottom and the minimizer are flattened with z slowest and the last axis
+    fastest.  Per transverse axis, with Phi = W^{-1/2} Q from `_pencil`,
+    Phi^T L Phi = diag(lam) and Phi^T W Phi = I.  In the tensor basis of the
+    Phi's, mode m = (j, l) has the eigenvalue lam_j + mu_l (the Kronecker
+    sum), and its modal field U[:, m] solves (L_z + lam_m W_z) U[:, m] = 0
+    above z = 0, with U[0] the projection of bottom: a path of z-edges with
+    conductances c_j and a leak lam_m w_z[j] at each node.  Eliminating from
+    the zero-flux top down, node j sees the conductance
     G[j] = lam w_z[j] + c_j G[j + 1] / (c_j + G[j + 1]), and
     U[j + 1] = U[j] c_j / (c_j + G[j + 1]).  The energy is
-    sum_m G_m[0] U[0, m]^2, a sum of nonnegative terms.  The minimizer, None
-    unless asked for, is the flattened (z, x) field in the node order of
-    `_energy_bands`.
+    sum_m G_m[0] U[0, m]^2, a sum of nonnegative terms.  The minimizer is
+    None unless asked for.
 
     Constants span the kernel (the zero mode), but the computed zero
-    eigenvalue and eigenvector carry rounding, so the data's weighted mean
-    mean = sum_i w_x[i] bottom[i] would leak through Q into the energy and
+    eigenvalues and eigenvectors carry rounding, so the data's weighted mean
+    (weights w_x, or w_x w_y) would leak through the Q's into the energy and
     the other modes.  The mean is subtracted before projecting and added
     back to the minimizer, which leaves the exact solution unchanged.
     """
-    (Lz, wz), (Lx, wx) = axes
-    r = 1.0 / np.sqrt(wx)
-    lam, Q = eigh_tridiagonal(Lx.diagonal() * r * r, Lx.diagonal(1) * r[:-1] * r[1:])
-    c = -Lz.diagonal(1)
+    (c, wz), *transverse = axes
+    shape = tuple(w.shape[0] for _, w in transverse)
+    r, lam, Q = zip(*(_pencil(*axis) for axis in transverse))
+    lam = reduce(np.add.outer, lam).ravel()
     # One sweep over z, all modes at once; U[j + 1] holds the ratio U[j + 1] / U[j].
     U = np.empty((c.shape[0] + 1, lam.shape[0])) if minimizer else None
     G = wz[-1] * lam
@@ -180,33 +166,22 @@ def _solve_planar(axes, bottom: np.ndarray,
         G = wz[j] * lam + ratio * G
         if minimizer:
             U[j + 1] = ratio
-    mean = wx @ bottom
-    U0 = ((bottom - mean) / r) @ Q
+    mean = reduce(np.multiply.outer, [w for _, w in transverse]).ravel() @ bottom
+    # project onto Phi^T W along each transverse axis in turn
+    U0 = bottom.reshape(shape) - mean
+    for k in range(len(shape)):
+        U0 = np.moveaxis(np.moveaxis(U0, k, -1) / r[k] @ Q[k], -1, k)
+    U0 = U0.ravel()
     energy = float(G @ (U0 * U0))
     if not minimizer:
         return energy, None
     U[0] = U0
-    V = (np.cumprod(U, axis=0, out=U) @ Q.T) * r + mean
-    V[0] = bottom
+    V = np.cumprod(U, axis=0, out=U).reshape((-1,) + shape)
+    for k in range(len(shape)):
+        V = np.moveaxis(np.moveaxis(V, k + 1, -1) @ Q[k].T * r[k], -1, k + 1)
+    V = V + mean
+    V[0] = bottom.reshape(shape)
     return energy, V.ravel()
-
-
-def _solve_energy(bands, bottom: np.ndarray, seed: np.ndarray) -> float:
-    """Minimal energy on the bands of `_energy_bands`, the z = 0 layer fixed to bottom.
-
-    Solved by conjugate gradients from seed.  Only the z-band, whose offset
-    is the layer size, couples the free nodes to the fixed layer.
-    """
-    n = bottom.shape[0]
-    rhs = np.zeros(bands[0].shape[0] - n)
-    rhs[:n] = -bands[n][:n] * bottom
-    sol, info = cg(_band_matrix(bands, skip=n), rhs, x0=seed[n:],
-                   rtol=1e-12, atol=0.0, maxiter=20_000)
-    if info != 0:
-        raise QuadratureError(f"CG failed to converge (info={info})")
-    v = np.concatenate([bottom, sol])
-    # the sum over mesh edges of c_e (v_a - v_b)^2; an off-diagonal entry is -c_e
-    return float(-sum(band @ (v[:-k] - v[k:]) ** 2 for k, band in bands.items() if k))
 
 
 def pde_energy(E: GaussianSet, s, domain: tuple[float, float] = (6.0, 4.0),
@@ -216,7 +191,7 @@ def pde_energy(E: GaussianSet, s, domain: tuple[float, float] = (6.0, 4.0),
     domain = (L, Z) truncates to [-L, L] x (0, Z]; mesh = (n_x, n_z).
     """
     x, axes = _planar(E, s, domain, *mesh, grading)
-    energy, _ = _solve_planar(axes, _boundary_data(E, x), minimizer=False)
+    energy, _ = _solve_tensor(axes, _boundary_data(E, x))
     return 0.5 * energy
 
 
@@ -225,16 +200,16 @@ def pde_energy_cylinder(E1: GaussianSet, s, domain: tuple[float, float] = (6.0, 
                         grading: float | None = None) -> float:
     """Discrete energy of the cylinder data chi_{R x E1} with a transverse axis.
 
-    Builds the genuine (z, x, y) operator with the boundary data constant in
-    the transverse coordinate y and solves it by conjugate gradients seeded
-    with the tensorized one-axis solution (which the dimension-independence
-    statement predicts to be the minimizer).  The domain and the (n_x, n_z)
-    mesh are checked as in `pde_energy`; n_y is free.
+    Solves the genuine (z, x, y) problem, with the boundary data constant in
+    the transverse coordinate y on a uniform y-mesh of [-L, L], by the tensor
+    fast diagonalization of `_solve_tensor`.  mesh = (n_y, n_x, n_z); the
+    domain and (n_x, n_z) are checked as in `pde_energy`, and n_y >= 1.
     """
     n_y, n_x, n_z = mesh
+    if n_y < 1:
+        raise DomainError(f"mesh must satisfy n_y >= 1, got {n_y}")
     x, axes = _planar(E1, s, domain, n_x, n_z, grading)
-    bottom = _boundary_data(E1, x)
-    _, v1 = _solve_planar(axes, bottom)
     y = np.linspace(-domain[0], domain[0], n_y + 1)
-    bands = _energy_bands(axes + [_axis(y, *_x_masses(y))])
-    return 0.5 * _solve_energy(bands, np.repeat(bottom, n_y + 1), seed=np.repeat(v1, n_y + 1))
+    bottom = np.repeat(_boundary_data(E1, x), n_y + 1)
+    energy, _ = _solve_tensor(axes + [_axis(y, *_x_masses(y))], bottom)
+    return 0.5 * energy

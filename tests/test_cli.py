@@ -302,6 +302,15 @@ def test_extension_eval(capsys):
     assert v_in > v_out
 
 
+@pytest.mark.parametrize("z", ["nan", "inf", "-1"])
+def test_extension_eval_rejects_bad_height(capsys, z):
+    code = main(["extension-eval", "--set", "(0,1)", "--K", "200", "--x", "0.5", "--z", z])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "height z" in captured.err
+
+
 def test_verify_determinism_small():
     r1 = run_cli(["verify", "--suite", "transfer", "--n", "20", "--seed", "3"])
     r2 = run_cli(["verify", "--suite", "transfer", "--n", "20", "--seed", "3"])

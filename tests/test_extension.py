@@ -294,6 +294,18 @@ def test_non_finite_heights_and_thresholds_raise(bad):
         mehler_extension(E, 0.25, x, bad)
     with pytest.raises(DomainError):
         mehler_semigroup(E, bad, x)
+    with pytest.raises(DomainError):
+        trace_gap(E, 0.5, bad, 200)
+    with pytest.raises(DomainError):
+        evaluate_extension(F, 0.5, bad)
+
+
+def test_series_height_zero_is_the_trace():
+    # psi_factors accepts z = 0, where every factor is 1 and U is the Hermite series of chi_E
+    F = extension_field(interval(0.0, 1.0), 0.5, 200)
+    assert np.all(F.psi_factors(0.0) == 1.0)
+    with pytest.raises(DomainError):
+        trace_gap(interval(0.0, 1.0), 0.5, 0.0, 200)
 
 
 def test_level_set_without_sign_change():

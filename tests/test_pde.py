@@ -1,14 +1,15 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.sparse import coo_matrix
-from scipy.sparse.linalg import spsolve
+from scipy.sparse.linalg import splu
 
 from fracgaussiso.errors import DomainError
-from fracgaussiso.pde import (_axis, _band_matrix, _boundary_data, _energy_bands, _planar,
-                              _solve_energy, _solve_planar, _x_masses, graded_x_mesh,
-                              pde_energy, pde_energy_cylinder)
+from fracgaussiso.pde import (_axis, _boundary_data, _planar, _solve_tensor, _x_masses,
+                              graded_x_mesh, pde_energy, pde_energy_cylinder)
 from fracgaussiso.sets import GaussianSet, complement, halfline, interval
 from fracgaussiso.spectral import halfline_perimeter_reference, perimeter_spectral
 
@@ -38,6 +39,25 @@ def test_pde_domain_validation():
         pde_energy_cylinder(halfline(0.0), 0.5, domain=(2.0, 1.0), mesh=(8, 16, 16))
 
 
+@pytest.mark.parametrize("bad", [dict(domain=(6.0, math.nan)), dict(domain=(6.0, math.inf)),
+                                 dict(domain=(math.nan, 4.0)), dict(domain=(math.inf, 4.0)),
+                                 dict(grading=0.0), dict(grading=-1.0),
+                                 dict(grading=math.nan), dict(grading=math.inf)],
+                         ids=["Z-nan", "Z-inf", "L-nan", "L-inf",
+                              "grading-0", "grading-neg", "grading-nan", "grading-inf"])
+def test_pde_rejects_non_finite_domain_and_bad_grading(bad):
+    with pytest.raises(DomainError):
+        pde_energy(halfline(0.0), 0.5, mesh=(64, 64), **bad)
+    with pytest.raises(DomainError):
+        pde_energy_cylinder(halfline(0.0), 0.5, mesh=(2, 64, 64), **bad)
+
+
+@pytest.mark.parametrize("n_y", [0, -3])
+def test_pde_cylinder_needs_a_transverse_cell(n_y):
+    with pytest.raises(DomainError, match="n_y >= 1"):
+        pde_energy_cylinder(halfline(0.0), 0.5, mesh=(n_y, 64, 64))
+
+
 def test_pde_halfline_accuracy():
     ref = halfline_perimeter_reference(0.0, 0.5, 500_000).value
     val = pde_energy(halfline(0.0), 0.5, mesh=(128, 128))
@@ -58,9 +78,10 @@ def test_pde_cylinder_matches_1d():
     assert v2 == pytest.approx(v1, rel=0.005)
 
 
-# Edge-by-edge assembly of the energy operator, kept as a reference for the
-# Kronecker-sum builder: one conductance per mesh edge, summed into a COO
-# matrix, with the z-weights integrated cell by cell.
+# Edge-by-edge assembly of the energy operator, kept as the independent
+# reference for the fast-diagonalization solves: one conductance per mesh
+# edge, summed into a COO matrix, with the z-weights integrated cell by cell.
+# Node order: z slowest, y (in 3-D) fastest.
 def _reference_laplacian(a, b, c, n_nodes):
     rows = np.concatenate([a, b, a, b])
     cols = np.concatenate([a, b, b, a])
@@ -116,37 +137,6 @@ def _reference_3d(y, x, z, s):
                                 np.concatenate([cy, cx, cz]), Ny * Nx * Nz1)
 
 
-def _assert_same_operator(Lap, ref):
-    Lap, ref = Lap.tocsr(), ref.tocsr()
-    Lap.eliminate_zeros()
-    Lap.sort_indices()
-    ref.sort_indices()
-    assert Lap.shape == ref.shape
-    assert np.array_equal(Lap.indptr, ref.indptr)
-    assert np.array_equal(Lap.indices, ref.indices)
-    tol = 1e-15 * np.max(np.abs(ref.data))
-    assert np.max(np.abs(Lap.data - ref.data)) <= tol
-    # constants lie in the kernel
-    assert np.max(np.abs(Lap.sum(axis=1))) <= tol
-
-
-def test_energy_operator_matches_edge_assembly_2d():
-    E = GaussianSet.from_intervals([(-1.2, -0.3), (0.4, 2.0)])
-    s, n = 0.5, 128
-    x, axes = _planar(E, s, (6.0, 4.0), n, n, None)
-    z = 4.0 * (np.arange(n + 1, dtype=float) / n) ** (2.0 / s)
-    _assert_same_operator(_band_matrix(_energy_bands(axes)), _reference_2d(x, z, s))
-
-
-def test_energy_operator_matches_edge_assembly_cylinder():
-    s, (n_y, n_x, n_z) = 0.5, (8, 64, 64)
-    x, axes = _planar(halfline(0.0), s, (6.0, 4.0), n_x, n_z, None)
-    z = 4.0 * (np.arange(n_z + 1, dtype=float) / n_z) ** (2.0 / s)
-    y = np.linspace(-6.0, 6.0, n_y + 1)
-    Lap = _band_matrix(_energy_bands(axes + [_axis(y, *_x_masses(y))]))
-    _assert_same_operator(Lap, _reference_3d(y, x, z, s))
-
-
 def _grid_set(ks):
     """1-3 intervals with endpoints on the 0.1 grid of [-3, 3]."""
     ks = sorted(ks)[: len(ks) // 2 * 2]
@@ -156,40 +146,76 @@ def _grid_set(ks):
 
 @settings(max_examples=20, deadline=None)
 @given(st.lists(st.integers(-30, 30), min_size=2, max_size=6, unique=True).map(_grid_set))
-@example(_grid_set([-17, -16]))  # sensitive to rounding in the zero mode (_solve_planar)
+@example(_grid_set([-17, -16]))  # sensitive to rounding in the zero mode (_solve_tensor)
 def test_pde_energy_complement_invariant(E):
     # E and its complement share the anchors, hence the mesh, and their
     # boundary data sum to 1, which the operator maps to 0.
     a = pde_energy(E, 0.5, mesh=(64, 64))
     b = pde_energy(complement(E), 0.5, mesh=(64, 64))
     assert b == pytest.approx(a, rel=1e-10)
+    a = pde_energy_cylinder(E, 0.5, mesh=(8, 64, 64))
+    b = pde_energy_cylinder(complement(E), 0.5, mesh=(8, 64, 64))
+    assert b == pytest.approx(a, rel=1e-10)
 
 
-# Sparse LU on the assembled operator, kept as a reference for the
-# fast-diagonalization solve.
+def _z_nodes(n_z, s):
+    return 4.0 * (np.arange(n_z + 1, dtype=float) / n_z) ** (2.0 / s)
+
+
+def _check_lu(Lap, lu, bottom, energy, v=None):
+    """A fast solve's energy (and minimizer v) against sparse LU.
+
+    lu factorizes Lap without the rows and columns of the fixed z = 0 layer.
+    """
+    k = bottom.shape[0]
+    coupling = Lap[k:, :k] @ bottom
+    v_lu = np.concatenate([bottom, lu.solve(-coupling)])
+    assert energy == pytest.approx(float(v_lu @ (Lap @ v_lu)), rel=1e-9)
+    if v is not None:
+        assert np.array_equal(v[:k], bottom)
+        # the minimizer solves the interior equations
+        assert np.linalg.norm(Lap[k:] @ v) <= 1e-10 * np.linalg.norm(coupling)
+
+
 def _check_against_lu(E, s, n):
     x, axes = _planar(E, s, (6.0, 4.0), n, n, None)
     bottom = _boundary_data(E, x)
-    bands = _energy_bands(axes)
-    Lap = _band_matrix(bands).tocsr()
-    k = bottom.shape[0]
-    coupling = Lap[k:, :k] @ bottom
-    v_lu = np.concatenate([bottom, spsolve(Lap[k:, k:].tocsc(), -coupling)])
-    energy, v = _solve_planar(axes, bottom)
-    assert energy == pytest.approx(float(v_lu @ (Lap @ v_lu)), rel=1e-9)
-    # the CG path of the cylinder, on the planar bands
-    assert _solve_energy(bands, bottom, seed=v) == pytest.approx(energy, rel=1e-9)
-    assert np.array_equal(v[:k], bottom)
-    # the minimizer solves the interior equations
-    assert np.linalg.norm(Lap[k:] @ v) <= 1e-10 * np.linalg.norm(coupling)
+    energy, v = _solve_tensor(axes, bottom, minimizer=True)
+    Lap = _reference_2d(x, _z_nodes(n, s), s)
+    k = x.shape[0]
+    _check_lu(Lap, splu(Lap[k:, k:].tocsc()), bottom, energy, v)
     assert 0.5 * energy == pde_energy(E, s, mesh=(n, n))
 
 
-@pytest.mark.parametrize("n", [256, 512])
-@pytest.mark.parametrize("E, s", [(halfline(0.0), 0.5), (interval(0.0, 1.0), 0.25)],
-                         ids=["halfline", "interval"])
+TWO_PIECES = GaussianSet.from_intervals([(-1.2, -0.3), (0.4, 2.0)])
+
+
+@pytest.mark.parametrize("E, s, n", [
+    (halfline(0.0), 0.5, 256), (halfline(0.0), 0.5, 512),
+    (interval(0.0, 1.0), 0.25, 256), (interval(0.0, 1.0), 0.25, 512),
+    (TWO_PIECES, 0.5, 128)],
+    ids=["halfline-256", "halfline-512", "interval-256", "interval-512", "two_pieces-128"])
 def test_planar_solve_matches_lu(E, s, n):
     _check_against_lu(E, s, n)
+
+
+@pytest.mark.parametrize("E, s", [(halfline(0.0), 0.5), (interval(0.0, 1.0), 0.25),
+                                  (TWO_PIECES, 0.5)],
+                         ids=["halfline", "interval", "two_pieces"])
+def test_cylinder_solve_matches_lu(E, s):
+    # One LU factorization of the 3-D operator checks the cylinder energy,
+    # whose data is constant in y, and the tensor solve of data that is not.
+    (n_y, n_x, n_z) = mesh = (4, 64, 64)
+    x, axes = _planar(E, s, (6.0, 4.0), n_x, n_z, None)
+    y = np.linspace(-6.0, 6.0, n_y + 1)
+    Lap = _reference_3d(y, x, _z_nodes(n_z, s), s)
+    k = x.shape[0] * y.shape[0]
+    lu = splu(Lap[k:, k:].tocsc())
+    data_x = _boundary_data(E, x)
+    _check_lu(Lap, lu, np.repeat(data_x, n_y + 1), 2.0 * pde_energy_cylinder(E, s, mesh=mesh))
+    product = np.outer(data_x, _boundary_data(interval(-2.0, 0.5), y)).ravel()
+    _check_lu(Lap, lu, product,
+              *_solve_tensor(axes + [_axis(y, *_x_masses(y))], product, minimizer=True))
 
 
 @settings(max_examples=20, deadline=None)

@@ -20,11 +20,10 @@ the planar energy on the axes (z, x) and the cylinder energy on the axes
 without assembling that sum: one eigenbasis per transverse pencil turns it
 into independent tridiagonal z-problems, one per mode of the Kronecker sum,
 eliminated together in one sweep over z (`_solve_tensor`).  The planar
-energy costs O(n_x^3 + n_x n_z) time and O(n_x^2) memory; the minimizer adds
-O(n_x^2 n_z) time and O(n_x n_z) memory.  The cylinder energy costs
-O(n_x^3 + n_y^3 + n_x n_y (n_x + n_y + n_z)) time.  The independent check of
-this algebra is in the tests: the operator assembled edge by edge, solved by
-sparse LU, in two and three dimensions.
+energy costs O(n_x^3 + n_x n_z) time and O(n_x^2) memory, the cylinder
+energy O(n_x^3 + n_y^3 + n_x n_y (n_x + n_y + n_z)) time.  The independent
+check of this algebra is in the tests: the operator assembled edge by edge,
+solved by sparse LU, in two and three dimensions.
 """
 from __future__ import annotations
 
@@ -131,57 +130,39 @@ def _planar(E: GaussianSet, s, domain, n_x: int, n_z: int, grading):
                _axis(x, *_x_masses(x))]
 
 
-def _solve_tensor(axes, bottom: np.ndarray,
-                  minimizer: bool = False) -> tuple[float, np.ndarray | None]:
-    """(energy, minimizer) on the axes [z, x] or [z, x, y] with the z = 0 layer fixed to bottom.
+def _solve_tensor(axes, bottom: np.ndarray) -> float:
+    """Minimal energy on the axes [z, x] or [z, x, y] with the z = 0 layer fixed to bottom.
 
-    bottom and the minimizer are flattened with z slowest and the last axis
-    fastest.  Per transverse axis, with Phi = W^{-1/2} Q from `_pencil`,
-    Phi^T L Phi = diag(lam) and Phi^T W Phi = I.  In the tensor basis of the
-    Phi's, mode m = (j, l) has the eigenvalue lam_j + mu_l (the Kronecker
-    sum), and its modal field U[:, m] solves (L_z + lam_m W_z) U[:, m] = 0
-    above z = 0, with U[0] the projection of bottom: a path of z-edges with
-    conductances c_j and a leak lam_m w_z[j] at each node.  Eliminating from
-    the zero-flux top down, node j sees the conductance
-    G[j] = lam w_z[j] + c_j G[j + 1] / (c_j + G[j + 1]), and
-    U[j + 1] = U[j] c_j / (c_j + G[j + 1]).  The energy is
-    sum_m G_m[0] U[0, m]^2, a sum of nonnegative terms.  The minimizer is
-    None unless asked for.
+    bottom is flattened with the last axis fastest.  Per transverse axis,
+    with Phi = W^{-1/2} Q from `_pencil`, Phi^T L Phi = diag(lam) and
+    Phi^T W Phi = I.  In the tensor basis of the Phi's, mode m = (j, l) has
+    the eigenvalue lam_j + mu_l (the Kronecker sum), and its modal field
+    solves (L_z + lam_m W_z) u = 0 above z = 0, with u[0] the projection of
+    bottom: a path of z-edges with conductances c_j and a leak lam_m w_z[j]
+    at each node.  Eliminating from the zero-flux top down, node j sees the
+    conductance G[j] = lam w_z[j] + c_j G[j + 1] / (c_j + G[j + 1]).  The
+    energy is sum_m G_m[0] u_m[0]^2, a sum of nonnegative terms.
 
     Constants span the kernel (the zero mode), but the computed zero
     eigenvalues and eigenvectors carry rounding, so the data's weighted mean
-    (weights w_x, or w_x w_y) would leak through the Q's into the energy and
-    the other modes.  The mean is subtracted before projecting and added
-    back to the minimizer, which leaves the exact solution unchanged.
+    (weights w_x, or w_x w_y) would leak through the Q's into the energy.
+    The mean is subtracted before projecting, which leaves the exact energy
+    unchanged.
     """
     (c, wz), *transverse = axes
     shape = tuple(w.shape[0] for _, w in transverse)
     r, lam, Q = zip(*(_pencil(*axis) for axis in transverse))
     lam = reduce(np.add.outer, lam).ravel()
-    # One sweep over z, all modes at once; U[j + 1] holds the ratio U[j + 1] / U[j].
-    U = np.empty((c.shape[0] + 1, lam.shape[0])) if minimizer else None
-    G = wz[-1] * lam
+    G = wz[-1] * lam  # one sweep over z, all modes at once
     for j in range(c.shape[0] - 1, -1, -1):
-        ratio = c[j] / (c[j] + G)
-        G = wz[j] * lam + ratio * G
-        if minimizer:
-            U[j + 1] = ratio
+        G = wz[j] * lam + c[j] / (c[j] + G) * G
     mean = reduce(np.multiply.outer, [w for _, w in transverse]).ravel() @ bottom
     # project onto Phi^T W along each transverse axis in turn
-    U0 = bottom.reshape(shape) - mean
+    u0 = bottom.reshape(shape) - mean
     for k in range(len(shape)):
-        U0 = np.moveaxis(np.moveaxis(U0, k, -1) / r[k] @ Q[k], -1, k)
-    U0 = U0.ravel()
-    energy = float(G @ (U0 * U0))
-    if not minimizer:
-        return energy, None
-    U[0] = U0
-    V = np.cumprod(U, axis=0, out=U).reshape((-1,) + shape)
-    for k in range(len(shape)):
-        V = np.moveaxis(np.moveaxis(V, k + 1, -1) @ Q[k].T * r[k], -1, k + 1)
-    V = V + mean
-    V[0] = bottom.reshape(shape)
-    return energy, V.ravel()
+        u0 = np.moveaxis(np.moveaxis(u0, k, -1) / r[k] @ Q[k], -1, k)
+    u0 = u0.ravel()
+    return float(G @ (u0 * u0))
 
 
 def pde_energy(E: GaussianSet, s, domain: tuple[float, float] = (6.0, 4.0),
@@ -191,8 +172,7 @@ def pde_energy(E: GaussianSet, s, domain: tuple[float, float] = (6.0, 4.0),
     domain = (L, Z) truncates to [-L, L] x (0, Z]; mesh = (n_x, n_z).
     """
     x, axes = _planar(E, s, domain, *mesh, grading)
-    energy, _ = _solve_tensor(axes, _boundary_data(E, x))
-    return 0.5 * energy
+    return 0.5 * _solve_tensor(axes, _boundary_data(E, x))
 
 
 def pde_energy_cylinder(E1: GaussianSet, s, domain: tuple[float, float] = (6.0, 4.0),
@@ -211,5 +191,4 @@ def pde_energy_cylinder(E1: GaussianSet, s, domain: tuple[float, float] = (6.0, 
     x, axes = _planar(E1, s, domain, n_x, n_z, grading)
     y = np.linspace(-domain[0], domain[0], n_y + 1)
     bottom = np.repeat(_boundary_data(E1, x), n_y + 1)
-    energy, _ = _solve_tensor(axes + [_axis(y, *_x_masses(y))], bottom)
-    return 0.5 * energy
+    return 0.5 * _solve_tensor(axes + [_axis(y, *_x_masses(y))], bottom)

@@ -16,16 +16,15 @@ from .sets import (EMPTY, FULL_LINE, GaussianSet, Halfline, asymmetry,
                    best_halfline, complement, ehrhard_symmetrize, halfline,
                    interval, intersect, measure, reflect, set_minus,
                    symm_diff, union)
-from .spectral import (PerimeterValue, SpectralCoefficients,
-                       asymptotic_limit, asymptotic_series_value,
-                       coeff_halfline, coeff_set, halfline_perimeter_reference,
-                       halfspace_series, perimeter_spectral,
-                       spectral_coefficients)
-from .extension import (ExtensionField, LevelSetRecord, SubordinationProfile,
-                        boundary_flux_check, boundary_flux_richardson,
-                        evaluate_extension, extension_field, level_set,
-                        level_set_with_budget, mehler_extension,
-                        mehler_semigroup, profile_psi, trace_gap)
+from .spectral import (PerimeterValue, asymptotic_limit,
+                       asymptotic_series_value, coeff_halfline, coeff_set,
+                       halfline_perimeter_reference, halfspace_series,
+                       perimeter_spectral)
+from .extension import (ExtensionField, LevelSetRecord, boundary_flux_check,
+                        boundary_flux_richardson, evaluate_extension,
+                        extension_field, level_set, level_set_with_budget,
+                        mehler_extension, mehler_semigroup, profile_psi,
+                        trace_gap)
 from .pde import pde_energy, pde_energy_cylinder
 from .inequality import (ConstantParams, DeficitReport, constant_C, f_weight,
                          sigma_min, verify_levelset_bounds,

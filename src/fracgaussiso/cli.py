@@ -182,12 +182,10 @@ def cmd_extension_eval(o: dict) -> tuple[list[dict], int]:
     E = _require_set(o)
     s, K, z = o["s"], o["K"], o["z"]
     F = extension_field(E, s, K)
-    rows = []
-    for tok in o["x"].split(","):
-        x = float(tok)
-        rows.append({"set": str(E), "s": s, "K": K, "x": x, "z": z,
-                     "value": evaluate_extension(F, x, z)})
-    return rows, 0
+    xs = [float(tok) for tok in o["x"].split(",")]
+    values = evaluate_extension(F, xs, z).tolist()
+    return [{"set": str(E), "s": s, "K": K, "x": x, "z": z, "value": v}
+            for x, v in zip(xs, values)], 0
 
 
 def cmd_verify(o: dict) -> tuple[list[dict], int]:

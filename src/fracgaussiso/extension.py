@@ -18,12 +18,11 @@ from scipy import special
 
 from ._kernels_py import hermite_weighted_series
 from .errors import DomainError, QuadratureError, ResolutionError
-from .gauss_core import FractionalOrder, as_order, gamma_fn, k_coefficient
+from .gauss_core import as_order, gamma_fn, k_coefficient
 from .sets import EMPTY, GaussianSet, measure
-from .spectral import SpectralCoefficients, spectral_coefficients
+from .spectral import coeff_table
 
 __all__ = [
-    "SubordinationProfile",
     "ExtensionField",
     "LevelSetRecord",
     "profile_psi",
@@ -118,55 +117,31 @@ def psi_bulk(sigma: float, xi) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
-class SubordinationProfile:
-    """Per-mode multiplier psi_sigma of the order-sigma extension."""
-
-    sigma: float
-
-    def __post_init__(self):
-        _check_sigma(self.sigma)
-
-    def psi(self, xi) -> np.ndarray:
-        return psi_bulk(self.sigma, xi)
-
-
 @dataclass
 class ExtensionField:
-    """Truncated spectral representation of the extension of chi_E."""
+    """Extension of order sigma of chi_E, with the Hermite coefficients f_0..f_K of chi_E."""
 
-    coeffs: SpectralCoefficients
-    s: FractionalOrder
-    profile: SubordinationProfile
-    _psi_cache: dict = field(default_factory=dict, repr=False, compare=False)
+    set: GaussianSet
+    sigma: float
+    f: np.ndarray
     _grid_cache: dict = field(default_factory=dict, repr=False, compare=False)
 
-    @property
-    def K(self) -> int:
-        return self.coeffs.K
-
     def psi_factors(self, z: float) -> np.ndarray:
-        """psi_{s/2}(sqrt(k) z) for k = 0..K (the k = 0 factor is 1)."""
+        """psi_sigma(sqrt(k) z) for k = 0..K (the k = 0 factor is 1)."""
         z = float(z)
         if not 0.0 <= z < math.inf:  # a NaN would pass a ``< 0`` test
             raise DomainError(f"height z must be nonnegative and finite, got {z}")
-        cached = self._psi_cache.get(z)
-        if cached is None:
-            xi = np.sqrt(np.arange(self.K + 1, dtype=float)) * z
-            cached = self.profile.psi(xi)
-            self._psi_cache[z] = cached
-        return cached
+        return psi_bulk(self.sigma, np.sqrt(np.arange(self.f.shape[0], dtype=float)) * z)
 
 
 def extension_field(E: GaussianSet, s, K: int = 10_000) -> ExtensionField:
-    order = as_order(s)
-    return ExtensionField(spectral_coefficients(E, K), order,
-                          SubordinationProfile(order.s / 2.0))
+    """Extension of order s/2 of chi_E, truncated after the mode K."""
+    return ExtensionField(E, as_order(s).s / 2.0, coeff_table(E, K))
 
 
 def evaluate_extension(F: ExtensionField, x, z: float):
     """Truncated series value U(x, z); at z = 0 this is the Hermite series of chi_E."""
-    c = F.coeffs.f * F.psi_factors(z)
+    c = F.f * F.psi_factors(z)
     x_arr = np.atleast_1d(np.asarray(x, dtype=float))
     vals = hermite_weighted_series(c, x_arr)
     if np.isscalar(x) or np.asarray(x).ndim == 0:
@@ -178,7 +153,7 @@ def trace_gap(E: GaussianSet, s, z: float, K: int = 10_000) -> float:
     """int_E (1 - U_E(., z)) dgamma = sum_{k>=1} f_k^2 (1 - psi_{s/2}(sqrt(k) z))."""
     _check_positive(z, "trace gap height z")
     F = extension_field(E, s, K)
-    f = F.coeffs.f
+    f = F.f
     psi = F.psi_factors(z)
     return float(np.sum(f[1:] ** 2 * (1.0 - psi[1:])))
 
@@ -384,7 +359,7 @@ def _grid_values(F: ExtensionField, z: float, n_quad: int) -> np.ndarray:
     key = (z, n_quad)
     cached = F._grid_cache.get(key)
     if cached is None:
-        cached = mehler_extension(F.coeffs.set, F.profile.sigma, LEVELSET_GRID, z, n_quad)
+        cached = mehler_extension(F.set, F.sigma, LEVELSET_GRID, z, n_quad)
         F._grid_cache[key] = cached
     return cached
 
@@ -418,8 +393,7 @@ def _extract_level_set(F: ExtensionField, t: float, z: float, n_quad: int) -> Ga
         # one of f_lo, f_hi is > 0 and the other <= 0, so the guess is in [lo, hi]
         guesses = [lo + (hi - lo) * (f_lo / (f_lo - f_hi)) for lo, hi, f_lo, f_hi in active]
         paths = [_predicted_path(b[0], b[1], g) for b, g in zip(active, guesses)]
-        f_all = (mehler_extension(F.coeffs.set, F.profile.sigma, np.concatenate(paths),
-                                  z, n_quad) - t).tolist()
+        f_all = (mehler_extension(F.set, F.sigma, np.concatenate(paths), z, n_quad) - t).tolist()
         # Replay each path with the bisection rule up to and including its
         # first mispredicted step; the later midpoints of that path are unused.
         offset = 0
@@ -433,23 +407,12 @@ def _extract_level_set(F: ExtensionField, t: float, z: float, n_quad: int) -> Ga
                 if keep_lo != (g > mid):
                     break
             offset += len(path)
-    crossings = [0.5 * (lo + hi) for lo, hi, _, _ in brackets]
-
-    inside = bool(sign[0])
-    pieces = []
-    start = -math.inf if inside else None
-    for x in crossings:
-        if inside:
-            pieces.append((start, x))
-            inside = False
-        else:
-            start = x
-            inside = True
-    if inside:
-        pieces.append((start, math.inf))
-    if not pieces:
+    # the crossings alternate between entering and leaving the set
+    edges = ([-math.inf] if sign[0] else []) + [0.5 * (lo + hi) for lo, hi, _, _ in brackets] \
+        + ([math.inf] if sign[-1] else [])
+    if not edges:
         return EMPTY
-    return GaussianSet.from_intervals(pieces)
+    return GaussianSet.from_intervals(zip(edges[::2], edges[1::2]))
 
 
 def level_set(F: ExtensionField, t: float, z: float) -> LevelSetRecord:

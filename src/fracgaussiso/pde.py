@@ -96,8 +96,17 @@ def _x_masses(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _axis(nodes: np.ndarray, edge_w: np.ndarray, node_w: np.ndarray):
-    """(edge conductances edge_w / h^2, node weights) of one axis's weighted path."""
-    return edge_w / np.diff(nodes) ** 2, node_w
+    """(edge conductances edge_w / h^2, node weights) of one axis's weighted path.
+
+    Coincident nodes, cells of zero Gaussian mass and overflowing weights
+    leave a conductance that is not finite or a node weight that is not
+    positive and finite; such an axis is rejected.
+    """
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        c = edge_w / np.diff(nodes) ** 2
+    if not (np.isfinite(c).all() and ((0.0 < node_w) & (node_w < np.inf)).all()):
+        raise DomainError("mesh is degenerate in double precision; reduce L, Z or the grading")
+    return c, node_w
 
 
 def _pencil(c: np.ndarray, w: np.ndarray):
@@ -125,9 +134,10 @@ def _planar(E: GaussianSet, s, domain, n_x: int, n_z: int, grading):
     z = Z * (np.arange(n_z + 1, dtype=float) / n_z) ** g
     zmid = np.concatenate([[0.0], 0.5 * (z[:-1] + z[1:]), [Z]])
     p = 2.0 - order.s  # the weights are int z^{1-s} dz over cells and dual cells
+    with np.errstate(over="ignore", invalid="ignore"):  # a huge Z is rejected by _axis
+        z_weights = np.diff(z ** p) / p, np.diff(zmid ** p) / p
     x = graded_x_mesh(E.finite_endpoints, L, n_x)
-    return x, [_axis(z, np.diff(z ** p) / p, np.diff(zmid ** p) / p),
-               _axis(x, *_x_masses(x))]
+    return x, [_axis(z, *z_weights), _axis(x, *_x_masses(x))]
 
 
 def _solve_tensor(axes, bottom: np.ndarray) -> float:

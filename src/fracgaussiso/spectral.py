@@ -24,14 +24,11 @@ from .gauss_core import FractionalOrder, as_order, k_coefficient, phi
 from .sets import GaussianSet, measure
 
 __all__ = [
-    "SpectralCoefficients",
     "PerimeterValue",
     "CONVENTIONS",
     "coeff_halfline",
     "coeff_set",
-    "spectral_coefficients",
     "perimeter_spectral",
-    "perimeter_from_coefficients",
     "halfspace_series",
     "asymptotic_limit",
     "asymptotic_series_value",
@@ -52,15 +49,6 @@ def _check_convention(convention: str) -> None:
 
 def _factor(convention: str, s: float) -> float:
     return 0.5 * k_coefficient(s) if convention == "with_constant" else 0.5
-
-
-@dataclass(frozen=True)
-class SpectralCoefficients:
-    """Truncated Hermite coefficient vector of chi_E, f_0 .. f_K."""
-
-    set: GaussianSet
-    K: int
-    f: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -100,10 +88,6 @@ def coeff_table(E: GaussianSet, K: int) -> np.ndarray:
     return f
 
 
-def spectral_coefficients(E: GaussianSet, K: int) -> SpectralCoefficients:
-    return SpectralCoefficients(E, K, coeff_table(E, K))
-
-
 def coeff_halfline(r: float, k: int) -> float:
     """k-th Hermite coefficient of chi_{(-inf, r)}."""
     if k < 0:
@@ -137,25 +121,20 @@ def _calibrated_tail(terms: np.ndarray, s: float, K: int) -> float:
     return c_est * (2.0 / (1.0 - s)) * K ** (-(1.0 - s) / 2.0)
 
 
-def perimeter_from_coefficients(coeffs: SpectralCoefficients, s,
-                                convention: str = "with_constant") -> PerimeterValue:
+def perimeter_spectral(E: GaussianSet, s, K: int = 10_000,
+                       convention: str = "with_constant") -> PerimeterValue:
+    """Fractional Gaussian perimeter of E from the truncated Hermite series."""
+    f = coeff_table(E, K)
     order = as_order(s)
     _check_convention(convention)
-    K = coeffs.K
     if K < 1:
         raise DomainError("perimeter needs truncation K >= 1")
     ks = np.arange(1, K + 1, dtype=float)
-    terms = ks ** (order.s / 2.0) * coeffs.f[1:] ** 2
+    terms = ks ** (order.s / 2.0) * f[1:] ** 2
     factor = _factor(convention, order.s)
     value = factor * float(np.sum(terms))
     tail = factor * _calibrated_tail(terms, order.s, K)
     return PerimeterValue(value, order, K, tail, convention)
-
-
-def perimeter_spectral(E: GaussianSet, s, K: int = 10_000,
-                       convention: str = "with_constant") -> PerimeterValue:
-    """Fractional Gaussian perimeter of E from the truncated Hermite series."""
-    return perimeter_from_coefficients(spectral_coefficients(E, K), s, convention)
 
 
 def _halfspace_tail(r: float, s: float, K: int) -> float:

@@ -1,0 +1,41 @@
+"""The benchmark in perfbench/ still runs against the library.
+
+perfbench calls the library by name (``extension_field``, the ``field=``
+keyword, ``level_set_with_budget(F, t, z)``, ``coeff_table``, ...) and wraps
+functions such as ``pde.cg`` and ``gauss_core.phi`` where the modules bind
+them.  This test installs the benchmark's tracer and runs the first round of
+every workload at a small size, so a change in ``src/`` that drops or
+renames one of those names fails here instead of in a benchmark run.
+"""
+from pathlib import Path
+
+import pytest
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+SEED = 7
+
+
+@pytest.fixture
+def perfbench(monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import spans
+    import workloads
+    return spans, workloads
+
+
+def test_every_workload_runs_its_first_round_traced(perfbench):
+    spans, workloads = perfbench
+    for name, cls in workloads.WORKLOADS.items():
+        wl = cls(SEED, 0.0, None)
+        tracer = spans.Tracer()
+        try:
+            tracer.install()
+            attempted = failed = 0
+            for unit in wl.first_rounds(1):
+                for cases, bad in wl.run(unit):
+                    attempted += cases
+                    failed += bad
+        finally:
+            tracer.remove()
+            wl.close()
+        assert attempted > 0 and failed == 0, f"{name}: {failed} of {attempted} cases failed"

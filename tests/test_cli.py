@@ -10,6 +10,7 @@ import pytest
 
 from fracgaussiso.cli import _COMMANDS, build_parser, main, parse_set
 from fracgaussiso.errors import SetParseError
+from fracgaussiso.extension import evaluate_extension, extension_field
 from fracgaussiso.sets import GaussianSet, halfline
 
 
@@ -292,14 +293,19 @@ def test_sweep(capsys):
 
 
 def test_extension_eval(capsys):
+    xs = [0.5, 3.0, -1.25, 0.0, 0.999]
     code = main(["extension-eval", "--set", "(0,1)", "--s", "0.5", "--K", "500",
-                 "--x", "0.5,3.0", "--z", "0.2"])
+                 "--x", ",".join(map(str, xs)), "--z", "0.2"])
     out = capsys.readouterr().out
     assert code == 0
     rows = [next(csv.reader([line])) for line in out.strip().splitlines()[2:]]
     v_in = float(rows[0][-1])
     v_out = float(rows[1][-1])
     assert v_in > v_out
+    # all points go through one call; each row is the scalar value, bit for bit
+    F = extension_field(parse_set("(0,1)"), 0.5, 500)
+    assert [float(row[-1]).hex() for row in rows] == \
+        [evaluate_extension(F, x, 0.2).hex() for x in xs]
 
 
 @pytest.mark.parametrize("z", ["nan", "inf", "-1"])

@@ -13,8 +13,8 @@ from scipy import special
 from fracgaussiso import extension, suites
 from fracgaussiso.errors import DomainError
 from fracgaussiso.extension import (LEVELSET_GRID, _BISECT_TOL, _LEVELSET_QUAD,
-                                    _MEHLER_BLOCK, SubordinationProfile,
-                                    _extract_level_set, boundary_flux_check,
+                                    _MEHLER_BLOCK, _extract_level_set,
+                                    boundary_flux_check,
                                     boundary_flux_richardson,
                                     evaluate_extension, extension_field,
                                     level_set, level_set_with_budget,
@@ -49,9 +49,8 @@ def test_psi_bulk_matches_quadrature():
 
 
 def test_psi_monotone_decreasing():
-    prof = SubordinationProfile(0.3)
     xi = np.linspace(0.0, 5.0, 50)
-    vals = prof.psi(xi)
+    vals = psi_bulk(0.3, xi)
     assert np.all(np.diff(vals) < 0.0)
     assert np.all(vals > 0.0)
 

@@ -42,9 +42,12 @@ def test_pde_domain_validation():
 @pytest.mark.parametrize("bad", [dict(domain=(6.0, math.nan)), dict(domain=(6.0, math.inf)),
                                  dict(domain=(math.nan, 4.0)), dict(domain=(math.inf, 4.0)),
                                  dict(grading=0.0), dict(grading=-1.0),
-                                 dict(grading=math.nan), dict(grading=math.inf)],
+                                 dict(grading=math.nan), dict(grading=math.inf),
+                                 dict(grading=200.0), dict(domain=(1000.0, 4.0)),
+                                 dict(domain=(6.0, 1e300))],
                          ids=["Z-nan", "Z-inf", "L-nan", "L-inf",
-                              "grading-0", "grading-neg", "grading-nan", "grading-inf"])
+                              "grading-0", "grading-neg", "grading-nan", "grading-inf",
+                              "grading-200", "L-1000", "Z-1e300"])
 def test_pde_rejects_non_finite_domain_and_bad_grading(bad):
     with pytest.raises(DomainError):
         pde_energy(halfline(0.0), 0.5, mesh=(64, 64), **bad)

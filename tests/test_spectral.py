@@ -12,7 +12,7 @@ from fracgaussiso.spectral import (asymptotic_limit, asymptotic_series_value,
                                    coeff_halfline, coeff_set, coeff_table,
                                    halfspace_series,
                                    halfline_perimeter_reference,
-                                   perimeter_spectral, spectral_coefficients)
+                                   perimeter_spectral)
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
 
@@ -151,10 +151,3 @@ def test_reference_beats_truncation():
     # truncation sits below; the completed reference above it but within tail
     assert trunc.value < ref.value < trunc.value + trunc.tail_bound
 
-
-def test_spectral_coefficients_record():
-    E = interval(0.0, 1.0)
-    sc = spectral_coefficients(E, 64)
-    assert sc.K == 64
-    assert sc.f.shape == (65,)
-    assert sc.set == E

@@ -4,6 +4,6 @@ The library imports the kernels from ``_kernels_py`` directly.
 """
 from __future__ import annotations
 
-from . import _kernels_py as kernels
+from . import _kernels_py as kernels  # noqa: F401  (perfbench reads it)
 
 BACKEND = "python"

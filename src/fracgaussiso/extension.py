@@ -10,7 +10,7 @@ For perimeters of order s the relevant extension order is sigma = s/2.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -117,14 +117,13 @@ def psi_bulk(sigma: float, xi) -> np.ndarray:
     return out
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExtensionField:
     """Extension of order sigma of chi_E, with the Hermite coefficients f_0..f_K of chi_E."""
 
     set: GaussianSet
     sigma: float
     f: np.ndarray
-    _grid_cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     def psi_factors(self, z: float) -> np.ndarray:
         """psi_sigma(sqrt(k) z) for k = 0..K (the k = 0 factor is 1)."""
@@ -355,13 +354,16 @@ class LevelSetRecord:
 _LEVELSET_QUAD = 80
 
 
-def _grid_values(F: ExtensionField, z: float, n_quad: int) -> np.ndarray:
-    key = (z, n_quad)
-    cached = F._grid_cache.get(key)
-    if cached is None:
-        cached = mehler_extension(F.set, F.sigma, LEVELSET_GRID, z, n_quad)
-        F._grid_cache[key] = cached
-    return cached
+@lru_cache(maxsize=8)
+def _grid_values(E: GaussianSet, sigma: float, z: float, n_quad: int) -> np.ndarray:
+    """U(., z) on LEVELSET_GRID, read-only.
+
+    A closeness check and the bounds checks at two heights extract at both
+    quadrature orders, so one set uses 6 entries of 128 kB each.
+    """
+    vals = mehler_extension(E, sigma, LEVELSET_GRID, z, n_quad)
+    vals.flags.writeable = False
+    return vals
 
 
 def _predicted_path(lo: float, hi: float, guess: float) -> list[float]:
@@ -379,7 +381,7 @@ def _predicted_path(lo: float, hi: float, guess: float) -> list[float]:
 
 
 def _extract_level_set(F: ExtensionField, t: float, z: float, n_quad: int) -> GaussianSet:
-    vals = _grid_values(F, z, n_quad)
+    vals = _grid_values(F.set, F.sigma, z, n_quad)
     sign = vals > t
     flips = np.nonzero(sign[1:] != sign[:-1])[0]
     if flips.size > _MAX_CROSSINGS:

@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import DegenerateSetError, DomainError
-from .extension import extension_field, level_set, level_set_with_budget
+from .extension import extension_field, level_set_with_budget
 from .gauss_core import (FractionalOrder, as_order, beta_coefficient,
                          iso_function, phi_inv)
 from .sets import (GaussianSet, asymmetry, complement, ehrhard_symmetrize,
@@ -217,12 +217,22 @@ def closeness_z_max(E: GaussianSet, s, alpha: float, K: int = 10_000) -> float:
     return (1.0 / (8.0 * alpha * beta_coefficient(order.s) * P_E.value)) ** (1.0 / order.s)
 
 
+def _field_of(E: GaussianSet, order: FractionalOrder, K: int, field):
+    """The ExtensionField of E at order s/2: ``field`` once checked, else a new one."""
+    if field is None:
+        return extension_field(E, order, K)
+    if field.set != E or field.sigma != order.s / 2.0:
+        raise DomainError(f"field of {field.set} at order {field.sigma} does not belong "
+                          f"to {E} at order {order.s / 2.0}")
+    return field
+
+
 def verify_levelset_closeness(E: GaussianSet, s, t: float, z: float,
                               alpha: float, K: int = 10_000, field=None) -> bool:
     """Both set differences between E and the level set stay below 1/alpha.
 
-    ``field`` lets a caller reuse one ExtensionField (and its grid cache)
-    across several (t, z) checks on the same set.
+    ``field``, if given, must be the ExtensionField of E at order s/2; a
+    field of another set or order raises DomainError.
     """
     order = as_order(s)
     if not (0.25 <= t <= 0.75):
@@ -230,8 +240,7 @@ def verify_levelset_closeness(E: GaussianSet, s, t: float, z: float,
     z_max = closeness_z_max(E, order, alpha, K)
     if not (0.0 < z < z_max):
         raise DomainError(f"z must lie in (0, {z_max}), got {z}")
-    F = field if field is not None else extension_field(E, order, K)
-    rec, budget = level_set_with_budget(F, t, z)
+    rec, budget = level_set_with_budget(_field_of(E, order, K, field), t, z)
     lo = measure(set_minus(E, rec.set))
     hi = measure(set_minus(rec.set, E))
     bound = 1.0 / alpha + budget
@@ -244,6 +253,7 @@ def verify_levelset_bounds(E: GaussianSet, s, t: float, z: float,
 
     Checks |mu_z(t) - m| <= (2/9) m asym(E) and
     asym(E_{t,z}) >= (5/13) asym(E), for t in [1/4, 3/4] and z <= z0.
+    ``field`` is as in `verify_levelset_closeness`.
     """
     order = as_order(s)
     if not (0.25 <= t <= 0.75):
@@ -259,8 +269,7 @@ def verify_levelset_bounds(E: GaussianSet, s, t: float, z: float,
     thr = z_thresholds(E, order, P_E, P_H)
     if not (0.0 < z <= thr.z0):
         raise DomainError(f"z must lie in (0, z0={thr.z0}], got {z}")
-    F = field if field is not None else extension_field(E, order, K)
-    rec, budget = level_set_with_budget(F, t, z)
+    rec, budget = level_set_with_budget(_field_of(E, order, K, field), t, z)
     if not abs(rec.mu - m) <= (2.0 / 9.0) * m * A + budget:
         return False
     asym_budget = budget / min(rec.mu, m) if min(rec.mu, m) > 0.0 else math.inf

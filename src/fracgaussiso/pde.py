@@ -9,8 +9,8 @@ boundaries.  Half the minimal energy is the fractional perimeter in the
 'with_constant' convention.
 
 The z-mesh is graded like z_j = Z (j/n_z)^{2/s} to resolve the degenerate
-weight; the x-mesh is graded algebraically toward the jump points of the
-boundary data, where the energy density concentrates.
+weight; the x-mesh is graded quadratically toward the jump points of the
+boundary data, where the energy density concentrates (`graded_x_mesh`).
 
 On a tensor mesh with product weights the discrete energy operator is one
 object in any dimension: the Kronecker sum of 1-D weighted path Laplacians,
@@ -41,38 +41,27 @@ from .sets import GaussianSet
 __all__ = ["pde_energy", "pde_energy_cylinder", "graded_x_mesh"]
 
 
-def graded_x_mesh(anchors, L: float, n_x: int, power: float = 2.0) -> np.ndarray:
-    """Mesh on [-L, L] clustered toward each anchor point.
+def graded_x_mesh(anchors, L: float, n_x: int) -> np.ndarray:
+    """Mesh on [-L, L] graded quadratically toward each anchor point.
 
-    Anchors become exact nodes.  Within each segment between consecutive
-    anchors (or a domain edge) the nodes follow a one-sided power law toward
-    the anchored end; segments bounded by two anchors are split at their
-    midpoint and graded toward both.
+    The breakpoints are -L, L, the anchors inside (-L, L) and the midpoint
+    between each pair of consecutive anchors; all of them are nodes.  Each
+    piece [p, q] between breakpoints thus has at most one anchored end.  It
+    is graded quadratically toward that end, or uniform when it has none,
+    with max(4, round(n_x (q - p) / (2L))) cells.
     """
-    anchors = sorted(a for a in anchors if -L < a < L)
-    bounds = [-L] + anchors + [L]
-    pieces = []
-    for i in range(len(bounds) - 1):
-        p, q = bounds[i], bounds[i + 1]
-        left_anchor = i > 0
-        right_anchor = i < len(bounds) - 2
-        n_seg = max(4, int(round(n_x * (q - p) / (2.0 * L))))
-        u = np.linspace(0.0, 1.0, n_seg + 1)
-        if left_anchor and right_anchor:
-            half = u[u <= 0.5]
-            xs_l = p + (q - p) * 0.5 * (2.0 * half) ** power * 0.5
-            other = u[u > 0.5]
-            xs_r = q - (q - p) * 0.5 * (2.0 * (1.0 - other)) ** power * 0.5
-            xs = np.concatenate([xs_l, xs_r])
-        elif left_anchor:
-            xs = p + (q - p) * u ** power
-        elif right_anchor:
-            xs = q - (q - p) * (1.0 - u) ** power
+    anchors = sorted({a for a in anchors if -L < a < L})
+    bounds = sorted([-L, L] + anchors + [0.5 * (a + b) for a, b in zip(anchors, anchors[1:])])
+    nodes = [np.array(bounds)]
+    for p, q in zip(bounds, bounds[1:]):
+        u = np.linspace(0.0, 1.0, max(4, int(round(n_x * (q - p) / (2.0 * L)))) + 1)[1:-1]
+        if p in anchors:
+            nodes.append(p + (q - p) * u ** 2)
+        elif q in anchors:
+            nodes.append(q - (q - p) * (1.0 - u) ** 2)
         else:
-            xs = p + (q - p) * u
-        pieces.append(xs if i == 0 else xs[1:])
-    mesh = np.concatenate(pieces)
-    return np.unique(mesh)
+            nodes.append(p + (q - p) * u)
+    return np.unique(np.concatenate(nodes))
 
 
 def _boundary_data(E: GaussianSet, x: np.ndarray) -> np.ndarray:

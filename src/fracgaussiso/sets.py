@@ -70,9 +70,6 @@ class GaussianSet:
     def finite_endpoints(self) -> tuple[float, ...]:
         return tuple(e for e in self.endpoints if math.isfinite(e))
 
-    def contains(self, x: float) -> bool:
-        return any(a < x < b for a, b in self.intervals)
-
     def __str__(self) -> str:
         if not self.intervals:
             return "(empty)"

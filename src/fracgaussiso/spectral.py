@@ -20,13 +20,12 @@ import numpy as np
 
 from ._kernels_py import coeff_antideriv_table, halfspace_series_sum
 from .errors import DomainError
-from .gauss_core import FractionalOrder, as_order, k_coefficient, phi
+from .gauss_core import FractionalOrder, as_order, k_coefficient
 from .sets import GaussianSet, measure
 
 __all__ = [
     "PerimeterValue",
     "CONVENTIONS",
-    "coeff_halfline",
     "coeff_set",
     "perimeter_spectral",
     "halfspace_series",
@@ -86,15 +85,6 @@ def coeff_table(E: GaussianSet, K: int) -> np.ndarray:
     f[0] = measure(E)
     f.flags.writeable = False
     return f
-
-
-def coeff_halfline(r: float, k: int) -> float:
-    """k-th Hermite coefficient of chi_{(-inf, r)}."""
-    if k < 0:
-        raise DomainError("coefficient index must be nonnegative")
-    if k == 0:
-        return phi(r)
-    return float(-coeff_antideriv_table(r, k)[k])
 
 
 def coeff_set(E: GaussianSet, k: int) -> float:

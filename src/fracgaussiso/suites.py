@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import random
 
-from .extension import extension_field
 from .inequality import (ConstantParams, TRANSFER_FAILS, closeness_z_max,
                          verify_levelset_bounds, verify_levelset_closeness,
                          verify_main, verify_transfer_lemma, z_thresholds)
@@ -87,9 +86,8 @@ def run_levelset_suite(n: int = 50, seed: int = 0, s: float = 0.5,
     for i in range(n):
         E = random_gaussian_set(rng)
         z = 0.9 * closeness_z_max(E, s, alpha, K)
-        field = extension_field(E, s, K)
         for t in t_values:
-            ok = verify_levelset_closeness(E, s, t, z, alpha, K, field=field)
+            ok = verify_levelset_closeness(E, s, t, z, alpha, K)
             if not ok:
                 failures += 1
             rows.append({
@@ -111,10 +109,9 @@ def run_bounds_suite(n: int = 50, seed: int = 0, s: float = 0.5,
         H = ehrhard_symmetrize(E).as_set()
         thr = z_thresholds(E, s, perimeter_spectral(E, s, K),
                            perimeter_spectral(H, s, K))
-        field = extension_field(E, s, K)
         for z in (0.5 * thr.z0, thr.z0):
             for t in t_values:
-                ok = verify_levelset_bounds(E, s, t, z, K, field=field)
+                ok = verify_levelset_bounds(E, s, t, z, K)
                 if not ok:
                     failures += 1
                 rows.append({

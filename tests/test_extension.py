@@ -265,6 +265,7 @@ def test_level_set_batches_its_bisection(monkeypatch):
 
     monkeypatch.setattr(extension, "mehler_extension", counting)
     for t, z in LEVELSET_CASES:
+        extension._grid_values.cache_clear()
         sizes.clear()
         level_set_with_budget(extension_field(THREE_PIECES, 0.5, 500), t, z)
         assert sizes.count(LEVELSET_GRID.size) == 2

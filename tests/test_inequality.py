@@ -197,5 +197,23 @@ def test_levelset_bounds_case():
     assert 5.0 / 9.0 * m < rec.mu < 13.0 / 9.0 * m
 
 
+def test_levelset_checks_reject_a_field_of_another_set_or_order():
+    from fracgaussiso.extension import extension_field
+    from fracgaussiso.inequality import closeness_z_max
+    from fracgaussiso.sets import ehrhard_symmetrize
+    E, s, K = interval(-0.5, 0.8), 0.5, 4000
+    z = 0.9 * closeness_z_max(E, s, 20.0, K)
+    thr = z_thresholds(E, s, perimeter_spectral(E, s, K),
+                       perimeter_spectral(ehrhard_symmetrize(E).as_set(), s, K))
+    own = extension_field(E, s, K)
+    assert verify_levelset_closeness(E, s, 0.5, z, 20.0, K, field=own)
+    assert verify_levelset_bounds(E, s, 0.5, thr.z0, K, field=own)
+    for wrong in (extension_field(interval(2.0, 2.5), s, K), extension_field(E, 0.9, K)):
+        with pytest.raises(DomainError, match="does not belong"):
+            verify_levelset_closeness(E, s, 0.5, z, 20.0, K, field=wrong)
+        with pytest.raises(DomainError, match="does not belong"):
+            verify_levelset_bounds(E, s, 0.5, thr.z0, K, field=wrong)
+
+
 def test_levelset_bounds_vacuous_for_halfline():
     assert verify_levelset_bounds(halfline(0.0), 0.5, 0.5, 0.1, 500)

@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy import integrate, special
 from scipy.sparse import coo_matrix
 from scipy.sparse.linalg import splu
 
 from fracgaussiso.errors import DomainError
+from fracgaussiso.gauss_core import k_coefficient
 from fracgaussiso.pde import (_axis, _boundary_data, _planar, _solve_tensor, _x_masses,
                               graded_x_mesh, pde_energy, pde_energy_cylinder)
 from fracgaussiso.sets import GaussianSet, complement, halfline, interval
@@ -28,6 +30,53 @@ def test_graded_mesh_refines_at_anchor():
     near = mesh[i + 1] - mesh[i]
     far = np.max(np.diff(mesh))
     assert near < far / 20.0
+
+
+def test_graded_mesh_refines_between_two_anchors():
+    # Every cell between the anchors shrinks like 1/n_x.  Each half of (0, 1)
+    # has 11 cells at n_x = 256 and 43 at 1024, hence a third, not a quarter.
+    def widest(n_x):
+        mesh = graded_x_mesh([0.0, 1.0], 6.0, n_x)
+        return np.diff(mesh[(0.0 <= mesh) & (mesh <= 1.0)]).max()
+
+    assert widest(1024) < widest(256) / 3.0
+
+
+def _interval_perimeter_exact(a: float, b: float, s: float) -> float:
+    """P_s((a, b)) in the with_constant convention, by adaptive quadrature.
+
+    P = K_s (alpha / (2 Gamma(1 - alpha))) int_0^inf t^{-1-alpha} D(t) dt with
+    alpha = s/2, where D(t) = P(X in E, Y not in E) for standard normals X, Y
+    with correlation e^{-t}: 2T(a, h) + 2T(b, h) - 2P(X < a, Y > b), with
+    Owen's T and h = sqrt(tanh(t/2)).
+    """
+    alpha = 0.5 * s
+
+    def cross(t):  # P(X < a, Y > b)
+        rho, d = math.exp(-t), math.sqrt(-math.expm1(-2.0 * t))
+        return integrate.quad(lambda x: math.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
+                              * special.ndtr((rho * x - b) / d), -math.inf, a, limit=200)[0]
+
+    def D(t):
+        h = math.sqrt(math.tanh(0.5 * t))
+        return 2.0 * special.owens_t(a, h) + 2.0 * special.owens_t(b, h) - 2.0 * cross(t)
+
+    edges = [0.0] + [10.0 ** k for k in range(-12, 1)] + [math.inf]
+    total = sum(integrate.quad(lambda t: t ** (-1.0 - alpha) * D(t), lo, hi, limit=200)[0]
+                for lo, hi in zip(edges, edges[1:]))
+    return k_coefficient(s) * 0.5 * alpha / special.gamma(1.0 - alpha) * total
+
+
+def test_exact_interval_perimeter_matches_the_halfline_reference():
+    ref = halfline_perimeter_reference(0.0, 0.5, 1_000_000).value
+    assert _interval_perimeter_exact(-40.0, 0.0, 0.5) == pytest.approx(ref, rel=1e-7)
+
+
+def test_pde_interval_converges_to_the_exact_value():
+    exact = _interval_perimeter_exact(0.0, 1.0, 0.25)
+    errs = [abs(exact - pde_energy(interval(0.0, 1.0), 0.25, mesh=(n, n))) / exact
+            for n in (256, 512, 1024)]
+    assert errs[0] > errs[1] > errs[2] and errs[2] < 1e-3
 
 
 def test_pde_domain_validation():

@@ -9,7 +9,7 @@ from fracgaussiso.errors import DomainError
 from fracgaussiso.gauss_core import hermite_eval, k_coefficient
 from fracgaussiso.sets import GaussianSet, halfline, interval
 from fracgaussiso.spectral import (asymptotic_limit, asymptotic_series_value,
-                                   coeff_halfline, coeff_set, coeff_table,
+                                   coeff_set, coeff_table,
                                    halfspace_series,
                                    halfline_perimeter_reference,
                                    perimeter_spectral)
@@ -31,7 +31,7 @@ def test_halfline_coefficients_vs_quadrature():
     for r in (-0.7, 0.0, 1.3):
         E = halfline(r)
         for k in (0, 1, 2, 5, 9):
-            assert coeff_halfline(r, k) == pytest.approx(_coeff_oracle(E, k), abs=1e-10)
+            assert coeff_set(E, k) == pytest.approx(_coeff_oracle(E, k), abs=1e-10)
 
 
 def test_set_coefficients_vs_quadrature():

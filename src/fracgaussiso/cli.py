@@ -171,10 +171,7 @@ def cmd_deficit(o: dict) -> tuple[list[dict], int]:
         if not rep.satisfied:
             failures += 1
         rows.append({"set": str(E), "s": s, "K": K, "convention": conv,
-                     "m": rep.m, "P_E": rep.P_E.value, "P_H": rep.P_H.value,
-                     "deficit": rep.deficit, "asym": rep.asym, "C": rep.C,
-                     "rhs": rep.rhs, "branch": rep.branch, "c": rep.c,
-                     "budget": rep.budget, "satisfied": rep.satisfied})
+                     **rep.columns()})
     return rows, failures
 
 

@@ -56,6 +56,8 @@ _NDTR_ONE = 9.0
 _NDTR_ZERO = -40.0
 # Relative margin of the plateau point thresholds against argument rounding.
 _PLATEAU_MARGIN = 1e-9
+# The heights z whose boundary fluxes boundary_flux_richardson extrapolates.
+_FLUX_HEIGHTS = (1e-2, 1e-3, 1e-4)
 
 
 def _check_sigma(sigma: float) -> None:
@@ -179,18 +181,18 @@ def boundary_flux_check(sigma: float, k: int, z: float) -> tuple[float, float]:
     return left, right
 
 
-def boundary_flux_richardson(sigma: float, k: int,
-                             zs=(1e-2, 1e-3, 1e-4)) -> tuple[float, float]:
+def boundary_flux_richardson(sigma: float, k: int) -> tuple[float, float]:
     """Richardson-extrapolated flux limit against the exact K_{2 sigma} k^sigma.
 
     The finite-z flux deviates like z^{2-2 sigma}; consecutive pairs of the
-    z-grid are combined with that exponent and the deepest level is returned.
+    heights 1e-2, 1e-3, 1e-4 are combined with that exponent and the deepest
+    level is returned.
     """
-    vals = [boundary_flux_check(sigma, k, z)[0] for z in zs]
+    vals = [boundary_flux_check(sigma, k, z)[0] for z in _FLUX_HEIGHTS]
     if k == 0:
         return 0.0, 0.0
     q = 2.0 - 2.0 * sigma
-    level = list(zs)
+    level = list(_FLUX_HEIGHTS)
     while len(vals) > 1:
         new_vals = []
         for i in range(len(vals) - 1):

@@ -97,6 +97,13 @@ class DeficitReport:
     c: float
     budget: float
 
+    def columns(self) -> dict:
+        """The report's output columns, in the order the CLI and suites print them."""
+        return {"m": self.m, "P_E": self.P_E.value, "P_H": self.P_H.value,
+                "deficit": self.deficit, "asym": self.asym, "C": self.C,
+                "rhs": self.rhs, "branch": self.branch, "c": self.c,
+                "budget": self.budget, "satisfied": self.satisfied}
+
 
 def sigma_min(m: float) -> float:
     """min of the isoperimetric profile I over [5m/9, 13m/9].

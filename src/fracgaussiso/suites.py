@@ -34,6 +34,12 @@ SUITE_OPTIONS = {"transfer": (), "levelset": ("K",), "bounds": ("K",),
 _MIN_MEASURE = 0.05
 _MAX_MEASURE = 0.95
 _TAIL_PROB = 0.25
+# The order, closeness exponent and level heights of the level-set suites,
+# and the orders of the main suite.
+_LEVELSET_S = 0.5
+_ALPHA = 20.0
+_T_VALUES = (0.25, 0.5, 0.75)
+_MAIN_S_VALUES = (0.25, 0.5, 0.75)
 
 
 def random_gaussian_set(rng: random.Random) -> GaussianSet:
@@ -77,16 +83,15 @@ def run_transfer_suite(n: int = 500, seed: int = 0) -> tuple[list[dict], int]:
     return rows, failures
 
 
-def run_levelset_suite(n: int = 50, seed: int = 0, s: float = 0.5,
-                       K: int = 4000, alpha: float = 20.0,
-                       t_values=(0.25, 0.5, 0.75)) -> tuple[list[dict], int]:
+def run_levelset_suite(n: int = 50, seed: int = 0, K: int = 4000) -> tuple[list[dict], int]:
     """Level-set closeness on random sets at 90% of the admissible height."""
     rng = random.Random(seed)
+    s, alpha = _LEVELSET_S, _ALPHA
     rows, failures = [], 0
     for i in range(n):
         E = random_gaussian_set(rng)
         z = 0.9 * closeness_z_max(E, s, alpha, K)
-        for t in t_values:
+        for t in _T_VALUES:
             ok = verify_levelset_closeness(E, s, t, z, alpha, K)
             if not ok:
                 failures += 1
@@ -97,10 +102,10 @@ def run_levelset_suite(n: int = 50, seed: int = 0, s: float = 0.5,
     return rows, failures
 
 
-def run_bounds_suite(n: int = 50, seed: int = 0, s: float = 0.5,
-                     K: int = 4000, t_values=(0.25, 0.5, 0.75)) -> tuple[list[dict], int]:
+def run_bounds_suite(n: int = 50, seed: int = 0, K: int = 4000) -> tuple[list[dict], int]:
     """Level-set measure/asymmetry bounds at z in {z0/2, z0}."""
     rng = random.Random(seed)
+    s = _LEVELSET_S
     rows, failures = [], 0
     for i in range(n):
         E = random_gaussian_set(rng)
@@ -110,7 +115,7 @@ def run_bounds_suite(n: int = 50, seed: int = 0, s: float = 0.5,
         thr = z_thresholds(E, s, perimeter_spectral(E, s, K),
                            perimeter_spectral(H, s, K))
         for z in (0.5 * thr.z0, thr.z0):
-            for t in t_values:
+            for t in _T_VALUES:
                 ok = verify_levelset_bounds(E, s, t, z, K)
                 if not ok:
                     failures += 1
@@ -121,8 +126,7 @@ def run_bounds_suite(n: int = 50, seed: int = 0, s: float = 0.5,
     return rows, failures
 
 
-def run_main_suite(n: int = 200, seed: int = 0, s_values=(0.25, 0.5, 0.75),
-                   K: int = 10_000, c: float = 1.0,
+def run_main_suite(n: int = 200, seed: int = 0, K: int = 10_000, c: float = 1.0,
                    convention: str = "with_constant") -> tuple[list[dict], int]:
     """Main inequality (and deficit nonnegativity) over the random family."""
     rng = random.Random(seed)
@@ -130,19 +134,13 @@ def run_main_suite(n: int = 200, seed: int = 0, s_values=(0.25, 0.5, 0.75),
     rows, failures = [], 0
     for i in range(n):
         E = random_gaussian_set(rng)
-        for s in s_values:
+        for s in _MAIN_S_VALUES:
             rep = verify_main(E, s, params, K, convention)
             nonneg = rep.deficit >= -rep.budget
             if not (rep.satisfied and nonneg):
                 failures += 1
-            rows.append({
-                "suite": "main", "case": i, "set": str(E), "s": s,
-                "m": rep.m, "P_E": rep.P_E.value, "P_H": rep.P_H.value,
-                "deficit": rep.deficit, "asym": rep.asym, "C": rep.C,
-                "rhs": rep.rhs, "branch": rep.branch, "c": rep.c,
-                "budget": rep.budget, "satisfied": rep.satisfied,
-                "nonneg": nonneg,
-            })
+            rows.append({"suite": "main", "case": i, "set": str(E), "s": s,
+                         **rep.columns(), "nonneg": nonneg})
     return rows, failures
 
 

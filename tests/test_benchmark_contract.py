@@ -7,6 +7,7 @@ them.  This test installs the benchmark's tracer and runs the first round of
 every workload at a small size, so a change in ``src/`` that drops or
 renames one of those names fails here instead of in a benchmark run.
 """
+import math
 from pathlib import Path
 
 import pytest
@@ -39,3 +40,17 @@ def test_every_workload_runs_its_first_round_traced(perfbench):
             tracer.remove()
             wl.close()
         assert attempted > 0 and failed == 0, f"{name}: {failed} of {attempted} cases failed"
+
+
+def test_reference_probe_runs_traced(perfbench):
+    # perfbench times reference_pair() as reference_s and wraps both calls by name
+    spans, workloads = perfbench
+    tracer = spans.Tracer()
+    try:
+        tracer.install()
+        ref, rc = workloads.reference_pair()
+    finally:
+        tracer.remove()
+    assert rc == 0 and math.isfinite(ref.value)
+    names = {sp.name for sp in tracer.spans}
+    assert {"spectral.halfline_perimeter_reference", "spectral.asymptotic_series_value"} <= names

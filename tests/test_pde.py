@@ -13,7 +13,8 @@ from fracgaussiso.gauss_core import k_coefficient
 from fracgaussiso.pde import (_axis, _boundary_data, _planar, _solve_tensor, _x_masses,
                               graded_x_mesh, pde_energy, pde_energy_cylinder)
 from fracgaussiso.sets import GaussianSet, complement, halfline, interval
-from fracgaussiso.spectral import halfline_perimeter_reference, perimeter_spectral
+from fracgaussiso.spectral import (asymptotic_series_value, halfline_perimeter_reference,
+                                   perimeter_spectral)
 
 
 def test_graded_mesh_contains_anchors():
@@ -70,6 +71,10 @@ def _interval_perimeter_exact(a: float, b: float, s: float) -> float:
 def test_exact_interval_perimeter_matches_the_halfline_reference():
     ref = halfline_perimeter_reference(0.0, 0.5, 1_000_000).value
     assert _interval_perimeter_exact(-40.0, 0.0, 0.5) == pytest.approx(ref, rel=1e-7)
+    # near s = 1 the s -> 1 study's completed series stays within its bound
+    for r in (0.0, 0.7):
+        pv = asymptotic_series_value(r, 0.9, 100_000, "with_constant")
+        assert abs(pv.value - _interval_perimeter_exact(-40.0, r, 0.9)) <= pv.tail_bound
 
 
 def test_pde_interval_converges_to_the_exact_value():
@@ -88,20 +93,20 @@ def test_pde_domain_validation():
         pde_energy_cylinder(halfline(0.0), 0.5, domain=(2.0, 1.0), mesh=(8, 16, 16))
 
 
+# At s = 0.01 the z-grading 2/s = 200 squeezes the first z-cells below
+# double precision.
 @pytest.mark.parametrize("bad", [dict(domain=(6.0, math.nan)), dict(domain=(6.0, math.inf)),
                                  dict(domain=(math.nan, 4.0)), dict(domain=(math.inf, 4.0)),
-                                 dict(grading=0.0), dict(grading=-1.0),
-                                 dict(grading=math.nan), dict(grading=math.inf),
-                                 dict(grading=200.0), dict(domain=(1000.0, 4.0)),
+                                 dict(s=0.01), dict(domain=(1000.0, 4.0)),
                                  dict(domain=(6.0, 1e300))],
                          ids=["Z-nan", "Z-inf", "L-nan", "L-inf",
-                              "grading-0", "grading-neg", "grading-nan", "grading-inf",
-                              "grading-200", "L-1000", "Z-1e300"])
+                              "s-0.01", "L-1000", "Z-1e300"])
 def test_pde_rejects_non_finite_domain_and_bad_grading(bad):
+    args = {"s": 0.5, **bad}
     with pytest.raises(DomainError):
-        pde_energy(halfline(0.0), 0.5, mesh=(64, 64), **bad)
+        pde_energy(halfline(0.0), mesh=(64, 64), **args)
     with pytest.raises(DomainError):
-        pde_energy_cylinder(halfline(0.0), 0.5, mesh=(2, 64, 64), **bad)
+        pde_energy_cylinder(halfline(0.0), mesh=(2, 64, 64), **args)
 
 
 @pytest.mark.parametrize("n_y", [0, -3])
@@ -225,7 +230,7 @@ def _check_lu(Lap, lu, bottom, energy):
 
 
 def _check_against_lu(E, s, n):
-    x, _ = _planar(E, s, (6.0, 4.0), n, n, None)
+    x, _ = _planar(E, s, (6.0, 4.0), n, n)
     Lap = _reference_2d(x, _z_nodes(n, s), s)
     k = x.shape[0]
     _check_lu(Lap, splu(Lap[k:, k:].tocsc()), _boundary_data(E, x),
@@ -251,7 +256,7 @@ def test_cylinder_solve_matches_lu(E, s):
     # One LU factorization of the 3-D operator checks the cylinder energy,
     # whose data is constant in y, and the tensor solve of data that is not.
     (n_y, n_x, n_z) = mesh = (4, 64, 64)
-    x, axes = _planar(E, s, (6.0, 4.0), n_x, n_z, None)
+    x, axes = _planar(E, s, (6.0, 4.0), n_x, n_z)
     y = np.linspace(-6.0, 6.0, n_y + 1)
     Lap = _reference_3d(y, x, _z_nodes(n_z, s), s)
     k = x.shape[0] * y.shape[0]

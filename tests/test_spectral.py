@@ -136,7 +136,8 @@ def test_tail_bound_covers_refinement():
 
 
 def test_asymptotic_limit_value():
-    assert asymptotic_limit(0.0) == pytest.approx(0.12698727186848194, rel=1e-12)
+    assert asymptotic_limit(0.0) == pytest.approx(math.sqrt(2.0 / math.pi) / (4.0 * math.pi),
+                                                  rel=1e-12)
 
 
 def test_asymptotic_series_near_one():

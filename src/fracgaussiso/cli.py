@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import re
 import sys
 from typing import Callable, NamedTuple
@@ -109,22 +110,18 @@ def emit(rows: list[dict], fmt: str, out, convention: str) -> None:
 
 
 def _parse_grid(spec: str) -> list[float]:
-    """'a:b:step' inclusive grid; a bare number is a one-point grid."""
+    """'a:b:step' inclusive grid of finite values; a bare number is a one-point grid."""
     if ":" not in spec:
         return [float(spec)]
     parts = spec.split(":")
     if len(parts) != 3:
         raise DomainError(f"grid must be 'a:b:step', got {spec!r}")
     a, b, step = (float(p) for p in parts)
-    if step <= 0.0 or b < a:
+    if not (-math.inf < a <= b < math.inf and 0.0 < step < math.inf):
         raise DomainError(f"bad grid {spec!r}")
-    vals, i = [], 0
-    while True:
-        v = a + i * step
-        if v > b + 1e-12 * max(1.0, abs(b)):
-            break
+    vals = []
+    while (v := a + len(vals) * step) <= b + 1e-12 * max(1.0, abs(b)):
         vals.append(min(v, b))
-        i += 1
     return vals
 
 
@@ -223,13 +220,11 @@ def cmd_sweep(o: dict) -> tuple[list[dict], int]:
 
 
 def cmd_asymptotic(o: dict) -> tuple[list[dict], int]:
-    r, K = o["r"], o["K"]
-    limit = asymptotic_limit(r)
-    rows = []
+    r, limit, rows = o["r"], asymptotic_limit(o["r"]), []
     for s in _parse_grid(o["s_grid"]):
-        pv = asymptotic_series_value(r, s, K, "remark")
+        pv = asymptotic_series_value(r, s)
         scaled = (1.0 - s) * pv.value
-        rows.append({"r": r, "s": s, "K": K, "scaled_value": scaled,
+        rows.append({"r": r, "s": s, "scaled_value": scaled,
                      "limit": limit, "ratio": scaled / limit,
                      "tail_bound": (1.0 - s) * pv.tail_bound})
     return rows, 0
@@ -279,9 +274,8 @@ _COMMANDS = {
                    c=None, convention=None),
     "sweep": _cmd(cmd_sweep, r_grid="-2:2:0.5", s=None, s_grid=None, K=10_000,
                   convention="with-constant"),
-    # asymptotic rows are bare series values, so its header names 'remark'
-    "asymptotic": _cmd(cmd_asymptotic, "remark", r=0.0,
-                       s_grid="0.9:0.999:0.045", K=100_000),
+    # asymptotic rows are bare profile values, so its header names 'remark'
+    "asymptotic": _cmd(cmd_asymptotic, "remark", r=0.0, s_grid="0.9:0.999:0.045"),
 }
 
 

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+from scipy import special
 
 from ._kernels_py import coeff_antideriv_table, halfspace_series_sum
 from .errors import DomainError
@@ -29,6 +30,7 @@ __all__ = [
     "coeff_set",
     "perimeter_spectral",
     "halfspace_series",
+    "halfline_perimeter",
     "asymptotic_limit",
     "asymptotic_series_value",
     "halfline_perimeter_reference",
@@ -37,8 +39,6 @@ __all__ = [
 CONVENTIONS = ("with_constant", "remark")
 
 FOUR_PI = 4.0 * math.pi
-# Amplitude of the Hermite envelope (2/pi)^{1/4} squared, used in tail models.
-_ENVELOPE_SQ = math.sqrt(2.0 / math.pi)
 
 
 def _check_convention(convention: str) -> None:
@@ -127,28 +127,15 @@ def perimeter_spectral(E: GaussianSet, s, K: int = 10_000,
     return PerimeterValue(value, order, K, tail, convention)
 
 
-def _envelope(r: float) -> float:
-    """Peak of (1/4 pi) e^{-r^2} h_{k-1}^2(r) k^{1/2}, the envelope of the halfline terms."""
-    return (_ENVELOPE_SQ / FOUR_PI) * math.exp(-0.5 * r * r)
-
-
 def _envelope_tail(r: float, s: float, K: float) -> float:
-    """Integral from K to inf of the peak envelope times k^{s/2-1}.
-
-    The bare halfline terms oscillate under _envelope(r) k^{(s-3)/2}, so this
-    bounds the series' tail past K; the squared envelope's mean is half its
-    peak, so half of it estimates that tail.
-    """
-    return _envelope(r) * (2.0 / (1.0 - s)) * K ** (-(1.0 - s) / 2.0)
+    """Tail past K: the halfline terms lie under the envelope asymptotic_limit(r) k^{(s-3)/2}."""
+    return asymptotic_limit(r) * (2.0 / (1.0 - s)) * K ** (-(1.0 - s) / 2.0)
 
 
-def _halfline_partial(r: float, s, K: int, convention: str):
-    """(order, bare partial sum (1/4 pi) e^{-r^2} sum_{k=1}^{K} k^{s/2-1} h_{k-1}^2(r))."""
-    order = as_order(s)
-    _check_convention(convention)
-    if K < 1:
-        raise DomainError("halfline series needs K >= 1")
-    return order, halfspace_series_sum(float(r), order.s / 2.0 - 1.0, K) / FOUR_PI
+def _finite(r: float) -> float:
+    if not math.isfinite(r := float(r)):
+        raise DomainError(f"halfline threshold must be finite, got {r}")
+    return r
 
 
 def _scaled(value: float, bound: float, order: FractionalOrder, K: int,
@@ -164,37 +151,56 @@ def halfspace_series(r: float, s, K: int = 10_000,
                      convention: str = "with_constant") -> PerimeterValue:
     """Perimeter of the halfline (-inf, r) by its explicit truncated series.
 
-    The value is the partial sum; its tail_bound is the peak-envelope tail.
+    The value is the partial sum (1/4 pi) e^{-r^2} sum_{k=1}^{K} k^{s/2-1}
+    h_{k-1}^2(r) (bare); its tail_bound is the peak-envelope tail.
     """
-    order, partial = _halfline_partial(r, s, K, convention)
+    r, order = _finite(r), as_order(s)
+    _check_convention(convention)
+    if K < 1:
+        raise DomainError("halfline series needs K >= 1")
+    partial = halfspace_series_sum(r, order.s / 2.0 - 1.0, K) / FOUR_PI
     return _scaled(partial, _envelope_tail(r, order.s, K), order, K, convention)
+
+
+def halfline_perimeter(r: float, s, convention: str = "with_constant") -> PerimeterValue:
+    """Perimeter of the halfline (-inf, r) from its one-integral profile.
+
+    Subordination and Plackett's identity give, with alpha = s/2, the bare
+    value Gamma(1/2-alpha)/(4 pi Gamma(1-alpha)) times the mean of
+    g(y) = sqrt(y/(1-e^{-2y})) e^{-r^2/(1+e^{-y})} under y^{-alpha-1/2} e^{-y}:
+    a 40-node generalized Gauss-Laguerre sum (K = 40), whose change from 20
+    nodes is the tail_bound.  The weights are normalized, so the rounding of
+    -alpha-1/2 stays out of their sum Gamma(1/2-alpha).
+    """
+    r, order = _finite(r), as_order(s)
+    _check_convention(convention)
+    alpha = order.s / 2.0
+    scale = math.gamma(0.5 - alpha) / (FOUR_PI * math.gamma(1.0 - alpha))
+    means = []
+    for n in (40, 20):
+        y, w = special.roots_genlaguerre(n, -alpha - 0.5)
+        g = np.sqrt(y / -np.expm1(-2.0 * y)) * np.exp(-r * r / (1.0 + np.exp(-y)))
+        means.append(scale * float(w @ g) / float(np.sum(w)))
+    return _scaled(means[0], abs(means[0] - means[1]), order, 40, convention)
 
 
 def halfline_perimeter_reference(r: float, s, K: int = 1_000_000,
                                  convention: str = "with_constant") -> PerimeterValue:
-    """High-accuracy halfline perimeter: partial sum plus mean-envelope tail.
-
-    The completion is half the peak-envelope tail past K + 1.  Against the
-    exact semigroup value it is within 3.2e-7 relative at K = 1e5 and 2.9e-8
-    at K = 1e6 for 0.25 <= s <= 0.95.  The tail_bound is 1% of the
-    completion plus the envelope's own k^{-1/2} correction summed past K.
-    """
-    order, partial = _halfline_partial(r, s, K, convention)
-    tail = 0.5 * _envelope_tail(r, order.s, K + 1.0)
-    err = tail * 0.01 + 2.0 * _envelope(r) / math.sqrt(K + 1.0)
-    return _scaled(partial + tail, err, order, K, convention)
+    """`halfline_perimeter`; K is ignored, kept for callers that pass it."""
+    return halfline_perimeter(r, s, convention)
 
 
 def asymptotic_limit(r: float) -> float:
     """Limit of (1-s) P_s(H_r) as s -> 1 in the bare convention.
 
-    (1-s) times the mean-envelope completion tends to sqrt(2/pi)/(4 pi)
-    e^{-r^2/2}, and (1-s) times any partial sum tends to 0.
+    The profile's weight mass Gamma(1/2-alpha) ~ 2/(1-s) gathers at y = 0,
+    where g(0) = e^{-r^2/2}/sqrt(2), so the limit is sqrt(2/pi)/(4 pi) e^{-r^2/2}.
     """
-    return _envelope(r)
+    r = _finite(r)
+    return (math.sqrt(2.0 / math.pi) / FOUR_PI) * math.exp(-0.5 * r * r)
 
 
 def asymptotic_series_value(r: float, s, K: int = 100_000,
                             convention: str = "remark") -> PerimeterValue:
-    """`halfline_perimeter_reference` with the defaults of the s -> 1 study."""
-    return halfline_perimeter_reference(r, s, K, convention)
+    """`halfline_perimeter` in the 'remark' convention; K is ignored."""
+    return halfline_perimeter(r, s, convention)

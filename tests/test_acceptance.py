@@ -11,7 +11,6 @@ import fracgaussiso as fg
 from fracgaussiso.extension import _LEVELSET_QUAD  # noqa: F401  (stability pin)
 from fracgaussiso.gauss_core import gauss_hermite_rule, hermite_eval
 from fracgaussiso.pde import pde_energy, pde_energy_cylinder
-from fracgaussiso.spectral import halfline_perimeter_reference
 from fracgaussiso.suites import (run_bounds_suite, run_levelset_suite,
                                  run_main_suite)
 
@@ -122,20 +121,20 @@ def test_criterion_09_main_theorem_suite():
 
 def test_criterion_10_asymptotic_s_to_one():
     limit = fg.asymptotic_limit(0.0)
-    pv = fg.asymptotic_series_value(0.0, 0.999, 100_000)
+    pv = fg.asymptotic_series_value(0.0, 0.999)
     ok = pv.tail_bound < 0.01 * pv.value
     scaled = (1.0 - 0.999) * pv.value
     ok &= abs(scaled - limit) / limit < 0.15
     ratios = []
     for s in (0.9, 0.99, 0.999):
-        v = (1.0 - s) * fg.asymptotic_series_value(0.0, s, 100_000).value
+        v = (1.0 - s) * fg.asymptotic_series_value(0.0, s).value
         ratios.append(v / limit)
     ok &= abs(ratios[0] - 1.0) > abs(ratios[1] - 1.0) > abs(ratios[2] - 1.0)
     _report(10, "s -> 1 asymptotic within 15% and converging to the limit", ok)
 
 
 def test_criterion_11_pde_cross_check():
-    ref = halfline_perimeter_reference(0.0, 0.5, 1_000_000).value
+    ref = fg.halfline_perimeter(0.0, 0.5).value
     v = [pde_energy(fg.halfline(0.0), 0.5, mesh=(n, n)) for n in (128, 256, 512, 1024)]
     errs = [abs(val - ref) / ref for val in v[:3]]
     ok = errs[-1] < 0.02 and errs[0] > errs[1] > errs[2]

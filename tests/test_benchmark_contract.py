@@ -54,3 +54,5 @@ def test_reference_probe_runs_traced(perfbench):
     assert rc == 0 and math.isfinite(ref.value)
     names = {sp.name for sp in tracer.spans}
     assert {"spectral.halfline_perimeter_reference", "spectral.asymptotic_series_value"} <= names
+    # the halfline profile is one quadrature: no K-long series or coefficient table
+    assert not names & {"backend.halfspace_series_sum", "backend.coeff_antideriv_table"}

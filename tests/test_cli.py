@@ -99,7 +99,7 @@ def test_main_bad_convention_grid(capsys):
 
 
 def test_asymptotic_convention(capsys):
-    code = main(["asymptotic", "--s-grid", "0.9", "--K", "1000"])
+    code = main(["asymptotic", "--s-grid", "0.9"])
     out = capsys.readouterr().out
     assert code == 0
     assert out.startswith("# frac-gauss-iso v1, convention=remark\n")
@@ -152,6 +152,7 @@ def test_config_convention_spellings(tmp_path, capsys, spelling):
     ["asymmetry", "--set", "(0,1)", "--K", "5"],
     ["extension-eval", "--set", "(0,1)", "--s-grid", "0.25:0.75:0.25"],
     ["asymptotic", "--s", "0.5"],  # would abbreviate --s-grid
+    ["asymptotic", "--K", "1000"],  # the profile has no truncation
     ["deficit", "--set", "(0,1)", "--seed", "3"],
     ["verify", "--s-grid", "0.5"],
     ["perimeter", "--se", "(0,1)"],  # an abbreviation of --set
@@ -290,6 +291,20 @@ def test_sweep(capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert len(out.strip().splitlines()) == 2 + 3  # header, columns, 3 rows
+
+
+@pytest.mark.parametrize("spec", ["0:nan:0.1", "nan:1:0.1", "0:inf:0.5"])
+@pytest.mark.parametrize("command, flag", [("asymptotic", "--s-grid"), ("sweep", "--r-grid")])
+def test_non_finite_grids_are_usage_errors(capsys, command, flag, spec):
+    assert main([command, f"{flag}={spec}"]) == 2
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("argv", [["asymptotic", "--r", "nan"], ["asymptotic", "--r=-inf"],
+                                  ["sweep", "--r-grid", "nan"], ["sweep", "--r-grid", "inf"]])
+def test_non_finite_halfline_thresholds_are_usage_errors(capsys, argv):
+    assert main(argv) == 2
+    assert "finite" in capsys.readouterr().err
 
 
 def test_extension_eval(capsys):

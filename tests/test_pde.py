@@ -13,8 +13,7 @@ from fracgaussiso.gauss_core import k_coefficient
 from fracgaussiso.pde import (_axis, _boundary_data, _planar, _solve_tensor, _x_masses,
                               graded_x_mesh, pde_energy, pde_energy_cylinder)
 from fracgaussiso.sets import GaussianSet, complement, halfline, interval
-from fracgaussiso.spectral import (asymptotic_series_value, halfline_perimeter_reference,
-                                   perimeter_spectral)
+from fracgaussiso.spectral import halfline_perimeter, perimeter_spectral
 
 
 def test_graded_mesh_contains_anchors():
@@ -69,12 +68,13 @@ def _interval_perimeter_exact(a: float, b: float, s: float) -> float:
 
 
 def test_exact_interval_perimeter_matches_the_halfline_reference():
-    ref = halfline_perimeter_reference(0.0, 0.5, 1_000_000).value
-    assert _interval_perimeter_exact(-40.0, 0.0, 0.5) == pytest.approx(ref, rel=1e-7)
-    # near s = 1 the s -> 1 study's completed series stays within its bound
+    # Two quadratures of the same semigroup formula; they agree to 2e-14
+    # relative.  The profile's own tail_bound is checked against a 30-digit
+    # mpmath quadrature in tests/test_spectral.py.
     for r in (0.0, 0.7):
-        pv = asymptotic_series_value(r, 0.9, 100_000, "with_constant")
-        assert abs(pv.value - _interval_perimeter_exact(-40.0, r, 0.9)) <= pv.tail_bound
+        for s in (0.5, 0.9):
+            ref = halfline_perimeter(r, s).value
+            assert _interval_perimeter_exact(-40.0, r, s) == pytest.approx(ref, rel=1e-10)
 
 
 def test_pde_interval_converges_to_the_exact_value():
@@ -116,7 +116,7 @@ def test_pde_cylinder_needs_a_transverse_cell(n_y):
 
 
 def test_pde_halfline_accuracy():
-    ref = halfline_perimeter_reference(0.0, 0.5, 500_000).value
+    ref = halfline_perimeter(0.0, 0.5).value
     val = pde_energy(halfline(0.0), 0.5, mesh=(128, 128))
     assert val == pytest.approx(ref, rel=0.03)
 

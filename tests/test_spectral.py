@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -6,11 +7,11 @@ from scipy import integrate
 
 from fracgaussiso import spectral
 from fracgaussiso.errors import DomainError
-from fracgaussiso.gauss_core import hermite_eval, k_coefficient
+from fracgaussiso.gauss_core import hermite_eval, k_coefficient, phi
 from fracgaussiso.sets import GaussianSet, halfline, interval
 from fracgaussiso.spectral import (asymptotic_limit, asymptotic_series_value,
                                    coeff_set, coeff_table,
-                                   halfspace_series,
+                                   halfspace_series, halfline_perimeter,
                                    halfline_perimeter_reference,
                                    perimeter_spectral)
 
@@ -141,14 +142,96 @@ def test_asymptotic_limit_value():
 
 
 def test_asymptotic_series_near_one():
-    pv = asymptotic_series_value(0.0, 0.999, 50_000)
+    pv = asymptotic_series_value(0.0, 0.999)
     scaled = (1.0 - 0.999) * pv.value
     assert scaled == pytest.approx(asymptotic_limit(0.0), rel=0.05)
 
 
 def test_reference_beats_truncation():
-    ref = halfline_perimeter_reference(0.0, 0.5, 200_000)
+    ref = halfline_perimeter_reference(0.0, 0.5)
     trunc = perimeter_spectral(halfline(0.0), 0.5, 200_000)
     # truncation sits below; the completed reference above it but within tail
     assert trunc.value < ref.value < trunc.value + trunc.tail_bound
 
+
+
+@functools.lru_cache(maxsize=None)
+def _profile_oracle(r: float, s: float) -> float:
+    """Bare P_s(H_r) by a 30-digit mpmath quadrature of the one-integral profile.
+
+    1/(4 pi Gamma(1-alpha)) int_0^inf y^{-alpha-1/2} e^{-y} g(y) dy with
+    g(y) = sqrt(y/(1-e^{-2y})) e^{-r^2/(1+e^{-y})}.  Substituting y = w^q,
+    q = 1/(1/2 - alpha), turns y^{-alpha-1/2} dy into q dw, so the integrand
+    stays bounded as s -> 1, where a direct quadrature in y fails.  It agrees
+    with mpmath's tanh-sinh rule on [0, 1, 2, 4, inf] to 1e-22 relative.
+    """
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(30):
+        alpha, r = mpmath.mpf(s) / 2, mpmath.mpf(r)
+        q = 1 / (mpmath.mpf(0.5) - alpha)
+
+        def integrand(w):
+            y = w ** q
+            g = mpmath.sqrt(y / -mpmath.expm1(-2 * y)) if y > 0 else mpmath.sqrt(0.5)
+            return q * mpmath.exp(-y) * g * mpmath.exp(-r * r / (1 + mpmath.exp(-y)))
+
+        # panels at y = 0.01 ... 100, which at s = 0.999 (q = 2000) is the
+        # narrow range 0.9977 < w < 1.0023
+        breaks = [mpmath.mpf(y) ** (1 / q) for y in (0.01, 0.1, 1, 10, 100)]
+        total = mpmath.quad(integrand, [0] + breaks + [mpmath.inf], method="gauss-legendre")
+        return float(total / (4 * mpmath.pi * mpmath.gamma(1 - alpha)))
+
+
+@pytest.mark.parametrize("r, s", [(0.0, 0.25), (0.0, 0.5), (0.0, 0.999), (3.0, 0.25),
+                                  (3.0, 0.5), (3.0, 0.999), (0.7, 0.9)])
+def test_halfline_profile_matches_mpmath_within_its_bound(r, s):
+    pv = halfline_perimeter(r, s, "remark")
+    assert pv.K == 40
+    assert abs(pv.value - _profile_oracle(r, s)) <= pv.tail_bound < 1e-7 * pv.value
+
+
+def test_halfline_profile_keeps_rounding_out_of_the_weight_sum():
+    # The 40-node weights sum to Gamma(1/2 - alpha), 2000 at s = 0.999; used
+    # as they come, they carry the rounding of -alpha - 1/2 into the value
+    # (1.1e-13 relative there, inside the tail_bound of 1.7e-13).
+    pv = halfline_perimeter(0.0, 0.999, "remark")
+    assert pv.value == pytest.approx(_profile_oracle(0.0, 0.999), rel=1e-14)
+
+
+def test_halfline_profile_conventions_and_delegates():
+    wc = halfline_perimeter(0.7, 0.3)
+    rm = halfline_perimeter(0.7, 0.3, "remark")
+    assert (wc.value, wc.tail_bound) == (k_coefficient(0.3) * rm.value,
+                                         k_coefficient(0.3) * rm.tail_bound)
+    assert halfline_perimeter_reference(0.7, 0.3) == wc
+    assert asymptotic_series_value(0.7, 0.3) == rm
+    with pytest.raises(DomainError):
+        halfline_perimeter(0.0, 0.5, "banana")
+
+
+@pytest.mark.parametrize("r", [-2.5, 0.0, 0.7, 3.5])
+@pytest.mark.parametrize("s", [0.05, 0.5, 0.95])
+def test_halfline_series_and_its_bound_bracket_the_profile(r, s):
+    exact = halfline_perimeter(r, s).value
+    for K in (1, 100, 2000):
+        series = halfspace_series(r, s, K)
+        assert series.value < exact < series.value + series.tail_bound
+
+
+@pytest.mark.parametrize("r", [-1.0, 0.0, 0.7, 3.0])
+def test_halfline_profile_tends_to_parseval_as_s_to_zero(r):
+    # at s = 0 the bare series is (1/2) sum_{k>=1} f_k^2 = m (1 - m)/2
+    m = phi(r)
+    for s in (1e-4, 1e-6, 1e-8):
+        gap = halfline_perimeter(r, s, "remark").value / (0.5 * m * (1.0 - m)) - 1.0
+        assert 0.0 < gap < 2.0 * s
+
+
+@pytest.mark.parametrize("r", [math.nan, math.inf, -math.inf])
+def test_halfline_entry_points_reject_a_non_finite_threshold(r):
+    calls = (lambda: halfline_perimeter(r, 0.5), lambda: halfspace_series(r, 0.5, 10),
+             lambda: halfline_perimeter_reference(r, 0.5),
+             lambda: asymptotic_series_value(r, 0.5), lambda: asymptotic_limit(r))
+    for call in calls:
+        with pytest.raises(DomainError, match="finite"):
+            call()

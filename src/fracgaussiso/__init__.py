@@ -22,7 +22,7 @@ from .spectral import (PerimeterValue, asymptotic_limit,
                        perimeter_spectral)
 from .extension import (ExtensionField, LevelSetRecord, boundary_flux_check,
                         boundary_flux_richardson, evaluate_extension,
-                        extension_field, level_set, level_set_with_budget,
+                        extension_field, level_set_with_budget,
                         mehler_extension, mehler_semigroup, profile_psi,
                         trace_gap)
 from .pde import pde_energy, pde_energy_cylinder

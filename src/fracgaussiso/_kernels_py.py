@@ -14,7 +14,9 @@ change a later result, and the outputs are bit-identical to one
 ``math.sqrt`` per factor.
 
 All Hermite polynomials here are the orthonormal probabilists' family
-h_0 = 1, h_1 = x, h_{n+1} = (x h_n - sqrt(n) h_{n-1}) / sqrt(n+1).
+h_{n+1} = (x h_n - sqrt(n) h_{n-1}) / sqrt(n+1).  Every recurrence starts
+from h_{-1} = 0 and h_0 = 1: its step n = 0 gives exactly h_1 = x, so one
+loop from n = 0 covers every term.
 """
 from __future__ import annotations
 
@@ -53,18 +55,13 @@ def _antideriv_scale(K: int) -> np.ndarray:
 def _antideriv_terms(x: float, K: int):
     """0.0, then e^{-x^2/2} h_{k-1}(x) for k = 1..K, in recurrence order."""
     yield 0.0
-    g_prev = math.exp(-0.5 * x * x)  # e^{-x^2/2} h_0(x)
-    yield g_prev
-    if K < 2:
-        return
-    g = x * g_prev  # e^{-x^2/2} h_1(x)
-    yield g
-    # Step n computes h_{n+1} = h_{k-1} for k = n + 2.
-    for n0 in range(1, K - 1, SQRT_CHUNK):
+    g_prev, g = 0.0, math.exp(-0.5 * x * x)  # e^{-x^2/2} h_{-1}(x), e^{-x^2/2} h_0(x)
+    # Step n yields h_n = h_{k-1} for k = n + 1, then computes h_{n+1}.
+    for n0 in range(0, K, SQRT_CHUNK):
         roots = _sqrt_chunk(n0)
-        for rn, rn1 in zip(roots, roots[1:K - n0]):
-            g_prev, g = g, (x * g - rn * g_prev) / rn1
+        for rn, rn1 in zip(roots, roots[1:K - n0 + 1]):
             yield g
+            g_prev, g = g, (x * g - rn * g_prev) / rn1
 
 
 def coeff_antideriv_table(x: float, K: int) -> np.ndarray:
@@ -75,8 +72,6 @@ def coeff_antideriv_table(x: float, K: int) -> np.ndarray:
     exponential factor is folded into the recurrence so large |x| cannot
     overflow.
     """
-    if K < 1:
-        return np.zeros(K + 1)
     A = np.fromiter(_antideriv_terms(x, K), dtype=float, count=K + 1)
     A[1:] /= _antideriv_scale(K)
     return A
@@ -86,53 +81,31 @@ def hermite_weighted_series(c: np.ndarray, x: np.ndarray) -> np.ndarray:
     """sum_k c[k] h_k(x_i) for every grid point, Kahan-compensated in k."""
     c = np.ascontiguousarray(c, dtype=np.float64)
     x = np.ascontiguousarray(x, dtype=np.float64)
-    K = c.shape[0] - 1
     n = x.shape[0]
-    s = np.zeros(n)
-    comp = np.zeros(n)
-    h_prev = np.ones(n)
-
-    def kahan(term):
-        nonlocal s, comp
-        y = term - comp
+    s, comp = np.zeros(n), np.zeros(n)
+    h_prev, h = np.zeros(n), np.ones(n)  # h_{-1}, h_0
+    for k in range(c.shape[0]):
+        if k:  # h_k from h_{k-1}; no step past the last term, where |x| large can overflow
+            h_prev, h = h, (x * h - math.sqrt(float(k - 1)) * h_prev) / math.sqrt(float(k))
+        y = c[k] * h - comp
         t = s + y
         comp = (t - s) - y
         s = t
-
-    kahan(c[0] * h_prev)
-    if K == 0:
-        return s
-    h = x.copy()
-    kahan(c[1] * h)
-    for k in range(2, K + 1):
-        n_rec = k - 1
-        h_next = (x * h - math.sqrt(float(n_rec)) * h_prev) / math.sqrt(float(n_rec + 1))
-        h_prev = h
-        h = h_next
-        kahan(c[k] * h)
     return s
 
 
 def halfspace_series_sum(r: float, p: float, K: int) -> float:
     """sum_{k=1}^{K} k^p (e^{-r^2/2} h_{k-1}(r))^2, Kahan-compensated."""
-    s = 0.0
-    comp = 0.0
-    g_prev = math.exp(-0.5 * r * r)  # e^{-r^2/2} h_0(r)
-    g = r * g_prev  # e^{-r^2/2} h_1(r)
-    for k, gk in ((1, g_prev), (2, g))[:K]:
-        term = math.pow(float(k), p) * gk * gk
-        y = term - comp
-        t = s + y
-        comp = (t - s) - y
-        s = t
-    # Step n computes h_{n+1} = h_{k-1} for the term k = n + 2.
-    for n0 in range(1, K - 1, SQRT_CHUNK):
+    s = comp = 0.0
+    g_prev, g = 0.0, math.exp(-0.5 * r * r)  # e^{-r^2/2} h_{-1}(r), e^{-r^2/2} h_0(r)
+    # Step n adds the term k = n + 1 of h_n, then computes h_{n+1}.
+    for n0 in range(0, K, SQRT_CHUNK):
         roots = _sqrt_chunk(n0)
-        for k, rn, rn1 in zip(range(n0 + 2, K + 1), roots, roots[1:]):
-            g_prev, g = g, (r * g - rn * g_prev) / rn1
+        for k, rn, rn1 in zip(range(n0 + 1, K + 1), roots, roots[1:]):
             term = math.pow(float(k), p) * g * g
             y = term - comp
             t = s + y
             comp = (t - s) - y
             s = t
+            g_prev, g = g, (r * g - rn * g_prev) / rn1
     return s

@@ -19,10 +19,13 @@ from .inequality import ConstantParams, verify_main
 from .extension import evaluate_extension, extension_field
 from .sets import GaussianSet, best_halfline, measure
 from .spectral import (asymptotic_limit, asymptotic_series_value,
-                       halfspace_series, perimeter_spectral)
+                       halfline_perimeter, perimeter_spectral)
 from .suites import SUITE_NAMES, SUITE_OPTIONS, run_suite
 
 FORMAT_VERSION = "frac-gauss-iso v1"
+
+# A --s-grid or --r-grid must have fewer points than this.
+_MAX_GRID_POINTS = 10_000
 
 _BOUND_RE = re.compile(r"[+-]?(?:inf|\d+\.?\d*(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?)")
 
@@ -110,7 +113,8 @@ def emit(rows: list[dict], fmt: str, out, convention: str) -> None:
 
 
 def _parse_grid(spec: str) -> list[float]:
-    """'a:b:step' inclusive grid of finite values; a bare number is a one-point grid."""
+    """'a:b:step' inclusive grid of fewer than _MAX_GRID_POINTS finite values,
+    checked before it is built; a bare number is a one-point grid."""
     if ":" not in spec:
         return [float(spec)]
     parts = spec.split(":")
@@ -119,8 +123,11 @@ def _parse_grid(spec: str) -> list[float]:
     a, b, step = (float(p) for p in parts)
     if not (-math.inf < a <= b < math.inf and 0.0 < step < math.inf):
         raise DomainError(f"bad grid {spec!r}")
+    top = b + 1e-12 * max(1.0, abs(b))
+    if (top - a) / step >= _MAX_GRID_POINTS:
+        raise DomainError(f"grid {spec!r} has more than {_MAX_GRID_POINTS} points")
     vals = []
-    while (v := a + len(vals) * step) <= b + 1e-12 * max(1.0, abs(b)):
+    while (v := a + len(vals) * step) <= top:
         vals.append(min(v, b))
     return vals
 
@@ -209,12 +216,11 @@ def cmd_verify(o: dict) -> tuple[list[dict], int]:
 
 
 def cmd_sweep(o: dict) -> tuple[list[dict], int]:
-    K, conv = o["K"], o["convention"]
-    rows = []
+    conv, rows = o["convention"], []
     for r in _parse_grid(o["r_grid"]):
         for s in _s_list(o):
-            pv = halfspace_series(r, s, K, conv)
-            rows.append({"r": r, "s": s, "K": K, "convention": conv,
+            pv = halfline_perimeter(r, s, conv)
+            rows.append({"r": r, "s": s, "convention": conv,
                          "value": pv.value, "tail_bound": pv.tail_bound})
     return rows, 0
 
@@ -272,7 +278,7 @@ _COMMANDS = {
     # verify's header names the main suite's default when --convention is not given
     "verify": _cmd(cmd_verify, "with_constant", suite="all", n=12, seed=0, K=None,
                    c=None, convention=None),
-    "sweep": _cmd(cmd_sweep, r_grid="-2:2:0.5", s=None, s_grid=None, K=10_000,
+    "sweep": _cmd(cmd_sweep, r_grid="-2:2:0.5", s=None, s_grid=None,
                   convention="with-constant"),
     # asymptotic rows are bare profile values, so its header names 'remark'
     "asymptotic": _cmd(cmd_asymptotic, "remark", r=0.0, s_grid="0.9:0.999:0.045"),

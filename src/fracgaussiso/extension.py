@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 from scipy import special
@@ -34,7 +34,6 @@ __all__ = [
     "boundary_flux_richardson",
     "mehler_semigroup",
     "mehler_extension",
-    "level_set",
     "level_set_with_budget",
     "LEVELSET_GRID",
     "LEVELSET_GRID_HALFWIDTH",
@@ -261,46 +260,58 @@ def _genlaguerre_rule(sigma: float, n: int):
     return u, w / np.sum(w)
 
 
-@lru_cache(maxsize=256)
-def _mehler_nodes(sigma: float, z: float, n_quad: int):
-    """(decay, d, w, w_total) of the subordination nodes tau_i = z^2/(4 u_i).
+class _MehlerRule:
+    """The n_quad-node subordination rule of U(., z) for E at order sigma.
 
-    w_total is the weight sum in node order, the value at a point where every
-    row is 1; it need not be exactly 1.0.
-    """
-    u, w = _genlaguerre_rule(sigma, n_quad)
-    decay, d = _node_constants([z * z / (4.0 * ui) for ui in u])
-    return decay, d, w[:, None], np.add.accumulate(w)[-1]
+    decay and d are the columns of ``_node_constants`` at the node times
+    tau_i = z^2/(4 u_i), w is the column of normalized weights, and w_total
+    their sum in node order, the value at a point where every row is 1 (it
+    need not be exactly 1.0).
 
-
-@lru_cache(maxsize=256)
-def _plateau_bounds(E: GaussianSet, sigma: float, z: float, n_quad: int):
-    """(below, above, sign, base) over the finite endpoints e of E.
-
-    Below ``below[j]`` every node's argument (e - decay x)/d at e is at least
+    The plateau limits run over the finite endpoints e of E.  Below
+    ``below[j]`` every node's argument (e - decay x)/d at e is at least
     _NDTR_ONE, so every row's Phi term there is 1; above ``above[j]`` it is at
-    most _NDTR_ZERO and the term is 0.  Each bound carries a margin far above
+    most _NDTR_ZERO and the term is 0.  Each limit carries a margin far above
     the rounding of the arguments.  A node with decay 0 sees no x, so it
     leaves no point on a plateau.  A point on a plateau at every endpoint has
     the same row at every node, 0 or 1: base (the intervals open to +inf)
     plus sign (+1 at right ends, -1 at left ends) summed over the endpoints
     it lies below, clipped.
     """
-    decay, d = _mehler_nodes(sigma, z, n_quad)[:2]
-    c, d = decay[:, 0], d[:, 0]
-    ends = [(e, sign) for ab in E.intervals for e, sign in zip(ab, (-1, 1))
-            if math.isfinite(e)]
-    below, above = [], []
-    # Only nodes with c > 0 are kept.  A tiny c overflows the quotient to the
-    # correctly signed infinity, which is the bound rounded to a double.
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for e, _ in ends:
-            slack = _PLATEAU_MARGIN * (1.0 + abs(e) - _NDTR_ZERO * d)
-            below.append(np.where(c > 0.0, (e - _NDTR_ONE * d - slack) / c, -math.inf).min())
-            above.append(np.where(c > 0.0, (e - _NDTR_ZERO * d + slack) / c, math.inf).max())
-    base = sum(1 for _, b in E.intervals if not math.isfinite(b))
-    return (np.array(below), np.array(above),
-            np.array([sign for _, sign in ends], dtype=np.int64), base)
+
+    def __init__(self, E: GaussianSet, sigma: float, z: float, n_quad: int):
+        _check_sigma(sigma)
+        self.key = (E, sigma, z, n_quad)
+        u, w = _genlaguerre_rule(sigma, n_quad)
+        self.decay, self.d = _node_constants([z * z / (4.0 * ui) for ui in u])
+        self.w, self.w_total = w[:, None], np.add.accumulate(w)[-1]
+        c, d = self.decay[:, 0], self.d[:, 0]
+        ends = [(e, sign) for ab in E.intervals for e, sign in zip(ab, (-1, 1))
+                if math.isfinite(e)]
+        below, above = [], []
+        # Only nodes with c > 0 are kept.  A tiny c overflows the quotient to the
+        # correctly signed infinity, which is the limit rounded to a double.
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            for e, _ in ends:
+                slack = _PLATEAU_MARGIN * (1.0 + abs(e) - _NDTR_ZERO * d)
+                below.append(np.where(c > 0.0, (e - _NDTR_ONE * d - slack) / c, -math.inf).min())
+                above.append(np.where(c > 0.0, (e - _NDTR_ZERO * d + slack) / c, math.inf).max())
+        self.below, self.above = np.array(below), np.array(above)
+        self.sign = np.array([sign for _, sign in ends], dtype=np.int64)
+        self.base = sum(1 for _, b in E.intervals if not math.isfinite(b))
+
+    @cached_property
+    def grid_values(self) -> np.ndarray:
+        """U(., z) on LEVELSET_GRID, read-only, computed on first use."""
+        E, sigma, z, n_quad = self.key
+        vals = mehler_extension(E, sigma, LEVELSET_GRID, z, n_quad)
+        vals.flags.writeable = False
+        return vals
+
+
+# A closeness check and the bounds checks at two heights extract at both
+# quadrature orders, so one set uses 6 rules, each with a 128 kB grid.
+_mehler_rule = lru_cache(maxsize=8)(_MehlerRule)
 
 
 def mehler_extension(E: GaussianSet, sigma: float, x, z: float,
@@ -326,20 +337,18 @@ def mehler_extension(E: GaussianSet, sigma: float, x, z: float,
     node-order weight sum; only the other points are evaluated, in blocks.
     The result is bit-identical to evaluating every node at every point.
     """
-    _check_sigma(sigma)
     _check_positive(z, "mehler_extension height z")
-    decay, d, w, w_total = _mehler_nodes(sigma, z, n_quad)
-    below, above, sign, base = _plateau_bounds(E, sigma, z, n_quad)
+    rule = _mehler_rule(E, sigma, z, n_quad)
     x = np.atleast_1d(np.asarray(x, dtype=float))
     flat_x = x.ravel()
-    under = flat_x[:, None] < below
-    acc = np.where(base + under @ sign > 0, w_total, 0.0)
-    live = np.flatnonzero(~(under | (flat_x[:, None] > above)).all(axis=1))
+    under = flat_x[:, None] < rule.below
+    acc = np.where(rule.base + under @ rule.sign > 0, rule.w_total, 0.0)
+    live = np.flatnonzero(~(under | (flat_x[:, None] > rule.above)).all(axis=1))
     for start in range(0, live.size, _MEHLER_BLOCK):
         block = live[start:start + _MEHLER_BLOCK]
-        rows = _semigroup_rows(E, decay, d, flat_x[block])
+        rows = _semigroup_rows(E, rule.decay, rule.d, flat_x[block])
         # In node order: a matmul or a pairwise sum would round differently.
-        acc[block] = np.add.accumulate(w * rows, axis=0)[-1]
+        acc[block] = np.add.accumulate(rule.w * rows, axis=0)[-1]
     return acc.reshape(x.shape)
 
 
@@ -356,18 +365,6 @@ class LevelSetRecord:
 _LEVELSET_QUAD = 80
 
 
-@lru_cache(maxsize=8)
-def _grid_values(E: GaussianSet, sigma: float, z: float, n_quad: int) -> np.ndarray:
-    """U(., z) on LEVELSET_GRID, read-only.
-
-    A closeness check and the bounds checks at two heights extract at both
-    quadrature orders, so one set uses 6 entries of 128 kB each.
-    """
-    vals = mehler_extension(E, sigma, LEVELSET_GRID, z, n_quad)
-    vals.flags.writeable = False
-    return vals
-
-
 def _predicted_path(lo: float, hi: float, guess: float) -> list[float]:
     """Bisection midpoints of [lo, hi] if the crossing lies at ``guess``:
     the bracket keeps its upper half exactly when guess > mid."""
@@ -382,8 +379,9 @@ def _predicted_path(lo: float, hi: float, guess: float) -> list[float]:
     return mids
 
 
-def _extract_level_set(F: ExtensionField, t: float, z: float, n_quad: int) -> GaussianSet:
-    vals = _grid_values(F.set, F.sigma, z, n_quad)
+def _extract_level_set(E: GaussianSet, sigma: float, t: float, z: float,
+                       n_quad: int) -> GaussianSet:
+    vals = _mehler_rule(E, sigma, z, n_quad).grid_values
     sign = vals > t
     flips = np.nonzero(sign[1:] != sign[:-1])[0]
     if flips.size > _MAX_CROSSINGS:
@@ -397,7 +395,7 @@ def _extract_level_set(F: ExtensionField, t: float, z: float, n_quad: int) -> Ga
         # one of f_lo, f_hi is > 0 and the other <= 0, so the guess is in [lo, hi]
         guesses = [lo + (hi - lo) * (f_lo / (f_lo - f_hi)) for lo, hi, f_lo, f_hi in active]
         paths = [_predicted_path(b[0], b[1], g) for b, g in zip(active, guesses)]
-        f_all = (mehler_extension(F.set, F.sigma, np.concatenate(paths), z, n_quad) - t).tolist()
+        f_all = (mehler_extension(E, sigma, np.concatenate(paths), z, n_quad) - t).tolist()
         # Replay each path with the bisection rule up to and including its
         # first mispredicted step; the later midpoints of that path are unused.
         offset = 0
@@ -419,8 +417,9 @@ def _extract_level_set(F: ExtensionField, t: float, z: float, n_quad: int) -> Ga
     return GaussianSet.from_intervals(zip(edges[::2], edges[1::2]))
 
 
-def level_set(F: ExtensionField, t: float, z: float) -> LevelSetRecord:
-    """Superlevel set of x -> U(x, z) by grid bracketing plus bisection.
+def level_set_with_budget(F: ExtensionField, t: float, z: float) -> tuple[LevelSetRecord, float]:
+    """Superlevel set of x -> U(x, z) by grid bracketing plus bisection, with
+    a data-driven resolution budget for its measure.
 
     Evaluation goes through the closed-form Mehler representation (exact in
     x, quadrature only in the subordination variable), so the values stay in
@@ -444,28 +443,20 @@ def level_set(F: ExtensionField, t: float, z: float) -> LevelSetRecord:
     the grid instead of one per bisection step (24 from the grid step down
     to the tolerance).  A grid without a sign change gives the full line or
     the empty set.
+
+    The budget compares the extraction at the working quadrature order with
+    one at half the order (the dominant controllable error), plus the
+    neglected mass outside the grid and the bisection tolerance.  A
+    threshold t >= 1 gives the empty set with budget 0.
     """
     _check_positive(z, "level-set height z")
     if not math.isfinite(t):
         raise DomainError(f"level-set threshold must be finite, got {t}")
     if t >= 1.0:
-        return LevelSetRecord(t, z, EMPTY, 0.0)
-    E_tz = _extract_level_set(F, t, z, _LEVELSET_QUAD)
-    return LevelSetRecord(t, z, E_tz, measure(E_tz))
-
-
-def level_set_with_budget(F: ExtensionField, t: float, z: float) -> tuple[LevelSetRecord, float]:
-    """Level set plus a data-driven resolution budget for its measure.
-
-    The budget compares the extraction at the working quadrature order with
-    one at half the order (the dominant controllable error), plus the
-    neglected mass outside the grid and the bisection tolerance.
-    """
-    rec = level_set(F, t, z)
-    if t >= 1.0:
-        return rec, 0.0
-    half = _extract_level_set(F, t, z, _LEVELSET_QUAD // 2)
-    mu_half = measure(half)
+        return LevelSetRecord(t, z, EMPTY, 0.0), 0.0
+    E_tz = _extract_level_set(F.set, F.sigma, t, z, _LEVELSET_QUAD)
+    mu = measure(E_tz)
+    mu_half = measure(_extract_level_set(F.set, F.sigma, t, z, _LEVELSET_QUAD // 2))
     outside_mass = math.erfc(LEVELSET_GRID_HALFWIDTH / math.sqrt(2.0))
-    budget = 2.0 * abs(rec.mu - mu_half) + outside_mass + 8.0 * _BISECT_TOL
-    return rec, budget
+    budget = 2.0 * abs(mu - mu_half) + outside_mass + 8.0 * _BISECT_TOL
+    return LevelSetRecord(t, z, E_tz, mu), budget

@@ -73,10 +73,6 @@ class ZThresholds:
 
     z0: float
     z1: float
-    degenerate: bool
-
-    def __iter__(self):
-        return iter((self.z0, self.z1))
 
 
 @dataclass(frozen=True)
@@ -132,12 +128,12 @@ def z_thresholds(E: GaussianSet, s, P_E: PerimeterValue,
     order = as_order(s)
     A = asymmetry(E)
     if A == 0.0:
-        return ZThresholds(0.0, 0.0, True)
+        return ZThresholds(0.0, 0.0)
     m = measure(E)
     beta = beta_coefficient(order.s)
     z0 = (A * m / (72.0 * beta * P_E.value)) ** (1.0 / order.s)
     z1 = (A * m / (144.0 * beta * P_H.value)) ** (1.0 / order.s)
-    return ZThresholds(z0, z1, False)
+    return ZThresholds(z0, z1)
 
 
 def constant_C(s, m: float, params: ConstantParams, P_H: PerimeterValue) -> float:

@@ -46,10 +46,6 @@ def _check_convention(convention: str) -> None:
         raise DomainError(f"unknown convention {convention!r}; expected one of {CONVENTIONS}")
 
 
-def _factor(convention: str, s: float) -> float:
-    return 0.5 * k_coefficient(s) if convention == "with_constant" else 0.5
-
-
 @dataclass(frozen=True)
 class PerimeterValue:
     """A perimeter together with its truncation and normalization metadata."""
@@ -121,10 +117,8 @@ def perimeter_spectral(E: GaussianSet, s, K: int = 10_000,
         raise DomainError("perimeter needs truncation K >= 1")
     ks = np.arange(1, K + 1, dtype=float)
     terms = ks ** (order.s / 2.0) * f[1:] ** 2
-    factor = _factor(convention, order.s)
-    value = factor * float(np.sum(terms))
-    tail = factor * _calibrated_tail(terms, order.s, K)
-    return PerimeterValue(value, order, K, tail, convention)
+    return _scaled(0.5 * float(np.sum(terms)), 0.5 * _calibrated_tail(terms, order.s, K),
+                   order, K, convention)
 
 
 def _envelope_tail(r: float, s: float, K: float) -> float:
@@ -168,9 +162,11 @@ def halfline_perimeter(r: float, s, convention: str = "with_constant") -> Perime
     Subordination and Plackett's identity give, with alpha = s/2, the bare
     value Gamma(1/2-alpha)/(4 pi Gamma(1-alpha)) times the mean of
     g(y) = sqrt(y/(1-e^{-2y})) e^{-r^2/(1+e^{-y})} under y^{-alpha-1/2} e^{-y}:
-    a 40-node generalized Gauss-Laguerre sum (K = 40), whose change from 20
-    nodes is the tail_bound.  The weights are normalized, so the rounding of
-    -alpha-1/2 stays out of their sum Gamma(1/2-alpha).
+    a 40-node generalized Gauss-Laguerre sum (K = 40).  Its tail_bound is the
+    change from 20 nodes plus 40 eps times the value, the rounding of the
+    sum, which the node change (shrinking like 1 - s) misses near s = 1.  The
+    weights are normalized, so the rounding of -alpha-1/2 stays out of their
+    sum Gamma(1/2-alpha).
     """
     r, order = _finite(r), as_order(s)
     _check_convention(convention)
@@ -181,7 +177,8 @@ def halfline_perimeter(r: float, s, convention: str = "with_constant") -> Perime
         y, w = special.roots_genlaguerre(n, -alpha - 0.5)
         g = np.sqrt(y / -np.expm1(-2.0 * y)) * np.exp(-r * r / (1.0 + np.exp(-y)))
         means.append(scale * float(w @ g) / float(np.sum(w)))
-    return _scaled(means[0], abs(means[0] - means[1]), order, 40, convention)
+    bound = abs(means[0] - means[1]) + 40.0 * np.finfo(float).eps * means[0]
+    return _scaled(means[0], bound, order, 40, convention)
 
 
 def halfline_perimeter_reference(r: float, s, K: int = 1_000_000,

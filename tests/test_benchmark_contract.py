@@ -56,3 +56,22 @@ def test_reference_probe_runs_traced(perfbench):
     assert {"spectral.halfline_perimeter_reference", "spectral.asymptotic_series_value"} <= names
     # the halfline profile is one quadrature: no K-long series or coefficient table
     assert not names & {"backend.halfspace_series_sum", "backend.coeff_antideriv_table"}
+
+
+def test_one_levelset_set_builds_six_mehler_rules(perfbench):
+    # 3 closeness checks at one height, then bounds checks at z0/2 and z0
+    # with 3 thresholds each; every check extracts at 80 and 40 nodes, so
+    # 3 heights x 2 orders are 6 rules, inside the cache of 8
+    from fracgaussiso import extension
+
+    _, workloads = perfbench
+    wl = workloads.Levelset(SEED, 0.0, None)
+    try:
+        E = wl.first_rounds(1)[0]
+        extension._mehler_rule.cache_clear()
+        outcomes = list(wl.run(E))
+    finally:
+        wl.close()
+    assert len(outcomes) == 3 + 2 * 3 and not any(bad for _, bad in outcomes)
+    info = extension._mehler_rule.cache_info()
+    assert info.misses == 6 and info.currsize == 6 and info.maxsize == 8

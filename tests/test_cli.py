@@ -1,6 +1,8 @@
 import csv
 import json
 import math
+import os
+import resource
 import shlex
 import subprocess
 import sys
@@ -12,6 +14,7 @@ from fracgaussiso.cli import _COMMANDS, build_parser, main, parse_set
 from fracgaussiso.errors import SetParseError
 from fracgaussiso.extension import evaluate_extension, extension_field
 from fracgaussiso.sets import GaussianSet, halfline
+from fracgaussiso.spectral import halfline_perimeter
 
 
 def run_cli(args, **kw):
@@ -153,6 +156,7 @@ def test_config_convention_spellings(tmp_path, capsys, spelling):
     ["extension-eval", "--set", "(0,1)", "--s-grid", "0.25:0.75:0.25"],
     ["asymptotic", "--s", "0.5"],  # would abbreviate --s-grid
     ["asymptotic", "--K", "1000"],  # the profile has no truncation
+    ["sweep", "--K", "10"],  # nor has sweep's
     ["deficit", "--set", "(0,1)", "--seed", "3"],
     ["verify", "--s-grid", "0.5"],
     ["perimeter", "--se", "(0,1)"],  # an abbreviation of --set
@@ -287,10 +291,33 @@ def test_out_file(tmp_path, capsys):
 
 
 def test_sweep(capsys):
-    code = main(["sweep", "--r-grid", "0:1:0.5", "--s", "0.5", "--K", "200"])
+    code = main(["sweep", "--r-grid", "0:1:0.5", "--s", "0.5"])
     out = capsys.readouterr().out
     assert code == 0
     assert len(out.strip().splitlines()) == 2 + 3  # header, columns, 3 rows
+    # each row is the closed-form halfline profile, bit for bit, in both conventions
+    for conv in ("with-constant", "remark"):
+        assert main(["sweep", "--r-grid=-2:1.5:1.75", "--s-grid", "0.25:0.75:0.25",
+                     "--convention", conv]) == 0
+        rows = list(csv.DictReader(capsys.readouterr().out.splitlines()[1:]))
+        assert len(rows) == 3 * 3
+        for row in rows:
+            pv = halfline_perimeter(float(row["r"]), float(row["s"]), conv.replace("-", "_"))
+            assert (float(row["value"]), float(row["tail_bound"])) == (pv.value, pv.tail_bound)
+
+
+@pytest.mark.parametrize("argv", [["asymptotic", "--s-grid", "0.5:0.6:1e-12"],
+                                  ["sweep", "--r-grid=-2:2:1e-11"]])
+def test_huge_finite_grids_are_refused_before_they_are_built(argv):
+    # each grid has about 1e11 points; building it first would not finish,
+    # so the child gets 1 GB of address space and 20 s
+    def limit_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    result = run_cli(argv, timeout=20, preexec_fn=limit_memory,
+                     env={**os.environ, "OPENBLAS_NUM_THREADS": "1"})
+    assert result.returncode == 2 and result.stdout == ""
+    assert "more than" in result.stderr
 
 
 @pytest.mark.parametrize("spec", ["0:nan:0.1", "nan:1:0.1", "0:inf:0.5"])

@@ -13,11 +13,12 @@ from scipy import special
 from fracgaussiso import extension, suites
 from fracgaussiso.errors import DomainError
 from fracgaussiso.extension import (LEVELSET_GRID, _BISECT_TOL, _LEVELSET_QUAD,
-                                    _MEHLER_BLOCK, _extract_level_set,
+                                    _MEHLER_BLOCK, ExtensionField,
+                                    _extract_level_set,
                                     boundary_flux_check,
                                     boundary_flux_richardson,
                                     evaluate_extension, extension_field,
-                                    level_set, level_set_with_budget,
+                                    level_set_with_budget,
                                     mehler_extension, mehler_semigroup,
                                     profile_psi, psi_bulk, trace_gap)
 from fracgaussiso.gauss_core import beta_coefficient, k_coefficient
@@ -137,17 +138,24 @@ def test_level_set_shrinks_with_t():
     E = interval(-0.5, 0.5)
     F = extension_field(E, 0.5, 2000)
     z = 0.05
-    mus = [level_set(F, t, z).mu for t in (0.25, 0.5, 0.75)]
+    mus = [level_set_with_budget(F, t, z)[0].mu for t in (0.25, 0.5, 0.75)]
     assert mus[0] >= mus[1] >= mus[2]
 
 
 def test_level_set_degenerate_t():
     E = interval(0.0, 1.0)
     F = extension_field(E, 0.5, 500)
-    rec = level_set(F, 1.0, 0.1)
+    rec = level_set_with_budget(F, 1.0, 0.1)[0]
     assert rec.mu == 0.0
     with pytest.raises(DomainError):
-        level_set(F, 0.5, 0.0)
+        level_set_with_budget(F, 0.5, 0.0)
+
+
+@pytest.mark.parametrize("sigma", [-0.5, 0.0, 1.0, 1.5, math.nan])
+def test_level_set_rejects_a_field_of_an_order_outside_0_1(sigma):
+    F = extension_field(interval(0.0, 1.0), 0.5, 50)
+    with pytest.raises(DomainError, match="extension order"):
+        level_set_with_budget(ExtensionField(F.set, sigma, F.f), 0.5, 0.1)
 
 
 def _dense_rows(E, taus, x):
@@ -216,11 +224,12 @@ def test_batched_level_set_matches_scalar_bisection():
     F = extension_field(THREE_PIECES, 0.5, 500)
     for n_quad in (_LEVELSET_QUAD, _LEVELSET_QUAD // 2):
         for t, z in LEVELSET_CASES:
-            got = _extract_level_set(F, t, z, n_quad)
+            got = _extract_level_set(F.set, F.sigma, t, z, n_quad)
             assert len(got.intervals) == 3
             assert got.intervals == _scalar_bisection_level_set(THREE_PIECES, 0.25, t, z,
                                                                  n_quad).intervals
-    assert level_set(F, 0.5, 0.05).set == _extract_level_set(F, 0.5, 0.05, _LEVELSET_QUAD)
+    assert level_set_with_budget(F, 0.5, 0.05)[0].set == _extract_level_set(
+        F.set, F.sigma, 0.5, 0.05, _LEVELSET_QUAD)
 
 
 @pytest.mark.parametrize("n_quad", [_LEVELSET_QUAD, _LEVELSET_QUAD // 2])
@@ -234,7 +243,7 @@ def test_level_set_at_a_threshold_equal_to_a_grid_value(n_quad):
     falling = next(i for i in flips if vals[i] > vals[i + 1])
     for i, t in ((rising, vals[rising]), (falling, vals[falling + 1])):
         assert (vals[i] > t) != (vals[i + 1] > t)
-        got = _extract_level_set(extension_field(THREE_PIECES, 0.5, 50), t, z, n_quad)
+        got = _extract_level_set(THREE_PIECES, 0.25, t, z, n_quad)
         assert got.intervals == _scalar_bisection_level_set(THREE_PIECES, 0.25, t, z,
                                                              n_quad).intervals
 
@@ -244,10 +253,9 @@ def test_level_set_matches_scalar_bisection_on_random_sets():
     crossings = 0
     for _ in range(20):
         E = suites.random_gaussian_set(rng)
-        F = extension_field(E, 0.5, 50)
         for z in (1e-4, 5e-3):
             for t in (0.25, 0.5, 0.75):
-                got = _extract_level_set(F, t, z, _LEVELSET_QUAD)
+                got = _extract_level_set(E, 0.25, t, z, _LEVELSET_QUAD)
                 assert got.intervals == _scalar_bisection_level_set(E, 0.25, t, z).intervals
                 crossings += len(got.finite_endpoints)
     assert crossings > 300
@@ -265,7 +273,7 @@ def test_level_set_batches_its_bisection(monkeypatch):
 
     monkeypatch.setattr(extension, "mehler_extension", counting)
     for t, z in LEVELSET_CASES:
-        extension._grid_values.cache_clear()
+        extension._mehler_rule.cache_clear()
         sizes.clear()
         level_set_with_budget(extension_field(THREE_PIECES, 0.5, 500), t, z)
         assert sizes.count(LEVELSET_GRID.size) == 2
@@ -287,9 +295,7 @@ def test_non_finite_heights_and_thresholds_raise(bad):
     with pytest.raises(DomainError):
         level_set_with_budget(F, bad, 0.05)
     with pytest.raises(DomainError):
-        level_set(F, bad, 0.05)
-    with pytest.raises(DomainError):
-        level_set(F, 0.5, bad)
+        level_set_with_budget(F, 0.5, bad)
     with pytest.raises(DomainError):
         mehler_extension(E, 0.25, x, bad)
     with pytest.raises(DomainError):
@@ -311,10 +317,10 @@ def test_series_height_zero_is_the_trace():
 def test_level_set_without_sign_change():
     # far up, U is the constant gamma(E) ~ 0.683 on the whole grid
     F = extension_field(interval(-1.0, 1.0), 0.5, 500)
-    assert level_set(F, 0.5, 20.0).set == FULL_LINE
-    assert level_set(F, 0.9, 20.0).set == EMPTY
-    assert level_set(extension_field(FULL_LINE, 0.5, 500), 0.5, 0.1).set == FULL_LINE
-    assert level_set(extension_field(EMPTY, 0.5, 500), 0.5, 0.1).set == EMPTY
+    assert level_set_with_budget(F, 0.5, 20.0)[0].set == FULL_LINE
+    assert level_set_with_budget(F, 0.9, 20.0)[0].set == EMPTY
+    assert level_set_with_budget(extension_field(FULL_LINE, 0.5, 500), 0.5, 0.1)[0].set == FULL_LINE
+    assert level_set_with_budget(extension_field(EMPTY, 0.5, 500), 0.5, 0.1)[0].set == EMPTY
 
 
 def test_ndtr_is_exactly_flat_beyond_the_plateau_limits():

@@ -1,9 +1,13 @@
-"""Every name a library module imports is used, exported or marked.
+"""Every name a library module imports is used, exported or marked, and
+every private top-level name is referenced.
 
 No linter ships with the project, so this is the F401 check over
 ``src/fracgaussiso/*.py`` (the package ``__init__`` re-exports by design):
 an imported name must be used in the module or listed in its ``__all__``,
-or its import statement must carry ``# noqa: F401`` with the reason.
+or its import statement must carry ``# noqa: F401`` with the reason.  Next
+to it is a dead-definition check: a top-level ``_private`` function, class
+or assignment must be referenced somewhere in the package outside its own
+definition.
 """
 import ast
 from pathlib import Path
@@ -45,3 +49,46 @@ def test_the_check_flags_an_unused_import_and_honours_noqa():
     source = ("import math\nimport os  # noqa: F401\nfrom json import (dumps,\n    loads)\n"
               "__all__ = ['dumps']\n")
     assert unused_imports(source) == ["line 1: math", "line 3: loads"]
+
+
+def dead_definitions(sources: dict[str, str]) -> list[str]:
+    """'module: name' for each top-level private name of the sources that no
+    code references outside its own definition (dunder names excepted)."""
+    trees = {mod: ast.parse(src) for mod, src in sources.items()}
+    dead = []
+    for mod, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                continue
+            own = {id(sub) for sub in ast.walk(node)}
+            for name in names:
+                if not name.startswith("_") or name.startswith("__"):
+                    continue
+                if not any(id(sub) not in own and name in (getattr(sub, "id", None),
+                                                           getattr(sub, "attr", None),
+                                                           getattr(sub, "name", None))
+                           for other in trees.values() for sub in ast.walk(other)):
+                    dead.append(f"{mod}: {name}")
+    return dead
+
+
+def test_package_has_no_dead_private_definition():
+    sources = {p.name: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
+    assert dead_definitions(sources) == []
+
+
+def test_the_check_flags_a_private_name_referenced_only_by_itself():
+    sources = {
+        "a.py": ("_LIMIT = 3\n_UNUSED: int = 4\n\n"
+                 "def _recurse(n):\n    return _recurse(n - 1) if n else _LIMIT\n\n"
+                 "def _shared():\n    return 1\n\n"
+                 "class _Held:\n    pass\n\n"
+                 "def __getattr__(name):\n    return None\n"),
+        "b.py": "from a import _shared\nimport a\nprint(_shared(), a._Held)\n",
+    }
+    assert dead_definitions(sources) == ["a.py: _UNUSED", "a.py: _recurse"]

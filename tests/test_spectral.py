@@ -160,30 +160,31 @@ def _profile_oracle(r: float, s: float) -> float:
     """Bare P_s(H_r) by a 30-digit mpmath quadrature of the one-integral profile.
 
     1/(4 pi Gamma(1-alpha)) int_0^inf y^{-alpha-1/2} e^{-y} g(y) dy with
-    g(y) = sqrt(y/(1-e^{-2y})) e^{-r^2/(1+e^{-y})}.  Substituting y = w^q,
-    q = 1/(1/2 - alpha), turns y^{-alpha-1/2} dy into q dw, so the integrand
-    stays bounded as s -> 1, where a direct quadrature in y fails.  It agrees
-    with mpmath's tanh-sinh rule on [0, 1, 2, 4, inf] to 1e-22 relative.
+    g(y) = sqrt(y/(1-e^{-2y})) e^{-r^2/(1+e^{-y})}, written as
+    g(0) Gamma(1/2-alpha) + int_0^inf y^{-alpha-1/2} e^{-y} (g(y) - g(0)) dy.
+    The remaining integrand is O(y^{1/2-alpha}) at 0, bounded for every s < 1,
+    so a plain quadrature in y converges even at 1 - s = 1e-10.  Up to
+    s = 0.999 it agrees to 1e-19 relative with the quadrature in w, y = w^q,
+    q = 1/(1/2 - alpha).
     """
     mpmath = pytest.importorskip("mpmath")
     with mpmath.workdps(30):
         alpha, r = mpmath.mpf(s) / 2, mpmath.mpf(r)
-        q = 1 / (mpmath.mpf(0.5) - alpha)
 
-        def integrand(w):
-            y = w ** q
-            g = mpmath.sqrt(y / -mpmath.expm1(-2 * y)) if y > 0 else mpmath.sqrt(0.5)
-            return q * mpmath.exp(-y) * g * mpmath.exp(-r * r / (1 + mpmath.exp(-y)))
+        def g(y):
+            root = mpmath.sqrt(y / -mpmath.expm1(-2 * y)) if y > 0 else mpmath.sqrt(0.5)
+            return root * mpmath.exp(-r * r / (1 + mpmath.exp(-y)))
 
-        # panels at y = 0.01 ... 100, which at s = 0.999 (q = 2000) is the
-        # narrow range 0.9977 < w < 1.0023
-        breaks = [mpmath.mpf(y) ** (1 / q) for y in (0.01, 0.1, 1, 10, 100)]
-        total = mpmath.quad(integrand, [0] + breaks + [mpmath.inf], method="gauss-legendre")
+        g0 = g(0)
+        rest = mpmath.quad(lambda y: y ** (-alpha - 0.5) * mpmath.exp(-y) * (g(y) - g0),
+                           [0, 0.01, 0.1, 1, 10, 100, mpmath.inf])
+        total = g0 * mpmath.gamma(0.5 - alpha) + rest
         return float(total / (4 * mpmath.pi * mpmath.gamma(1 - alpha)))
 
 
 @pytest.mark.parametrize("r, s", [(0.0, 0.25), (0.0, 0.5), (0.0, 0.999), (3.0, 0.25),
-                                  (3.0, 0.5), (3.0, 0.999), (0.7, 0.9)])
+                                  (3.0, 0.5), (3.0, 0.999), (0.7, 0.9)]
+                         + [(r, 1.0 - gap) for r in (0.0, 0.7) for gap in (1e-6, 1e-8, 1e-10)])
 def test_halfline_profile_matches_mpmath_within_its_bound(r, s):
     pv = halfline_perimeter(r, s, "remark")
     assert pv.K == 40

@@ -20,7 +20,7 @@ from .extension import evaluate_extension, extension_field
 from .sets import GaussianSet, best_halfline, measure
 from .spectral import (asymptotic_limit, asymptotic_series_value,
                        halfline_perimeter, perimeter_spectral)
-from .suites import SUITE_NAMES, SUITE_OPTIONS, run_suite
+from .suites import SUITE_NAMES, SUITE_OPTIONS, row_failed, run_suite
 
 FORMAT_VERSION = "frac-gauss-iso v1"
 
@@ -169,14 +169,12 @@ def cmd_asymmetry(o: dict) -> tuple[list[dict], int]:
 def cmd_deficit(o: dict) -> tuple[list[dict], int]:
     E = _require_set(o)
     K, conv = o["K"], o["convention"]
-    rows, failures = [], 0
+    rows = []
     for s in _s_list(o):
         rep = verify_main(E, s, ConstantParams(o["c"]), K, conv)
-        if not rep.satisfied:
-            failures += 1
         rows.append({"set": str(E), "s": s, "K": K, "convention": conv,
                      **rep.columns()})
-    return rows, failures
+    return rows, sum(map(row_failed, rows))
 
 
 def cmd_extension_eval(o: dict) -> tuple[list[dict], int]:
@@ -207,11 +205,8 @@ def cmd_verify(o: dict) -> tuple[list[dict], int]:
         total_failures += failures
         summary.append({"suite": name, "cases": len(rows),
                         "failures": failures, "passed": failures == 0})
-        for row in rows:
-            failed = row.get("outcome") == "fails" or row.get("ok") is False \
-                or row.get("satisfied") is False or row.get("nonneg") is False
-            if failed:
-                print(f"FAIL {row}", file=sys.stderr)
+        for row in filter(row_failed, rows):
+            print(f"FAIL {row}", file=sys.stderr)
     return summary, total_failures
 
 

@@ -120,28 +120,32 @@ def psi_bulk(sigma: float, xi) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ExtensionField:
-    """Extension of order sigma of chi_E, with the Hermite coefficients f_0..f_K of chi_E."""
+    """Extension of order sigma of chi_E.  Its Hermite series stops after the
+    mode K and reads ``coeff_table(set, K)``; the Mehler form reads no K."""
 
     set: GaussianSet
     sigma: float
-    f: np.ndarray
+    K: int
 
     def psi_factors(self, z: float) -> np.ndarray:
         """psi_sigma(sqrt(k) z) for k = 0..K (the k = 0 factor is 1)."""
         z = float(z)
         if not 0.0 <= z < math.inf:  # a NaN would pass a ``< 0`` test
             raise DomainError(f"height z must be nonnegative and finite, got {z}")
-        return psi_bulk(self.sigma, np.sqrt(np.arange(self.f.shape[0], dtype=float)) * z)
+        return psi_bulk(self.sigma, np.sqrt(np.arange(self.K + 1, dtype=float)) * z)
 
 
 def extension_field(E: GaussianSet, s, K: int = 10_000) -> ExtensionField:
     """Extension of order s/2 of chi_E, truncated after the mode K."""
-    return ExtensionField(E, as_order(s).s / 2.0, coeff_table(E, K))
+    sigma = as_order(s).s / 2.0
+    if K < 0:
+        raise DomainError("truncation index must be nonnegative")
+    return ExtensionField(E, sigma, K)
 
 
 def evaluate_extension(F: ExtensionField, x, z: float):
     """Truncated series value U(x, z); at z = 0 this is the Hermite series of chi_E."""
-    c = F.f * F.psi_factors(z)
+    c = F.psi_factors(z) * coeff_table(F.set, F.K)  # a bad z raises before the table is built
     x_arr = np.atleast_1d(np.asarray(x, dtype=float))
     vals = hermite_weighted_series(c, x_arr)
     if np.isscalar(x) or np.asarray(x).ndim == 0:
@@ -152,9 +156,8 @@ def evaluate_extension(F: ExtensionField, x, z: float):
 def trace_gap(E: GaussianSet, s, z: float, K: int = 10_000) -> float:
     """int_E (1 - U_E(., z)) dgamma = sum_{k>=1} f_k^2 (1 - psi_{s/2}(sqrt(k) z))."""
     _check_positive(z, "trace gap height z")
-    F = extension_field(E, s, K)
-    f = F.f
-    psi = F.psi_factors(z)
+    psi = extension_field(E, s, K).psi_factors(z)
+    f = coeff_table(E, K)
     return float(np.sum(f[1:] ** 2 * (1.0 - psi[1:])))
 
 

@@ -67,9 +67,9 @@ def hermite_eval(n: int, x: float) -> float:
     return h
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class QuadratureRule:
-    """Gauss-Hermite nodes/weights for integration against gamma_1."""
+    """Gauss-Hermite nodes/weights for integration against gamma_1; equal only to itself."""
 
     order: int
     nodes: np.ndarray

@@ -63,8 +63,8 @@ class ConstantParams:
     c: float = 1.0
 
     def __post_init__(self):
-        if not (self.c > 0.0):
-            raise DomainError(f"constant c must be positive, got {self.c}")
+        if not (0.0 < self.c < math.inf):
+            raise DomainError(f"constant c must be positive and finite, got {self.c}")
 
 
 @dataclass(frozen=True)

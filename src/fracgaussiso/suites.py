@@ -24,6 +24,7 @@ __all__ = [
     "run_bounds_suite",
     "run_main_suite",
     "run_suite",
+    "row_failed",
 ]
 
 SUITE_NAMES = ("transfer", "levelset", "bounds", "main")
@@ -63,50 +64,51 @@ def random_gaussian_set(rng: random.Random) -> GaussianSet:
             return E
 
 
+def row_failed(row: dict) -> bool:
+    """A suite or deficit row's verdict: a failed transfer outcome, or a
+    false ``ok``, ``satisfied`` or ``nonneg`` column."""
+    return row.get("outcome") == TRANSFER_FAILS or not all(
+        row.get(key, True) for key in ("ok", "satisfied", "nonneg"))
+
+
 def run_transfer_suite(n: int = 500, seed: int = 0) -> tuple[list[dict], int]:
     """Asymmetry-transfer lemma on randomly perturbed pairs (F, E)."""
     rng = random.Random(seed)
-    rows, failures = [], 0
+    rows = []
     for i in range(n):
         F = random_gaussian_set(rng)
         x0 = rng.uniform(-3.0, 3.0)
         w = rng.uniform(0.001, 0.05)
         kappa = rng.uniform(0.05, 0.45)
         E = symm_diff(F, interval(x0, x0 + w))
-        outcome = verify_transfer_lemma(E, F, kappa)
-        if outcome == TRANSFER_FAILS:
-            failures += 1
         rows.append({
             "suite": "transfer", "case": i, "set_F": str(F), "set_E": str(E),
-            "kappa": kappa, "outcome": outcome,
+            "kappa": kappa, "outcome": verify_transfer_lemma(E, F, kappa),
         })
-    return rows, failures
+    return rows, sum(map(row_failed, rows))
 
 
 def run_levelset_suite(n: int = 50, seed: int = 0, K: int = 4000) -> tuple[list[dict], int]:
     """Level-set closeness on random sets at 90% of the admissible height."""
     rng = random.Random(seed)
     s, alpha = _LEVELSET_S, _ALPHA
-    rows, failures = [], 0
+    rows = []
     for i in range(n):
         E = random_gaussian_set(rng)
         z = 0.9 * closeness_z_max(E, s, alpha, K)
         for t in _T_VALUES:
-            ok = verify_levelset_closeness(E, s, t, z, alpha, K)
-            if not ok:
-                failures += 1
             rows.append({
-                "suite": "levelset", "case": i, "set": str(E), "s": s,
-                "t": t, "z": z, "alpha": alpha, "ok": ok,
+                "suite": "levelset", "case": i, "set": str(E), "s": s, "t": t, "z": z,
+                "alpha": alpha, "ok": verify_levelset_closeness(E, s, t, z, alpha, K),
             })
-    return rows, failures
+    return rows, sum(map(row_failed, rows))
 
 
 def run_bounds_suite(n: int = 50, seed: int = 0, K: int = 4000) -> tuple[list[dict], int]:
     """Level-set measure/asymmetry bounds at z in {z0/2, z0}."""
     rng = random.Random(seed)
     s = _LEVELSET_S
-    rows, failures = [], 0
+    rows = []
     for i in range(n):
         E = random_gaussian_set(rng)
         if asymmetry(E) == 0.0:
@@ -116,14 +118,11 @@ def run_bounds_suite(n: int = 50, seed: int = 0, K: int = 4000) -> tuple[list[di
                            perimeter_spectral(H, s, K))
         for z in (0.5 * thr.z0, thr.z0):
             for t in _T_VALUES:
-                ok = verify_levelset_bounds(E, s, t, z, K)
-                if not ok:
-                    failures += 1
                 rows.append({
                     "suite": "bounds", "case": i, "set": str(E), "s": s,
-                    "t": t, "z": z, "ok": ok,
+                    "t": t, "z": z, "ok": verify_levelset_bounds(E, s, t, z, K),
                 })
-    return rows, failures
+    return rows, sum(map(row_failed, rows))
 
 
 def run_main_suite(n: int = 200, seed: int = 0, K: int = 10_000, c: float = 1.0,
@@ -131,17 +130,14 @@ def run_main_suite(n: int = 200, seed: int = 0, K: int = 10_000, c: float = 1.0,
     """Main inequality (and deficit nonnegativity) over the random family."""
     rng = random.Random(seed)
     params = ConstantParams(c)
-    rows, failures = [], 0
+    rows = []
     for i in range(n):
         E = random_gaussian_set(rng)
         for s in _MAIN_S_VALUES:
             rep = verify_main(E, s, params, K, convention)
-            nonneg = rep.deficit >= -rep.budget
-            if not (rep.satisfied and nonneg):
-                failures += 1
             rows.append({"suite": "main", "case": i, "set": str(E), "s": s,
-                         **rep.columns(), "nonneg": nonneg})
-    return rows, failures
+                         **rep.columns(), "nonneg": rep.deficit >= -rep.budget})
+    return rows, sum(map(row_failed, rows))
 
 
 _SUITES = {"transfer": run_transfer_suite, "levelset": run_levelset_suite,

@@ -359,6 +359,28 @@ def test_extension_eval_rejects_bad_height(capsys, z):
     assert "height z" in captured.err
 
 
+def test_verify_reports_each_failing_row():
+    r = run_cli(["verify", "--suite", "main", "--n", "3", "--seed", "7", "--c", "1e-200"])
+    assert r.returncode == 1
+    assert r.stdout.splitlines()[1:] == ["suite,cases,failures,passed", "main,9,3,false"]
+    lines = r.stderr.splitlines()
+    assert len(lines) == 3 and all(line.startswith("FAIL {'suite': 'main', 'case': 0,")
+                                   for line in lines)
+    assert [line.split("'s': ")[1].split(",")[0] for line in lines] == ["0.25", "0.5", "0.75"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["deficit", "--set", "(0,1)", "--c", "inf"],
+    ["verify", "--suite", "main", "--n", "2", "--seed", "7", "--c", "inf"],
+])
+def test_an_infinite_constant_is_a_usage_error(capsys, argv):
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "constant c must be positive and finite" in captured.err
+
+
 def test_verify_determinism_small():
     r1 = run_cli(["verify", "--suite", "transfer", "--n", "20", "--seed", "3"])
     r2 = run_cli(["verify", "--suite", "transfer", "--n", "20", "--seed", "3"])

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import special
 
-from fracgaussiso import extension, suites
+from fracgaussiso import extension, spectral, suites
 from fracgaussiso.errors import DomainError
 from fracgaussiso.extension import (LEVELSET_GRID, _BISECT_TOL, _LEVELSET_QUAD,
                                     _MEHLER_BLOCK, ExtensionField,
@@ -151,11 +151,33 @@ def test_level_set_degenerate_t():
         level_set_with_budget(F, 0.5, 0.0)
 
 
+def test_fields_hash_and_compare_without_raising():
+    E = interval(0.0, 1.0)
+    F = extension_field(E, 0.5, 100)
+    assert F.K == 100 and F.psi_factors(0.1).shape == (101,)
+    assert F != extension_field(E, 0.5, 200) and F != extension_field(E, 0.25, 100)
+    spectral.coeff_table.cache_clear()  # the same K after an eviction is still equal
+    assert F == extension_field(E, 0.5, 100)
+    assert hash(F) == hash(extension_field(E, 0.5, 100))
+    assert len({F, extension_field(E, 0.5, 100), extension_field(E, 0.5, 200)}) == 2
+    with pytest.raises(DomainError, match="truncation index"):
+        extension_field(E, 0.5, -1)
+
+
+def test_the_level_set_path_builds_no_coefficient_table():
+    spectral.coeff_table.cache_clear()
+    F = extension_field(THREE_PIECES, 0.5, 4000)
+    level_set_with_budget(F, 0.5, 0.1)
+    assert spectral.coeff_table.cache_info().currsize == 0
+    evaluate_extension(F, 0.3, 0.1)  # the series reads the table of the field's K
+    assert spectral.coeff_table.cache_info().currsize == 1
+
+
 @pytest.mark.parametrize("sigma", [-0.5, 0.0, 1.0, 1.5, math.nan])
 def test_level_set_rejects_a_field_of_an_order_outside_0_1(sigma):
     F = extension_field(interval(0.0, 1.0), 0.5, 50)
     with pytest.raises(DomainError, match="extension order"):
-        level_set_with_budget(ExtensionField(F.set, sigma, F.f), 0.5, 0.1)
+        level_set_with_budget(ExtensionField(F.set, sigma, F.K), 0.5, 0.1)
 
 
 def _dense_rows(E, taus, x):

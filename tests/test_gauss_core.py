@@ -106,6 +106,12 @@ def test_quadrature_weights_sum_to_one_for_every_order():
         assert abs(math.fsum(gauss_hermite_rule(n).weights) - 1.0) <= 1e-12, n
 
 
+def test_quadrature_rules_hash_and_compare_by_identity():
+    a, b = gauss_hermite_rule(5), gauss_hermite_rule(5)
+    assert a == a and a != b
+    assert hash(a) == hash(a) and len({a, b}) == 2
+
+
 def test_quadrature_order_bounds():
     with pytest.raises(DomainError):
         gauss_hermite_rule(0)

@@ -7,7 +7,8 @@ an imported name must be used in the module or listed in its ``__all__``,
 or its import statement must carry ``# noqa: F401`` with the reason.  Next
 to it is a dead-definition check: a top-level ``_private`` function, class
 or assignment must be referenced somewhere in the package outside its own
-definition.
+definition.  A third check keeps ndarray fields out of dataclasses whose
+``__eq__`` (and, when frozen, ``__hash__``) is generated.
 """
 import ast
 from pathlib import Path
@@ -92,3 +93,42 @@ def test_the_check_flags_a_private_name_referenced_only_by_itself():
         "b.py": "from a import _shared\nimport a\nprint(_shared(), a._Held)\n",
     }
     assert dead_definitions(sources) == ["a.py: _UNUSED", "a.py: _recurse"]
+
+
+def ndarray_fields_under_generated_eq(source: str) -> list[str]:
+    """'Class.field' for each field annotated ``ndarray`` in a dataclass with
+    a generated ``__eq__``: comparing two instances compares the arrays, which
+    raises, and a frozen one's generated hash raises too."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.ClassDef):
+            continue
+        for deco in node.decorator_list:
+            call = deco if isinstance(deco, ast.Call) else None
+            if ast.unparse(call.func if call else deco).split(".")[-1] != "dataclass":
+                continue
+            eq = [kw.value for kw in (call.keywords if call else []) if kw.arg == "eq"]
+            if (eq and isinstance(eq[0], ast.Constant) and eq[0].value is False) or any(
+                    isinstance(item, ast.FunctionDef) and item.name == "__eq__"
+                    for item in node.body):
+                continue
+            found += [f"{node.name}.{item.target.id}" for item in node.body
+                      if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)
+                      and "ndarray" in ast.unparse(item.annotation)]
+    return found
+
+
+def test_no_dataclass_compares_an_ndarray_field():
+    assert [f"{p.name}: {field}" for p in MODULES
+            for field in ndarray_fields_under_generated_eq(p.read_text())] == []
+
+
+def test_the_check_flags_ndarray_fields_only_under_a_generated_eq():
+    source = ("import dataclasses\nfrom dataclasses import dataclass\nimport numpy as np\n\n"
+              "@dataclass(frozen=True)\nclass A:\n    k: int\n    f: np.ndarray\n\n"
+              "@dataclasses.dataclass\nclass B:\n    g: 'np.ndarray | None'\n\n"
+              "@dataclass(frozen=True, eq=False)\nclass C:\n    f: np.ndarray\n\n"
+              "@dataclass\nclass D:\n    f: np.ndarray\n\n"
+              "    def __eq__(self, other):\n        return self is other\n\n"
+              "class E:\n    f: np.ndarray\n")
+    assert ndarray_fields_under_generated_eq(source) == ["A.f", "B.g"]

@@ -101,6 +101,12 @@ def test_constant_params_validation():
         ConstantParams(0.0)
 
 
+@pytest.mark.parametrize("c", [math.inf, math.nan])
+def test_constant_params_rejects_c_outside_0_inf(c):
+    with pytest.raises(DomainError, match="constant c"):
+        ConstantParams(c)
+
+
 def test_verify_main_halfline_trivial():
     rep = verify_main(halfline(0.3), 0.5, K=2000)
     assert abs(rep.deficit) < 1e-12

@@ -1,7 +1,10 @@
 import random
 
+import numpy as np
+import pytest
+
 from fracgaussiso.sets import measure
-from fracgaussiso.suites import (random_gaussian_set, run_main_suite,
+from fracgaussiso.suites import (random_gaussian_set, row_failed, run_main_suite,
                                  run_suite, run_transfer_suite)
 
 
@@ -42,3 +45,20 @@ def test_run_suite_dispatch():
         pass
     else:
         raise AssertionError("unknown suite must raise")
+
+
+@pytest.mark.parametrize("row, failed", [
+    ({"suite": "transfer", "outcome": "fails"}, True),
+    ({"suite": "transfer", "outcome": "inapplicable"}, False),
+    ({"suite": "transfer", "outcome": "holds"}, False),
+    ({"suite": "levelset", "ok": False}, True),
+    ({"suite": "bounds", "ok": True}, False),
+    ({"suite": "main", "satisfied": False, "nonneg": True}, True),
+    ({"suite": "main", "satisfied": True, "nonneg": False}, True),
+    ({"suite": "main", "satisfied": True, "nonneg": True}, False),
+    ({"satisfied": False}, True),  # a deficit row has no nonneg column
+    ({"satisfied": True}, False),
+    ({"suite": "bounds", "ok": np.False_}, True),
+])
+def test_row_failed(row, failed):
+    assert row_failed(row) is failed

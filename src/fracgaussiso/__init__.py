@@ -30,6 +30,6 @@ from .inequality import (ConstantParams, DeficitReport, constant_C, f_weight,
                          sigma_min, verify_levelset_bounds,
                          verify_levelset_closeness, verify_main,
                          verify_transfer_lemma, z_thresholds)
-from .suites import random_gaussian_set, run_suite
+from .suites import SUITES, random_gaussian_set
 
 __version__ = "0.1.0"

@@ -97,15 +97,11 @@ def hermite_weighted_series(c: np.ndarray, x: np.ndarray) -> np.ndarray:
 def halfspace_series_sum(r: float, p: float, K: int) -> float:
     """sum_{k=1}^{K} k^p (e^{-r^2/2} h_{k-1}(r))^2, Kahan-compensated."""
     s = comp = 0.0
-    g_prev, g = 0.0, math.exp(-0.5 * r * r)  # e^{-r^2/2} h_{-1}(r), e^{-r^2/2} h_0(r)
-    # Step n adds the term k = n + 1 of h_n, then computes h_{n+1}.
-    for n0 in range(0, K, SQRT_CHUNK):
-        roots = _sqrt_chunk(n0)
-        for k, rn, rn1 in zip(range(n0 + 1, K + 1), roots, roots[1:]):
-            term = math.pow(float(k), p) * g * g
-            y = term - comp
-            t = s + y
-            comp = (t - s) - y
-            s = t
-            g_prev, g = g, (r * g - rn * g_prev) / rn1
+    terms = _antideriv_terms(r, K)
+    next(terms)  # the k = 0 padding
+    for k, g in enumerate(terms, 1):
+        y = math.pow(k, p) * g * g - comp
+        t = s + y
+        comp = (t - s) - y
+        s = t
     return s

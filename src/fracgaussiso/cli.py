@@ -20,12 +20,14 @@ from .extension import evaluate_extension, extension_field
 from .sets import GaussianSet, best_halfline, measure
 from .spectral import (asymptotic_limit, asymptotic_series_value,
                        halfline_perimeter, perimeter_spectral)
-from .suites import SUITE_NAMES, SUITE_OPTIONS, row_failed, run_suite
+from .suites import SUITES, row_failed
 
 FORMAT_VERSION = "frac-gauss-iso v1"
 
 # A --s-grid or --r-grid must have fewer points than this.
 _MAX_GRID_POINTS = 10_000
+# The largest --K: an 80 MB coefficient table, ten times the largest K in use.
+_MAX_K = 10_000_000
 
 _BOUND_RE = re.compile(r"[+-]?(?:inf|\d+\.?\d*(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?)")
 
@@ -168,10 +170,10 @@ def cmd_asymmetry(o: dict) -> tuple[list[dict], int]:
 
 def cmd_deficit(o: dict) -> tuple[list[dict], int]:
     E = _require_set(o)
-    K, conv = o["K"], o["convention"]
+    K, conv, params = o["K"], o["convention"], ConstantParams(o["c"])
     rows = []
     for s in _s_list(o):
-        rep = verify_main(E, s, ConstantParams(o["c"]), K, conv)
+        rep = verify_main(E, s, params, K, conv)
         rows.append({"set": str(E), "s": s, "K": K, "convention": conv,
                      **rep.columns()})
     return rows, sum(map(row_failed, rows))
@@ -190,18 +192,17 @@ def cmd_extension_eval(o: dict) -> tuple[list[dict], int]:
 def cmd_verify(o: dict) -> tuple[list[dict], int]:
     if o["n"] < 1:
         raise DomainError(f"--n must be at least 1, got {o['n']}")
-    names = SUITE_NAMES if o["suite"] == "all" else (o["suite"],)
-    read = {key for name in names for key in SUITE_OPTIONS[name]}
-    unread = [key for key in ("K", "c", "convention")
-              if o[key] is not None and key not in read]
-    if unread:
+    names = list(SUITES) if o["suite"] == "all" else [o["suite"]]
+    # K, c and convention are the main suite's alone; its defaults fill in the rest
+    knobs = {key: o[key] for key in ("K", "c", "convention") if o[key] is not None}
+    if knobs and "main" not in names:
         raise DomainError(f"verify --suite {o['suite']} reads no "
-                          f"{', '.join('--' + key for key in unread)}")
+                          f"{', '.join('--' + key for key in knobs)}")
+    if "c" in knobs:
+        ConstantParams(knobs["c"])  # a bad --c fails before any suite runs
     summary, total_failures = [], 0
     for name in names:
-        # a suite's own defaults fill in the options not given
-        knobs = {key: o[key] for key in SUITE_OPTIONS[name] if o[key] is not None}
-        rows, failures = run_suite(name, o["n"], o["seed"], **knobs)
+        rows, failures = SUITES[name](o["n"], o["seed"], **(knobs if name == "main" else {}))
         total_failures += failures
         summary.append({"suite": name, "cases": len(rows),
                         "failures": failures, "passed": failures == 0})
@@ -240,7 +241,7 @@ _OPTIONS = {
     "K": {"type": int},
     "convention": {"choices": ("with-constant", "remark")},
     "c": {"type": float},
-    "suite": {"choices": SUITE_NAMES + ("all",)},
+    "suite": {"choices": (*SUITES, "all")},
     "n": {"type": int},
     "seed": {"type": int},
     "x": {"help": "comma-separated evaluation points"},
@@ -319,6 +320,8 @@ def _resolve(cmd: _Command, args) -> dict:
                 raise DomainError(f"config key {key!r}: {cfg[key]!r} is not one of "
                                   f"{', '.join(choices)}")
         o[key] = _spelled(key, default if value is None else value)
+    if (o.get("K") or 0) > _MAX_K:
+        raise DomainError(f"--K must be at most {_MAX_K}, got {o['K']}")
     return o
 
 

@@ -16,21 +16,14 @@ from .sets import GaussianSet, asymmetry, ehrhard_symmetrize, interval, measure,
 from .spectral import perimeter_spectral
 
 __all__ = [
-    "SUITE_NAMES",
-    "SUITE_OPTIONS",
+    "SUITES",
     "random_gaussian_set",
     "run_transfer_suite",
     "run_levelset_suite",
     "run_bounds_suite",
     "run_main_suite",
-    "run_suite",
     "row_failed",
 ]
-
-SUITE_NAMES = ("transfer", "levelset", "bounds", "main")
-# The run_suite knobs each suite reads; the others are not accepted.
-SUITE_OPTIONS = {"transfer": (), "levelset": ("K",), "bounds": ("K",),
-                 "main": ("K", "c", "convention")}
 
 _MIN_MEASURE = 0.05
 _MAX_MEASURE = 0.95
@@ -41,6 +34,8 @@ _LEVELSET_S = 0.5
 _ALPHA = 20.0
 _T_VALUES = (0.25, 0.5, 0.75)
 _MAIN_S_VALUES = (0.25, 0.5, 0.75)
+# The series order of the perimeters that set the level-set suites' heights.
+_LEVELSET_K = 4000
 
 
 def random_gaussian_set(rng: random.Random) -> GaussianSet:
@@ -66,9 +61,9 @@ def random_gaussian_set(rng: random.Random) -> GaussianSet:
 
 def row_failed(row: dict) -> bool:
     """A suite or deficit row's verdict: a failed transfer outcome, or a
-    false ``ok``, ``satisfied`` or ``nonneg`` column."""
+    false ``ok`` or ``satisfied`` column."""
     return row.get("outcome") == TRANSFER_FAILS or not all(
-        row.get(key, True) for key in ("ok", "satisfied", "nonneg"))
+        row.get(key, True) for key in ("ok", "satisfied"))
 
 
 def run_transfer_suite(n: int = 500, seed: int = 0) -> tuple[list[dict], int]:
@@ -88,10 +83,10 @@ def run_transfer_suite(n: int = 500, seed: int = 0) -> tuple[list[dict], int]:
     return rows, sum(map(row_failed, rows))
 
 
-def run_levelset_suite(n: int = 50, seed: int = 0, K: int = 4000) -> tuple[list[dict], int]:
+def run_levelset_suite(n: int = 50, seed: int = 0) -> tuple[list[dict], int]:
     """Level-set closeness on random sets at 90% of the admissible height."""
     rng = random.Random(seed)
-    s, alpha = _LEVELSET_S, _ALPHA
+    s, alpha, K = _LEVELSET_S, _ALPHA, _LEVELSET_K
     rows = []
     for i in range(n):
         E = random_gaussian_set(rng)
@@ -104,10 +99,10 @@ def run_levelset_suite(n: int = 50, seed: int = 0, K: int = 4000) -> tuple[list[
     return rows, sum(map(row_failed, rows))
 
 
-def run_bounds_suite(n: int = 50, seed: int = 0, K: int = 4000) -> tuple[list[dict], int]:
+def run_bounds_suite(n: int = 50, seed: int = 0) -> tuple[list[dict], int]:
     """Level-set measure/asymmetry bounds at z in {z0/2, z0}."""
     rng = random.Random(seed)
-    s = _LEVELSET_S
+    s, K = _LEVELSET_S, _LEVELSET_K
     rows = []
     for i in range(n):
         E = random_gaussian_set(rng)
@@ -127,7 +122,7 @@ def run_bounds_suite(n: int = 50, seed: int = 0, K: int = 4000) -> tuple[list[di
 
 def run_main_suite(n: int = 200, seed: int = 0, K: int = 10_000, c: float = 1.0,
                    convention: str = "with_constant") -> tuple[list[dict], int]:
-    """Main inequality (and deficit nonnegativity) over the random family."""
+    """Main inequality over the random family."""
     rng = random.Random(seed)
     params = ConstantParams(c)
     rows = []
@@ -136,16 +131,11 @@ def run_main_suite(n: int = 200, seed: int = 0, K: int = 10_000, c: float = 1.0,
         for s in _MAIN_S_VALUES:
             rep = verify_main(E, s, params, K, convention)
             rows.append({"suite": "main", "case": i, "set": str(E), "s": s,
-                         **rep.columns(), "nonneg": rep.deficit >= -rep.budget})
+                         **rep.columns()})
     return rows, sum(map(row_failed, rows))
 
 
-_SUITES = {"transfer": run_transfer_suite, "levelset": run_levelset_suite,
-           "bounds": run_bounds_suite, "main": run_main_suite}
-
-
-def run_suite(name: str, n: int, seed: int, **knobs) -> tuple[list[dict], int]:
-    """Run one named suite; its own defaults fill in the knobs not given."""
-    if name not in _SUITES:
-        raise ValueError(f"unknown suite {name!r}")
-    return _SUITES[name](n, seed, **knobs)
+# Each suite's runner, in the order ``verify --suite all`` runs them.  Only
+# the main suite reads options beyond (n, seed): K, c and convention.
+SUITES = {"transfer": run_transfer_suite, "levelset": run_levelset_suite,
+          "bounds": run_bounds_suite, "main": run_main_suite}

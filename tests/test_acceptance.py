@@ -109,7 +109,7 @@ def test_criterion_08_level_set_suites():
 
 def test_criterion_09_main_theorem_suite():
     rows, failures = run_main_suite(200, seed=7)
-    nonneg_ok = all(r["nonneg"] for r in rows)
+    nonneg_ok = all(r["deficit"] >= -r["budget"] for r in rows)
     if failures:
         # release blocker only if raising c to the configured maximum
         # does not absorb the violation

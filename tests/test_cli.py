@@ -15,6 +15,7 @@ from fracgaussiso.errors import SetParseError
 from fracgaussiso.extension import evaluate_extension, extension_field
 from fracgaussiso.sets import GaussianSet, halfline
 from fracgaussiso.spectral import halfline_perimeter
+from fracgaussiso.suites import SUITES
 
 
 def run_cli(args, **kw):
@@ -178,7 +179,7 @@ def test_verify_needs_cases(capsys, argv):
     assert capsys.readouterr().out == ""
 
 
-@pytest.mark.parametrize("suite", ["main", "levelset", "bounds"])
+@pytest.mark.parametrize("suite", ["main"])
 def test_verify_passes_K_0_to_the_suite(capsys, suite):
     # the suite's own K >= 1 check must see the 0, not a default in its place
     assert main(["verify", "--suite", suite, "--n", "1", "--K", "0"]) == 2
@@ -187,11 +188,12 @@ def test_verify_passes_K_0_to_the_suite(capsys, suite):
     assert "K >= 1" in captured.err
 
 
-# transfer reads none of K, c and convention; levelset and bounds read only K
+# only the main suite reads K, c and convention
 _DROPPED = [("transfer", "K", "4000"), ("transfer", "c", "1.0"),
             ("transfer", "convention", "with-constant"),
             ("levelset", "c", "1.0"), ("levelset", "convention", "remark"),
-            ("bounds", "c", "2"), ("bounds", "convention", "with-constant")]
+            ("bounds", "c", "2"), ("bounds", "convention", "with-constant"),
+            ("levelset", "K", "4000"), ("bounds", "K", "4000")]
 
 
 @pytest.mark.parametrize("suite, key, value", _DROPPED)
@@ -209,18 +211,23 @@ def test_verify_rejects_options_its_suite_drops(tmp_path, capsys, suite, key, va
     assert f"--{key}" in captured.err
 
 
+def _record_suite_calls(monkeypatch) -> list:
+    """Replace every suite runner by one that records (name, options) and passes."""
+    calls = []
+    for name in SUITES:
+        def fake_run(n, seed, name=name, **knobs):
+            calls.append((name, knobs))
+            return [], 0
+        monkeypatch.setitem(SUITES, name, fake_run)
+    return calls
+
+
 @pytest.mark.parametrize("suite, kept", [
-    ("main", ("K", "c", "convention")), ("levelset", ("K",)), ("bounds", ("K",)),
+    ("main", ("K", "c", "convention")), ("levelset", ()), ("bounds", ()),
 ])
 def test_verify_passes_options_to_the_suites_that_read_them(monkeypatch, capsys,
                                                              suite, kept):
-    calls = []
-
-    def fake_run_suite(name, n, seed, **knobs):
-        calls.append((name, knobs))
-        return [], 0
-
-    monkeypatch.setattr("fracgaussiso.cli.run_suite", fake_run_suite)
+    calls = _record_suite_calls(monkeypatch)
     given = {"K": ("700", 700), "c": ("2.5", 2.5), "convention": ("remark", "remark")}
     argv = ["verify", "--suite", suite]
     for key in kept:
@@ -233,8 +240,18 @@ def test_verify_passes_options_to_the_suites_that_read_them(monkeypatch, capsys,
     calls.clear()
     assert main(["verify", "--suite", "all", "--K", "700", "--c", "2.5",
                  "--convention", "remark"]) == 0
-    assert calls == [("transfer", {}), ("levelset", {"K": 700}), ("bounds", {"K": 700}),
+    assert calls == [("transfer", {}), ("levelset", {}), ("bounds", {}),
                      ("main", {"K": 700, "c": 2.5, "convention": "remark"})]
+
+
+@pytest.mark.parametrize("c", ["inf", "0", "nan"])
+def test_verify_checks_c_before_any_suite_runs(monkeypatch, capsys, c):
+    calls = _record_suite_calls(monkeypatch)
+    assert main(["verify", "--suite", "all", "--c", c]) == 2
+    assert calls == []
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "constant c must be positive and finite" in captured.err
 
 
 def test_reused_parser_keeps_no_state(tmp_path, capsys):
@@ -318,6 +335,30 @@ def test_huge_finite_grids_are_refused_before_they_are_built(argv):
                      env={**os.environ, "OPENBLAS_NUM_THREADS": "1"})
     assert result.returncode == 2 and result.stdout == ""
     assert "more than" in result.stderr
+
+
+_HUGE_K = [["perimeter", "--set", "(0,1)"], ["deficit", "--set", "(0,1)"],
+           ["extension-eval", "--set", "(0,1)"], ["verify", "--suite", "main", "--n", "1"]]
+
+
+@pytest.mark.parametrize("argv", _HUGE_K)
+def test_huge_K_is_refused_before_any_table_is_built(argv):
+    # a 2e9-long table does not fit in the child's 1 GB of address space
+    def limit_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    result = run_cli(argv + ["--K", "2000000000"], timeout=20, preexec_fn=limit_memory,
+                     env={**os.environ, "OPENBLAS_NUM_THREADS": "1"})
+    assert result.returncode == 2 and result.stdout == ""
+    assert "--K" in result.stderr and "Traceback" not in result.stderr
+
+
+@pytest.mark.parametrize("argv", _HUGE_K)
+def test_K_cap_is_ten_million(capsys, argv):
+    assert main(argv + ["--K", "10000001"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--K must be at most 10000000" in captured.err
 
 
 @pytest.mark.parametrize("spec", ["0:nan:0.1", "nan:1:0.1", "0:inf:0.5"])

@@ -17,7 +17,7 @@ from .sets import (EMPTY, FULL_LINE, GaussianSet, Halfline, asymmetry,
                    interval, intersect, measure, reflect, set_minus,
                    symm_diff, union)
 from .spectral import (PerimeterValue, asymptotic_limit,
-                       asymptotic_series_value, coeff_set, halfline_perimeter,
+                       asymptotic_series_value, halfline_perimeter,
                        halfline_perimeter_reference, halfspace_series,
                        perimeter_spectral)
 from .extension import (ExtensionField, LevelSetRecord, boundary_flux_check,

@@ -5,13 +5,11 @@ recurrences take their sqrt(n) factors from numpy in chunks of
 ``SQRT_CHUNK`` indices; IEEE square root is correctly rounded, so these are
 the same doubles ``math.sqrt`` gives, at a fraction of the per-step cost.
 
-Two things are computed once per process and reused, each in a bounded
-cache: the root chunks (the ``SQRT_CHUNKS_KEPT`` most recent, keyed by
-their first index, whatever the order K) and the read-only sqrt(2 pi k)
-scale of ``coeff_antideriv_table`` (for the ``SCALES_KEPT`` most recent K).
-Every table and sum is freshly computed from them, so a caller cannot
-change a later result, and the outputs are bit-identical to one
-``math.sqrt`` per factor.
+The root chunks are computed once per process and reused, in a bounded
+cache of the ``SQRT_CHUNKS_KEPT`` most recent, keyed by their first index
+whatever the order K.  Every table and sum is freshly computed from them,
+so a caller cannot change a later result, and the outputs are
+bit-identical to one ``math.sqrt`` per factor.
 
 All Hermite polynomials here are the orthonormal probabilists' family
 h_{n+1} = (x h_n - sqrt(n) h_{n-1}) / sqrt(n+1).  Every recurrence starts
@@ -28,7 +26,6 @@ import numpy as np
 SQRT_CHUNK = 4096
 # Three chunks cover K = 1e4; a larger K streams through the cache.
 SQRT_CHUNKS_KEPT = 4
-SCALES_KEPT = 4
 
 
 @lru_cache(maxsize=SQRT_CHUNKS_KEPT)
@@ -40,16 +37,6 @@ def _sqrt_chunk(n0: int) -> list[float]:
     reads it.
     """
     return np.sqrt(np.arange(n0, n0 + SQRT_CHUNK + 1, dtype=float)).tolist()
-
-
-@lru_cache(maxsize=SCALES_KEPT)
-def _antideriv_scale(K: int) -> np.ndarray:
-    """sqrt(2 pi k) for k = 1..K, read-only."""
-    scale = np.arange(1, K + 1, dtype=float)
-    scale *= 2.0 * math.pi
-    np.sqrt(scale, out=scale)
-    scale.flags.writeable = False
-    return scale
 
 
 def _antideriv_terms(x: float, K: int):
@@ -73,7 +60,7 @@ def coeff_antideriv_table(x: float, K: int) -> np.ndarray:
     overflow.
     """
     A = np.fromiter(_antideriv_terms(x, K), dtype=float, count=K + 1)
-    A[1:] /= _antideriv_scale(K)
+    A[1:] /= np.sqrt(2.0 * math.pi * np.arange(1, K + 1, dtype=float))
     return A
 
 

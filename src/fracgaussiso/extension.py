@@ -18,7 +18,7 @@ from scipy import special
 
 from ._kernels_py import hermite_weighted_series
 from .errors import DomainError, QuadratureError, ResolutionError
-from .gauss_core import as_order, gamma_fn, k_coefficient
+from .gauss_core import as_order, gamma_fn, k_coefficient, laguerre_roots
 from .sets import EMPTY, GaussianSet, measure
 from .spectral import coeff_table
 
@@ -257,12 +257,6 @@ def mehler_semigroup(E: GaussianSet, tau: float, x: np.ndarray) -> np.ndarray:
     return _semigroup_rows(E, decay, d, x.ravel())[0].reshape(x.shape)
 
 
-@lru_cache(maxsize=64)
-def _genlaguerre_rule(sigma: float, n: int):
-    u, w = special.roots_genlaguerre(n, sigma - 1.0)
-    return u, w / np.sum(w)
-
-
 class _MehlerRule:
     """The n_quad-node subordination rule of U(., z) for E at order sigma.
 
@@ -285,7 +279,8 @@ class _MehlerRule:
     def __init__(self, E: GaussianSet, sigma: float, z: float, n_quad: int):
         _check_sigma(sigma)
         self.key = (E, sigma, z, n_quad)
-        u, w = _genlaguerre_rule(sigma, n_quad)
+        u, w = laguerre_roots(sigma - 1.0, n_quad)
+        w = w / np.sum(w)
         self.decay, self.d = _node_constants([z * z / (4.0 * ui) for ui in u])
         self.w, self.w_total = w[:, None], np.add.accumulate(w)[-1]
         c, d = self.decay[:, 0], self.d[:, 0]

@@ -3,14 +3,15 @@
 Everything is taken with respect to the standard Gaussian probability measure
 gamma_1 = (2 pi)^{-1/2} e^{-x^2/2} dx, and the Hermite polynomials are the
 orthonormal probabilists' family.  Gamma, the inverse CDF and the Gauss-Hermite
-rule come from ``scipy.special``; the wrappers here add the domain checks on
-outside input.  ``phi`` stays on ``math.erfc``, and ``hermite_eval`` is the
-plain recurrence that the tests use as an oracle.
+and Gauss-Laguerre roots come from ``scipy.special``; the wrappers here add the
+domain checks on outside input.  ``phi`` stays on ``math.erfc``, and
+``hermite_eval`` is the plain recurrence that the tests use as an oracle.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy import special
@@ -22,6 +23,7 @@ __all__ = [
     "QuadratureRule",
     "hermite_eval",
     "gauss_hermite_rule",
+    "laguerre_roots",
     "gamma_fn",
     "phi",
     "phi_inv",
@@ -89,6 +91,17 @@ def gauss_hermite_rule(n: int) -> QuadratureRule:
         raise DomainError(f"quadrature order must be in [1, 500], got {n}")
     nodes, weights = special.roots_hermitenorm(n)
     return QuadratureRule(n, nodes, weights / SQRT_2PI)
+
+
+# The 9 keys of a seed-7 perfbench `levelset` run: the profile's 40 and 20 nodes
+# at the reference probe's 4 orders, and the Mehler rule's 80 nodes at a = -0.75.
+@lru_cache(maxsize=9)
+def laguerre_roots(a: float, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only nodes and weights of ``special.roots_genlaguerre(n, a)``, the n-node
+    rule for u^a e^{-u}, shared by the halfline profile and the Mehler rule."""
+    u, w = special.roots_genlaguerre(n, a)
+    u.flags.writeable = w.flags.writeable = False
+    return u, w
 
 
 def gamma_fn(x: float) -> float:

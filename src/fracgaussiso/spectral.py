@@ -17,17 +17,15 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy import special
 
 from ._kernels_py import coeff_antideriv_table, halfspace_series_sum
 from .errors import DomainError
-from .gauss_core import FractionalOrder, as_order, k_coefficient
+from .gauss_core import FractionalOrder, as_order, k_coefficient, laguerre_roots
 from .sets import GaussianSet, measure
 
 __all__ = [
     "PerimeterValue",
     "CONVENTIONS",
-    "coeff_set",
     "perimeter_spectral",
     "halfspace_series",
     "halfline_perimeter",
@@ -81,13 +79,6 @@ def coeff_table(E: GaussianSet, K: int) -> np.ndarray:
     f[0] = measure(E)
     f.flags.writeable = False
     return f
-
-
-def coeff_set(E: GaussianSet, k: int) -> float:
-    """k-th Hermite coefficient of chi_E."""
-    if k < 0:
-        raise DomainError("coefficient index must be nonnegative")
-    return float(coeff_table(E, k)[k])
 
 
 def _calibrated_tail(terms: np.ndarray, s: float, K: int) -> float:
@@ -174,7 +165,7 @@ def halfline_perimeter(r: float, s, convention: str = "with_constant") -> Perime
     scale = math.gamma(0.5 - alpha) / (FOUR_PI * math.gamma(1.0 - alpha))
     means = []
     for n in (40, 20):
-        y, w = special.roots_genlaguerre(n, -alpha - 0.5)
+        y, w = laguerre_roots(-alpha - 0.5, n)
         g = np.sqrt(y / -np.expm1(-2.0 * y)) * np.exp(-r * r / (1.0 + np.exp(-y)))
         means.append(scale * float(w @ g) / float(np.sum(w)))
     bound = abs(means[0] - means[1]) + 40.0 * np.finfo(float).eps * means[0]

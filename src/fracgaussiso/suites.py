@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import random
 
+from .errors import DomainError
 from .inequality import (ConstantParams, TRANSFER_FAILS, closeness_z_max,
                          verify_levelset_bounds, verify_levelset_closeness,
                          verify_main, verify_transfer_lemma, z_thresholds)
@@ -53,7 +54,7 @@ def random_gaussian_set(rng: random.Random) -> GaussianSet:
             pairs[-1] = (pairs[-1][0], float("inf"))
         try:
             E = GaussianSet.from_intervals(pairs)
-        except Exception:
+        except DomainError:
             continue
         if _MIN_MEASURE <= measure(E) <= _MAX_MEASURE:
             return E

@@ -75,3 +75,33 @@ def test_one_levelset_set_builds_six_mehler_rules(perfbench):
     assert len(outcomes) == 3 + 2 * 3 and not any(bad for _, bad in outcomes)
     info = extension._mehler_rule.cache_info()
     assert info.misses == 6 and info.currsize == 6 and info.maxsize == 8
+
+
+def test_the_profile_and_the_mehler_rule_share_one_laguerre_root_cache(perfbench, monkeypatch):
+    # the reference probe reads the 40- and 20-node rules at s = 0.5 and at
+    # the three orders of `asymptotic`; the first levelset set then builds
+    # only the 80-node rule at a = -0.75, since its 40-node rule is the
+    # profile's at s = 0.5
+    from scipy import special
+
+    from fracgaussiso import extension, gauss_core
+
+    _, workloads = perfbench
+    built, roots = [], special.roots_genlaguerre
+    monkeypatch.setattr(special, "roots_genlaguerre",
+                        lambda n, a: built.append((a, n)) or roots(n, a))
+    gauss_core.laguerre_roots.cache_clear()
+    workloads.reference_pair()
+    assert gauss_core.laguerre_roots.cache_info().misses == len(built) == 8
+    workloads.reference_pair()
+    assert gauss_core.laguerre_roots.cache_info().misses == len(built) == 8
+    wl = workloads.Levelset(SEED, 0.0, None)
+    try:
+        E = wl.first_rounds(1)[0]
+        extension._mehler_rule.cache_clear()
+        list(wl.run(E))
+    finally:
+        wl.close()
+    assert built[8:] == [(-0.75, 80)]
+    info = gauss_core.laguerre_roots.cache_info()
+    assert info.misses == 9 and info.currsize == info.maxsize == 9

@@ -3,13 +3,14 @@ import math
 import mpmath
 import numpy as np
 import pytest
-from scipy import integrate
+from scipy import integrate, special
 
 from fracgaussiso.errors import DomainError
 from fracgaussiso.gauss_core import (FractionalOrder, beta_coefficient,
                                      gamma_fn, gauss_hermite_rule,
                                      hermite_eval, iso_function,
-                                     k_coefficient, phi, phi_inv)
+                                     k_coefficient, laguerre_roots, phi,
+                                     phi_inv)
 
 
 def test_fractional_order_validation():
@@ -110,6 +111,16 @@ def test_quadrature_rules_hash_and_compare_by_identity():
     a, b = gauss_hermite_rule(5), gauss_hermite_rule(5)
     assert a == a and a != b
     assert hash(a) == hash(a) and len({a, b}) == 2
+
+
+def test_laguerre_roots_are_scipy_roots_shared_read_only():
+    u, w = laguerre_roots(-0.75, 40)
+    assert laguerre_roots(-0.75, 40)[0] is u
+    ref_u, ref_w = special.roots_genlaguerre(40, -0.75)
+    assert u.tobytes() == ref_u.tobytes() and w.tobytes() == ref_w.tobytes()
+    for arr in (u, w):
+        with pytest.raises(ValueError):
+            arr[0] = 1.0
 
 
 def test_quadrature_order_bounds():

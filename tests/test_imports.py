@@ -8,7 +8,9 @@ or its import statement must carry ``# noqa: F401`` with the reason.  Next
 to it is a dead-definition check: a top-level ``_private`` function, class
 or assignment must be referenced somewhere in the package outside its own
 definition.  A third check keeps ndarray fields out of dataclasses whose
-``__eq__`` (and, when frozen, ``__hash__``) is generated.
+``__eq__`` (and, when frozen, ``__hash__``) is generated, and a fourth
+keeps the quadrature roots of ``scipy.special`` in ``gauss_core``, whose
+cache every rule reads.
 """
 import ast
 from pathlib import Path
@@ -132,3 +134,37 @@ def test_the_check_flags_ndarray_fields_only_under_a_generated_eq():
               "    def __eq__(self, other):\n        return self is other\n\n"
               "class E:\n    f: np.ndarray\n")
     assert ndarray_fields_under_generated_eq(source) == ["A.f", "B.g"]
+
+
+def special_root_calls(source: str) -> list[str]:
+    """'line N: name' for each call of a ``roots_*`` function of
+    ``scipy.special``, as an attribute (``special.roots_genlaguerre``) or as a
+    name imported from it (``from scipy.special import roots_jacobi as rj``)."""
+    tree = ast.parse(source)
+    imported = {alias.asname or alias.name: alias.name for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) and node.module == "scipy.special"
+                for alias in node.names if alias.name.startswith("roots_")}
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        if isinstance(func, ast.Attribute) and func.attr.startswith("roots_"):
+            found.append(f"line {node.lineno}: {func.attr}")
+        elif isinstance(func, ast.Name) and func.id in imported:
+            found.append(f"line {node.lineno}: {imported[func.id]}")
+    return found
+
+
+def test_only_gauss_core_computes_quadrature_roots():
+    assert [f"{p.name}: {call}" for p in MODULES if p.name != "gauss_core.py"
+            for call in special_root_calls(p.read_text())] == []
+
+
+def test_the_check_flags_root_calls_by_attribute_and_by_imported_name():
+    source = ("import scipy.special\nfrom scipy import special\n"
+              "from scipy.special import roots_jacobi as rj, gamma\n\n"
+              "u, w = special.roots_genlaguerre(40, -0.75)\nx = rj(5, 0.0, 1.0)\n"
+              "y = scipy.special.roots_legendre(3)\nz = gamma(0.5) + roots_of(3)\n")
+    assert special_root_calls(source) == ["line 5: roots_genlaguerre", "line 6: roots_jacobi",
+                                          "line 7: roots_legendre"]

@@ -3,16 +3,20 @@ import math
 import mpmath as mp
 import pytest
 
+from fracgaussiso import cli, inequality
 from fracgaussiso.errors import DegenerateSetError, DomainError
+from fracgaussiso.extension import LevelSetRecord
 from fracgaussiso.inequality import (ConstantParams, TRANSFER_FAILS,
                                      TRANSFER_HOLDS, TRANSFER_INAPPLICABLE,
-                                     TRANSFER_TRIVIAL, constant_C, f_weight,
-                                     sigma_min, verify_levelset_bounds,
+                                     TRANSFER_TRIVIAL, closeness_z_max,
+                                     constant_C, f_weight, sigma_min,
+                                     verify_levelset_bounds,
                                      verify_levelset_closeness, verify_main,
                                      verify_transfer_lemma, z_thresholds)
 from fracgaussiso.gauss_core import iso_function
-from fracgaussiso.sets import (EMPTY, GaussianSet, complement, halfline,
-                               interval, symm_diff)
+from fracgaussiso.sets import (EMPTY, GaussianSet, complement,
+                               ehrhard_symmetrize, halfline, interval,
+                               measure, symm_diff)
 from fracgaussiso.spectral import perimeter_spectral
 
 
@@ -220,3 +224,49 @@ def test_levelset_checks_reject_a_field_of_another_set_or_order():
 
 def test_levelset_bounds_vacuous_for_halfline():
     assert verify_levelset_bounds(halfline(0.0), 0.5, 0.5, 0.1, 500)
+
+
+# Fault injection: each verifier must answer no when its inputs say no.
+def _level_set_of_the_complement(F, t, z):
+    """A `level_set_with_budget` stand-in that returns the complement of the set, budget 0."""
+    W = complement(F.set)
+    return LevelSetRecord(t, z, W, measure(W)), 0.0
+
+
+def test_levelset_closeness_fails_on_the_complement(monkeypatch):
+    E, s, alpha = interval(0.1, 1.2), 0.5, 20.0
+    z = 0.9 * closeness_z_max(E, s, alpha, 2000)
+    assert verify_levelset_closeness(E, s, 0.5, z, alpha, 2000)
+    monkeypatch.setattr(inequality, "level_set_with_budget", _level_set_of_the_complement)
+    assert not verify_levelset_closeness(E, s, 0.5, z, alpha, 2000)
+
+
+@pytest.mark.parametrize("wrong", ["empty", "halfline"])
+def test_levelset_bounds_fail_on_a_wrong_level_set(monkeypatch, wrong):
+    # the empty set (mu = 0) breaks the measure bound; the symmetrized
+    # halfline (mu = m, asymmetry 0) keeps it and breaks the asymmetry bound
+    E, s = GaussianSet.from_intervals([(-math.inf, -0.3), (0.0, 0.25)]), 0.5
+    thr = z_thresholds(E, s, perimeter_spectral(E, s, 2000),
+                       perimeter_spectral(ehrhard_symmetrize(E).as_set(), s, 2000))
+    z = thr.z0 / 2.0
+    assert verify_levelset_bounds(E, s, 0.5, z, 2000)
+    W = EMPTY if wrong == "empty" else ehrhard_symmetrize(E).as_set()
+    monkeypatch.setattr(inequality, "level_set_with_budget",
+                        lambda F, t, z: (LevelSetRecord(t, z, W, measure(W)), 0.0))
+    assert not verify_levelset_bounds(E, s, 0.5, z, 2000)
+
+
+def test_transfer_lemma_fails_when_asymmetry_is_lost(monkeypatch):
+    F, E, kappa = interval(0.0, 1.0), interval(0.0, 0.999), 0.3
+    assert verify_transfer_lemma(E, F, kappa) == TRANSFER_HOLDS
+    real = inequality.asymmetry
+    monkeypatch.setattr(inequality, "asymmetry", lambda X: 0.0 if X == E else real(X))
+    assert verify_transfer_lemma(E, F, kappa) == TRANSFER_FAILS
+
+
+def test_verify_reports_every_closeness_failure(monkeypatch, capsys):
+    monkeypatch.setattr(inequality, "level_set_with_budget", _level_set_of_the_complement)
+    assert cli.main(["verify", "--suite", "levelset", "--n", "1", "--seed", "7"]) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 3 and all(line.startswith("FAIL {'suite': 'levelset', 'case': 0,")
+                                   for line in lines)

@@ -10,7 +10,7 @@ from fracgaussiso.errors import DomainError
 from fracgaussiso.gauss_core import hermite_eval, k_coefficient, phi
 from fracgaussiso.sets import GaussianSet, halfline, interval
 from fracgaussiso.spectral import (asymptotic_limit, asymptotic_series_value,
-                                   coeff_set, coeff_table,
+                                   coeff_table,
                                    halfspace_series, halfline_perimeter,
                                    halfline_perimeter_reference,
                                    perimeter_spectral)
@@ -32,13 +32,13 @@ def test_halfline_coefficients_vs_quadrature():
     for r in (-0.7, 0.0, 1.3):
         E = halfline(r)
         for k in (0, 1, 2, 5, 9):
-            assert coeff_set(E, k) == pytest.approx(_coeff_oracle(E, k), abs=1e-10)
+            assert coeff_table(E, k)[k] == pytest.approx(_coeff_oracle(E, k), abs=1e-10)
 
 
 def test_set_coefficients_vs_quadrature():
     E = GaussianSet.from_intervals([(-1.5, -0.2), (0.4, 1.1)])
     for k in (0, 1, 3, 7):
-        assert coeff_set(E, k) == pytest.approx(_coeff_oracle(E, k), abs=1e-10)
+        assert coeff_table(E, k)[k] == pytest.approx(_coeff_oracle(E, k), abs=1e-10)
 
 
 TWO_PIECES = GaussianSet.from_intervals([(-1.5, -0.2), (0.4, 1.1)])
@@ -76,7 +76,7 @@ def test_coeff_table_consistency():
     E = interval(0.0, 1.0)
     f = coeff_table(E, 50)
     for k in (0, 1, 10, 50):
-        assert f[k] == pytest.approx(coeff_set(E, k), abs=1e-14)
+        assert f[k] == pytest.approx(coeff_table(E, k)[k], abs=1e-14)
 
 
 def test_k1_summand_anchor():

@@ -3,7 +3,8 @@ import random
 import numpy as np
 import pytest
 
-from fracgaussiso.sets import measure
+from fracgaussiso.errors import DomainError
+from fracgaussiso.sets import GaussianSet, measure
 from fracgaussiso.suites import (SUITES, random_gaussian_set, row_failed,
                                  run_main_suite, run_transfer_suite)
 
@@ -20,6 +21,26 @@ def test_random_family_deterministic():
     a = [str(random_gaussian_set(random.Random(9))) for _ in range(1)]
     b = [str(random_gaussian_set(random.Random(9))) for _ in range(1)]
     assert a == b
+
+
+@pytest.mark.parametrize("error", [DomainError, TypeError])
+def test_random_family_redraws_only_after_a_domain_error(monkeypatch, error):
+    # a bad draw (DomainError) is drawn again; any other error is a bug and propagates
+    build, raised = GaussianSet.from_intervals, []
+
+    def fail_once(pairs):
+        if not raised:
+            raised.append(pairs)
+            raise error("injected")
+        return build(pairs)
+
+    monkeypatch.setattr(GaussianSet, "from_intervals", staticmethod(fail_once))
+    if error is DomainError:
+        assert 0.05 <= measure(random_gaussian_set(random.Random(7))) <= 0.95
+    else:
+        with pytest.raises(TypeError, match="injected"):
+            random_gaussian_set(random.Random(7))
+    assert len(raised) == 1
 
 
 def test_transfer_suite_rows():

@@ -29,7 +29,7 @@ from .pde import pde_energy, pde_energy_cylinder
 from .inequality import (ConstantParams, DeficitReport, constant_C, f_weight,
                          sigma_min, verify_levelset_bounds,
                          verify_levelset_closeness, verify_main,
-                         verify_transfer_lemma, z_thresholds)
+                         verify_transfer_lemma, z0_threshold, z_thresholds)
 from .suites import SUITES, random_gaussian_set
 
 __version__ = "0.1.0"

@@ -30,6 +30,7 @@ __all__ = [
     "sigma_min",
     "f_weight",
     "z_thresholds",
+    "z0_threshold",
     "constant_C",
     "verify_main",
     "verify_transfer_lemma",
@@ -122,6 +123,12 @@ def f_weight(m: float) -> float:
     return math.exp(0.5 * r2) / (1.0 + r2)
 
 
+def _height(A: float, m: float, order: FractionalOrder, P: PerimeterValue,
+            factor: float) -> float:
+    """(A m / (factor beta_s P))^{1/s}: z0 with 72 and P_s(E), z1 with 144 and P_s(H)."""
+    return (A * m / (factor * beta_coefficient(order.s) * P.value)) ** (1.0 / order.s)
+
+
 def z_thresholds(E: GaussianSet, s, P_E: PerimeterValue,
                  P_H: PerimeterValue) -> ZThresholds:
     """(z0, z1) = ((A m / (72 beta_s P_E))^{1/s}, (A m / (144 beta_s P_H))^{1/s})."""
@@ -130,10 +137,17 @@ def z_thresholds(E: GaussianSet, s, P_E: PerimeterValue,
     if A == 0.0:
         return ZThresholds(0.0, 0.0)
     m = measure(E)
-    beta = beta_coefficient(order.s)
-    z0 = (A * m / (72.0 * beta * P_E.value)) ** (1.0 / order.s)
-    z1 = (A * m / (144.0 * beta * P_H.value)) ** (1.0 / order.s)
-    return ZThresholds(z0, z1)
+    return ZThresholds(_height(A, m, order, P_E, 72.0), _height(A, m, order, P_H, 144.0))
+
+
+def z0_threshold(E: GaussianSet, s, K: int = 10_000) -> float:
+    """z0 of `z_thresholds` with P_E = P_s(E) at truncation K; 0 when asym(E) = 0.
+
+    The level-set bounds read z0 alone, so no symmetrized halfline is built.
+    """
+    order = as_order(s)
+    A = asymmetry(E)
+    return _height(A, measure(E), order, perimeter_spectral(E, order, K), 72.0) if A else 0.0
 
 
 def constant_C(s, m: float, params: ConstantParams, P_H: PerimeterValue) -> float:
@@ -266,12 +280,9 @@ def verify_levelset_bounds(E: GaussianSet, s, t: float, z: float,
     if A == 0.0:
         # z0 = 0: the admissible z-range is empty and the claim is vacuous.
         return True
-    H = ehrhard_symmetrize(E).as_set()
-    P_E = perimeter_spectral(E, order, K)
-    P_H = perimeter_spectral(H, order, K)
-    thr = z_thresholds(E, order, P_E, P_H)
-    if not (0.0 < z <= thr.z0):
-        raise DomainError(f"z must lie in (0, z0={thr.z0}], got {z}")
+    z0 = _height(A, m, order, perimeter_spectral(E, order, K), 72.0)
+    if not (0.0 < z <= z0):
+        raise DomainError(f"z must lie in (0, z0={z0}], got {z}")
     rec, budget = level_set_with_budget(_field_of(E, order, K, field), t, z)
     if not abs(rec.mu - m) <= (2.0 / 9.0) * m * A + budget:
         return False

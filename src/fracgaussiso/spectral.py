@@ -65,17 +65,15 @@ def coeff_table(E: GaussianSet, K: int) -> np.ndarray:
 
     The table does not depend on the order s, so it is memoized per (E, K):
     a caller checking one set and its symmetrization over several orders
-    builds each table once.  The shared array is not writeable.
+    builds each table once.  One kernel call sums the A_k of every finite
+    endpoint with its sign.  The shared array is not writeable.
     """
     if K < 0:
         raise DomainError("truncation index must be nonnegative")
-    f = np.zeros(K + 1)
-    if K >= 1:
-        for a, b in E.intervals:
-            if math.isfinite(a):
-                f += coeff_antideriv_table(a, K)
-            if math.isfinite(b):
-                f -= coeff_antideriv_table(b, K)
+    ends = [(x, sign) for a, b in E.intervals for x, sign in ((a, 1.0), (b, -1.0))
+            if math.isfinite(x)]
+    x, signs = np.array(ends).reshape(-1, 2).T
+    f = coeff_antideriv_table(x, K, signs)
     f[0] = measure(E)
     f.flags.writeable = False
     return f

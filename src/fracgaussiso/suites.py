@@ -12,9 +12,8 @@ import random
 from .errors import DomainError
 from .inequality import (ConstantParams, TRANSFER_FAILS, closeness_z_max,
                          verify_levelset_bounds, verify_levelset_closeness,
-                         verify_main, verify_transfer_lemma, z_thresholds)
-from .sets import GaussianSet, asymmetry, ehrhard_symmetrize, interval, measure, symm_diff
-from .spectral import perimeter_spectral
+                         verify_main, verify_transfer_lemma, z0_threshold)
+from .sets import GaussianSet, asymmetry, interval, measure, symm_diff
 
 __all__ = [
     "SUITES",
@@ -109,10 +108,8 @@ def run_bounds_suite(n: int = 50, seed: int = 0) -> tuple[list[dict], int]:
         E = random_gaussian_set(rng)
         if asymmetry(E) == 0.0:
             continue
-        H = ehrhard_symmetrize(E).as_set()
-        thr = z_thresholds(E, s, perimeter_spectral(E, s, K),
-                           perimeter_spectral(H, s, K))
-        for z in (0.5 * thr.z0, thr.z0):
+        z0 = z0_threshold(E, s, K)
+        for z in (0.5 * z0, z0):
             for t in _T_VALUES:
                 rows.append({
                     "suite": "bounds", "case": i, "set": str(E), "s": s,

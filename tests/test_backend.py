@@ -13,7 +13,7 @@ def test_backend_selected():
 
 
 def _reference_antideriv_table(x, K):
-    """The scalar loop the kernels replaced, one math.sqrt per factor."""
+    """The sequential recurrence, one math.sqrt per factor: the oracle of the blocked rule."""
     A = np.zeros(K + 1)
     if K < 1:
         return A
@@ -33,7 +33,7 @@ def _reference_antideriv_table(x, K):
 
 
 def _reference_halfspace_sum(r, p, K):
-    """The scalar Kahan loop the kernels replaced, one math.sqrt per factor."""
+    """The sequential recurrence and a Kahan sum, one math.sqrt per factor."""
     s = 0.0
     comp = 0.0
     g_prev = math.exp(-0.5 * r * r)
@@ -83,18 +83,67 @@ def _reference_weighted_series(c, x):
 
 
 POINTS = (-9.0, -2.3, 0.0, 0.7, 3.9)
-# Orders ending on both sides of the kernels' first sqrt-chunk boundary,
-# one spanning three chunks, and one spanning more chunks than are cached.
-CHUNK = _kernels_py.SQRT_CHUNK
-ORDERS = (0, 1, 2, 3, CHUNK - 1, CHUNK, CHUNK + 1, CHUNK + 2, 10_000, 5 * CHUNK + 3)
+EPS = np.finfo(float).eps
+BLOCK = _kernels_py._BLOCK
+# The segment length at one endpoint, read from the first segment of a long table.
+SEGMENT = next(_kernels_py._weighted_rows(np.zeros(1), 10**6))[1].shape[1]
+# Tables ending at, one short of and one past a block and a segment, and 1e4.
+ORDERS = (0, 1, 2, BLOCK - 1, BLOCK, BLOCK + 1, SEGMENT - 1, SEGMENT, SEGMENT + 1, 10_000)
 
 
-def test_antideriv_tables_bit_identical():
+def _within(got, ref, scale, tol):
+    err = float(np.max(np.abs(got - ref), initial=0.0))
+    assert err <= tol * EPS * scale, (err / (EPS * scale), tol)
+
+
+def test_antideriv_tables_match_the_sequential_oracle():
+    # The blocked rule rounds differently from one scalar recurrence, but both
+    # are a few eps from the exact values, so they agree to 8 eps max|A|.
     for x in POINTS:
         for K in ORDERS:
-            ref = _reference_antideriv_table(x, K).tobytes()
+            ref = _reference_antideriv_table(x, K)
             got = _kernels_py.coeff_antideriv_table(x, K)
-            assert got.tobytes() == ref, (x, K)
+            assert got.shape == (K + 1,) and got[0] == 0.0
+            _within(got, ref, np.max(np.abs(ref)), 8.0)
+
+
+def test_tables_match_the_oracle_across_segments():
+    # Three segments carry the start twice; five points share one call, whose
+    # segments are shorter, and each row keeps its sign.
+    signs = np.array([1.0, -1.0, 1.0, -1.0, 1.0])
+    K = 2 * SEGMENT + 3
+    refs = [_reference_antideriv_table(x, K) for x in POINTS]
+    _within(_kernels_py.coeff_antideriv_table(POINTS[1], K), refs[1], np.max(np.abs(refs[1])), 8.0)
+    seg5 = next(_kernels_py._weighted_rows(np.zeros(5), K))[1].shape[1]
+    assert seg5 < SEGMENT
+    for K in (seg5 - 1, seg5, seg5 + 1, 2 * SEGMENT + 3):
+        got = _kernels_py.coeff_antideriv_table(POINTS, K, signs)
+        ref = sum(sign * table[:K + 1] for sign, table in zip(signs, refs))
+        _within(got, ref, sum(np.max(np.abs(table[:K + 1])) for table in refs), 8.0)
+
+
+@pytest.mark.parametrize("x", [-9.0, -8.0, 8.0, 9.0])
+def test_growing_stretch_matches_the_oracle_in_relative_terms(x):
+    # For n < x^2/4 the values grow by orders of magnitude, so an error
+    # relative to max|A| says nothing about the small ones.
+    for K in (2, BLOCK - 1, BLOCK + 1, 10_000):
+        n = min(K, math.ceil(x * x / 4.0))
+        ref = _reference_antideriv_table(x, K)[1:n + 1]
+        got = _kernels_py.coeff_antideriv_table(x, K)[1:n + 1]
+        assert np.all(np.abs(got - ref) <= 4.0 * EPS * np.abs(ref)), K
+
+
+def test_antideriv_spot_values_against_mpmath():
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        for x, k in ((-9.0, 20), (-2.3, 1), (0.7, 2), (0.7, BLOCK + 1), (3.9, 1000),
+                     (-2.3, 10_000)):
+            n, xm = k - 1, mpmath.mpf(x)
+            he = mpmath.hermite(n, xm / mpmath.sqrt(2)) / mpmath.sqrt(2) ** n  # He_n(x)
+            exact = float(mpmath.exp(-xm * xm / 2) * he
+                          / mpmath.sqrt(mpmath.factorial(n) * 2 * mpmath.pi * k))
+            table = _kernels_py.coeff_antideriv_table(x, k)
+            _within(table[k], exact, np.max(np.abs(table)), 8.0)
 
 
 def test_weighted_series_bit_identical():
@@ -107,30 +156,32 @@ def test_weighted_series_bit_identical():
         assert got.tobytes() == ref.tobytes(), K
 
 
-def test_halfspace_sum_bit_identical():
+def test_halfspace_sum_matches_the_sequential_oracle():
+    # An entry error of 8 eps max|g| moves k^p g_k^2 by at most 16 eps max|g| k^p |g_k|.
+    p = -0.75
     for r in POINTS:
-        for K in ORDERS:
-            ref = np.float64(_reference_halfspace_sum(r, -0.75, K)).tobytes()
-            got = _kernels_py.halfspace_series_sum(r, -0.75, K)
-            assert np.float64(got).tobytes() == ref, (r, K)
+        for K in ORDERS + (2 * SEGMENT + 3,):
+            g = np.abs(_reference_antideriv_table(r, K)[1:]
+                       * np.sqrt(2.0 * math.pi * np.arange(1, K + 1)))
+            scale = float(np.max(g, initial=0.0) * np.sum(np.arange(1, K + 1) ** p * g))
+            got = _kernels_py.halfspace_series_sum(r, p, K)
+            _within(np.array(got), _reference_halfspace_sum(r, p, K), scale, 16.0)
 
 
-
-def test_kernels_bit_identical_while_the_caches_evict():
-    # 5 * CHUNK + 3 walks six root chunks, more than are kept, so the
-    # K = 10_000 calls between them find their chunks evicted
-    assert 5 * CHUNK + 3 > _kernels_py.SQRT_CHUNKS_KEPT * CHUNK
-    x = 0.7
-    for K in (10_000, 5 * CHUNK + 3, 10_000, 5 * CHUNK + 3, 10_000):
-        got = _kernels_py.coeff_antideriv_table(x, K)
-        assert got.tobytes() == _reference_antideriv_table(x, K).tobytes(), K
-        got = _kernels_py.halfspace_series_sum(x, -0.75, K)
-        assert np.float64(got).tobytes() == \
-            np.float64(_reference_halfspace_sum(x, -0.75, K)).tobytes(), K
+def test_weights_that_underflow_give_zero_rows():
+    # e^{-x^2/2} is 0.0 past |x| = 38.6; such an endpoint adds nothing, even
+    # where x^32 overflows the unit-start solutions of its blocks, or x = inf.
+    assert not np.any(_kernels_py.coeff_antideriv_table(40.0, 100))
+    lone = _kernels_py.coeff_antideriv_table(0.7, 100)
+    both = _kernels_py.coeff_antideriv_table([0.7, -math.inf, 1e12], 100, [1.0, -1.0, -1.0])
+    assert both.tobytes() == lone.tobytes()
+    assert _kernels_py.halfspace_series_sum(40.0, -0.75, 100) == 0.0
 
 
 def test_tables_are_fresh():
     table = _kernels_py.coeff_antideriv_table(-2.3, 500)
+    expected = table.copy()
+    assert table.flags.writeable
     table[:] = 7.0
     again = _kernels_py.coeff_antideriv_table(-2.3, 500)
-    assert again.tobytes() == _reference_antideriv_table(-2.3, 500).tobytes()
+    assert again.tobytes() == expected.tobytes()

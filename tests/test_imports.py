@@ -8,9 +8,10 @@ or its import statement must carry ``# noqa: F401`` with the reason.  Next
 to it is a dead-definition check: a top-level ``_private`` function, class
 or assignment must be referenced somewhere in the package outside its own
 definition.  A third check keeps ndarray fields out of dataclasses whose
-``__eq__`` (and, when frozen, ``__hash__``) is generated, and a fourth
+``__eq__`` (and, when frozen, ``__hash__``) is generated, a fourth
 keeps the quadrature roots of ``scipy.special`` in ``gauss_core``, whose
-cache every rule reads.
+cache every rule reads, and a fifth keeps the Hermite recurrence in
+``_kernels_py`` and every coefficient table one kernel call per set.
 """
 import ast
 from pathlib import Path
@@ -168,3 +169,63 @@ def test_the_check_flags_root_calls_by_attribute_and_by_imported_name():
               "y = scipy.special.roots_legendre(3)\nz = gamma(0.5) + roots_of(3)\n")
     assert special_root_calls(source) == ["line 5: roots_genlaguerre", "line 6: roots_jacobi",
                                           "line 7: roots_legendre"]
+
+
+_LOOPS = (ast.For, ast.AsyncFor, ast.While, ast.ListComp, ast.SetComp, ast.DictComp,
+          ast.GeneratorExp)
+
+
+def _is_recurrence_step(node) -> bool:
+    """(x * g - c * g_prev) / d, the three-term Hermite step in any notation."""
+    return (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Div)
+            and isinstance(node.left, ast.BinOp) and isinstance(node.left.op, ast.Sub)
+            and all(isinstance(side, ast.BinOp) and isinstance(side.op, ast.Mult)
+                    for side in (node.left.left, node.left.right)))
+
+
+def looped_work(source: str) -> list[str]:
+    """'function: recurrence' for each top-level function (or '<module>') that
+    takes a three-term recurrence step inside a loop, and 'function: kernel
+    call' for each that calls ``coeff_antideriv_table`` inside one."""
+    found = []
+    for top in ast.parse(source).body:
+        name = top.name if isinstance(top, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                            ast.ClassDef)) else "<module>"
+        inside = {id(sub): sub for loop in ast.walk(top) if isinstance(loop, _LOOPS)
+                  for sub in ast.walk(loop)}.values()
+        if any(_is_recurrence_step(sub) for sub in inside):
+            found.append(f"{name}: recurrence")
+        if any(isinstance(sub, ast.Call) and ast.unparse(sub.func).split(".")[-1]
+               == "coeff_antideriv_table" for sub in inside):
+            found.append(f"{name}: kernel call")
+    return sorted(set(found))
+
+
+# ``hermite_eval`` is the public one-value evaluator, the oracle of the tests.
+RECURRENCES_OUTSIDE_THE_KERNELS = {"gauss_core.py: hermite_eval: recurrence"}
+
+
+def test_only_the_kernels_run_the_hermite_recurrence():
+    found = {f"{p.name}: {item}" for p in MODULES for item in looped_work(p.read_text())}
+    assert {item for item in found if not item.startswith("_kernels_py.py: ")} \
+        == RECURRENCES_OUTSIDE_THE_KERNELS
+    assert not any(item.endswith("kernel call") for item in found)
+    assert "_kernels_py.py: _weighted_rows: recurrence" in found
+
+
+def test_the_check_flags_recurrences_and_looped_kernel_calls():
+    source = (
+        "import math\nfrom . import _kernels_py as kp\n\n"
+        "def per_endpoint(E, K):\n    f = 0\n    for a, b in E.intervals:\n"
+        "        f += kp.coeff_antideriv_table(a, K)\n    return f\n\n"
+        "def summed(xs, K):\n    return sum(coeff_antideriv_table(x, K) for x in xs)\n\n"
+        "def once(xs, K, signs):\n    return coeff_antideriv_table(xs, K, signs)\n\n"
+        "def terms(x, n):\n    g_prev, g = 0.0, 1.0\n    k = 0\n    while k < n:\n"
+        "        g_next = (x * g - math.sqrt(k) * g_prev) / math.sqrt(k + 1)\n"
+        "        g_prev, g, k = g, g_next, k + 1\n    return g\n\n"
+        "def richardson(vals, rho):\n"
+        "    return [(vals[i + 1] - rho * vals[i]) / (1.0 - rho) for i in range(3)]\n\n"
+        "STEP = (2.0 * 1.0 - 1.0 * 0.0) / 1.0\n"
+        "TABLE = [(x * 1.0 - 2.0 * x) / 3.0 for x in range(3)]\n")
+    assert looped_work(source) == ["<module>: recurrence", "per_endpoint: kernel call",
+                                   "summed: kernel call", "terms: recurrence"]

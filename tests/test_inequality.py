@@ -1,9 +1,10 @@
 import math
+import sys
 
 import mpmath as mp
 import pytest
 
-from fracgaussiso import cli, inequality
+from fracgaussiso import cli, inequality, sets, suites
 from fracgaussiso.errors import DegenerateSetError, DomainError
 from fracgaussiso.extension import LevelSetRecord
 from fracgaussiso.inequality import (ConstantParams, TRANSFER_FAILS,
@@ -12,7 +13,8 @@ from fracgaussiso.inequality import (ConstantParams, TRANSFER_FAILS,
                                      constant_C, f_weight, sigma_min,
                                      verify_levelset_bounds,
                                      verify_levelset_closeness, verify_main,
-                                     verify_transfer_lemma, z_thresholds)
+                                     verify_transfer_lemma, z0_threshold,
+                                     z_thresholds)
 from fracgaussiso.gauss_core import iso_function
 from fracgaussiso.sets import (EMPTY, GaussianSet, complement,
                                ehrhard_symmetrize, halfline, interval,
@@ -62,6 +64,30 @@ def test_z_thresholds_degenerate():
     P = perimeter_spectral(E, 0.5, 500)
     thr = z_thresholds(E, 0.5, P, P)
     assert thr.z0 == 0.0 and thr.z1 == 0.0
+
+
+def test_z0_threshold_is_z_thresholds_z0():
+    E, s = GaussianSet.from_intervals([(-math.inf, -0.1), (0.2, 0.5)]), 0.5
+    P_E = perimeter_spectral(E, s, 2000)
+    P_H = perimeter_spectral(ehrhard_symmetrize(E).as_set(), s, 2000)
+    assert z0_threshold(E, s, 2000) == z_thresholds(E, s, P_E, P_H).z0 > 0.0
+    assert z0_threshold(halfline(0.7), s, 500) == 0.0
+
+
+def test_the_bounds_checks_never_symmetrize(monkeypatch):
+    # z1, the one threshold that reads P_s(H), has no reader in the bounds
+    # checks, so neither builds H; verify_main, which reads P_s(H), shows
+    # that the count sees every binding of the function.
+    calls, real = [], sets.ehrhard_symmetrize
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("fracgaussiso") and getattr(mod, "ehrhard_symmetrize", None) is real:
+            monkeypatch.setattr(mod, "ehrhard_symmetrize", lambda E: calls.append(E) or real(E))
+    E = GaussianSet.from_intervals([(-math.inf, -0.3), (0.0, 0.25)])
+    assert verify_levelset_bounds(E, 0.5, 0.5, z0_threshold(E, 0.5, 2000) / 2.0, 2000)
+    rows, failures = suites.run_bounds_suite(3, 7)
+    assert rows and failures == 0 and calls == []
+    verify_main(E, 0.5, K=500)
+    assert len(calls) == 1
 
 
 def test_constant_C_positive_and_linear_in_c():

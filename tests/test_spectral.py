@@ -1,14 +1,17 @@
 import functools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate
 
 from fracgaussiso import spectral
 from fracgaussiso.errors import DomainError
 from fracgaussiso.gauss_core import hermite_eval, k_coefficient, phi
-from fracgaussiso.sets import GaussianSet, halfline, interval
+from fracgaussiso.sets import GaussianSet, complement, halfline, interval, reflect
 from fracgaussiso.spectral import (asymptotic_limit, asymptotic_series_value,
                                    coeff_table,
                                    halfspace_series, halfline_perimeter,
@@ -16,6 +19,8 @@ from fracgaussiso.spectral import (asymptotic_limit, asymptotic_series_value,
                                    perimeter_spectral)
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
+INF = math.inf
+EPS = np.finfo(float).eps
 
 
 def _coeff_oracle(E, k):
@@ -45,19 +50,59 @@ TWO_PIECES = GaussianSet.from_intervals([(-1.5, -0.2), (0.4, 1.1)])
 
 
 def test_coeff_table_built_once_per_set(monkeypatch):
-    # The table does not depend on s: three orders build it from 4 endpoints once.
+    # The table does not depend on s: three orders build it once, by one
+    # kernel call that carries all four endpoints with their signs.
     calls = []
     kernel = spectral.coeff_antideriv_table
 
-    def counted(x, K):
-        calls.append((x, K))
-        return kernel(x, K)
+    def counted(x, K, signs):
+        calls.append((tuple(x.tolist()), K, tuple(signs.tolist())))
+        return kernel(x, K, signs)
 
     monkeypatch.setattr(spectral, "coeff_antideriv_table", counted)
     coeff_table.cache_clear()
     for s in (0.25, 0.5, 0.75):
         perimeter_spectral(TWO_PIECES, s, 2000)
-    assert len(calls) == 4
+    assert calls == [((-1.5, -0.2, 0.4, 1.1), 2000, (1.0, -1.0, 1.0, -1.0))]
+
+
+def test_coeff_table_memory_stays_near_one_table():
+    # The kernel works segment by segment, so a long table of eight endpoints
+    # needs little more than the table itself.
+    E = GaussianSet.from_intervals([(-2.9, -2.1), (-1.3, -0.4), (0.2, 0.9), (1.6, 2.8)])
+    tracemalloc.start()
+    try:
+        f = coeff_table.__wrapped__(E, 200_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(E.finite_endpoints) == 8
+    assert peak <= 5 * f.nbytes, peak / f.nbytes
+
+
+@st.composite
+def _sets(draw):
+    ends = sorted(draw(st.lists(st.floats(-6.0, 6.0), min_size=1, max_size=8, unique=True)))
+    if len(ends) % 2:  # an odd count gets an unbounded end
+        ends = sorted(ends + [draw(st.sampled_from((-INF, INF)))])
+    return GaussianSet.from_intervals(zip(ends[::2], ends[1::2]))
+
+
+def _scale(E, K):
+    """sum over the finite endpoints x of E of max_k |A_k(x)|, k <= K: the
+    scale of the signed sum's rounding, whose order a reflection reverses."""
+    return sum(np.max(np.abs(spectral.coeff_antideriv_table(x, K))) for x in E.finite_endpoints)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_sets(), st.sampled_from((1, 2, 33, 700)))
+def test_complement_and_reflection_coefficients(E, K):
+    # chi_E + chi_complement = 1 has no k >= 1 coefficients, and h_k(-x) =
+    # (-1)^k h_k(x) makes the reflection's |f_k| those of E.
+    f, fc = coeff_table.__wrapped__(E, K), coeff_table.__wrapped__(complement(E), K)
+    assert np.array_equal(fc[1:], -f[1:])
+    fr = coeff_table.__wrapped__(reflect(E), K)
+    assert np.max(np.abs(np.abs(fr[1:]) - np.abs(f[1:]))) <= 4.0 * EPS * _scale(E, K)
 
 
 def test_coeff_table_is_read_only():

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
-from scipy import special
 
 from ._kernels_py import hermite_weighted_series
 from .errors import DomainError, QuadratureError, ResolutionError
@@ -106,6 +105,8 @@ def psi_bulk(sigma: float, xi) -> np.ndarray:
     psi_sigma(xi) = (2/Gamma(sigma)) (xi/2)^sigma K_sigma(xi); evaluated with
     the exponentially scaled kve for stability at large arguments.
     """
+    from scipy.special import kve  # imported here: importing the package loads no scipy
+
     _check_sigma(sigma)
     xi = np.asarray(xi, dtype=float)
     out = np.ones_like(xi)
@@ -113,7 +114,7 @@ def psi_bulk(sigma: float, xi) -> np.ndarray:
     xp = xi[pos]
     with np.errstate(over="ignore", invalid="ignore"):
         vals = (2.0 / gamma_fn(sigma)) * (0.5 * xp) ** sigma \
-            * np.exp(-xp) * special.kve(sigma, xp)
+            * np.exp(-xp) * kve(sigma, xp)
     out[pos] = np.where(np.isfinite(vals), vals, 0.0)
     return out
 
@@ -220,16 +221,18 @@ def _node_constants(taus) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _ndtr_plateau(arg: np.ndarray) -> np.ndarray:
-    """special.ndtr(arg), calling ndtr only where -40 < arg < 9.
+    """scipy.special.ndtr(arg), calling ndtr only where -40 < arg < 9.
 
     ndtr is exactly 1.0 from about 8.3 up and exactly 0.0 from about -37.7
     down, so the plateau values written at or beyond the limits are the ones
     ndtr returns there.
     """
+    from scipy.special import ndtr  # imported here: importing the package loads no scipy
+
     one = arg >= _NDTR_ONE
     out = one.astype(float)
     live = ~(one | (arg <= _NDTR_ZERO))
-    out[live] = special.ndtr(arg[live])
+    out[live] = ndtr(arg[live])
     return out
 
 

@@ -2,19 +2,22 @@
 
 Everything is taken with respect to the standard Gaussian probability measure
 gamma_1 = (2 pi)^{-1/2} e^{-x^2/2} dx, and the Hermite polynomials are the
-orthonormal probabilists' family.  Gamma, the inverse CDF and the Gauss-Hermite
-and Gauss-Laguerre roots come from ``scipy.special``; the wrappers here add the
-domain checks on outside input.  ``phi`` stays on ``math.erfc``, and
-``hermite_eval`` is the plain recurrence that the tests use as an oracle.
+orthonormal probabilists' family.  Gamma is ``math.gamma``, the inverse CDF
+is ``statistics.NormalDist().inv_cdf`` and ``phi`` is ``math.erfc``; the
+Gauss-Laguerre roots are computed here with numpy (``laguerre_roots``).  So
+importing this module loads no scipy; only ``gauss_hermite_rule``, which the
+tests use, imports ``scipy.special`` when called.  The wrappers add the
+domain checks on outside input, and ``hermite_eval`` is the plain recurrence
+that the tests use as an oracle.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from statistics import NormalDist
 
 import numpy as np
-from scipy import special
 
 from .errors import DomainError
 
@@ -34,6 +37,9 @@ __all__ = [
 ]
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
+_STANDARD_NORMAL = NormalDist()
+# Near 360 nodes the Laguerre recurrence overflows a double at the largest nodes.
+_MAX_LAGUERRE_NODES = 300
 
 
 @dataclass(frozen=True)
@@ -87,28 +93,71 @@ def gauss_hermite_rule(n: int) -> QuadratureRule:
     The nodes and weights of ``special.roots_hermitenorm``, whose weight
     function e^{-x^2/2} has mass sqrt(2 pi).
     """
+    from scipy import special  # imported here: only the tests build this rule
+
     if not (1 <= n <= 500):
         raise DomainError(f"quadrature order must be in [1, 500], got {n}")
     nodes, weights = special.roots_hermitenorm(n)
     return QuadratureRule(n, nodes, weights / SQRT_2PI)
 
 
+def _gauss_laguerre(a: float, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the n-node Gauss rule for u^a e^{-u} on (0, inf).
+
+    As in Golub & Welsch (1969), the nodes start as the eigenvalues of the
+    Jacobi matrix of the generalized Laguerre polynomials L_k^(a).  One pass
+    over the nodes of the recurrence for P_k = L_k^(a)/L_k^(a)(0), carried in
+    the differences d_k = P_k - P_{k-1} so that it stays accurate near u = 0,
+    gives P_n and P_n' = n d_n/u for one Newton step.  The weights
+    w ~ 1/(u P_n'(u)^2) come from the same pass: the Laguerre equation
+    u P'' = (u - a - 1) P' - n P moves P_n' to the new node.  They are
+    normalized to their exact sum Gamma(a + 1).
+    """
+    if not (a > -1.0 and 1 <= n <= _MAX_LAGUERRE_NODES):
+        raise DomainError(f"Laguerre rule needs a > -1 and 1 <= n <= "
+                          f"{_MAX_LAGUERRE_NODES}, got a={a}, n={n}")
+    k = np.arange(n, dtype=float)
+    jacobi = np.diag(2.0 * k + a + 1.0) + np.diag(np.sqrt(k[1:] * (k[1:] + a)), 1)
+    u = np.linalg.eigvalsh(jacobi, UPLO="U")
+    # d_{k+1} = -u/(k + a + 1) P_k + k/(k + a + 1) d_k, one row of u-terms per k
+    ka = k + a + 1.0
+    u_terms, ratios = -u / ka[:, None], (k / ka).tolist()
+    d = u_terms[0].copy()
+    p = 1.0 + d
+    for j in range(1, n):
+        d *= ratios[j]
+        d += u_terms[j] * p
+        p += d
+    dp = n * d / u
+    step = -p / dp
+    dp += step * ((u - a - 1.0) * dp - n * p) / u
+    u = u + step
+    w = (1.0 / dp) ** 2 / u  # underflows to 0 where u P_n'^2 would overflow
+    return u, w * (math.gamma(a + 1.0) / np.sum(w))
+
+
 # The 9 keys of a seed-7 perfbench `levelset` run: the profile's 40 and 20 nodes
 # at the reference probe's 4 orders, and the Mehler rule's 80 nodes at a = -0.75.
 @lru_cache(maxsize=9)
 def laguerre_roots(a: float, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only nodes and weights of ``special.roots_genlaguerre(n, a)``, the n-node
-    rule for u^a e^{-u}, shared by the halfline profile and the Mehler rule."""
-    u, w = special.roots_genlaguerre(n, a)
+    """Read-only nodes and weights of ``_gauss_laguerre(a, n)``, the n-node rule
+    for u^a e^{-u}, shared by the halfline profile and the Mehler rule."""
+    u, w = _gauss_laguerre(a, n)
     u.flags.writeable = w.flags.writeable = False
     return u, w
 
 
 def gamma_fn(x: float) -> float:
-    """Euler Gamma; a pole raises DomainError."""
-    if x <= 0.0 and x == math.floor(x):
+    """Euler Gamma by ``math.gamma``; a pole or -inf raises DomainError, and
+    where Gamma overflows a double (x > 171.62, or 0 < |x| < 5.6e-309) the
+    result is the infinity of its sign."""
+    x = float(x)
+    if x == -math.inf or (x <= 0.0 and x.is_integer()):
         raise DomainError(f"gamma pole at {x}")
-    return float(special.gamma(x))
+    try:
+        return math.gamma(x)
+    except OverflowError:
+        return math.copysign(math.inf, x)
 
 
 def phi(r: float) -> float:
@@ -120,7 +169,7 @@ def phi_inv(m: float) -> float:
     """Inverse Gaussian CDF."""
     if not (0.0 < m < 1.0):
         raise DomainError(f"phi_inv needs an argument in (0, 1), got {m}")
-    return float(special.ndtri(m))
+    return _STANDARD_NORMAL.inv_cdf(m)
 
 
 def iso_function(m: float) -> float:

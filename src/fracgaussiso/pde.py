@@ -30,15 +30,24 @@ from __future__ import annotations
 from functools import reduce
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
-# Neither solver is called here; perfbench/spans.py wraps both by name.
-from scipy.sparse.linalg import cg, spsolve  # noqa: F401
 
 from .errors import DomainError
 from .gauss_core import as_order, phi
 from .sets import GaussianSet
 
 __all__ = ["pde_energy", "pde_energy_cylinder", "graded_x_mesh"]
+
+
+def __getattr__(name: str):
+    """``pde.cg`` and ``pde.spsolve``, the sparse solvers of ``scipy.sparse.linalg``.
+
+    Neither is called here; perfbench/spans.py wraps both by name.  They are
+    looked up on first access, so importing this module loads no scipy.
+    """
+    if name in ("cg", "spsolve"):
+        from scipy.sparse import linalg
+        return getattr(linalg, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def graded_x_mesh(anchors, L: float, n_x: int) -> np.ndarray:
@@ -103,6 +112,8 @@ def _pencil(c: np.ndarray, w: np.ndarray):
 
     L is the path Laplacian with edge conductances c and W = diag(w).
     """
+    from scipy.linalg import eigh_tridiagonal  # imported here: importing the package loads no scipy
+
     r = 1.0 / np.sqrt(w)
     diagonal = np.pad(c, (0, 1)) + np.pad(c, (1, 0))
     lam, Q = eigh_tridiagonal(diagonal * r * r, -c * r[:-1] * r[1:])

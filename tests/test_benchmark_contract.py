@@ -82,14 +82,12 @@ def test_the_profile_and_the_mehler_rule_share_one_laguerre_root_cache(perfbench
     # the three orders of `asymptotic`; the first levelset set then builds
     # only the 80-node rule at a = -0.75, since its 40-node rule is the
     # profile's at s = 0.5
-    from scipy import special
-
     from fracgaussiso import extension, gauss_core
 
     _, workloads = perfbench
-    built, roots = [], special.roots_genlaguerre
-    monkeypatch.setattr(special, "roots_genlaguerre",
-                        lambda n, a: built.append((a, n)) or roots(n, a))
+    built, rule = [], gauss_core._gauss_laguerre
+    monkeypatch.setattr(gauss_core, "_gauss_laguerre",
+                        lambda a, n: built.append((a, n)) or rule(a, n))
     gauss_core.laguerre_roots.cache_clear()
     workloads.reference_pair()
     assert gauss_core.laguerre_roots.cache_info().misses == len(built) == 8

@@ -11,9 +11,14 @@ definition.  A third check keeps ndarray fields out of dataclasses whose
 ``__eq__`` (and, when frozen, ``__hash__``) is generated, a fourth
 keeps the quadrature roots of ``scipy.special`` in ``gauss_core``, whose
 cache every rule reads, and a fifth keeps the Hermite recurrence in
-``_kernels_py`` and every coefficient table one kernel call per set.
+``_kernels_py`` and every coefficient table one kernel call per set.  The
+last test imports the package in a fresh interpreter: the package and the
+spectral commands load no scipy, and the paths that use it import it.
 """
 import ast
+import json
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -229,3 +234,40 @@ def test_the_check_flags_recurrences_and_looped_kernel_calls():
         "TABLE = [(x * 1.0 - 2.0 * x) / 3.0 for x in range(3)]\n")
     assert looped_work(source) == ["<module>: recurrence", "per_endpoint: kernel call",
                                    "summed: kernel call", "terms: recurrence"]
+
+
+# Run in a fresh interpreter; prints, per step, the scipy modules loaded so far.
+_SCIPY_PATHS = """
+import contextlib, io, json, sys
+import fracgaussiso
+from fracgaussiso import cli, pde, sets
+
+def loaded():
+    return sorted(name for name in sys.modules if name.startswith("scipy"))
+
+steps = [["import", 0, loaded()]]
+for argv in (["deficit", "--set", "(-1,0.5)|(1,inf)", "--s", "0.5"],
+             ["perimeter", "--set", "(0,1)", "--s", "0.5"], ["asymptotic"],
+             ["sweep", "--s", "0.5"], ["verify", "--suite", "levelset", "--n", "1"]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        rc = cli.main(argv)
+    steps.append([argv[0], rc, loaded()])
+energy = pde.pde_energy(sets.halfline(0.0), 0.5, mesh=(64, 64))
+steps.append(["pde_energy", int(not energy > 0.0), loaded()])
+from scipy.sparse import linalg
+served = pde.cg is linalg.cg and pde.spsolve is linalg.spsolve and not hasattr(pde, "solve")
+steps.append(["pde.cg, pde.spsolve", int(not served), []])
+print(json.dumps(steps))
+"""
+
+
+def test_import_and_the_spectral_commands_load_no_scipy():
+    out = subprocess.run([sys.executable, "-c", _SCIPY_PATHS], capture_output=True, text=True,
+                         check=True).stdout
+    steps = {name: (rc, modules) for name, rc, modules in json.loads(out)}
+    assert all(rc == 0 for rc, _ in steps.values()), steps
+    for name in ("import", "deficit", "perimeter", "asymptotic", "sweep"):
+        assert steps[name][1] == [], name
+    # the Mehler path imports scipy.special for ndtr, and the PDE solve scipy.linalg
+    assert "scipy.special" in steps["verify"][1]
+    assert "scipy.linalg" in steps["pde_energy"][1]

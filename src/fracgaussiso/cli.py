@@ -27,7 +27,7 @@ FORMAT_VERSION = "frac-gauss-iso v1"
 # A --s-grid or --r-grid must have fewer points than this.
 _MAX_GRID_POINTS = 10_000
 # The largest --K, ten times the largest K in use: an 80 MB coefficient
-# table, built in segments whose work arrays add under 1 MB to the peak.
+# table, built in segments whose work arrays add about 2 MB to the peak.
 _MAX_K = 10_000_000
 
 _BOUND_RE = re.compile(r"[+-]?(?:inf|\d+\.?\d*(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?)")

@@ -79,34 +79,48 @@ def coeff_table(E: GaussianSet, K: int) -> np.ndarray:
     return f
 
 
-def _calibrated_tail(terms: np.ndarray, s: float, K: int) -> float:
+@lru_cache(maxsize=4)
+def _order_weights(K: int, s: float) -> tuple[np.ndarray, np.ndarray]:
+    """k^{s/2} for k = 1..K, and k^{(3-s)/2} over the trailing window of
+    `_calibrated_tail`, read-only.
+
+    A check of one set and its symmetrization reads the same (K, s) for both,
+    and every set of a run reads the same few orders.
+    """
+    width = min(max(50, int(13.0 * math.sqrt(K))), K)
+    weights = np.arange(1, K + 1, dtype=float) ** (s / 2.0)
+    window = np.arange(K - width + 1, K + 1, dtype=float) ** ((3.0 - s) / 2.0)
+    weights.flags.writeable = window.flags.writeable = False
+    return weights, window
+
+
+def _calibrated_tail(terms: np.ndarray, window_weights: np.ndarray, s: float, K: int) -> float:
     """Tail estimate C K^{-(1-s)/2} with C from the last retained terms.
 
     Models term_k ~ c k^{(s-3)/2} (coefficient decay of a jump) and takes the
     max of c over a trailing window wide enough to span a full beat period of
     the multi-endpoint oscillation (phase differences advance like sqrt(k),
-    so the window must cover ~4 pi sqrt(K) indices).
+    so the window must cover ~4 pi sqrt(K) indices); ``window_weights`` are
+    the window's k^{(3-s)/2}.
     """
-    width = max(50, int(13.0 * math.sqrt(K)))
-    window = terms[-min(width, terms.shape[0]):]
-    if window.size == 0 or not np.any(window > 0.0):
+    window = terms[-window_weights.size:]
+    if not np.any(window > 0.0):
         return 0.0
-    ks = np.arange(K - window.size + 1, K + 1, dtype=float)
-    c_est = float(np.max(window * ks ** ((3.0 - s) / 2.0)))
+    c_est = float(np.max(window * window_weights))
     return c_est * (2.0 / (1.0 - s)) * K ** (-(1.0 - s) / 2.0)
 
 
 def perimeter_spectral(E: GaussianSet, s, K: int = 10_000,
                        convention: str = "with_constant") -> PerimeterValue:
     """Fractional Gaussian perimeter of E from the truncated Hermite series."""
-    f = coeff_table(E, K)
     order = as_order(s)
     _check_convention(convention)
     if K < 1:
         raise DomainError("perimeter needs truncation K >= 1")
-    ks = np.arange(1, K + 1, dtype=float)
-    terms = ks ** (order.s / 2.0) * f[1:] ** 2
-    return _scaled(0.5 * float(np.sum(terms)), 0.5 * _calibrated_tail(terms, order.s, K),
+    weights, window_weights = _order_weights(K, order.s)
+    terms = weights * coeff_table(E, K)[1:] ** 2
+    return _scaled(0.5 * float(np.sum(terms)),
+                   0.5 * _calibrated_tail(terms, window_weights, order.s, K),
                    order, K, convention)
 
 

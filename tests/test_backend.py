@@ -85,10 +85,17 @@ def _reference_weighted_series(c, x):
 POINTS = (-9.0, -2.3, 0.0, 0.7, 3.9)
 EPS = np.finfo(float).eps
 BLOCK = _kernels_py._BLOCK
-# The segment length at one endpoint, read from the first segment of a long table.
-SEGMENT = next(_kernels_py._weighted_rows(np.zeros(1), 10**6))[1].shape[1]
-# Tables ending at, one short of and one past a block and a segment, and 1e4.
-ORDERS = (0, 1, 2, BLOCK - 1, BLOCK, BLOCK + 1, SEGMENT - 1, SEGMENT, SEGMENT + 1, 10_000)
+
+
+def _segment(m):
+    """The segment length at m endpoints, read from the first segment of a long table."""
+    return next(_kernels_py._weighted_rows(np.zeros(m), np.ones(m), 10**6))[1].shape[0]
+
+
+SEGMENT = _segment(1)
+# Tables ending at, one short of and one past a block, and 1e4.  The segment
+# edges are tested where segments are short, at five and eight endpoints.
+ORDERS = (0, 1, 2, BLOCK - 1, BLOCK, BLOCK + 1, 10_000)
 
 
 def _within(got, ref, scale, tol):
@@ -108,18 +115,20 @@ def test_antideriv_tables_match_the_sequential_oracle():
 
 
 def test_tables_match_the_oracle_across_segments():
-    # Three segments carry the start twice; five points share one call, whose
-    # segments are shorter, and each row keeps its sign.
-    signs = np.array([1.0, -1.0, 1.0, -1.0, 1.0])
-    K = 2 * SEGMENT + 3
-    refs = [_reference_antideriv_table(x, K) for x in POINTS]
-    _within(_kernels_py.coeff_antideriv_table(POINTS[1], K), refs[1], np.max(np.abs(refs[1])), 8.0)
-    seg5 = next(_kernels_py._weighted_rows(np.zeros(5), K))[1].shape[1]
-    assert seg5 < SEGMENT
-    for K in (seg5 - 1, seg5, seg5 + 1, 2 * SEGMENT + 3):
-        got = _kernels_py.coeff_antideriv_table(POINTS, K, signs)
-        ref = sum(sign * table[:K + 1] for sign, table in zip(signs, refs))
-        _within(got, ref, sum(np.max(np.abs(table[:K + 1])) for table in refs), 8.0)
+    # Five and eight points share one call, whose segments are shorter than a
+    # single point's; the signed sum keeps each point's sign, and at eight
+    # points three segments carry the start twice.
+    points = POINTS + (-0.4, 1.6, 6.5)
+    signs = np.array([1.0, -1.0] * 4)
+    seg5, seg8 = _segment(5), _segment(8)
+    assert 10_000 <= seg8 < seg5 < SEGMENT
+    refs = [_reference_antideriv_table(x, max(seg5 + 1, 2 * seg8 + 3)) for x in points]
+    for m, orders in ((5, (seg5 - 1, seg5, seg5 + 1)),
+                      (8, (seg8 - 1, seg8, seg8 + 1, 2 * seg8 + 3))):
+        for K in orders:
+            got = _kernels_py.coeff_antideriv_table(points[:m], K, signs[:m])
+            ref = sum(sign * table[:K + 1] for sign, table in zip(signs[:m], refs))
+            _within(got, ref, sum(np.max(np.abs(table[:K + 1])) for table in refs[:m]), 8.0)
 
 
 @pytest.mark.parametrize("x", [-9.0, -8.0, 8.0, 9.0])
@@ -158,14 +167,14 @@ def test_weighted_series_bit_identical():
 
 def test_halfspace_sum_matches_the_sequential_oracle():
     # An entry error of 8 eps max|g| moves k^p g_k^2 by at most 16 eps max|g| k^p |g_k|.
+    # The sum has one endpoint, whose segment is long: one point crosses its edge.
     p = -0.75
-    for r in POINTS:
-        for K in ORDERS + (2 * SEGMENT + 3,):
-            g = np.abs(_reference_antideriv_table(r, K)[1:]
-                       * np.sqrt(2.0 * math.pi * np.arange(1, K + 1)))
-            scale = float(np.max(g, initial=0.0) * np.sum(np.arange(1, K + 1) ** p * g))
-            got = _kernels_py.halfspace_series_sum(r, p, K)
-            _within(np.array(got), _reference_halfspace_sum(r, p, K), scale, 16.0)
+    for r, K in [(r, K) for r in POINTS for K in ORDERS] + [(POINTS[1], SEGMENT + 1)]:
+        g = np.abs(_reference_antideriv_table(r, K)[1:]
+                   * np.sqrt(2.0 * math.pi * np.arange(1, K + 1)))
+        scale = float(np.max(g, initial=0.0) * np.sum(np.arange(1, K + 1) ** p * g))
+        got = _kernels_py.halfspace_series_sum(r, p, K)
+        _within(np.array(got), _reference_halfspace_sum(r, p, K), scale, 16.0)
 
 
 def test_weights_that_underflow_give_zero_rows():

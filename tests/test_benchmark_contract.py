@@ -103,3 +103,50 @@ def test_the_profile_and_the_mehler_rule_share_one_laguerre_root_cache(perfbench
     assert built[8:] == [(-0.75, 80)]
     info = gauss_core.laguerre_roots.cache_info()
     assert info.misses == 9 and info.currsize == info.maxsize == 9
+
+
+def test_one_deficit_set_builds_each_table_in_one_segment_and_reads_cached_weights(
+        perfbench, monkeypatch):
+    # a deficit set reads the tables of E and of its symmetrized halfline H at
+    # three orders: each table is one kernel call that runs one segment at
+    # K = 1e4, and the order weights are computed for the three (K, s) keys
+    # by the first set alone
+    from fracgaussiso import _kernels_py, spectral
+
+    _, workloads = perfbench
+    calls, segments = [], []
+    kernel, rows = spectral.coeff_antideriv_table, _kernels_py._weighted_rows
+
+    def counted_kernel(x, K, signs):
+        calls.append((len(x), K))
+        return kernel(x, K, signs)
+
+    def counted_rows(x, signs, K):
+        for n0, S in rows(x, signs, K):
+            segments.append((n0, S.size))
+            yield n0, S
+
+    monkeypatch.setattr(spectral, "coeff_antideriv_table", counted_kernel)
+    monkeypatch.setattr(_kernels_py, "_weighted_rows", counted_rows)
+    wl = workloads.Deficit(SEED, 2 * workloads.Deficit.ROUND_S, None)
+    try:
+        first, second = wl.first_rounds(2)
+        spectral.coeff_table.cache_clear()
+        spectral._order_weights.cache_clear()
+        assert not any(bad for _, bad in wl.run(first))
+        assert calls == [(len(first.finite_endpoints), 10_000), (1, 10_000)]
+        assert segments == [(0, 10_000)] * 2
+        info = spectral._order_weights.cache_info()
+        assert (info.misses, info.hits, info.currsize) == (3, 3, 3)
+        assert not any(bad for _, bad in wl.run(second))
+        info = spectral._order_weights.cache_info()
+        assert (info.misses, info.hits, info.currsize) == (3, 9, 3)
+    finally:
+        wl.close()
+    assert len(calls) == 4
+    for s in workloads.S_VALUES:
+        weights, window = spectral._order_weights(10_000, s)
+        assert weights.shape == (10_000,) and not weights.flags.writeable
+        assert not window.flags.writeable
+        with pytest.raises(ValueError):
+            weights[0] = 0.0

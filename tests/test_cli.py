@@ -188,6 +188,14 @@ def test_verify_passes_K_0_to_the_suite(capsys, suite):
     assert "K >= 1" in captured.err
 
 
+@pytest.mark.parametrize("command", ["perimeter", "deficit"])
+@pytest.mark.parametrize("K", ["0", "-1"])
+def test_a_truncation_below_1_has_one_message(capsys, command, K):
+    assert main([command, "--set", "(0,1)", "--s", "0.5", "--K", K]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == "error: perimeter needs truncation K >= 1\n"
+
+
 # only the main suite reads K, c and convention
 _DROPPED = [("transfer", "K", "4000"), ("transfer", "c", "1.0"),
             ("transfer", "convention", "with-constant"),

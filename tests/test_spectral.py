@@ -80,6 +80,22 @@ def test_coeff_table_memory_stays_near_one_table():
     assert peak <= 5 * f.nbytes, peak / f.nbytes
 
 
+@pytest.mark.parametrize("E, K", [
+    (GaussianSet.from_intervals([(-2.9, -2.1), (-1.3, -0.4), (0.2, 0.9), (1.6, 2.8)]), 10_000),
+    (halfline(0.3), 200_000)], ids=["eight-endpoints-K1e4", "one-endpoint-K2e5"])
+def test_a_table_needs_under_2_mb_beside_itself(E, K):
+    # Eight endpoints at K = 1e4 are one segment, whose block solutions take
+    # 17 bytes per entry (1.4 MB); at one endpoint the arrays of one value per
+    # index dominate, and a long table's segments are sized for them.
+    tracemalloc.start()
+    try:
+        f = coeff_table.__wrapped__(E, K)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - f.nbytes <= 2_000_000, peak - f.nbytes
+
+
 @st.composite
 def _sets(draw):
     ends = sorted(draw(st.lists(st.floats(-6.0, 6.0), min_size=1, max_size=8, unique=True)))
@@ -146,9 +162,39 @@ def test_convention_factor():
     assert wc == pytest.approx(k_coefficient(s) * rm, rel=1e-13)
 
 
+@pytest.mark.parametrize("K", [30, 2000])
+def test_cached_order_weights_give_the_directly_computed_perimeter(K):
+    # value and tail_bound bit for bit as if k^{s/2} and the window's
+    # k^{(3-s)/2} were computed on the call
+    f = coeff_table(TWO_PIECES, K)
+    ks = np.arange(1, K + 1, dtype=float)
+    width = min(max(50, int(13.0 * math.sqrt(K))), K)
+    for s in (0.25, 0.5, 0.75):
+        terms = ks ** (s / 2.0) * f[1:] ** 2
+        c = float(np.max(terms[-width:] * ks[-width:] ** ((3.0 - s) / 2.0)))
+        pv = perimeter_spectral(TWO_PIECES, s, K, "remark")
+        assert pv.value == 0.5 * float(np.sum(terms))
+        assert pv.tail_bound == 0.5 * c * (2.0 / (1.0 - s)) * K ** (-(1.0 - s) / 2.0)
+
+
 def test_unknown_convention():
     with pytest.raises(DomainError):
         perimeter_spectral(interval(0, 1), 0.5, 100, "banana")
+
+
+@pytest.mark.parametrize("s, convention, K", [
+    (1.5, "remark", 10**6), (0.0, "with_constant", 100), (0.5, "banana", 10**6),
+    (0.5, "remark", 0), (0.5, "with_constant", -1)])
+def test_bad_arguments_raise_before_a_table_is_built(monkeypatch, s, convention, K):
+    # a bad order, convention or K neither runs the kernel nor touches the cache
+    calls = []
+    monkeypatch.setattr(spectral, "coeff_antideriv_table", lambda *args: calls.append(args))
+    before = coeff_table.cache_info()
+    with pytest.raises(DomainError) as exc:
+        perimeter_spectral(TWO_PIECES, s, K, convention)
+    assert calls == [] and coeff_table.cache_info() == before
+    if K < 1:
+        assert str(exc.value) == "perimeter needs truncation K >= 1"
 
 
 def test_perimeter_reflection_invariance():

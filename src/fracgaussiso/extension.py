@@ -147,11 +147,9 @@ def extension_field(E: GaussianSet, s, K: int = 10_000) -> ExtensionField:
 def evaluate_extension(F: ExtensionField, x, z: float):
     """Truncated series value U(x, z); at z = 0 this is the Hermite series of chi_E."""
     c = F.psi_factors(z) * coeff_table(F.set, F.K)  # a bad z raises before the table is built
-    x_arr = np.atleast_1d(np.asarray(x, dtype=float))
-    vals = hermite_weighted_series(c, x_arr)
-    if np.isscalar(x) or np.asarray(x).ndim == 0:
-        return float(vals[0])
-    return vals
+    x = np.asarray(x, dtype=float)
+    vals = hermite_weighted_series(c, np.atleast_1d(x))
+    return float(vals[0]) if x.ndim == 0 else vals
 
 
 def trace_gap(E: GaussianSet, s, z: float, K: int = 10_000) -> float:
@@ -268,15 +266,16 @@ class _MehlerRule:
     their sum in node order, the value at a point where every row is 1 (it
     need not be exactly 1.0).
 
-    The plateau limits run over the finite endpoints e of E.  Below
+    The plateau limits run over the finite endpoints e of E, in the one
+    form of chi_E (``GaussianSet.signed_endpoints``).  Below
     ``below[j]`` every node's argument (e - decay x)/d at e is at least
     _NDTR_ONE, so every row's Phi term there is 1; above ``above[j]`` it is at
     most _NDTR_ZERO and the term is 0.  Each limit carries a margin far above
     the rounding of the arguments.  A node with decay 0 sees no x, so it
     leaves no point on a plateau.  A point on a plateau at every endpoint has
-    the same row at every node, 0 or 1: base (the intervals open to +inf)
-    plus sign (+1 at right ends, -1 at left ends) summed over the endpoints
-    it lies below, clipped.
+    the same row at every node, 0 or 1: base (``open_right``) plus sign
+    (+1 at right ends, -1 at left ends) summed over the endpoints it lies
+    below, clipped.
     """
 
     def __init__(self, E: GaussianSet, sigma: float, z: float, n_quad: int):
@@ -287,8 +286,7 @@ class _MehlerRule:
         self.decay, self.d = _node_constants([z * z / (4.0 * ui) for ui in u])
         self.w, self.w_total = w[:, None], np.add.accumulate(w)[-1]
         c, d = self.decay[:, 0], self.d[:, 0]
-        ends = [(e, sign) for ab in E.intervals for e, sign in zip(ab, (-1, 1))
-                if math.isfinite(e)]
+        ends = E.signed_endpoints
         below, above = [], []
         # Only nodes with c > 0 are kept.  A tiny c overflows the quotient to the
         # correctly signed infinity, which is the limit rounded to a double.
@@ -299,7 +297,7 @@ class _MehlerRule:
                 above.append(np.where(c > 0.0, (e - _NDTR_ZERO * d + slack) / c, math.inf).max())
         self.below, self.above = np.array(below), np.array(above)
         self.sign = np.array([sign for _, sign in ends], dtype=np.int64)
-        self.base = sum(1 for _, b in E.intervals if not math.isfinite(b))
+        self.base = E.open_right
 
     @cached_property
     def grid_values(self) -> np.ndarray:
@@ -413,8 +411,6 @@ def _extract_level_set(E: GaussianSet, sigma: float, t: float, z: float,
     # the crossings alternate between entering and leaving the set
     edges = ([-math.inf] if sign[0] else []) + [0.5 * (lo + hi) for lo, hi, _, _ in brackets] \
         + ([math.inf] if sign[-1] else [])
-    if not edges:
-        return EMPTY
     return GaussianSet.from_intervals(zip(edges[::2], edges[1::2]))
 
 

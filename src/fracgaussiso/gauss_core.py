@@ -63,14 +63,13 @@ def as_order(s) -> FractionalOrder:
 def hermite_eval(n: int, x: float) -> float:
     """Orthonormal probabilists' Hermite polynomial h_n(x).
 
-    Three-term recurrence h_{k+1} = (x h_k - sqrt(k) h_{k-1}) / sqrt(k+1).
+    Three-term recurrence h_{k+1} = (x h_k - sqrt(k) h_{k-1}) / sqrt(k+1)
+    from h_{-1} = 0 and h_0 = 1.
     """
     if n < 0:
         raise DomainError("Hermite index must be nonnegative")
-    if n == 0:
-        return 1.0
-    h_prev, h = 1.0, float(x)
-    for k in range(1, n):
+    h_prev, h = 0.0, 1.0
+    for k in range(n):
         h_prev, h = h, (x * h - math.sqrt(k) * h_prev) / math.sqrt(k + 1)
     return h
 

@@ -125,7 +125,8 @@ def f_weight(m: float) -> float:
 
 def _height(A: float, m: float, order: FractionalOrder, P: PerimeterValue,
             factor: float) -> float:
-    """(A m / (factor beta_s P))^{1/s}: z0 with 72 and P_s(E), z1 with 144 and P_s(H)."""
+    """(A m / (factor beta_s P))^{1/s}: z0 with 72 and P_s(E), z1 with 144 and
+    P_s(H), and the closeness limit with A = m = 1, 8 alpha and P_s(E)."""
     return (A * m / (factor * beta_coefficient(order.s) * P.value)) ** (1.0 / order.s)
 
 
@@ -133,10 +134,7 @@ def z_thresholds(E: GaussianSet, s, P_E: PerimeterValue,
                  P_H: PerimeterValue) -> ZThresholds:
     """(z0, z1) = ((A m / (72 beta_s P_E))^{1/s}, (A m / (144 beta_s P_H))^{1/s})."""
     order = as_order(s)
-    A = asymmetry(E)
-    if A == 0.0:
-        return ZThresholds(0.0, 0.0)
-    m = measure(E)
+    A, m = asymmetry(E), measure(E)
     return ZThresholds(_height(A, m, order, P_E, 72.0), _height(A, m, order, P_H, 144.0))
 
 
@@ -230,17 +228,17 @@ def closeness_z_max(E: GaussianSet, s, alpha: float, K: int = 10_000) -> float:
     order = as_order(s)
     if alpha <= 0.0:
         raise DomainError("alpha must be positive")
-    P_E = perimeter_spectral(E, order, K)
-    return (1.0 / (8.0 * alpha * beta_coefficient(order.s) * P_E.value)) ** (1.0 / order.s)
+    return _height(1.0, 1.0, order, perimeter_spectral(E, order, K), 8.0 * alpha)
 
 
 def _field_of(E: GaussianSet, order: FractionalOrder, K: int, field):
-    """The ExtensionField of E at order s/2: ``field`` once checked, else a new one."""
+    """The ExtensionField of E at order s, or ``field`` once checked against it."""
+    own = extension_field(E, order, K)
     if field is None:
-        return extension_field(E, order, K)
-    if field.set != E or field.sigma != order.s / 2.0:
+        return own
+    if field.set != E or field.sigma != own.sigma:
         raise DomainError(f"field of {field.set} at order {field.sigma} does not belong "
-                          f"to {E} at order {order.s / 2.0}")
+                          f"to {E} at order {own.sigma}")
     return field
 
 

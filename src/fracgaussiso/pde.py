@@ -74,11 +74,13 @@ def graded_x_mesh(anchors, L: float, n_x: int) -> np.ndarray:
 
 
 def _boundary_data(E: GaussianSet, x: np.ndarray) -> np.ndarray:
-    data = np.zeros_like(x)
-    for a, b in E.intervals:
-        data[(a < x) & (x < b)] = 1.0
-    data[np.isin(x, E.finite_endpoints)] = 0.5  # symmetric value at jump nodes
-    return data
+    """chi_E on the nodes x, from its one form open_right + sum_e sign_e chi_(-inf, e)
+    (``GaussianSet.signed_endpoints``), with the symmetric value 1/2 at a jump node.
+
+    Every value is exactly 0, 1/2 or 1.
+    """
+    return sum((sign * np.heaviside(e - x, 0.5) for e, sign in E.signed_endpoints),
+               np.full_like(x, E.open_right))
 
 
 def _x_masses(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

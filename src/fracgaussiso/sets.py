@@ -63,25 +63,29 @@ class GaussianSet:
         return GaussianSet(tuple(merged))
 
     @property
-    def endpoints(self) -> tuple[float, ...]:
-        return tuple(e for ab in self.intervals for e in ab)
+    def signed_endpoints(self) -> tuple[tuple[float, int], ...]:
+        """(e, -1) at each finite left end and (e, +1) at each finite right end, in order.
+
+        With ``open_right`` this is the one form of chi_E that the coefficient
+        table, the Mehler rule and the PDE boundary data read: off the
+        endpoints, chi_E = open_right + sum_e sign_e chi_(-inf, e).
+        """
+        return tuple((e, sign) for ab in self.intervals for e, sign in zip(ab, (-1, 1))
+                     if math.isfinite(e))
+
+    @property
+    def open_right(self) -> int:
+        """The number of intervals open to +inf (0 or 1 in canonical form)."""
+        return sum(1 for _, b in self.intervals if b == INF)
 
     @property
     def finite_endpoints(self) -> tuple[float, ...]:
-        return tuple(e for e in self.endpoints if math.isfinite(e))
+        return tuple(e for e, _ in self.signed_endpoints)
 
     def __str__(self) -> str:
         if not self.intervals:
             return "(empty)"
-
-        def fmt(v: float) -> str:
-            if v == INF:
-                return "inf"
-            if v == -INF:
-                return "-inf"
-            return repr(v)
-
-        return "|".join(f"({fmt(a)},{fmt(b)})" for a, b in self.intervals)
+        return "|".join(f"({a!r},{b!r})" for a, b in self.intervals)
 
 
 EMPTY = GaussianSet(())
@@ -122,8 +126,6 @@ def measure(E: GaussianSet) -> float:
 
 
 def complement(E: GaussianSet) -> GaussianSet:
-    if not E.intervals:
-        return FULL_LINE
     pieces = []
     prev = -INF
     for a, b in E.intervals:
@@ -142,12 +144,12 @@ def intersect(E: GaussianSet, F: GaussianSet) -> GaussianSet:
             lo, hi = max(a, c), min(b, d)
             if lo < hi:
                 pieces.append((lo, hi))
-    return GaussianSet.from_intervals(pieces) if pieces else EMPTY
+    return GaussianSet.from_intervals(pieces)
 
 
 def union(E: GaussianSet, F: GaussianSet) -> GaussianSet:
     pieces = E.intervals + F.intervals
-    return GaussianSet.from_intervals(pieces) if pieces else EMPTY
+    return GaussianSet.from_intervals(pieces)
 
 
 def set_minus(E: GaussianSet, F: GaussianSet) -> GaussianSet:
@@ -160,7 +162,7 @@ def symm_diff(E: GaussianSet, F: GaussianSet) -> GaussianSet:
 
 def reflect(E: GaussianSet) -> GaussianSet:
     pieces = [(-b, -a) for a, b in E.intervals]
-    return GaussianSet.from_intervals(pieces) if pieces else EMPTY
+    return GaussianSet.from_intervals(pieces)
 
 
 def _require_proper(E: GaussianSet) -> float:

@@ -59,21 +59,21 @@ class PerimeterValue:
 def coeff_table(E: GaussianSet, K: int) -> np.ndarray:
     """Coefficient vector f_0..f_K of chi_E, read-only.
 
-    f_k for k >= 1 is assembled from the antiderivative of h_k against
-    gamma_1: each interval (a, b) contributes A_k(a) - A_k(b), with
-    A_k(x) = e^{-x^2/2} h_{k-1}(x)/sqrt(2 pi k) and A_k(+-inf) = 0.
+    f_k for k >= 1 is read from the one form of chi_E,
+    open_right + sum_e sign_e chi_(-inf, e) (``GaussianSet.signed_endpoints``):
+    the constant has no such coefficient, and chi_(-inf, e) has -A_k(e), with
+    A_k(x) = e^{-x^2/2} h_{k-1}(x)/sqrt(2 pi k) the antiderivative of h_k
+    against gamma_1.  So each interval (a, b) contributes A_k(a) - A_k(b).
 
     The table does not depend on the order s, so it is memoized per (E, K):
     a caller checking one set and its symmetrization over several orders
     builds each table once.  One kernel call sums the A_k of every finite
-    endpoint with its sign.  The shared array is not writeable.
+    endpoint with its negated sign.  The shared array is not writeable.
     """
     if K < 0:
         raise DomainError("truncation index must be nonnegative")
-    ends = [(x, sign) for a, b in E.intervals for x, sign in ((a, 1.0), (b, -1.0))
-            if math.isfinite(x)]
-    x, signs = np.array(ends).reshape(-1, 2).T
-    f = coeff_antideriv_table(x, K, signs)
+    x, signs = np.array(E.signed_endpoints, dtype=float).reshape(-1, 2).T
+    f = coeff_antideriv_table(x, K, -signs)
     f[0] = measure(E)
     f.flags.writeable = False
     return f
@@ -104,8 +104,6 @@ def _calibrated_tail(terms: np.ndarray, window_weights: np.ndarray, s: float, K:
     the window's k^{(3-s)/2}.
     """
     window = terms[-window_weights.size:]
-    if not np.any(window > 0.0):
-        return 0.0
     c_est = float(np.max(window * window_weights))
     return c_est * (2.0 / (1.0 - s)) * K ** (-(1.0 - s) / 2.0)
 
@@ -186,7 +184,8 @@ def halfline_perimeter(r: float, s, convention: str = "with_constant") -> Perime
 
 def halfline_perimeter_reference(r: float, s, K: int = 1_000_000,
                                  convention: str = "with_constant") -> PerimeterValue:
-    """`halfline_perimeter`; K is ignored, kept for callers that pass it."""
+    """`halfline_perimeter`.  K is ignored; it stays because
+    ``perfbench/workloads.py`` (``reference_pair``) passes K = 10**6."""
     return halfline_perimeter(r, s, convention)
 
 
@@ -200,7 +199,6 @@ def asymptotic_limit(r: float) -> float:
     return (math.sqrt(2.0 / math.pi) / FOUR_PI) * math.exp(-0.5 * r * r)
 
 
-def asymptotic_series_value(r: float, s, K: int = 100_000,
-                            convention: str = "remark") -> PerimeterValue:
-    """`halfline_perimeter` in the 'remark' convention; K is ignored."""
+def asymptotic_series_value(r: float, s, convention: str = "remark") -> PerimeterValue:
+    """`halfline_perimeter` in the 'remark' convention."""
     return halfline_perimeter(r, s, convention)

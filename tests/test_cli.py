@@ -440,3 +440,9 @@ def test_verify_determinism_small():
 def test_verify_unknown_suite():
     r = run_cli(["verify", "--suite", "bogus"])
     assert r.returncode == 2
+
+
+def test_cli_outputs_match_the_golden_file():
+    from cli_golden import GOLDEN, render
+
+    assert render() == GOLDEN.read_text(encoding="utf-8")

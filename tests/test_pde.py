@@ -12,7 +12,7 @@ from fracgaussiso.errors import DomainError
 from fracgaussiso.gauss_core import k_coefficient
 from fracgaussiso.pde import (_axis, _boundary_data, _planar, _solve_tensor, _x_masses,
                               graded_x_mesh, pde_energy, pde_energy_cylinder)
-from fracgaussiso.sets import GaussianSet, complement, halfline, interval
+from fracgaussiso.sets import EMPTY, FULL_LINE, GaussianSet, complement, halfline, interval
 from fracgaussiso.spectral import halfline_perimeter, perimeter_spectral
 
 
@@ -192,6 +192,46 @@ def _reference_3d(y, x, z, s):
     return _reference_laplacian(np.concatenate([ay, ax, az]),
                                 np.concatenate([ay + 1, ax + Ny, az + Ny * Nx]),
                                 np.concatenate([cy, cx, cz]), Ny * Nx * Nz1)
+
+
+def _boundary_data_by_intervals(E, x):
+    """The interval loop `_boundary_data` replaced: 1 inside, 1/2 at a finite endpoint."""
+    data = np.zeros_like(x)
+    for a, b in E.intervals:
+        data[(a < x) & (x < b)] = 1.0
+    data[np.isin(x, E.finite_endpoints)] = 0.5
+    return data
+
+
+_ends = st.floats(min_value=-8.0, max_value=8.0)
+
+
+@st.composite
+def _sets_with_tails(draw):
+    """1-4 intervals, some endpoints beyond L = 6, perhaps with tails."""
+    pairs = sorted(draw(st.lists(st.tuples(_ends, _ends).filter(lambda ab: ab[0] < ab[1]),
+                                 min_size=1, max_size=4)))
+    if draw(st.booleans()):
+        pairs[0] = (-math.inf, pairs[0][1])
+    if draw(st.booleans()):
+        pairs[-1] = (pairs[-1][0], math.inf)
+    return GaussianSet.from_intervals(pairs)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(st.sampled_from([FULL_LINE, EMPTY]), _sets_with_tails()))
+def test_boundary_data_is_the_interval_loop_bit_for_bit(E):
+    for n_x in (64, 256):
+        x = graded_x_mesh(E.finite_endpoints, 6.0, n_x)
+        data = _boundary_data(E, x)
+        assert data.dtype == np.float64 and data.shape == x.shape
+        assert data.tobytes() == _boundary_data_by_intervals(E, x).tobytes()
+
+
+def test_full_line_and_empty_set_have_zero_energy():
+    assert pde_energy(FULL_LINE, 0.5, mesh=(64, 64)) == 0.0
+    assert pde_energy(EMPTY, 0.5, mesh=(64, 64)) == 0.0
+    assert pde_energy(EMPTY, 0.5) == 0.0
 
 
 def _grid_set(ks):

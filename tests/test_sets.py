@@ -120,4 +120,48 @@ def test_symmdiff_triangle(p1, p2):
 def test_str_roundtrip_format():
     E = GaussianSet.from_intervals([(-INF, -1.0), (0.0, 2.5)])
     assert str(E) == "(-inf,-1.0)|(0.0,2.5)"
+    assert str(GaussianSet.from_intervals([(-INF, 0.5), (1, INF)])) == "(-inf,0.5)|(1.0,inf)"
+    assert str(FULL_LINE) == "(-inf,inf)"
     assert str(EMPTY) == "(empty)"
+
+
+@st.composite
+def sets_with_tails(draw):
+    """1-4 finite intervals, the lowest-starting one perhaps open to -inf and
+    the highest-starting one perhaps open to +inf."""
+    pairs = sorted(draw(st.lists(finite_interval, min_size=1, max_size=4)))
+    if draw(st.booleans()):
+        pairs[0] = (-INF, pairs[0][1])
+    if draw(st.booleans()):
+        pairs[-1] = (pairs[-1][0], INF)
+    return GaussianSet.from_intervals(pairs)
+
+
+def _str_by_intervals(E):
+    """The formatting `GaussianSet.__str__` had, with its own cases for +-inf."""
+    def fmt(v):
+        return "inf" if v == INF else "-inf" if v == -INF else repr(v)
+    return "|".join(f"({fmt(a)},{fmt(b)})" for a, b in E.intervals) or "(empty)"
+
+
+@given(st.one_of(st.sampled_from([FULL_LINE, EMPTY]), sets_with_tails()),
+       st.lists(st.floats(min_value=-4.0, max_value=4.0), min_size=1, max_size=20))
+@settings(max_examples=100, deadline=None)
+def test_signed_endpoints_and_open_right_are_the_indicator(E, xs):
+    # chi_E = open_right + sum_e sign_e chi_(-inf, e) off the endpoints
+    for x in xs:
+        if x not in E.finite_endpoints:
+            inside = any(a < x < b for a, b in E.intervals)
+            assert E.open_right + sum(sign * (x < e) for e, sign in E.signed_endpoints) == inside
+    assert E.open_right == (bool(E.intervals) and E.intervals[-1][1] == INF)
+    assert E.finite_endpoints == tuple(e for ab in E.intervals for e in ab if math.isfinite(e))
+    assert [e for e, _ in E.signed_endpoints] == list(E.finite_endpoints)
+    assert str(E) == _str_by_intervals(E)
+
+
+def test_the_empty_and_full_line_cases_follow_the_general_path():
+    assert complement(EMPTY) == FULL_LINE and complement(FULL_LINE) == EMPTY
+    assert intersect(interval(0, 1), interval(2, 3)) == EMPTY
+    assert intersect(EMPTY, FULL_LINE) == EMPTY
+    assert union(EMPTY, EMPTY) == EMPTY and reflect(EMPTY) == EMPTY
+    assert symm_diff(FULL_LINE, FULL_LINE) == EMPTY

@@ -11,7 +11,8 @@ from scipy import integrate
 from fracgaussiso import spectral
 from fracgaussiso.errors import DomainError
 from fracgaussiso.gauss_core import hermite_eval, k_coefficient, phi
-from fracgaussiso.sets import GaussianSet, complement, halfline, interval, reflect
+from fracgaussiso._kernels_py import coeff_antideriv_table
+from fracgaussiso.sets import GaussianSet, complement, halfline, interval, measure, reflect
 from fracgaussiso.spectral import (asymptotic_limit, asymptotic_series_value,
                                    coeff_table,
                                    halfspace_series, halfline_perimeter,
@@ -21,6 +22,32 @@ from fracgaussiso.spectral import (asymptotic_limit, asymptotic_series_value,
 SQRT_2PI = math.sqrt(2.0 * math.pi)
 INF = math.inf
 EPS = np.finfo(float).eps
+
+
+def _table_by_intervals(E, K):
+    """The table as `coeff_table` built it from the intervals: A_k(a) with +1
+    and A_k(b) with -1 at every finite endpoint."""
+    ends = [(x, sign) for a, b in E.intervals for x, sign in ((a, 1.0), (b, -1.0))
+            if math.isfinite(x)]
+    x, signs = np.array(ends).reshape(-1, 2).T
+    f = coeff_antideriv_table(x, K, signs)
+    f[0] = measure(E)
+    return f
+
+
+@pytest.mark.parametrize("pairs", [
+    [(0.0, 1.0)], [(-INF, 0.3)], [(-0.2, INF)], [(-INF, INF)],
+    [(-1.2, -0.3), (0.4, 2.0)], [(-INF, -1.0), (0.5, INF)],
+    [(-INF, -2.0), (-1.0, 0.0), (1.5, 2.5)], [(-2.5, -2.0), (-1.0, 0.0), (0.5, 1.0), (2.0, INF)],
+    [(-INF, -2.0), (-1.0, -0.5), (0.0, 1e-9), (2.0, INF)],
+])
+# 30 000 crosses the first segment edge of the kernel at every endpoint count
+# up to 8: the longest segment, at one endpoint, has 26 208 indices.
+@pytest.mark.parametrize("K", [0, 1, 57, 30_000])
+def test_coeff_table_is_the_interval_sum_bit_for_bit(pairs, K):
+    E = GaussianSet.from_intervals(pairs)
+    assert len(E.intervals) == len(pairs)
+    assert coeff_table(E, K).tobytes() == _table_by_intervals(E, K).tobytes()
 
 
 def _coeff_oracle(E, k):

@@ -47,8 +47,11 @@ LEVELSET_GRID = np.linspace(-LEVELSET_GRID_HALFWIDTH, LEVELSET_GRID_HALFWIDTH,
 LEVELSET_GRID.flags.writeable = False
 _BISECT_TOL = 1e-10
 _MAX_CROSSINGS = 64
-# Points per Mehler block: each (n_quad x block) temporary stays under 1 MB.
-_MEHLER_BLOCK = 1024
+# Node x point entries per Mehler block.  A block builds about ten
+# (n_quad x points) float temporaries per endpoint; at 16 384 entries each is
+# 128 kB and stays in a core's L2 cache.  Larger blocks spill out of it,
+# smaller ones pay numpy call overhead per block (README, "Numerical notes").
+_MEHLER_ENTRIES = 16_384
 # ndtr is exactly 1.0 at arguments >= _NDTR_ONE and exactly 0.0 at <= _NDTR_ZERO.
 _NDTR_ONE = 9.0
 _NDTR_ZERO = -40.0
@@ -333,8 +336,10 @@ def mehler_extension(E: GaussianSet, sigma: float, x, z: float,
     The value is the node-order weighted sum of the semigroup rows.  A point
     far enough from every endpoint that each node's Phi argument lies on the
     plateau where ndtr is exactly 0 or 1 gets that sum directly, 0.0 or the
-    node-order weight sum; only the other points are evaluated, in blocks.
-    The result is bit-identical to evaluating every node at every point.
+    node-order weight sum; only the other points are evaluated, in blocks of
+    ``_MEHLER_ENTRIES // n_quad`` points (at least one).  A point's value
+    reads only its own column, so the block size changes no bit, and the
+    result is bit-identical to evaluating every node at every point.
     """
     _check_positive(z, "mehler_extension height z")
     rule = _mehler_rule(E, sigma, z, n_quad)
@@ -343,8 +348,9 @@ def mehler_extension(E: GaussianSet, sigma: float, x, z: float,
     under = flat_x[:, None] < rule.below
     acc = np.where(rule.base + under @ rule.sign > 0, rule.w_total, 0.0)
     live = np.flatnonzero(~(under | (flat_x[:, None] > rule.above)).all(axis=1))
-    for start in range(0, live.size, _MEHLER_BLOCK):
-        block = live[start:start + _MEHLER_BLOCK]
+    step = max(1, _MEHLER_ENTRIES // n_quad)
+    for start in range(0, live.size, step):
+        block = live[start:start + step]
         rows = _semigroup_rows(E, rule.decay, rule.d, flat_x[block])
         # In node order: a matmul or a pairwise sum would round differently.
         acc[block] = np.add.accumulate(rule.w * rows, axis=0)[-1]

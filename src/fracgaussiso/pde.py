@@ -156,8 +156,12 @@ def _solve_tensor(axes, bottom: np.ndarray) -> float:
     eigenvalues and eigenvectors carry rounding, so the data's weighted mean
     (weights w_x, or w_x w_y) would leak through the Q's into the energy.
     The mean is subtracted before projecting, which leaves the exact energy
-    unchanged.
+    unchanged.  The weights sum to 1 only to rounding, though, so constant
+    data would still leave a residue of order 1e-45 of either sign; its
+    energy is exactly 0 and is returned without a solve.
     """
+    if bottom.min() == bottom.max():
+        return 0.0
     (c, wz), *transverse = axes
     shape = tuple(w.shape[0] for _, w in transverse)
     r, lam, Q = zip(*(_pencil(*axis) for axis in transverse))

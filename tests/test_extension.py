@@ -11,7 +11,7 @@ from scipy import special
 from fracgaussiso import extension, spectral, suites
 from fracgaussiso.errors import DomainError
 from fracgaussiso.extension import (LEVELSET_GRID, _BISECT_TOL, _LEVELSET_QUAD,
-                                    _MEHLER_BLOCK, ExtensionField,
+                                    _MEHLER_ENTRIES, ExtensionField,
                                     _extract_level_set,
                                     boundary_flux_check,
                                     boundary_flux_richardson,
@@ -208,13 +208,32 @@ def _node_by_node_extension(E, sigma, x, z, n_quad):
 @pytest.mark.parametrize("E", [TAILED, THREE_PIECES], ids=["tailed", "three"])
 def test_mehler_extension_matches_node_by_node_sum(E):
     rng = np.random.default_rng(3)
-    sizes = (1, _MEHLER_BLOCK - 1, _MEHLER_BLOCK, _MEHLER_BLOCK + 1)
-    cases = [np.sort(rng.uniform(-4.0, 4.0, n)) for n in sizes] + [LEVELSET_GRID]
-    for x in cases:
-        for sigma, z, n_quad in ((0.25, 0.3, 80), (0.4, 0.05, 40), (0.25, 1e-3, 80)):
+    for sigma, z, n_quad in ((0.25, 0.3, 80), (0.4, 0.05, 40), (0.25, 1e-3, 80)):
+        # sizes on both sides of this order's block edge; at z = 0.3 and 0.05
+        # every point of [-4, 4] is live, so the block edge falls inside
+        step = _MEHLER_ENTRIES // n_quad
+        sizes = (1, step - 1, step, step + 1)
+        for x in [np.sort(rng.uniform(-4.0, 4.0, n)) for n in sizes] + [LEVELSET_GRID]:
             got = mehler_extension(E, sigma, x, z, n_quad)
             assert got.shape == x.shape
             assert np.array_equal(got, _node_by_node_extension(E, sigma, x, z, n_quad))
+
+
+def test_mehler_extension_does_not_depend_on_the_block_budget(monkeypatch):
+    # unsorted points in and around the three brackets of THREE_PIECES,
+    # beyond its ends and on its endpoints
+    rng = np.random.default_rng(11)
+    scattered = np.concatenate([rng.uniform(-3.5, 2.5, 700), rng.normal(0.3, 0.02, 200),
+                                [-2.5, -1.4, -0.6, 0.3, 0.9, 1.6, -9.0, 9.0]])
+    rng.shuffle(scattered)
+    for x in (LEVELSET_GRID, scattered):
+        # few live points at 80 nodes, most of them live at 40 nodes
+        for sigma, z, n_quad in ((0.25, 1e-3, 80), (0.4, 0.05, 40)):
+            values = []
+            for budget in (n_quad, _MEHLER_ENTRIES, n_quad * x.size):
+                monkeypatch.setattr(extension, "_MEHLER_ENTRIES", budget)
+                values.append(mehler_extension(THREE_PIECES, sigma, x, z, n_quad).tobytes())
+            assert values[0] == values[1] == values[2]
 
 
 def _scalar_bisection_level_set(E, sigma, t, z, n_quad=_LEVELSET_QUAD):

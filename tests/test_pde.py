@@ -229,9 +229,11 @@ def test_boundary_data_is_the_interval_loop_bit_for_bit(E):
 
 
 def test_full_line_and_empty_set_have_zero_energy():
-    assert pde_energy(FULL_LINE, 0.5, mesh=(64, 64)) == 0.0
-    assert pde_energy(EMPTY, 0.5, mesh=(64, 64)) == 0.0
-    assert pde_energy(EMPTY, 0.5) == 0.0
+    for E in (FULL_LINE, EMPTY):
+        assert pde_energy(E, 0.5, mesh=(64, 64)) == 0.0
+        assert pde_energy(E, 0.5) == 0.0
+        for mesh in ((8, 64, 64), (48, 64, 64)):
+            assert pde_energy_cylinder(E, 0.5, mesh=mesh) == 0.0
 
 
 def _grid_set(ks):

@@ -9,10 +9,6 @@ class DegenerateSetError(DomainError):
     """A set of Gaussian measure 0 or 1 where a proper set is required."""
 
 
-class QuadratureError(RuntimeError):
-    """A root/eigenvalue or quadrature computation failed to converge."""
-
-
 class ResolutionError(RuntimeError):
     """A grid-based extraction exceeded its resolution contract."""
 

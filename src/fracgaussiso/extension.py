@@ -16,22 +16,17 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from ._kernels_py import hermite_weighted_series
-from .errors import DomainError, QuadratureError, ResolutionError
-from .gauss_core import as_order, gamma_fn, k_coefficient, laguerre_roots
+from .errors import DomainError, ResolutionError
+from .gauss_core import as_order, gamma_fn, laguerre_roots
 from .sets import EMPTY, GaussianSet, measure
 from .spectral import coeff_table
 
 __all__ = [
     "ExtensionField",
     "LevelSetRecord",
-    "profile_psi",
     "psi_bulk",
     "extension_field",
     "evaluate_extension",
-    "trace_gap",
-    "boundary_flux_check",
-    "boundary_flux_richardson",
-    "mehler_semigroup",
     "mehler_extension",
     "level_set_with_budget",
     "LEVELSET_GRID",
@@ -57,8 +52,6 @@ _NDTR_ONE = 9.0
 _NDTR_ZERO = -40.0
 # Relative margin of the plateau point thresholds against argument rounding.
 _PLATEAU_MARGIN = 1e-9
-# The heights z whose boundary fluxes boundary_flux_richardson extrapolates.
-_FLUX_HEIGHTS = (1e-2, 1e-3, 1e-4)
 
 
 def _check_sigma(sigma: float) -> None:
@@ -70,36 +63,6 @@ def _check_positive(value: float, what: str) -> None:
     """Reject NaN, +inf and values <= 0; a NaN would pass a ``<= 0`` test."""
     if not (value > 0.0 and math.isfinite(value)):
         raise DomainError(f"{what} must be positive and finite, got {value}")
-
-
-def profile_psi(sigma: float, xi: float) -> float:
-    """Subordination profile by adaptive quadrature, split at the saddle.
-
-    This is the reference evaluator; ``psi_bulk`` is the fast path used for
-    whole coefficient vectors and is cross-checked against this one.
-    """
-    from scipy import integrate  # imported here: this is its only user
-
-    _check_sigma(sigma)
-    if xi < 0.0:
-        raise DomainError("profile argument must be nonnegative")
-    if xi == 0.0:
-        return 1.0
-    if xi > 600.0:
-        return 0.0  # below double-precision underflow of e^{-xi}
-    g = gamma_fn(sigma)
-
-    def integrand(u: float) -> float:
-        return math.exp(-u - xi * xi / (4.0 * u)) * u ** (sigma - 1.0)
-
-    split = max(sigma, 0.5 * xi)
-    total = 0.0
-    for lo, hi in ((0.0, split), (split, math.inf)):
-        val, err = integrate.quad(integrand, lo, hi, epsabs=1e-300, epsrel=1e-12, limit=200)
-        if not math.isfinite(val):
-            raise QuadratureError(f"profile quadrature failed at sigma={sigma}, xi={xi}")
-        total += val
-    return total / g
 
 
 def psi_bulk(sigma: float, xi) -> np.ndarray:
@@ -131,13 +94,6 @@ class ExtensionField:
     sigma: float
     K: int
 
-    def psi_factors(self, z: float) -> np.ndarray:
-        """psi_sigma(sqrt(k) z) for k = 0..K (the k = 0 factor is 1)."""
-        z = float(z)
-        if not 0.0 <= z < math.inf:  # a NaN would pass a ``< 0`` test
-            raise DomainError(f"height z must be nonnegative and finite, got {z}")
-        return psi_bulk(self.sigma, np.sqrt(np.arange(self.K + 1, dtype=float)) * z)
-
 
 def extension_field(E: GaussianSet, s, K: int = 10_000) -> ExtensionField:
     """Extension of order s/2 of chi_E, truncated after the mode K."""
@@ -149,63 +105,14 @@ def extension_field(E: GaussianSet, s, K: int = 10_000) -> ExtensionField:
 
 def evaluate_extension(F: ExtensionField, x, z: float):
     """Truncated series value U(x, z); at z = 0 this is the Hermite series of chi_E."""
-    c = F.psi_factors(z) * coeff_table(F.set, F.K)  # a bad z raises before the table is built
+    z = float(z)
+    if not 0.0 <= z < math.inf:  # a NaN would pass a ``< 0`` test
+        raise DomainError(f"height z must be nonnegative and finite, got {z}")
+    psi = psi_bulk(F.sigma, np.sqrt(np.arange(F.K + 1, dtype=float)) * z)
+    c = psi * coeff_table(F.set, F.K)
     x = np.asarray(x, dtype=float)
     vals = hermite_weighted_series(c, np.atleast_1d(x))
     return float(vals[0]) if x.ndim == 0 else vals
-
-
-def trace_gap(E: GaussianSet, s, z: float, K: int = 10_000) -> float:
-    """int_E (1 - U_E(., z)) dgamma = sum_{k>=1} f_k^2 (1 - psi_{s/2}(sqrt(k) z))."""
-    _check_positive(z, "trace gap height z")
-    psi = extension_field(E, s, K).psi_factors(z)
-    f = coeff_table(E, K)
-    return float(np.sum(f[1:] ** 2 * (1.0 - psi[1:])))
-
-
-def boundary_flux_check(sigma: float, k: int, z: float) -> tuple[float, float]:
-    """(numerical flux -z^{1-2 sigma} d/dz psi_sigma(sqrt(k) z), K_{2 sigma} k^sigma).
-
-    The two entries converge to each other as z -> 0+.
-    """
-    _check_sigma(sigma)
-    if k < 0:
-        raise DomainError("mode index must be nonnegative")
-    if not (0.0 < z <= 0.1):
-        raise DomainError("flux check expects z in (0, 0.1]")
-    if k == 0:
-        return 0.0, 0.0
-    sk = math.sqrt(float(k))
-    h = z * 1e-4
-    psi_p = float(psi_bulk(sigma, np.array([sk * (z + h)]))[0])
-    psi_m = float(psi_bulk(sigma, np.array([sk * (z - h)]))[0])
-    dpsi_dz = (psi_p - psi_m) / (2.0 * h)
-    left = -(z ** (1.0 - 2.0 * sigma)) * dpsi_dz
-    right = k_coefficient(2.0 * sigma) * float(k) ** sigma
-    return left, right
-
-
-def boundary_flux_richardson(sigma: float, k: int) -> tuple[float, float]:
-    """Richardson-extrapolated flux limit against the exact K_{2 sigma} k^sigma.
-
-    The finite-z flux deviates like z^{2-2 sigma}; consecutive pairs of the
-    heights 1e-2, 1e-3, 1e-4 are combined with that exponent and the deepest
-    level is returned.
-    """
-    vals = [boundary_flux_check(sigma, k, z)[0] for z in _FLUX_HEIGHTS]
-    if k == 0:
-        return 0.0, 0.0
-    q = 2.0 - 2.0 * sigma
-    level = list(_FLUX_HEIGHTS)
-    while len(vals) > 1:
-        new_vals = []
-        for i in range(len(vals) - 1):
-            rho = (level[i + 1] / level[i]) ** q
-            new_vals.append((vals[i + 1] - rho * vals[i]) / (1.0 - rho))
-        vals = new_vals
-        level = level[1:]
-    right = k_coefficient(2.0 * sigma) * float(k) ** sigma
-    return vals[0], right
 
 
 def _node_constants(taus) -> tuple[np.ndarray, np.ndarray]:
@@ -247,18 +154,6 @@ def _semigroup_rows(E: GaussianSet, decay: np.ndarray, d: np.ndarray,
         lo = _ndtr_plateau((a - decay * x) / d) if math.isfinite(a) else 0.0
         out += hi - lo
     return np.clip(out, 0.0, 1.0, out=out)
-
-
-def mehler_semigroup(E: GaussianSet, tau: float, x: np.ndarray) -> np.ndarray:
-    """Ornstein-Uhlenbeck semigroup on an indicator, in closed form.
-
-    (P_tau chi_E)(x) = sum_i Phi((b_i - e^{-tau} x)/d) - Phi((a_i - e^{-tau} x)/d),
-    d = sqrt(1 - e^{-2 tau}).
-    """
-    _check_positive(tau, "semigroup time")
-    x = np.asarray(x, dtype=float)
-    decay, d = _node_constants((tau,))
-    return _semigroup_rows(E, decay, d, x.ravel())[0].reshape(x.shape)
 
 
 class _MehlerRule:

@@ -1,14 +1,11 @@
-"""Scalar special functions, Gauss-Hermite quadrature and the model constants.
+"""Scalar special functions, Gauss-Laguerre roots and the model constants.
 
 Everything is taken with respect to the standard Gaussian probability measure
-gamma_1 = (2 pi)^{-1/2} e^{-x^2/2} dx, and the Hermite polynomials are the
-orthonormal probabilists' family.  Gamma is ``math.gamma``, the inverse CDF
-is ``statistics.NormalDist().inv_cdf`` and ``phi`` is ``math.erfc``; the
+gamma_1 = (2 pi)^{-1/2} e^{-x^2/2} dx.  Gamma is ``math.gamma``, the inverse
+CDF is ``statistics.NormalDist().inv_cdf`` and ``phi`` is ``math.erfc``; the
 Gauss-Laguerre roots are computed here with numpy (``laguerre_roots``).  So
-importing this module loads no scipy; only ``gauss_hermite_rule``, which the
-tests use, imports ``scipy.special`` when called.  The wrappers add the
-domain checks on outside input, and ``hermite_eval`` is the plain recurrence
-that the tests use as an oracle.
+importing this module loads no scipy.  The wrappers add the domain checks on
+outside input.
 """
 from __future__ import annotations
 
@@ -23,9 +20,6 @@ from .errors import DomainError
 
 __all__ = [
     "FractionalOrder",
-    "QuadratureRule",
-    "hermite_eval",
-    "gauss_hermite_rule",
     "laguerre_roots",
     "gamma_fn",
     "phi",
@@ -36,7 +30,6 @@ __all__ = [
     "as_order",
 ]
 
-SQRT_2PI = math.sqrt(2.0 * math.pi)
 _STANDARD_NORMAL = NormalDist()
 # Near 360 nodes the Laguerre recurrence overflows a double at the largest nodes.
 _MAX_LAGUERRE_NODES = 300
@@ -58,46 +51,6 @@ def as_order(s) -> FractionalOrder:
     if isinstance(s, FractionalOrder):
         return s
     return FractionalOrder(float(s))
-
-
-def hermite_eval(n: int, x: float) -> float:
-    """Orthonormal probabilists' Hermite polynomial h_n(x).
-
-    Three-term recurrence h_{k+1} = (x h_k - sqrt(k) h_{k-1}) / sqrt(k+1)
-    from h_{-1} = 0 and h_0 = 1.
-    """
-    if n < 0:
-        raise DomainError("Hermite index must be nonnegative")
-    h_prev, h = 0.0, 1.0
-    for k in range(n):
-        h_prev, h = h, (x * h - math.sqrt(k) * h_prev) / math.sqrt(k + 1)
-    return h
-
-
-@dataclass(frozen=True, eq=False)
-class QuadratureRule:
-    """Gauss-Hermite nodes/weights for integration against gamma_1; equal only to itself."""
-
-    order: int
-    nodes: np.ndarray
-    weights: np.ndarray
-
-    def integrate(self, f) -> float:
-        return float(np.dot(self.weights, f(self.nodes)))
-
-
-def gauss_hermite_rule(n: int) -> QuadratureRule:
-    """Gauss rule of order n for gamma_1, exact on polynomials of degree 2n-1.
-
-    The nodes and weights of ``special.roots_hermitenorm``, whose weight
-    function e^{-x^2/2} has mass sqrt(2 pi).
-    """
-    from scipy import special  # imported here: only the tests build this rule
-
-    if not (1 <= n <= 500):
-        raise DomainError(f"quadrature order must be in [1, 500], got {n}")
-    nodes, weights = special.roots_hermitenorm(n)
-    return QuadratureRule(n, nodes, weights / SQRT_2PI)
 
 
 def _gauss_laguerre(a: float, n: int) -> tuple[np.ndarray, np.ndarray]:

@@ -17,8 +17,7 @@ from dataclasses import dataclass
 
 from .errors import DegenerateSetError, DomainError
 from .extension import extension_field, level_set_with_budget
-from .gauss_core import (FractionalOrder, as_order, beta_coefficient,
-                         iso_function, phi_inv)
+from .gauss_core import FractionalOrder, as_order, beta_coefficient, iso_function
 from .sets import (GaussianSet, asymmetry, complement, ehrhard_symmetrize,
                    measure, set_minus, symm_diff)
 from .spectral import PerimeterValue, perimeter_spectral
@@ -28,7 +27,6 @@ __all__ = [
     "ConstantParams",
     "ZThresholds",
     "sigma_min",
-    "f_weight",
     "z_thresholds",
     "z0_threshold",
     "constant_C",
@@ -110,17 +108,6 @@ def sigma_min(m: float) -> float:
     if not (0.0 < m < 9.0 / 13.0):
         raise DomainError(f"sigma_min needs 13m/9 < 1, got m={m}")
     return min(iso_function(5.0 * m / 9.0), iso_function(13.0 * m / 9.0))
-
-
-def f_weight(m: float) -> float:
-    """Deficit density weight f(m) = e^{Phi^{-1}(m)^2/2} / (1 + Phi^{-1}(m)^2).
-
-    Bounded below by sqrt(e)/2 on (0, 1).
-    """
-    if not (0.0 < m < 1.0):
-        raise DomainError(f"f_weight needs m in (0, 1), got {m}")
-    r2 = phi_inv(m) ** 2
-    return math.exp(0.5 * r2) / (1.0 + r2)
 
 
 def _height(A: float, m: float, order: FractionalOrder, P: PerimeterValue,
@@ -278,7 +265,7 @@ def verify_levelset_bounds(E: GaussianSet, s, t: float, z: float,
     if A == 0.0:
         # z0 = 0: the admissible z-range is empty and the claim is vacuous.
         return True
-    z0 = _height(A, m, order, perimeter_spectral(E, order, K), 72.0)
+    z0 = z0_threshold(E, order, K)
     if not (0.0 < z <= z0):
         raise DomainError(f"z must lie in (0, z0={z0}], got {z}")
     rec, budget = level_set_with_budget(_field_of(E, order, K, field), t, z)

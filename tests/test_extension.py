@@ -9,19 +9,18 @@ from hypothesis import strategies as st
 from scipy import special
 
 from fracgaussiso import extension, spectral, suites
+from fracgaussiso._kernels_py import hermite_weighted_series
 from fracgaussiso.errors import DomainError
 from fracgaussiso.extension import (LEVELSET_GRID, _BISECT_TOL, _LEVELSET_QUAD,
                                     _MEHLER_ENTRIES, ExtensionField,
-                                    _extract_level_set,
-                                    boundary_flux_check,
-                                    boundary_flux_richardson,
-                                    evaluate_extension, extension_field,
-                                    level_set_with_budget,
-                                    mehler_extension, mehler_semigroup,
-                                    profile_psi, psi_bulk, trace_gap)
+                                    _extract_level_set, _node_constants,
+                                    _semigroup_rows, evaluate_extension,
+                                    extension_field, level_set_with_budget,
+                                    mehler_extension, psi_bulk)
 from fracgaussiso.gauss_core import beta_coefficient, k_coefficient, laguerre_roots
 from fracgaussiso.sets import (EMPTY, FULL_LINE, GaussianSet, halfline,
                                interval, measure, symm_diff)
+from oracles import boundary_flux_check, boundary_flux_richardson, profile_psi, trace_gap
 
 THREE_PIECES = GaussianSet.from_intervals([(-2.5, -1.4), (-0.6, 0.3), (0.9, 1.6)])
 TAILED = GaussianSet.from_intervals([(-1.2, -0.3), (0.4, math.inf)])
@@ -52,13 +51,6 @@ def test_psi_monotone_decreasing():
     vals = psi_bulk(0.3, xi)
     assert np.all(np.diff(vals) < 0.0)
     assert np.all(vals > 0.0)
-
-
-def test_psi_domain():
-    with pytest.raises(DomainError):
-        profile_psi(1.5, 1.0)
-    with pytest.raises(DomainError):
-        profile_psi(0.5, -1.0)
 
 
 def test_boundary_flux_limit():
@@ -104,11 +96,10 @@ def test_extension_boundary_values():
 def test_mehler_semigroup_mass_conservation():
     E = interval(-0.3, 1.1)
     x = np.linspace(-6, 6, 2001)
-    for tau in (0.01, 0.5, 3.0):
-        vals = mehler_semigroup(E, tau, x)
-        assert np.all(vals >= 0.0) and np.all(vals <= 1.0)
+    vals = _semigroup_rows(E, *_node_constants((0.01, 0.5, 3.0)), x)
+    assert np.all(vals >= 0.0) and np.all(vals <= 1.0)
     # long time: P_tau chi_E -> gamma(E) everywhere
-    far = mehler_semigroup(E, 50.0, np.array([0.0, 2.0]))
+    far = _semigroup_rows(E, *_node_constants((50.0,)), np.array([0.0, 2.0]))
     assert np.allclose(far, measure(E), atol=1e-10)
 
 
@@ -152,7 +143,7 @@ def test_level_set_degenerate_t():
 def test_fields_hash_and_compare_without_raising():
     E = interval(0.0, 1.0)
     F = extension_field(E, 0.5, 100)
-    assert F.K == 100 and F.psi_factors(0.1).shape == (101,)
+    assert F.K == 100 and evaluate_extension(F, np.array([0.5]), 0.0).shape == (1,)
     assert F != extension_field(E, 0.5, 200) and F != extension_field(E, 0.25, 100)
     spectral.coeff_table.cache_clear()  # the same K after an eviction is still equal
     assert F == extension_field(E, 0.5, 100)
@@ -338,19 +329,18 @@ def test_non_finite_heights_and_thresholds_raise(bad):
     with pytest.raises(DomainError):
         mehler_extension(E, 0.25, x, bad)
     with pytest.raises(DomainError):
-        mehler_semigroup(E, bad, x)
-    with pytest.raises(DomainError):
-        trace_gap(E, 0.5, bad, 200)
-    with pytest.raises(DomainError):
         evaluate_extension(F, 0.5, bad)
 
 
 def test_series_height_zero_is_the_trace():
-    # psi_factors accepts z = 0, where every factor is 1 and U is the Hermite series of chi_E
-    F = extension_field(interval(0.0, 1.0), 0.5, 200)
-    assert np.all(F.psi_factors(0.0) == 1.0)
-    with pytest.raises(DomainError):
-        trace_gap(interval(0.0, 1.0), 0.5, 0.0, 200)
+    # z = 0 is accepted: every factor is 1 and U is the Hermite series of chi_E
+    E, x = interval(0.0, 1.0), np.linspace(-2.0, 3.0, 11)
+    F = extension_field(E, 0.5, 200)
+    trace = hermite_weighted_series(spectral.coeff_table(E, 200), x)
+    assert np.array_equal(evaluate_extension(F, x, 0.0), trace)
+    for bad in (math.nan, math.inf, -1e-300):
+        with pytest.raises(DomainError):
+            evaluate_extension(F, x, bad)
 
 
 def test_level_set_without_sign_change():
@@ -375,9 +365,10 @@ def test_ndtr_is_exactly_flat_beyond_the_plateau_limits():
 def test_mehler_semigroup_matches_dense_rows():
     rng = np.random.default_rng(11)
     x = rng.uniform(-30.0, 30.0, 3000)
+    taus = (1e-17, 1e-10, 1e-4, 0.5, 3.0, 50.0, 800.0)
     for E in (TAILED, THREE_PIECES, halfline(0.7), interval(0.3, 0.3 + 1e-9), FULL_LINE):
-        for tau in (1e-17, 1e-10, 1e-4, 0.5, 3.0, 50.0, 800.0):
-            assert np.array_equal(mehler_semigroup(E, tau, x), _dense_rows(E, [tau], x)[0])
+        rows = _semigroup_rows(E, *_node_constants(taus), x)
+        assert np.array_equal(rows, _dense_rows(E, taus, x))
 
 
 def test_mehler_extension_needs_a_positive_node_time():
@@ -385,7 +376,7 @@ def test_mehler_extension_needs_a_positive_node_time():
     with pytest.raises(DomainError):
         mehler_extension(interval(0.0, 1.0), 0.25, np.array([-1.0, 0.5, 2.0]), 1e-170)
     with pytest.raises(DomainError):
-        mehler_semigroup(interval(0.0, 1.0), 0.0, np.array([0.5]))
+        _node_constants((0.5, 0.0))
 
 
 def test_plateau_bounds_overflow_silently_at_a_tiny_node_decay():

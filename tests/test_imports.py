@@ -9,11 +9,13 @@ to it is a dead-definition check: a top-level ``_private`` function, class
 or assignment must be referenced somewhere in the package outside its own
 definition.  A third check keeps ndarray fields out of dataclasses whose
 ``__eq__`` (and, when frozen, ``__hash__``) is generated, a fourth
-keeps the quadrature roots of ``scipy.special`` in ``gauss_core``, whose
-cache every rule reads, and a fifth keeps the Hermite recurrence in
-``_kernels_py`` and every coefficient table one kernel call per set.  The
-last test imports the package in a fresh interpreter: the package and the
-spectral commands load no scipy, and the paths that use it import it.
+keeps the ``roots_*`` functions of ``scipy.special`` and ``scipy.integrate``
+out of the package (``gauss_core.laguerre_roots`` computes the package's
+rules, and the tests' quadrature oracles live in ``tests/oracles.py``), and a
+fifth keeps the Hermite recurrence in ``_kernels_py`` and every coefficient
+table one kernel call per set.  The last test imports the package in a
+fresh interpreter: the package and the spectral commands load no scipy, and
+the paths that use it import it.
 """
 import ast
 import json
@@ -163,7 +165,7 @@ def special_root_calls(source: str) -> list[str]:
 
 
 def test_only_gauss_core_computes_quadrature_roots():
-    assert [f"{p.name}: {call}" for p in MODULES if p.name != "gauss_core.py"
+    assert [f"{p.name}: {call}" for p in MODULES
             for call in special_root_calls(p.read_text())] == []
 
 
@@ -174,6 +176,31 @@ def test_the_check_flags_root_calls_by_attribute_and_by_imported_name():
               "y = scipy.special.roots_legendre(3)\nz = gamma(0.5) + roots_of(3)\n")
     assert special_root_calls(source) == ["line 5: roots_genlaguerre", "line 6: roots_jacobi",
                                           "line 7: roots_legendre"]
+
+
+def scipy_integrate_imports(source: str) -> list[str]:
+    """'line N' for each import of ``scipy.integrate`` or of a name from it."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names = [f"{node.module}.{alias.name}" for alias in node.names]
+        else:
+            continue
+        if any(name == "scipy.integrate" or name.startswith("scipy.integrate.")
+               for name in names):
+            found.append(f"line {node.lineno}")
+    return found
+
+
+def test_no_module_imports_scipy_integrate():
+    assert [f"{p.name}: {line}" for p in MODULES
+            for line in scipy_integrate_imports(p.read_text())] == []
+    source = ("import scipy.integrate as si\nfrom scipy import special, integrate\n"
+              "from scipy.integrate import quad\nfrom scipy import special\nimport scipy\n"
+              "from . import integrate\n")
+    assert scipy_integrate_imports(source) == ["line 1", "line 2", "line 3"]
 
 
 _LOOPS = (ast.For, ast.AsyncFor, ast.While, ast.ListComp, ast.SetComp, ast.DictComp,
@@ -206,14 +233,9 @@ def looped_work(source: str) -> list[str]:
     return sorted(set(found))
 
 
-# ``hermite_eval`` is the public one-value evaluator, the oracle of the tests.
-RECURRENCES_OUTSIDE_THE_KERNELS = {"gauss_core.py: hermite_eval: recurrence"}
-
-
 def test_only_the_kernels_run_the_hermite_recurrence():
     found = {f"{p.name}: {item}" for p in MODULES for item in looped_work(p.read_text())}
-    assert {item for item in found if not item.startswith("_kernels_py.py: ")} \
-        == RECURRENCES_OUTSIDE_THE_KERNELS
+    assert {item for item in found if not item.startswith("_kernels_py.py: ")} == set()
     assert not any(item.endswith("kernel call") for item in found)
     assert "_kernels_py.py: _weighted_rows: recurrence" in found
 

@@ -10,7 +10,7 @@ from fracgaussiso.extension import LevelSetRecord
 from fracgaussiso.inequality import (ConstantParams, TRANSFER_FAILS,
                                      TRANSFER_HOLDS, TRANSFER_INAPPLICABLE,
                                      TRANSFER_TRIVIAL, closeness_z_max,
-                                     constant_C, f_weight, sigma_min,
+                                     constant_C, sigma_min,
                                      verify_levelset_bounds,
                                      verify_levelset_closeness, verify_main,
                                      verify_transfer_lemma, z0_threshold,
@@ -37,14 +37,6 @@ def test_sigma_min_domain():
         sigma_min(9.0 / 13.0)
     with pytest.raises(DomainError):
         sigma_min(0.0)
-
-
-def test_f_weight():
-    assert f_weight(0.5) == 1.0
-    for m in (0.1, 0.27, 0.44):
-        assert f_weight(m) == pytest.approx(f_weight(1.0 - m), rel=1e-12)
-    grid = [i / 100.0 for i in range(1, 100)]
-    assert min(f_weight(m) for m in grid) >= math.sqrt(math.e) / 2.0
 
 
 def test_z_thresholds():

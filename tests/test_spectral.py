@@ -10,7 +10,7 @@ from scipy import integrate
 
 from fracgaussiso import spectral
 from fracgaussiso.errors import DomainError
-from fracgaussiso.gauss_core import hermite_eval, k_coefficient, phi
+from fracgaussiso.gauss_core import k_coefficient, phi
 from fracgaussiso._kernels_py import coeff_antideriv_table
 from fracgaussiso.sets import GaussianSet, complement, halfline, interval, measure, reflect
 from fracgaussiso.spectral import (asymptotic_limit, asymptotic_series_value,
@@ -18,6 +18,7 @@ from fracgaussiso.spectral import (asymptotic_limit, asymptotic_series_value,
                                    halfspace_series, halfline_perimeter,
                                    halfline_perimeter_reference,
                                    perimeter_spectral)
+from oracles import hermite_eval
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
 INF = math.inf

@@ -1,11 +1,19 @@
-"""Spectral form of the degenerate-elliptic extension of chi_E.
-
-The extension of order sigma acts mode by mode: the Hermite coefficient f_k
-picks up the subordination factor psi_sigma(sqrt(k) z), where
-
-    psi_sigma(xi) = (1/Gamma(sigma)) int_0^inf e^{-u - xi^2/(4u)} u^{sigma-1} du.
+"""The degenerate-elliptic extension U(x, z) of chi_E and its level sets.
 
 For perimeters of order s the relevant extension order is sigma = s/2.
+U has two evaluators:
+
+- the spectral form (``evaluate_extension``): the Hermite coefficient f_k of
+  chi_E picks up the subordination factor psi_sigma(sqrt(k) z), where
+
+      psi_sigma(xi) = (1/Gamma(sigma)) int_0^inf e^{-u - xi^2/(4u)} u^{sigma-1} du,
+
+  and the series stops after the mode K;
+- the Mehler form (``mehler_extension``): the same subordination integral
+  over the Ornstein-Uhlenbeck semigroup, whose rows are exact in x, taken by
+  a Gauss-Laguerre rule in u.  It stays in [0, 1], and
+  ``level_set_with_budget`` extracts the superlevel sets {U(., z) > t}
+  through it.
 """
 from __future__ import annotations
 
@@ -18,7 +26,7 @@ import numpy as np
 from ._kernels_py import hermite_weighted_series
 from .errors import DomainError, ResolutionError
 from .gauss_core import as_order, gamma_fn, laguerre_roots
-from .sets import EMPTY, GaussianSet, measure
+from .sets import EMPTY, FULL_LINE, GaussianSet, measure
 from .spectral import coeff_table
 
 __all__ = [
@@ -47,11 +55,14 @@ _MAX_CROSSINGS = 64
 # 128 kB and stays in a core's L2 cache.  Larger blocks spill out of it,
 # smaller ones pay numpy call overhead per block (README, "Numerical notes").
 _MEHLER_ENTRIES = 16_384
-# ndtr is exactly 1.0 at arguments >= _NDTR_ONE and exactly 0.0 at <= _NDTR_ZERO.
-_NDTR_ONE = 9.0
-_NDTR_ZERO = -40.0
+# Phi is taken as exactly 1.0 at arguments >= _NDTR_FLAT, which is what ndtr
+# returns there, and as exactly 0.0 at <= -_NDTR_FLAT, where ndtr is at most
+# ndtr(-9) = 1.13e-19.
+_NDTR_FLAT = 9.0
 # Relative margin of the plateau point thresholds against argument rounding.
 _PLATEAU_MARGIN = 1e-9
+# Level-set thresholds in [0, _MIN_THRESHOLD) lie below the Mehler rule's resolution.
+_MIN_THRESHOLD = 1e-12
 
 
 def _check_sigma(sigma: float) -> None:
@@ -108,9 +119,11 @@ def evaluate_extension(F: ExtensionField, x, z: float):
     z = float(z)
     if not 0.0 <= z < math.inf:  # a NaN would pass a ``< 0`` test
         raise DomainError(f"height z must be nonnegative and finite, got {z}")
+    x = np.asarray(x, dtype=float)
+    if not np.isfinite(x).all():
+        raise DomainError("series points x must be finite")
     psi = psi_bulk(F.sigma, np.sqrt(np.arange(F.K + 1, dtype=float)) * z)
     c = psi * coeff_table(F.set, F.K)
-    x = np.asarray(x, dtype=float)
     vals = hermite_weighted_series(c, np.atleast_1d(x))
     return float(vals[0]) if x.ndim == 0 else vals
 
@@ -129,17 +142,18 @@ def _node_constants(taus) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _ndtr_plateau(arg: np.ndarray) -> np.ndarray:
-    """scipy.special.ndtr(arg), calling ndtr only where -40 < arg < 9.
+    """Phi(arg) flattened to its plateaus: 1.0 at arg >= 9, 0.0 at arg <= -9,
+    and scipy.special.ndtr(arg) in between.
 
-    ndtr is exactly 1.0 from about 8.3 up and exactly 0.0 from about -37.7
-    down, so the plateau values written at or beyond the limits are the ones
-    ndtr returns there.
+    ndtr is exactly 1.0 from about 8.3 up, so the upper plateau is the value
+    ndtr returns there.  Below -9 ndtr is at most ndtr(-9) = 1.13e-19, which
+    the lower plateau drops.  A NaN argument stays NaN.
     """
     from scipy.special import ndtr  # imported here: importing the package loads no scipy
 
-    one = arg >= _NDTR_ONE
+    one = arg >= _NDTR_FLAT
     out = one.astype(float)
-    live = ~(one | (arg <= _NDTR_ZERO))
+    live = ~(one | (arg <= -_NDTR_FLAT))
     out[live] = ndtr(arg[live])
     return out
 
@@ -167,10 +181,11 @@ class _MehlerRule:
     The plateau limits run over the finite endpoints e of E, in the one
     form of chi_E (``GaussianSet.signed_endpoints``).  Below
     ``below[j]`` every node's argument (e - decay x)/d at e is at least
-    _NDTR_ONE, so every row's Phi term there is 1; above ``above[j]`` it is at
-    most _NDTR_ZERO and the term is 0.  Each limit carries a margin far above
-    the rounding of the arguments.  A node with decay 0 sees no x, so it
-    leaves no point on a plateau.  A point on a plateau at every endpoint has
+    _NDTR_FLAT, so every row's Phi term there is 1; above ``above[j]`` it is
+    at most -_NDTR_FLAT and ``_ndtr_plateau`` makes the term 0.  Each limit
+    carries a margin far above the rounding of the arguments.  A node with
+    decay 0 sees no x, so it leaves no finite point on a plateau; the limits
+    are capped at the largest double, so -inf and +inf always lie on one.  A point on a plateau at every endpoint has
     the same row at every node, 0 or 1: base (``open_right``) plus sign
     (+1 at right ends, -1 at left ends) summed over the endpoints it lies
     below, clipped.
@@ -190,10 +205,13 @@ class _MehlerRule:
         # correctly signed infinity, which is the limit rounded to a double.
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             for e, _ in ends:
-                slack = _PLATEAU_MARGIN * (1.0 + abs(e) - _NDTR_ZERO * d)
-                below.append(np.where(c > 0.0, (e - _NDTR_ONE * d - slack) / c, -math.inf).min())
-                above.append(np.where(c > 0.0, (e - _NDTR_ZERO * d + slack) / c, math.inf).max())
-        self.below, self.above = np.array(below), np.array(above)
+                slack = _PLATEAU_MARGIN * (1.0 + abs(e) + _NDTR_FLAT * d)
+                below.append(np.where(c > 0.0, (e - _NDTR_FLAT * d - slack) / c, -math.inf).min())
+                above.append(np.where(c > 0.0, (e + _NDTR_FLAT * d + slack) / c, math.inf).max())
+        # No finite x crosses the cap, and +-inf then gets its limit even at a
+        # node with decay 0, where decay * x would be NaN.
+        largest = np.finfo(float).max
+        self.below, self.above = np.maximum(below, -largest), np.minimum(above, largest)
         self.sign = np.array([sign for _, sign in ends], dtype=np.int64)
         self.base = E.open_right
 
@@ -228,18 +246,25 @@ def mehler_extension(E: GaussianSet, sigma: float, x, z: float,
     semigroup time turns large, so the mass below it is missed (README,
     "Numerical notes").
 
-    The value is the node-order weighted sum of the semigroup rows.  A point
-    far enough from every endpoint that each node's Phi argument lies on the
-    plateau where ndtr is exactly 0 or 1 gets that sum directly, 0.0 or the
-    node-order weight sum; only the other points are evaluated, in blocks of
-    ``_MEHLER_ENTRIES // n_quad`` points (at least one).  A point's value
-    reads only its own column, so the block size changes no bit, and the
-    result is bit-identical to evaluating every node at every point.
+    The value is the node-order weighted sum of the semigroup rows, whose
+    Phi terms are flattened to exactly 1 at arguments >= 9 and exactly 0 at
+    <= -9 (``_ndtr_plateau``).  Against plain ndtr at every node each term
+    moves by at most ndtr(-9) = 1.13e-19, so U moves by at most that times
+    the number of finite endpoints, plus rounding.  A point far enough from
+    every endpoint that each node's argument lies on a plateau gets the sum
+    directly, 0.0 or the node-order weight sum, and so do x = -inf and
+    +inf, whose value is the limit; only the other points are evaluated, in
+    blocks of ``_MEHLER_ENTRIES // n_quad`` points (at least one).  A
+    point's value reads only its own column, so the block size changes no
+    bit, and the result is bit-identical to evaluating the flattened rows at
+    every node and point.  A NaN x raises DomainError.
     """
     _check_positive(z, "mehler_extension height z")
     rule = _mehler_rule(E, sigma, z, n_quad)
     x = np.atleast_1d(np.asarray(x, dtype=float))
     flat_x = x.ravel()
+    if np.isnan(flat_x).any():
+        raise DomainError("mehler_extension points x must not be NaN")
     under = flat_x[:, None] < rule.below
     acc = np.where(rule.base + under @ rule.sign > 0, rule.w_total, 0.0)
     live = np.flatnonzero(~(under | (flat_x[:, None] > rule.above)).all(axis=1))
@@ -344,14 +369,23 @@ def level_set_with_budget(F: ExtensionField, t: float, z: float) -> tuple[LevelS
 
     The budget compares the extraction at the working quadrature order with
     one at half the order (the dominant controllable error), plus the
-    neglected mass outside the grid and the bisection tolerance.  A
-    threshold t >= 1 gives the empty set with budget 0.
+    neglected mass outside the grid and the bisection tolerance.  Since
+    0 <= U <= 1, a threshold t >= 1 gives the empty set and t < 0 the full
+    line, both with budget 0.  A threshold 0 <= t < 1e-12 raises
+    ResolutionError: the crossings of such a level sit where U is made of
+    Phi's far tails, which the rule flattens to 0 below 1.13e-19 and ndtr
+    underflows to 0 further out, so they say nothing about the set.
     """
     _check_positive(z, "level-set height z")
     if not math.isfinite(t):
         raise DomainError(f"level-set threshold must be finite, got {t}")
     if t >= 1.0:
         return LevelSetRecord(t, z, EMPTY, 0.0), 0.0
+    if t < 0.0:  # U >= 0 everywhere
+        return LevelSetRecord(t, z, FULL_LINE, 1.0), 0.0
+    if t < _MIN_THRESHOLD:
+        raise ResolutionError(f"level-set threshold t={t} lies below the resolution "
+                              f"{_MIN_THRESHOLD} of the Mehler rule")
     E_tz = _extract_level_set(F.set, F.sigma, t, z, _LEVELSET_QUAD)
     mu = measure(E_tz)
     mu_half = measure(_extract_level_set(F.set, F.sigma, t, z, _LEVELSET_QUAD // 2))

@@ -408,6 +408,15 @@ def test_extension_eval_rejects_bad_height(capsys, z):
     assert "height z" in captured.err
 
 
+@pytest.mark.parametrize("xs", ["nan,inf,0.5", "0.5,-inf", "nan"])
+def test_extension_eval_rejects_non_finite_points(capsys, xs):
+    code = main(["extension-eval", "--set", "(0,1)", "--x", xs, "--K", "200"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "points x must be finite" in captured.err
+
+
 def test_verify_reports_each_failing_row():
     r = run_cli(["verify", "--suite", "main", "--n", "3", "--seed", "7", "--c", "1e-200"])
     assert r.returncode == 1

@@ -10,7 +10,7 @@ from scipy import special
 
 from fracgaussiso import extension, spectral, suites
 from fracgaussiso._kernels_py import hermite_weighted_series
-from fracgaussiso.errors import DomainError
+from fracgaussiso.errors import DomainError, ResolutionError
 from fracgaussiso.extension import (LEVELSET_GRID, _BISECT_TOL, _LEVELSET_QUAD,
                                     _MEHLER_ENTRIES, ExtensionField,
                                     _extract_level_set, _node_constants,
@@ -169,29 +169,34 @@ def test_level_set_rejects_a_field_of_an_order_outside_0_1(sigma):
         level_set_with_budget(ExtensionField(F.set, sigma, F.K), 0.5, 0.1)
 
 
-def _dense_rows(E, taus, x):
-    """(P_tau chi_E)(x) for each tau: ndtr at every point, no plateau skip."""
+def _flat_ndtr(arg):
+    """Phi with its lower tail dropped at -9, as the Mehler rows take it."""
+    return np.where(arg <= -9.0, 0.0, special.ndtr(arg))
+
+
+def _dense_rows(E, taus, x, phi=_flat_ndtr):
+    """(P_tau chi_E)(x) for each tau: phi at every point, no plateau skip."""
     rows = []
     for tau in taus:
         decay = math.exp(-tau)
         d = math.sqrt(-math.expm1(-2.0 * tau))
         row = np.zeros(x.size)
         for a, b in E.intervals:
-            hi = special.ndtr((b - decay * x) / d) if math.isfinite(b) else 1.0
-            lo = special.ndtr((a - decay * x) / d) if math.isfinite(a) else 0.0
+            hi = phi((b - decay * x) / d) if math.isfinite(b) else 1.0
+            lo = phi((a - decay * x) / d) if math.isfinite(a) else 0.0
             row += hi - lo
         rows.append(np.clip(row, 0.0, 1.0))
     return rows
 
 
-def _node_by_node_extension(E, sigma, x, z, n_quad):
+def _node_by_node_extension(E, sigma, x, z, n_quad, phi=_flat_ndtr):
     """Dense oracle of mehler_extension: every node at every point, summed
     node by node."""
     u, w = laguerre_roots(sigma - 1.0, n_quad)
     w = w / np.sum(w)
     flat = np.asarray(x, dtype=float).ravel()
     acc = np.zeros(flat.size)
-    for wi, row in zip(w, _dense_rows(E, [z * z / (4.0 * ui) for ui in u], flat)):
+    for wi, row in zip(w, _dense_rows(E, [z * z / (4.0 * ui) for ui in u], flat, phi)):
         acc += wi * row
     return acc.reshape(np.shape(x))
 
@@ -332,6 +337,39 @@ def test_non_finite_heights_and_thresholds_raise(bad):
         evaluate_extension(F, 0.5, bad)
 
 
+def test_level_set_thresholds_below_zero_and_below_the_resolution():
+    # U >= 0, so t < 0 gives the full line, as t >= 1 gives the empty set;
+    # below 1e-12 the crossings would sit where U is made of Phi's far tails
+    F = extension_field(interval(0.0, 1.0), 0.5, 500)
+    for t in (-0.5, -1e-300):
+        rec, budget = level_set_with_budget(F, t, 0.05)
+        assert (rec.t, rec.set, rec.mu, budget) == (t, FULL_LINE, 1.0, 0.0)
+    for t in (0.0, 1e-17, 0.999e-12):
+        with pytest.raises(ResolutionError, match="resolution"):
+            level_set_with_budget(F, t, 0.05)
+    lo, hi = level_set_with_budget(F, 1e-12, 0.05)[0].set.intervals[0]
+    assert -5.0 < lo < -4.0 and 5.0 < hi < 6.0
+
+
+def test_non_finite_points():
+    E = interval(0.0, 1.0)
+    F = extension_field(E, 0.5, 200)
+    for bad in (math.nan, math.inf, -math.inf):
+        for x in (bad, np.array([0.5, bad])):
+            with pytest.raises(DomainError, match="points x must be finite"):
+                evaluate_extension(F, x, 0.05)
+    with pytest.raises(DomainError, match="NaN"):
+        mehler_extension(E, 0.25, np.array([0.5, math.nan]), 0.05)
+    # +-inf is the limit, also at z = 20, where the largest node times round
+    # e^{-tau} to 0 and decay * x would be NaN
+    for z in (0.05, 20.0):
+        assert np.array_equal(mehler_extension(E, 0.25, np.array([-math.inf, math.inf]), z),
+                              [0.0, 0.0])
+        got = mehler_extension(TAILED, 0.25, np.array([-math.inf, math.inf, 0.0]), z)
+        assert got[0] == 0.0 and got[1] == extension._mehler_rule(TAILED, 0.25, z, 80).w_total
+        assert got[2] == _node_by_node_extension(TAILED, 0.25, np.array([0.0]), z, 80)[0]
+
+
 def test_series_height_zero_is_the_trace():
     # z = 0 is accepted: every factor is 1 and U is the Hermite series of chi_E
     E, x = interval(0.0, 1.0), np.linspace(-2.0, 3.0, 11)
@@ -353,13 +391,18 @@ def test_level_set_without_sign_change():
 
 
 def test_ndtr_is_exactly_flat_beyond_the_plateau_limits():
-    # the Mehler evaluator writes these values instead of calling ndtr
+    # the Mehler evaluator writes 1.0 and 0.0 there instead of calling ndtr:
+    # the upper plateau is exact, the lower one drops at most ndtr(-9)
     rng = np.random.default_rng(5)
     ones = np.concatenate([[9.0, 40.0], np.linspace(9.0, 40.0, 3001), rng.uniform(9.0, 40.0, 5000)])
-    zeros = np.concatenate([[-40.0, -1e3], np.linspace(-1e3, -40.0, 3001),
-                            rng.uniform(-1e3, -40.0, 5000)])
+    tails = np.concatenate([[-9.0, -40.0, -1e3], np.linspace(-1e3, -9.0, 3001),
+                            rng.uniform(-1e3, -9.0, 5000)])
     assert np.all(special.ndtr(ones) == 1.0)
-    assert np.all(special.ndtr(zeros) == 0.0)
+    assert 0.0 < special.ndtr(-9.0) < 1.2e-19
+    assert np.all((special.ndtr(tails) >= 0.0) & (special.ndtr(tails) <= special.ndtr(-9.0)))
+    assert np.array_equal(extension._ndtr_plateau(np.concatenate([ones, tails, [8.9, -8.9]])),
+                          np.concatenate([np.ones(ones.size), np.zeros(tails.size),
+                                          special.ndtr([8.9, -8.9])]))
 
 
 def test_mehler_semigroup_matches_dense_rows():
@@ -421,3 +464,14 @@ def test_mehler_extension_matches_dense_oracle(case):
     got = mehler_extension(E, sigma, x, z, n_quad)
     assert got.shape == x.shape
     assert np.array_equal(got, _node_by_node_extension(E, sigma, x, z, n_quad))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_plateau_cases())
+def test_mehler_extension_is_within_the_dropped_tail_of_plain_ndtr(case):
+    # each Phi term moves by at most ndtr(-9), plus rounding of the node sum
+    E, sigma, x, z, n_quad = case
+    got = mehler_extension(E, sigma, x, z, n_quad)
+    plain = _node_by_node_extension(E, sigma, x, z, n_quad, phi=special.ndtr)
+    bound = len(E.finite_endpoints) * special.ndtr(-9.0) + 4.0 * np.spacing(got)
+    assert np.all(np.abs(got - plain) <= bound)

@@ -11,9 +11,10 @@ definition.  A third check keeps ndarray fields out of dataclasses whose
 ``__eq__`` (and, when frozen, ``__hash__``) is generated, a fourth
 keeps the ``roots_*`` functions of ``scipy.special`` and ``scipy.integrate``
 out of the package (``gauss_core.laguerre_roots`` computes the package's
-rules, and the tests' quadrature oracles live in ``tests/oracles.py``), and a
-fifth keeps the Hermite recurrence in ``_kernels_py`` and every coefficient
-table one kernel call per set.  The last test imports the package in a
+rules, and the tests' quadrature oracles live in ``tests/oracles.py``), a
+fifth keeps every call of scipy's ``ndtr`` in ``extension._ndtr_plateau``, so
+the Mehler rows have one Phi, and a sixth keeps the Hermite recurrence in
+``_kernels_py`` and every coefficient table one kernel call per set.  The last test imports the package in a
 fresh interpreter: the package and the spectral commands load no scipy, and
 the paths that use it import it.
 """
@@ -201,6 +202,43 @@ def test_no_module_imports_scipy_integrate():
               "from scipy.integrate import quad\nfrom scipy import special\nimport scipy\n"
               "from . import integrate\n")
     assert scipy_integrate_imports(source) == ["line 1", "line 2", "line 3"]
+
+
+def ndtr_calls(source: str) -> list[str]:
+    """The top-level function, class or '<module>' around each call of
+    ``ndtr``, as an attribute (``special.ndtr``) or as a name imported from
+    ``scipy.special`` (``from scipy.special import ndtr as phi``)."""
+    tree = ast.parse(source)
+    imported = {alias.asname or alias.name for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) and node.module == "scipy.special"
+                for alias in node.names if alias.name == "ndtr"}
+    found = []
+    for top in tree.body:
+        name = top.name if isinstance(top, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                            ast.ClassDef)) else "<module>"
+        found += [name for node in ast.walk(top) if isinstance(node, ast.Call) and (
+            (isinstance(node.func, ast.Attribute) and node.func.attr == "ndtr")
+            or (isinstance(node.func, ast.Name) and node.func.id in imported))]
+    return found
+
+
+def test_only_the_plateau_evaluator_calls_ndtr():
+    # the Mehler rows take Phi with its tails flattened, from this one place
+    assert [f"{p.name}: {name}" for p in MODULES
+            for name in ndtr_calls(p.read_text())] == ["extension.py: _ndtr_plateau"]
+
+
+def test_the_check_flags_ndtr_calls_by_attribute_and_by_imported_name():
+    source = ("import scipy.special\nfrom scipy import special\n"
+              "from scipy.special import ndtr as Phi, ndtri\n\n"
+              "def attr(x):\n    return special.ndtr(x) + special.ndtri(x)\n\n"
+              "def local(x):\n    from scipy.special import log_ndtr, ndtr\n"
+              "    return ndtr(x) + log_ndtr(x)\n\n"
+              "class Rule:\n    def row(self, x):\n        return scipy.special.ndtr(x)\n\n"
+              "def module_alias(x):\n    return Phi(x) + ndtri(x)\n\n"
+              "def other(x):\n    return phi(x) + ndtr_like(x)\n\n"
+              "VALUE = special.ndtr(0.0)\n")
+    assert ndtr_calls(source) == ["attr", "local", "Rule", "module_alias", "<module>"]
 
 
 _LOOPS = (ast.For, ast.AsyncFor, ast.While, ast.ListComp, ast.SetComp, ast.DictComp,

@@ -9,6 +9,12 @@ from fracgaussiso.suites import (SUITES, random_gaussian_set, row_failed,
                                  run_main_suite, run_transfer_suite)
 
 
+def test_levelset_records_match_the_golden_file():
+    from levelset_golden import GOLDEN, render
+
+    assert render() == GOLDEN.read_text(encoding="utf-8")
+
+
 def test_random_family_measure_window():
     rng = random.Random(5)
     for _ in range(40):

@@ -18,7 +18,7 @@ from .errors import DomainError, SetParseError
 from .inequality import ConstantParams, verify_main
 from .extension import evaluate_extension, extension_field
 from .sets import GaussianSet, best_halfline, measure
-from .spectral import (asymptotic_limit, asymptotic_series_value,
+from .spectral import (CONVENTIONS, asymptotic_limit, asymptotic_series_value,
                        halfline_perimeter, perimeter_spectral)
 from .suites import SUITES, row_failed
 
@@ -235,12 +235,14 @@ def cmd_asymptotic(o: dict) -> tuple[list[dict], int]:
 
 # Every option a subcommand can read, with its argparse keywords.  The name
 # is the config-file key; the flag is "--" + name with "_" written "-".
+# The library spells conventions with "_"; the convention type writes a "-"
+# of a flag, a config value or a string default as "_".
 _OPTIONS = {
     "set": {},
     "s": {"type": float},
     "s_grid": {},
     "K": {"type": int},
-    "convention": {"choices": ("with-constant", "remark")},
+    "convention": {"type": lambda v: v.replace("-", "_"), "choices": CONVENTIONS},
     "c": {"type": float},
     "suite": {"choices": (*SUITES, "all")},
     "n": {"type": int},
@@ -291,51 +293,40 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
     for name, cmd in _COMMANDS.items():
         p = sub.add_parser(name, allow_abbrev=False)
-        for key in cmd.options:
-            p.add_argument("--" + key.replace("_", "-"), dest=key, **_OPTIONS[key])
-        p.add_argument("--config", help="JSON file of option defaults")
+        for key, default in cmd.options.items():
+            p.add_argument("--" + key.replace("_", "-"), dest=key, default=default,
+                           **_OPTIONS[key])
+        p.add_argument("--config", help="JSON file of option values, read as their flags' text")
     return ap
 
 
-def _resolve(cmd: _Command, args) -> dict:
-    """Each option from its flag, else the config file, else its default."""
-    cfg = {}
-    if args.config is not None:
-        with open(args.config, "r", encoding="utf-8") as fh:
-            cfg = json.load(fh)
-        if not isinstance(cfg, dict):
-            raise DomainError("config file must hold a JSON object")
-    unread = sorted(set(cfg) - set(cmd.options))
+def _config_flags(command: str, path: str) -> list[str]:
+    """The JSON object in ``path`` as "--key=value" flags of ``command``, each
+    value in its flag's text, so argparse checks it as it checks the flag."""
+    with open(path, "r", encoding="utf-8") as fh:
+        cfg = json.load(fh)
+    if not isinstance(cfg, dict):
+        raise DomainError("config file must hold a JSON object")
+    unread = sorted(set(cfg) - set(_COMMANDS[command].options))
     if unread:
-        raise DomainError(f"{args.command} reads no config key {', '.join(map(repr, unread))}")
-    o = {}
-    for key, default in cmd.options.items():
-        value = getattr(args, key)
-        if value is None and key in cfg:
-            try:
-                value = _OPTIONS[key].get("type", str)(cfg[key])
-            except (TypeError, ValueError):
-                raise DomainError(f"config key {key!r}: bad value {cfg[key]!r}") from None
-            choices = [_spelled(key, c) for c in _OPTIONS[key].get("choices", ())]
-            if choices and _spelled(key, value) not in choices:
-                raise DomainError(f"config key {key!r}: {cfg[key]!r} is not one of "
-                                  f"{', '.join(choices)}")
-        o[key] = _spelled(key, default if value is None else value)
-    if (o.get("K") or 0) > _MAX_K:
-        raise DomainError(f"--K must be at most {_MAX_K}, got {o['K']}")
-    return o
-
-
-def _spelled(key: str, value):
-    """The library spells conventions with '_'."""
-    return value.replace("-", "_") if key == "convention" and value else value
+        raise DomainError(f"{command} reads no config key {', '.join(map(repr, unread))}")
+    return [f"--{key.replace('_', '-')}={v if isinstance(v, str) else json.dumps(v)}"
+            for key, v in cfg.items()]
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     args = build_parser().parse_args(argv)
     cmd = _COMMANDS[args.command]
     try:
-        o = _resolve(cmd, args)
+        if args.config is not None:
+            # after the command name, so that the command line's own flags win
+            at = argv.index(args.command) + 1
+            args = build_parser().parse_args(
+                [*argv[:at], *_config_flags(args.command, args.config), *argv[at:]])
+        o = vars(args)
+        if (o.get("K") or 0) > _MAX_K:
+            raise DomainError(f"--K must be at most {_MAX_K}, got {o['K']}")
         rows, failures = cmd.run(o)
         conv = o.get("convention") or cmd.header
         if o["out"] is None:

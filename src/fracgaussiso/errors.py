@@ -10,7 +10,7 @@ class DegenerateSetError(DomainError):
 
 
 class ResolutionError(RuntimeError):
-    """A grid-based extraction exceeded its resolution contract."""
+    """A level-set threshold lies below the resolution of the rule that extracts it."""
 
 
 class SetParseError(ValueError):

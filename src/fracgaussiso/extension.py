@@ -49,7 +49,6 @@ LEVELSET_GRID = np.linspace(-LEVELSET_GRID_HALFWIDTH, LEVELSET_GRID_HALFWIDTH,
                             int(round(2 * LEVELSET_GRID_HALFWIDTH / LEVELSET_GRID_STEP)) + 1)
 LEVELSET_GRID.flags.writeable = False
 _BISECT_TOL = 1e-10
-_MAX_CROSSINGS = 64
 # Node x point entries per Mehler block.  A block builds about ten
 # (n_quad x points) float temporaries per endpoint; at 16 384 entries each is
 # 128 kB and stays in a core's L2 cache.  Larger blocks spill out of it,
@@ -309,10 +308,6 @@ def _extract_level_set(E: GaussianSet, sigma: float, t: float, z: float,
     vals = _mehler_rule(E, sigma, z, n_quad).grid_values
     sign = vals > t
     flips = np.nonzero(sign[1:] != sign[:-1])[0]
-    if flips.size > _MAX_CROSSINGS:
-        raise ResolutionError(
-            f"{flips.size} sign changes at t={t}, z={z}: oscillation "
-            f"exceeds the level-set resolution contract")
     # one [lo, hi, f_lo, f_hi] row of Python floats per bracket
     brackets = np.stack([LEVELSET_GRID[flips], LEVELSET_GRID[flips + 1],
                          vals[flips] - t, vals[flips + 1] - t], axis=1).tolist()

@@ -104,8 +104,12 @@ def _calibrated_tail(terms: np.ndarray, window_weights: np.ndarray, s: float, K:
     the window's k^{(3-s)/2}.
     """
     window = terms[-window_weights.size:]
-    c_est = float(np.max(window * window_weights))
-    return c_est * (2.0 / (1.0 - s)) * K ** (-(1.0 - s) / 2.0)
+    return _tail_past(float(np.max(window * window_weights)), s, K)
+
+
+def _tail_past(c: float, s: float, K: float) -> float:
+    """The sum past K of terms c k^{(s-3)/2}, bounded by c (2/(1-s)) K^{-(1-s)/2}."""
+    return c * (2.0 / (1.0 - s)) * K ** (-(1.0 - s) / 2.0)
 
 
 def perimeter_spectral(E: GaussianSet, s, K: int = 10_000,
@@ -120,11 +124,6 @@ def perimeter_spectral(E: GaussianSet, s, K: int = 10_000,
     return _scaled(0.5 * float(np.sum(terms)),
                    0.5 * _calibrated_tail(terms, window_weights, order.s, K),
                    order, K, convention)
-
-
-def _envelope_tail(r: float, s: float, K: float) -> float:
-    """Tail past K: the halfline terms lie under the envelope asymptotic_limit(r) k^{(s-3)/2}."""
-    return asymptotic_limit(r) * (2.0 / (1.0 - s)) * K ** (-(1.0 - s) / 2.0)
 
 
 def _finite(r: float) -> float:
@@ -147,14 +146,15 @@ def halfspace_series(r: float, s, K: int = 10_000,
     """Perimeter of the halfline (-inf, r) by its explicit truncated series.
 
     The value is the partial sum (1/4 pi) e^{-r^2} sum_{k=1}^{K} k^{s/2-1}
-    h_{k-1}^2(r) (bare); its tail_bound is the peak-envelope tail.
+    h_{k-1}^2(r) (bare); its tail_bound is the tail past K of the envelope
+    asymptotic_limit(r) k^{(s-3)/2}, under which the terms lie.
     """
     r, order = _finite(r), as_order(s)
     _check_convention(convention)
     if K < 1:
         raise DomainError("halfline series needs K >= 1")
     partial = halfspace_series_sum(r, order.s / 2.0 - 1.0, K) / FOUR_PI
-    return _scaled(partial, _envelope_tail(r, order.s, K), order, K, convention)
+    return _scaled(partial, _tail_past(asymptotic_limit(r), order.s, K), order, K, convention)
 
 
 def halfline_perimeter(r: float, s, convention: str = "with_constant") -> PerimeterValue:

@@ -137,10 +137,37 @@ def test_config_file_and_override(tmp_path, capsys):
 def test_config_key_errors(tmp_path, capsys, cfg, key):
     path = tmp_path / "run.json"
     path.write_text(json.dumps(cfg))
-    assert main(["perimeter", "--config", str(path)]) == 2
+    if "c" in cfg:  # a key perimeter does not read
+        assert main(["perimeter", "--config", str(path)]) == 2
+    else:  # a bad value, which argparse reports as it reports its flag
+        with pytest.raises(SystemExit) as exc:
+            main(["perimeter", "--config", str(path)])
+        assert exc.value.code == 2
+        key = "--" + key.strip("'")
     captured = capsys.readouterr()
     assert captured.out == ""
     assert key in captured.err
+
+
+def test_config_values_are_read_as_their_flags_text(tmp_path, capsys):
+    path = tmp_path / "run.json"
+    for command, cfg, flag in [("perimeter", {"set": "(0,1)", "K": 2.9}, "--K"),
+                               ("perimeter", {"set": "(0,1)", "K": True}, "--K"),
+                               ("extension-eval", {"set": "(0,1)", "z": False}, "--z"),
+                               ("verify", {"n": 1.7}, "--n")]:
+        path.write_text(json.dumps(cfg))
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--config", str(path)])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and flag in captured.err
+    for K in ("300", 300):
+        path.write_text(json.dumps({"set": "(0,1)", "s": 0.5, "K": K}))
+        assert main(["perimeter", "--config", str(path)]) == 0
+        assert ",300," in capsys.readouterr().out
+    assert main(["perimeter", "--set", "(0,1)", "--K", "300",
+                 "--convention", "with_constant"]) == 0
+    assert capsys.readouterr().out.startswith("# frac-gauss-iso v1, convention=with_constant\n")
 
 
 @pytest.mark.parametrize("spelling", ["with-constant", "with_constant", "remark"])

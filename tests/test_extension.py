@@ -351,6 +351,15 @@ def test_level_set_thresholds_below_zero_and_below_the_resolution():
     assert -5.0 < lo < -4.0 and 5.0 < hi < 6.0
 
 
+def test_a_level_set_of_forty_intervals_is_extracted():
+    # 80 crossings, each well inside its own grid cell: no cap on their number
+    E = GaussianSet.from_intervals([(-3.0 + 0.15 * i, -2.93 + 0.15 * i) for i in range(40)])
+    rec, _ = level_set_with_budget(extension_field(E, 0.5, 100), 0.5, 1e-3)
+    assert len(rec.set.intervals) == 40
+    got = np.array(rec.set.intervals)
+    assert np.max(np.abs(got - np.array(E.intervals))) < 1e-4
+
+
 def test_non_finite_points():
     E = interval(0.0, 1.0)
     F = extension_field(E, 0.5, 200)

@@ -23,6 +23,9 @@ Long K runs in segments of 2^17 / (m + 4) indices over all m endpoints
 table of K = 1e4 with up to eight endpoints is one segment, and the work
 arrays beside the table stay near 2 MB whatever K is (1.4 MB of block
 solutions at eight endpoints and K = 1e4).
+
+``hermite_weighted_series`` has no caller in the library; it is kept because
+the benchmark times it (``perfbench/run.py``, ``kernel_cases``).
 """
 from __future__ import annotations
 

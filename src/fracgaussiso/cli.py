@@ -182,11 +182,10 @@ def cmd_deficit(o: dict) -> tuple[list[dict], int]:
 
 def cmd_extension_eval(o: dict) -> tuple[list[dict], int]:
     E = _require_set(o)
-    s, K, z = o["s"], o["K"], o["z"]
-    F = extension_field(E, s, K)
+    s, z = o["s"], o["z"]
     xs = [float(tok) for tok in o["x"].split(",")]
-    values = evaluate_extension(F, xs, z).tolist()
-    return [{"set": str(E), "s": s, "K": K, "x": x, "z": z, "value": v}
+    values = evaluate_extension(extension_field(E, s), xs, z).tolist()
+    return [{"set": str(E), "s": s, "x": x, "z": z, "value": v}
             for x, v in zip(xs, values)], 0
 
 
@@ -273,7 +272,7 @@ _COMMANDS = {
     "deficit": _cmd(cmd_deficit, set=None, s=None, s_grid=None, K=10_000,
                     convention="with-constant", c=1.0),
     "extension-eval": _cmd(cmd_extension_eval, "with_constant", set=None,
-                           s=0.5, K=10_000, x="0.0", z=0.1),
+                           s=0.5, x="0.0", z=0.1),
     # verify's header names the main suite's default when --convention is not given
     "verify": _cmd(cmd_verify, "with_constant", suite="all", n=12, seed=0, K=None,
                    c=None, convention=None),

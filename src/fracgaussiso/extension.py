@@ -1,19 +1,13 @@
 """The degenerate-elliptic extension U(x, z) of chi_E and its level sets.
 
-For perimeters of order s the relevant extension order is sigma = s/2.
-U has two evaluators:
-
-- the spectral form (``evaluate_extension``): the Hermite coefficient f_k of
-  chi_E picks up the subordination factor psi_sigma(sqrt(k) z), where
-
-      psi_sigma(xi) = (1/Gamma(sigma)) int_0^inf e^{-u - xi^2/(4u)} u^{sigma-1} du,
-
-  and the series stops after the mode K;
-- the Mehler form (``mehler_extension``): the same subordination integral
-  over the Ornstein-Uhlenbeck semigroup, whose rows are exact in x, taken by
-  a Gauss-Laguerre rule in u.  It stays in [0, 1], and
-  ``level_set_with_budget`` extracts the superlevel sets {U(., z) > t}
-  through it.
+At sigma = s/2, U(x, z) = (1/Gamma(sigma)) int_0^inf e^{-u} u^{sigma-1}
+(P_{z^2/(4u)} chi_E)(x) du subordinates the Ornstein-Uhlenbeck semigroup P.
+Every evaluator sums the one family of rows (P_tau chi_E)(x), exact in x
+(``_semigroup_rows``), by one of two rules in u until the level sets move to
+the first: ``evaluate_extension`` takes a converged trapezoid in v = -log u,
+and ``mehler_extension``, through which ``level_set_with_budget`` extracts
+{U(., z) > t}, an n_quad-node generalized Gauss-Laguerre rule that does not
+resolve small z (README, "Numerical notes").
 """
 from __future__ import annotations
 
@@ -23,16 +17,13 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from ._kernels_py import hermite_weighted_series
 from .errors import DomainError, ResolutionError
-from .gauss_core import as_order, gamma_fn, laguerre_roots
-from .sets import EMPTY, FULL_LINE, GaussianSet, measure
-from .spectral import coeff_table
+from .gauss_core import as_order, gamma_fn, laguerre_roots, phi
+from .sets import EMPTY, FULL_LINE, GaussianSet, indicator, measure
 
 __all__ = [
     "ExtensionField",
     "LevelSetRecord",
-    "psi_bulk",
     "extension_field",
     "evaluate_extension",
     "mehler_extension",
@@ -75,56 +66,71 @@ def _check_positive(value: float, what: str) -> None:
         raise DomainError(f"{what} must be positive and finite, got {value}")
 
 
-def psi_bulk(sigma: float, xi) -> np.ndarray:
-    """Vectorized profile via the scaled modified Bessel function K_sigma.
-
-    psi_sigma(xi) = (2/Gamma(sigma)) (xi/2)^sigma K_sigma(xi); evaluated with
-    the exponentially scaled kve for stability at large arguments.
-    """
-    from scipy.special import kve  # imported here: importing the package loads no scipy
-
-    _check_sigma(sigma)
-    xi = np.asarray(xi, dtype=float)
-    out = np.ones_like(xi)
-    pos = xi > 0.0
-    xp = xi[pos]
-    with np.errstate(over="ignore", invalid="ignore"):
-        vals = (2.0 / gamma_fn(sigma)) * (0.5 * xp) ** sigma \
-            * np.exp(-xp) * kve(sigma, xp)
-    out[pos] = np.where(np.isfinite(vals), vals, 0.0)
-    return out
-
-
 @dataclass(frozen=True)
 class ExtensionField:
-    """Extension of order sigma of chi_E.  Its Hermite series stops after the
-    mode K and reads ``coeff_table(set, K)``; the Mehler form reads no K."""
+    """Extension of order sigma of chi_E."""
 
     set: GaussianSet
     sigma: float
-    K: int
 
 
-def extension_field(E: GaussianSet, s, K: int = 10_000) -> ExtensionField:
-    """Extension of order s/2 of chi_E, truncated after the mode K."""
-    sigma = as_order(s).s / 2.0
-    if K < 0:
-        raise DomainError("truncation index must be nonnegative")
-    return ExtensionField(E, sigma, K)
+def extension_field(E: GaussianSet, s, K=None) -> ExtensionField:
+    """Extension of order s/2 of chi_E.  K is not read; perfbench passes one."""
+    return ExtensionField(E, as_order(s).s / 2.0)
 
 
 def evaluate_extension(F: ExtensionField, x, z: float):
-    """Truncated series value U(x, z); at z = 0 this is the Hermite series of chi_E."""
+    """U(x, z) at finite points x and a finite z >= 0: chi_E at z = 0, with 1/2
+    at a finite endpoint (``sets.indicator``), and for z > 0
+
+        U = m + (h/Gamma(sigma)) sum_v exp(-e^{-v} - sigma v) ((P_tau chi_E)(x) - m),
+
+    m = gamma(E), tau = (z^2/4) e^v, over v = -6, -6 + h, ... up to
+    8 - log(z^2/4) (U = m if that range is empty).  h starts at 1/16 and
+    halves at each point whose sum differs from its every-other-node sum by
+    more than 1e-8, at most 4 times, and then raises ResolutionError.  A
+    point's value reads only its own rows (README, "Numerical notes").
+    """
     z = float(z)
     if not 0.0 <= z < math.inf:  # a NaN would pass a ``< 0`` test
         raise DomainError(f"height z must be nonnegative and finite, got {z}")
     x = np.asarray(x, dtype=float)
     if not np.isfinite(x).all():
-        raise DomainError("series points x must be finite")
-    psi = psi_bulk(F.sigma, np.sqrt(np.arange(F.K + 1, dtype=float)) * z)
-    c = psi * coeff_table(F.set, F.K)
-    vals = hermite_weighted_series(c, np.atleast_1d(x))
-    return float(vals[0]) if x.ndim == 0 else vals
+        raise DomainError("extension points x must be finite")
+    _check_sigma(F.sigma)
+    vals = _subordinate(F.set, F.sigma, x.ravel(), z) if z else indicator(F.set, x.ravel())
+    return float(vals[0]) if x.ndim == 0 else vals.reshape(x.shape)
+
+
+# The v-rule of evaluate_extension: its range, first step, halving check and halvings.
+_V_LO, _V_HI, _V_STEP, _V_CHECK, _V_HALVINGS = -6.0, 8.0, 1.0 / 16.0, 1e-8, 4
+
+
+def _subordinate(E: GaussianSet, sigma: float, x: np.ndarray, z: float) -> np.ndarray:
+    """The v-rule of ``evaluate_extension`` at the finite points x, z > 0."""
+    m = measure(E)
+    out = np.full(x.size, m)
+    log_q = 2.0 * math.log(0.5 * z)  # log(z^2/4), without underflow of z^2
+    if _V_HI - log_q < _V_LO:
+        return out
+    live, h = np.arange(x.size), _V_STEP
+    for _ in range(_V_HALVINGS + 1):
+        v = _V_LO + h * np.arange(math.floor((_V_HI - log_q - _V_LO) / h) + 1)
+        decay, d = _node_constants([math.exp(vi + log_q) for vi in v])
+        w = (h / gamma_fn(sigma)) * np.exp(-np.exp(-v) - sigma * v)[:, None]
+        fine, coarse = np.empty(live.size), np.empty(live.size)
+        step = max(1, _MEHLER_ENTRIES // v.size)
+        for start in range(0, live.size, step):
+            terms = w * (_semigroup_rows(E, decay, d, x[live[start:start + step]]) - m)
+            # In node order, so that a point's sum does not depend on the others.
+            fine[start:start + step] = np.add.accumulate(terms, axis=0)[-1]
+            coarse[start:start + step] = 2.0 * np.add.accumulate(terms[::2], axis=0)[-1]
+        done = np.abs(fine - coarse) <= _V_CHECK
+        out[live[done]] += fine[done]
+        live, h = live[~done], 0.5 * h
+        if not live.size:
+            return np.clip(out, 0.0, 1.0, out=out)
+    raise ResolutionError(f"U at z={z}, x={x[live[0]]} not converged in {_V_HALVINGS} halvings")
 
 
 def _node_constants(taus) -> tuple[np.ndarray, np.ndarray]:
@@ -134,7 +140,8 @@ def _node_constants(taus) -> tuple[np.ndarray, np.ndarray]:
     a row does not depend on the other taus or on the points.
     """
     if min(taus) <= 0.0:
-        raise DomainError("semigroup time must be positive")
+        raise DomainError("semigroup time must be positive; a height z below about "
+                          "1e-160 underflows it to 0")
     decay = np.array([[math.exp(-tau)] for tau in taus])
     d = np.array([[math.sqrt(-math.expm1(-2.0 * tau))] for tau in taus])
     return decay, d
@@ -230,15 +237,8 @@ _mehler_rule = lru_cache(maxsize=8)(_MehlerRule)
 
 def mehler_extension(E: GaussianSet, sigma: float, x, z: float,
                      n_quad: int = 80) -> np.ndarray:
-    """Extension U(x, z) by subordination over the Mehler semigroup.
-
-    U(x, z) = (1/Gamma(sigma)) int_0^inf e^{-u} u^{sigma-1}
-              (P_{z^2/(4u)} chi_E)(x) du.
-    The semigroup term is exact in x; the integral over u is an
-    ``n_quad``-node generalized Gauss-Laguerre rule normalized so constant
-    data maps to (to rounding) 1.  Unlike the truncated Hermite series this
-    stays in [0, 1] for every x, which is what the level-set extraction needs
-    far from the set.
+    """U(x, z) with the integral over u taken by an ``n_quad``-node generalized
+    Gauss-Laguerre rule, normalized so constant data maps to (to rounding) 1.
 
     The rule does not resolve small z: its smallest node (about 3.5e-3 for
     sigma = 0.25 and 80 nodes) lies far above u = z^2/4, where the
@@ -339,10 +339,8 @@ def level_set_with_budget(F: ExtensionField, t: float, z: float) -> tuple[LevelS
     """Superlevel set of x -> U(x, z) by grid bracketing plus bisection, with
     a data-driven resolution budget for its measure.
 
-    Evaluation goes through the closed-form Mehler representation (exact in
-    x, quadrature only in the subordination variable), so the values stay in
-    [0, 1] everywhere and far-field truncation oscillations cannot create
-    spurious crossings.  The grid covers [-8, 8] with step 1e-3; the Gaussian
+    Evaluation goes through ``mehler_extension``, whose values stay in
+    [0, 1].  The grid covers [-8, 8] with step 1e-3; the Gaussian
     mass outside is below 1e-15.  At small z most grid points lie where every
     node's Phi term is exactly 0 or 1, and ``mehler_extension`` gives those
     their value without evaluating them, so the grid costs little more than
@@ -364,7 +362,9 @@ def level_set_with_budget(F: ExtensionField, t: float, z: float) -> tuple[LevelS
 
     The budget compares the extraction at the working quadrature order with
     one at half the order (the dominant controllable error), plus the
-    neglected mass outside the grid and the bisection tolerance.  Since
+    neglected mass outside the grid, the bisection tolerance, and the mass of
+    each part between consecutive finite endpoints of E (a component or a
+    gap) narrower than two grid steps, which one cell can hide.  Since
     0 <= U <= 1, a threshold t >= 1 gives the empty set and t < 0 the full
     line, both with budget 0.  A threshold 0 <= t < 1e-12 raises
     ResolutionError: the crossings of such a level sit where U is made of
@@ -385,5 +385,8 @@ def level_set_with_budget(F: ExtensionField, t: float, z: float) -> tuple[LevelS
     mu = measure(E_tz)
     mu_half = measure(_extract_level_set(F.set, F.sigma, t, z, _LEVELSET_QUAD // 2))
     outside_mass = math.erfc(LEVELSET_GRID_HALFWIDTH / math.sqrt(2.0))
-    budget = 2.0 * abs(mu - mu_half) + outside_mass + 8.0 * _BISECT_TOL
+    ends = F.set.finite_endpoints
+    narrow = sum(phi(b) - phi(a) for a, b in zip(ends, ends[1:])
+                 if b - a < 2.0 * LEVELSET_GRID_STEP)
+    budget = 2.0 * abs(mu - mu_half) + outside_mass + 8.0 * _BISECT_TOL + narrow
     return LevelSetRecord(t, z, E_tz, mu), budget

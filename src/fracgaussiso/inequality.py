@@ -218,9 +218,9 @@ def closeness_z_max(E: GaussianSet, s, alpha: float, K: int = 10_000) -> float:
     return _height(1.0, 1.0, order, perimeter_spectral(E, order, K), 8.0 * alpha)
 
 
-def _field_of(E: GaussianSet, order: FractionalOrder, K: int, field):
+def _field_of(E: GaussianSet, order: FractionalOrder, field):
     """The ExtensionField of E at order s, or ``field`` once checked against it."""
-    own = extension_field(E, order, K)
+    own = extension_field(E, order)
     if field is None:
         return own
     if field.set != E or field.sigma != own.sigma:
@@ -242,7 +242,7 @@ def verify_levelset_closeness(E: GaussianSet, s, t: float, z: float,
     z_max = closeness_z_max(E, order, alpha, K)
     if not (0.0 < z < z_max):
         raise DomainError(f"z must lie in (0, {z_max}), got {z}")
-    rec, budget = level_set_with_budget(_field_of(E, order, K, field), t, z)
+    rec, budget = level_set_with_budget(_field_of(E, order, field), t, z)
     lo = measure(set_minus(E, rec.set))
     hi = measure(set_minus(rec.set, E))
     bound = 1.0 / alpha + budget
@@ -268,7 +268,7 @@ def verify_levelset_bounds(E: GaussianSet, s, t: float, z: float,
     z0 = z0_threshold(E, order, K)
     if not (0.0 < z <= z0):
         raise DomainError(f"z must lie in (0, z0={z0}], got {z}")
-    rec, budget = level_set_with_budget(_field_of(E, order, K, field), t, z)
+    rec, budget = level_set_with_budget(_field_of(E, order, field), t, z)
     if not abs(rec.mu - m) <= (2.0 / 9.0) * m * A + budget:
         return False
     asym_budget = budget / min(rec.mu, m) if min(rec.mu, m) > 0.0 else math.inf

@@ -33,7 +33,7 @@ import numpy as np
 
 from .errors import DomainError
 from .gauss_core import as_order, phi
-from .sets import GaussianSet
+from .sets import GaussianSet, indicator
 
 __all__ = ["pde_energy", "pde_energy_cylinder", "graded_x_mesh"]
 
@@ -71,16 +71,6 @@ def graded_x_mesh(anchors, L: float, n_x: int) -> np.ndarray:
         else:
             nodes.append(p + (q - p) * u)
     return np.unique(np.concatenate(nodes))
-
-
-def _boundary_data(E: GaussianSet, x: np.ndarray) -> np.ndarray:
-    """chi_E on the nodes x, from its one form open_right + sum_e sign_e chi_(-inf, e)
-    (``GaussianSet.signed_endpoints``), with the symmetric value 1/2 at a jump node.
-
-    Every value is exactly 0, 1/2 or 1.
-    """
-    return sum((sign * np.heaviside(e - x, 0.5) for e, sign in E.signed_endpoints),
-               np.full_like(x, E.open_right))
 
 
 def _x_masses(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -185,7 +175,7 @@ def pde_energy(E: GaussianSet, s, domain: tuple[float, float] = (6.0, 4.0),
     domain = (L, Z) truncates to [-L, L] x (0, Z]; mesh = (n_x, n_z).
     """
     x, axes = _planar(E, s, domain, *mesh)
-    return 0.5 * _solve_tensor(axes, _boundary_data(E, x))
+    return 0.5 * _solve_tensor(axes, indicator(E, x))
 
 
 def pde_energy_cylinder(E1: GaussianSet, s, domain: tuple[float, float] = (6.0, 4.0),
@@ -202,5 +192,5 @@ def pde_energy_cylinder(E1: GaussianSet, s, domain: tuple[float, float] = (6.0, 
         raise DomainError(f"mesh must satisfy n_y >= 1, got {n_y}")
     x, axes = _planar(E1, s, domain, n_x, n_z)
     y = np.linspace(-domain[0], domain[0], n_y + 1)
-    bottom = np.repeat(_boundary_data(E1, x), n_y + 1)
+    bottom = np.repeat(indicator(E1, x), n_y + 1)
     return 0.5 * _solve_tensor(axes + [_axis(y, *_x_masses(y))], bottom)

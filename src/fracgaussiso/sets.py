@@ -11,6 +11,8 @@ import math
 from dataclasses import dataclass
 from typing import Iterable
 
+import numpy as np
+
 from .errors import DegenerateSetError, DomainError
 from .gauss_core import phi, phi_inv
 
@@ -31,6 +33,7 @@ __all__ = [
     "ehrhard_symmetrize",
     "asymmetry",
     "best_halfline",
+    "indicator",
 ]
 
 INF = math.inf
@@ -117,6 +120,13 @@ def halfline(r: float, orientation: str = "left") -> GaussianSet:
 
 def interval(a: float, b: float) -> GaussianSet:
     return GaussianSet.from_intervals([(a, b)])
+
+
+def indicator(E: GaussianSet, x: np.ndarray) -> np.ndarray:
+    """chi_E at the points x from its one form open_right + sum_e sign_e chi_(-inf, e)
+    (``signed_endpoints``): exactly 0 or 1, and 1/2 at a finite endpoint."""
+    return sum((sign * np.heaviside(e - x, 0.5) for e, sign in E.signed_endpoints),
+               np.full_like(x, E.open_right))
 
 
 def measure(E: GaussianSet) -> float:

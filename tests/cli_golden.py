@@ -25,8 +25,7 @@ COMMANDS = [
     ["perimeter", "--set", "(-inf,-0.5)|(0.2,0.9)", "--convention", "remark"],
     ["perimeter", "--set", "(-inf,0.3)", "--K", "200000"],
     ["asymmetry", "--set", "(-inf,-0.5)|(0.2,0.9)"],
-    ["extension-eval", "--set", "(0,1)|(1.5,inf)", "--x=-2,0.3,1.2,4",
-     "--z", "0.05", "--K", "3000"],
+    ["extension-eval", "--set", "(0,1)|(1.5,inf)", "--x=-2,0.3,1.2,4", "--z", "0.05"],
     ["sweep"],
     ["asymptotic"],
     ["deficit", "--set", "(-inf,-1)|(0,0.5)", "--s", "0.75", "--format", "json"],

@@ -3,15 +3,16 @@
 Each is a slow, direct form of something the library computes another way:
 the Gaussian CDF and the subordination profile psi_sigma by adaptive
 quadrature, the Hermite recurrence at one point, the Gauss-Hermite rule for
-gamma_1, and the boundary flux and trace gap of the spectral extension built
-from ``psi_bulk``.
+gamma_1, and the subordination profile psi_sigma in closed form
+(``psi_bulk``), with the boundary flux and the trace gap of the Hermite
+series of the extension built from it.
 """
 import math
 
 import numpy as np
 from scipy import integrate, special
 
-from fracgaussiso.extension import psi_bulk
+from fracgaussiso.errors import DomainError
 from fracgaussiso.gauss_core import gamma_fn, k_coefficient
 from fracgaussiso.spectral import coeff_table
 
@@ -61,6 +62,25 @@ def profile_psi(sigma: float, xi: float) -> float:
     total = sum(integrate.quad(integrand, lo, hi, epsabs=1e-300, epsrel=1e-12, limit=200)[0]
                 for lo, hi in ((0.0, split), (split, math.inf)))
     return total / gamma_fn(sigma)
+
+
+def psi_bulk(sigma: float, xi) -> np.ndarray:
+    """Vectorized profile via the scaled modified Bessel function K_sigma.
+
+    psi_sigma(xi) = (2/Gamma(sigma)) (xi/2)^sigma K_sigma(xi); evaluated with
+    the exponentially scaled kve for stability at large arguments.
+    """
+    if not 0.0 < sigma < 1.0:
+        raise DomainError(f"extension order must lie in (0, 1), got {sigma}")
+    xi = np.asarray(xi, dtype=float)
+    out = np.ones_like(xi)
+    pos = xi > 0.0
+    xp = xi[pos]
+    with np.errstate(over="ignore", invalid="ignore"):
+        vals = (2.0 / gamma_fn(sigma)) * (0.5 * xp) ** sigma \
+            * np.exp(-xp) * special.kve(sigma, xp)
+    out[pos] = np.where(np.isfinite(vals), vals, 0.0)
+    return out
 
 
 def boundary_flux_check(sigma: float, k: int, z: float) -> tuple[float, float]:

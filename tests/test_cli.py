@@ -189,6 +189,7 @@ def test_config_convention_spellings(tmp_path, capsys, spelling):
     ["verify", "--s-grid", "0.5"],
     ["perimeter", "--se", "(0,1)"],  # an abbreviation of --set
     ["perimeter", "--set", "(0,1)", "--conv", "remark"],  # of --convention
+    ["extension-eval", "--set", "(0,1)", "--K", "3000"],  # U has no truncation
 ])
 def test_unread_flags_are_usage_errors(capsys, argv):
     with pytest.raises(SystemExit) as exc:
@@ -373,7 +374,7 @@ def test_huge_finite_grids_are_refused_before_they_are_built(argv):
 
 
 _HUGE_K = [["perimeter", "--set", "(0,1)"], ["deficit", "--set", "(0,1)"],
-           ["extension-eval", "--set", "(0,1)"], ["verify", "--suite", "main", "--n", "1"]]
+           ["verify", "--suite", "main", "--n", "1"]]
 
 
 @pytest.mark.parametrize("argv", _HUGE_K)
@@ -412,7 +413,7 @@ def test_non_finite_halfline_thresholds_are_usage_errors(capsys, argv):
 
 def test_extension_eval(capsys):
     xs = [0.5, 3.0, -1.25, 0.0, 0.999]
-    code = main(["extension-eval", "--set", "(0,1)", "--s", "0.5", "--K", "500",
+    code = main(["extension-eval", "--set", "(0,1)", "--s", "0.5",
                  "--x", ",".join(map(str, xs)), "--z", "0.2"])
     out = capsys.readouterr().out
     assert code == 0
@@ -421,14 +422,23 @@ def test_extension_eval(capsys):
     v_out = float(rows[1][-1])
     assert v_in > v_out
     # all points go through one call; each row is the scalar value, bit for bit
-    F = extension_field(parse_set("(0,1)"), 0.5, 500)
+    F = extension_field(parse_set("(0,1)"), 0.5)
     assert [float(row[-1]).hex() for row in rows] == \
         [evaluate_extension(F, x, 0.2).hex() for x in xs]
+    # far from the set at a small height U is small and in [0, 1]
+    assert main(["extension-eval", "--set", "(0,1)", "--x", "6,8,12", "--z", "0.001"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[1] == "set,s,x,z,value"
+    assert [round(float(line.split(",")[-1]), 4) for line in lines[2:]] == [0.0082, 0.0078, 0.0073]
+    # at z = 0 it is chi_E, with 1/2 at an endpoint
+    assert main(["extension-eval", "--set", "(0,1)", "--x", "0.5,0,3", "--z", "0"]) == 0
+    assert [float(line.split(",")[-1]) for line in capsys.readouterr().out.splitlines()[2:]] == \
+        [1.0, 0.5, 0.0]
 
 
 @pytest.mark.parametrize("z", ["nan", "inf", "-1"])
 def test_extension_eval_rejects_bad_height(capsys, z):
-    code = main(["extension-eval", "--set", "(0,1)", "--K", "200", "--x", "0.5", "--z", z])
+    code = main(["extension-eval", "--set", "(0,1)", "--x", "0.5", "--z", z])
     captured = capsys.readouterr()
     assert code == 2
     assert captured.out == ""
@@ -437,7 +447,7 @@ def test_extension_eval_rejects_bad_height(capsys, z):
 
 @pytest.mark.parametrize("xs", ["nan,inf,0.5", "0.5,-inf", "nan"])
 def test_extension_eval_rejects_non_finite_points(capsys, xs):
-    code = main(["extension-eval", "--set", "(0,1)", "--x", xs, "--K", "200"])
+    code = main(["extension-eval", "--set", "(0,1)", "--x", xs])
     captured = capsys.readouterr()
     assert code == 2
     assert captured.out == ""

@@ -1,26 +1,30 @@
+import ast
 import math
 import random
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import special
+from scipy.optimize import brentq
 
-from fracgaussiso import extension, spectral, suites
-from fracgaussiso._kernels_py import hermite_weighted_series
+from fracgaussiso import extension, suites
+from fracgaussiso.cli import parse_set
 from fracgaussiso.errors import DomainError, ResolutionError
 from fracgaussiso.extension import (LEVELSET_GRID, _BISECT_TOL, _LEVELSET_QUAD,
                                     _MEHLER_ENTRIES, ExtensionField,
                                     _extract_level_set, _node_constants,
                                     _semigroup_rows, evaluate_extension,
                                     extension_field, level_set_with_budget,
-                                    mehler_extension, psi_bulk)
+                                    mehler_extension)
 from fracgaussiso.gauss_core import beta_coefficient, k_coefficient, laguerre_roots
-from fracgaussiso.sets import (EMPTY, FULL_LINE, GaussianSet, halfline,
-                               interval, measure, symm_diff)
-from oracles import boundary_flux_check, boundary_flux_richardson, profile_psi, trace_gap
+from fracgaussiso.sets import (EMPTY, FULL_LINE, GaussianSet, complement, halfline,
+                               interval, measure, reflect, symm_diff)
+from oracles import (boundary_flux_check, boundary_flux_richardson, profile_psi, psi_bulk,
+                     trace_gap)
 
 THREE_PIECES = GaussianSet.from_intervals([(-2.5, -1.4), (-0.6, 0.3), (0.9, 1.6)])
 TAILED = GaussianSet.from_intervals([(-1.2, -0.3), (0.4, math.inf)])
@@ -88,7 +92,6 @@ def test_extension_boundary_values():
     # z -> 0 recovers the trace on the interior of E
     E = interval(-0.5, 0.5)
     F = extension_field(E, 0.5, 4000)
-    # truncation at K = 4000 leaves ~2% near the trace; Mehler is exact there
     assert evaluate_extension(F, 0.0, 1e-5) == pytest.approx(1.0, abs=0.03)
     assert evaluate_extension(F, 3.0, 1e-5) == pytest.approx(0.0, abs=0.03)
 
@@ -104,7 +107,7 @@ def test_mehler_semigroup_mass_conservation():
 
 
 def test_mehler_matches_series():
-    # closed-form subordinated semigroup vs truncated Hermite series
+    # the Gauss-Laguerre rule in u against the converged v-rule, at heights it resolves
     E = interval(0.1, 1.2)
     F = extension_field(E, 0.5, 10_000)
     xs = np.linspace(-2.0, 3.0, 21)
@@ -142,31 +145,30 @@ def test_level_set_degenerate_t():
 
 def test_fields_hash_and_compare_without_raising():
     E = interval(0.0, 1.0)
-    F = extension_field(E, 0.5, 100)
-    assert F.K == 100 and evaluate_extension(F, np.array([0.5]), 0.0).shape == (1,)
-    assert F != extension_field(E, 0.5, 200) and F != extension_field(E, 0.25, 100)
-    spectral.coeff_table.cache_clear()  # the same K after an eviction is still equal
-    assert F == extension_field(E, 0.5, 100)
-    assert hash(F) == hash(extension_field(E, 0.5, 100))
-    assert len({F, extension_field(E, 0.5, 100), extension_field(E, 0.5, 200)}) == 2
-    with pytest.raises(DomainError, match="truncation index"):
-        extension_field(E, 0.5, -1)
+    F = extension_field(E, 0.5)
+    assert (F.set, F.sigma) == (E, 0.25) and evaluate_extension(F, np.array([0.5]), 0.0).shape == (1,)
+    assert F == ExtensionField(E, 0.25) == extension_field(E, 0.5, 200)  # K is not read
+    assert F != extension_field(E, 0.25) and F != extension_field(interval(0.0, 2.0), 0.5)
+    assert hash(F) == hash(ExtensionField(E, 0.25))
+    assert len({F, extension_field(E, 0.5, 100), extension_field(E, 0.25)}) == 2
 
 
 def test_the_level_set_path_builds_no_coefficient_table():
-    spectral.coeff_table.cache_clear()
-    F = extension_field(THREE_PIECES, 0.5, 4000)
-    level_set_with_budget(F, 0.5, 0.1)
-    assert spectral.coeff_table.cache_info().currsize == 0
-    evaluate_extension(F, 0.3, 0.1)  # the series reads the table of the field's K
-    assert spectral.coeff_table.cache_info().currsize == 1
+    # the extension imports neither the Hermite tables (spectral) nor the Hermite
+    # recurrence (_kernels_py), so no path of it builds a table
+    tree = ast.parse(Path(extension.__file__).read_text())
+    imported = {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
+    assert {"errors", "gauss_core", "sets"} <= imported
+    assert not imported & {"spectral", "_kernels_py"}
 
 
 @pytest.mark.parametrize("sigma", [-0.5, 0.0, 1.0, 1.5, math.nan])
 def test_level_set_rejects_a_field_of_an_order_outside_0_1(sigma):
-    F = extension_field(interval(0.0, 1.0), 0.5, 50)
+    F = ExtensionField(interval(0.0, 1.0), sigma)
     with pytest.raises(DomainError, match="extension order"):
-        level_set_with_budget(ExtensionField(F.set, sigma, F.K), 0.5, 0.1)
+        level_set_with_budget(F, 0.5, 0.1)
+    with pytest.raises(DomainError, match="extension order"):
+        evaluate_extension(F, 0.5, 0.1)
 
 
 def _flat_ndtr(arg):
@@ -380,11 +382,12 @@ def test_non_finite_points():
 
 
 def test_series_height_zero_is_the_trace():
-    # z = 0 is accepted: every factor is 1 and U is the Hermite series of chi_E
-    E, x = interval(0.0, 1.0), np.linspace(-2.0, 3.0, 11)
-    F = extension_field(E, 0.5, 200)
-    trace = hermite_weighted_series(spectral.coeff_table(E, 200), x)
-    assert np.array_equal(evaluate_extension(F, x, 0.0), trace)
+    # z = 0 is accepted: U is chi_E, exactly 1 inside, 1/2 at an endpoint, 0 outside
+    E = GaussianSet.from_intervals([(0.0, 1.0), (1.5, math.inf)])
+    x = np.array([-2.0, 0.0, 0.5, 1.0, 1.2, 1.5, 40.0])
+    F = extension_field(E, 0.5)
+    assert evaluate_extension(F, x, 0.0).tolist() == [0.0, 0.5, 1.0, 0.5, 0.0, 0.5, 1.0]
+    assert evaluate_extension(F, 0.3, 0.0) == 1.0
     for bad in (math.nan, math.inf, -1e-300):
         with pytest.raises(DomainError):
             evaluate_extension(F, x, bad)
@@ -484,3 +487,63 @@ def test_mehler_extension_is_within_the_dropped_tail_of_plain_ndtr(case):
     plain = _node_by_node_extension(E, sigma, x, z, n_quad, phi=special.ndtr)
     bound = len(E.finite_endpoints) * special.ndtr(-9.0) + 4.0 * np.spacing(got)
     assert np.all(np.abs(got - plain) <= bound)
+
+
+def _oracle_rows():
+    """(set text, s, z) -> [(x, U)] from tests/golden/extension_oracle.txt
+    (regenerate with ``python tests/extension_oracle.py``)."""
+    groups = {}
+    path = Path(__file__).parent / "golden" / "extension_oracle.txt"
+    for line in path.read_text(encoding="utf-8").splitlines()[1:]:
+        text, s, z, x, value = line.split(";")
+        groups.setdefault((text, float(s), float(z)), []).append((float(x), float(value)))
+    return groups
+
+
+def test_evaluate_extension_matches_the_30_digit_oracle():
+    groups = _oracle_rows()
+    assert len(groups) == 27 and sum(map(len, groups.values())) == 135
+    for (text, s, z), rows in groups.items():
+        x, want = np.array(rows).T
+        got = evaluate_extension(extension_field(parse_set(text), s), x, z)
+        assert np.all(np.abs(got - want) <= 1e-12), (text, s, z, got - want)
+
+
+@st.composite
+def _extension_cases(draw):
+    ends = sorted(draw(st.lists(st.floats(-4.0, 4.0), min_size=2, max_size=8, unique=True)))
+    ends = ends[: len(ends) // 2 * 2]
+    if draw(st.booleans()):
+        ends[0] = -math.inf
+    if draw(st.booleans()):
+        ends[-1] = math.inf
+    E = GaussianSet.from_intervals(zip(ends[0::2], ends[1::2]))
+    s = draw(st.floats(0.02, 0.98))
+    z = 10.0 ** draw(st.floats(-6.0, 1.0))
+    x = np.array(draw(st.lists(st.floats(-10.0, 10.0), min_size=1, max_size=8)))
+    return E, s, z, x
+
+
+@settings(max_examples=200, deadline=None)
+@given(_extension_cases())
+def test_extension_lies_in_0_1_and_respects_complement_and_reflection(case):
+    E, s, z, x = case
+    U = evaluate_extension(extension_field(E, s), x, z)
+    assert np.all((U >= 0.0) & (U <= 1.0))
+    U_complement = evaluate_extension(extension_field(complement(E), s), x, z)
+    assert np.all(np.abs(U_complement - (1.0 - U)) <= 1e-13)
+    U_reflected = evaluate_extension(extension_field(reflect(E), s), -x, z)
+    assert np.all(np.abs(U_reflected - U) <= 1e-13)
+
+
+def test_a_part_narrower_than_two_grid_steps_widens_the_budget():
+    # both crossings of the level set lie in one grid cell, so the extraction
+    # misses the interval and returns mu = 0; the budget now holds its mass
+    E, t, z = interval(0.1002, 0.1008), 0.5, 1e-5
+    F = extension_field(E, 0.5)
+    rec, budget = level_set_with_budget(F, t, z)
+    lo, hi = (brentq(lambda x: evaluate_extension(F, x, z) - t, a, b, xtol=1e-14)
+              for a, b in ((0.1, 0.1005), (0.1005, 0.101)))
+    mu_true = measure(interval(lo, hi))
+    assert mu_true == pytest.approx(2.36e-4, rel=1e-2)
+    assert rec.mu == 0.0 and abs(rec.mu - mu_true) <= budget < 2.5e-4

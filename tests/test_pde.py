@@ -10,9 +10,10 @@ from scipy.sparse.linalg import splu
 
 from fracgaussiso.errors import DomainError
 from fracgaussiso.gauss_core import k_coefficient
-from fracgaussiso.pde import (_axis, _boundary_data, _planar, _solve_tensor, _x_masses,
+from fracgaussiso.pde import (_axis, _planar, _solve_tensor, _x_masses,
                               graded_x_mesh, pde_energy, pde_energy_cylinder)
-from fracgaussiso.sets import EMPTY, FULL_LINE, GaussianSet, complement, halfline, interval
+from fracgaussiso.sets import (EMPTY, FULL_LINE, GaussianSet, complement, halfline,
+                               indicator, interval)
 from fracgaussiso.spectral import halfline_perimeter, perimeter_spectral
 
 
@@ -195,7 +196,7 @@ def _reference_3d(y, x, z, s):
 
 
 def _boundary_data_by_intervals(E, x):
-    """The interval loop `_boundary_data` replaced: 1 inside, 1/2 at a finite endpoint."""
+    """The interval loop `sets.indicator` replaced: 1 inside, 1/2 at a finite endpoint."""
     data = np.zeros_like(x)
     for a, b in E.intervals:
         data[(a < x) & (x < b)] = 1.0
@@ -223,7 +224,7 @@ def _sets_with_tails(draw):
 def test_boundary_data_is_the_interval_loop_bit_for_bit(E):
     for n_x in (64, 256):
         x = graded_x_mesh(E.finite_endpoints, 6.0, n_x)
-        data = _boundary_data(E, x)
+        data = indicator(E, x)
         assert data.dtype == np.float64 and data.shape == x.shape
         assert data.tobytes() == _boundary_data_by_intervals(E, x).tobytes()
 
@@ -275,7 +276,7 @@ def _check_against_lu(E, s, n):
     x, _ = _planar(E, s, (6.0, 4.0), n, n)
     Lap = _reference_2d(x, _z_nodes(n, s), s)
     k = x.shape[0]
-    _check_lu(Lap, splu(Lap[k:, k:].tocsc()), _boundary_data(E, x),
+    _check_lu(Lap, splu(Lap[k:, k:].tocsc()), indicator(E, x),
               2.0 * pde_energy(E, s, mesh=(n, n)))
 
 
@@ -303,9 +304,9 @@ def test_cylinder_solve_matches_lu(E, s):
     Lap = _reference_3d(y, x, _z_nodes(n_z, s), s)
     k = x.shape[0] * y.shape[0]
     lu = splu(Lap[k:, k:].tocsc())
-    data_x = _boundary_data(E, x)
+    data_x = indicator(E, x)
     _check_lu(Lap, lu, np.repeat(data_x, n_y + 1), 2.0 * pde_energy_cylinder(E, s, mesh=mesh))
-    product = np.outer(data_x, _boundary_data(interval(-2.0, 0.5), y)).ravel()
+    product = np.outer(data_x, indicator(interval(-2.0, 0.5), y)).ravel()
     _check_lu(Lap, lu, product, _solve_tensor(axes + [_axis(y, *_x_masses(y))], product))
 
 

@@ -373,8 +373,9 @@ def test_huge_finite_grids_are_refused_before_they_are_built(argv):
     assert "more than" in result.stderr
 
 
+# verify's default suite, "all", runs the main suite with --K among the others
 _HUGE_K = [["perimeter", "--set", "(0,1)"], ["deficit", "--set", "(0,1)"],
-           ["verify", "--suite", "main", "--n", "1"]]
+           ["verify", "--n", "1"], ["verify", "--suite", "main", "--n", "1"]]
 
 
 @pytest.mark.parametrize("argv", _HUGE_K)

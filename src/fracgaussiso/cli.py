@@ -10,14 +10,13 @@ import argparse
 import functools
 import json
 import math
-import re
 import sys
 from typing import Callable, NamedTuple
 
-from .errors import DomainError, SetParseError
+from .errors import DomainError
 from .inequality import ConstantParams, verify_main
 from .extension import evaluate_extension, extension_field
-from .sets import GaussianSet, best_halfline, measure
+from .sets import GaussianSet, best_halfline, measure, parse_set
 from .spectral import (CONVENTIONS, asymptotic_limit, asymptotic_series_value,
                        halfline_perimeter, perimeter_spectral)
 from .suites import SUITES, row_failed
@@ -26,60 +25,9 @@ FORMAT_VERSION = "frac-gauss-iso v1"
 
 # A --s-grid or --r-grid must have fewer points than this.
 _MAX_GRID_POINTS = 10_000
-# The largest --K, ten times the largest K in use: an 80 MB coefficient
-# table, built in segments whose work arrays add about 2 MB to the peak.
+# The largest --K: an 80 MB coefficient table, built in segments whose work
+# arrays add about 2 MB to the peak.
 _MAX_K = 10_000_000
-
-_BOUND_RE = re.compile(r"[+-]?(?:inf|\d+\.?\d*(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?)")
-
-
-def parse_set(text: str) -> GaussianSet:
-    """Parse 'set := interval ("|" interval)*' with byte-offset errors.
-
-    interval := "(" bound "," bound ")"; bound := decimal | "-inf" | "inf";
-    whitespace is ignored everywhere.
-    """
-    pos = 0
-
-    def skip_ws():
-        nonlocal pos
-        while pos < len(text) and text[pos].isspace():
-            pos += 1
-
-    def expect(ch: str):
-        nonlocal pos
-        skip_ws()
-        if pos >= len(text) or text[pos] != ch:
-            raise SetParseError(f"expected {ch!r}", pos)
-        pos += 1
-
-    def bound() -> tuple[float, int]:
-        nonlocal pos
-        skip_ws()
-        m = _BOUND_RE.match(text, pos)
-        if m is None:
-            raise SetParseError("expected a number, 'inf' or '-inf'", pos)
-        start = pos
-        pos = m.end()
-        return float(m.group(0)), start
-
-    pairs = []
-    while True:
-        expect("(")
-        a, a_off = bound()
-        expect(",")
-        b, _ = bound()
-        expect(")")
-        if not a < b:
-            raise SetParseError(f"inverted or empty interval ({a}, {b})", a_off)
-        pairs.append((a, b))
-        skip_ws()
-        if pos >= len(text):
-            break
-        if text[pos] != "|":
-            raise SetParseError("expected '|' between intervals", pos)
-        pos += 1
-    return GaussianSet.from_intervals(pairs)
 
 
 def _fmt(v) -> str:

@@ -14,7 +14,7 @@ class ResolutionError(RuntimeError):
 
 
 class SetParseError(ValueError):
-    """Malformed set-description text; carries the byte offset."""
+    """Malformed set-description text; ``offset`` is the character index of the fault."""
 
     def __init__(self, message: str, offset: int):
         super().__init__(f"{message} (offset {offset})")

@@ -8,12 +8,13 @@ measure-irrelevant; canonical form just makes equality testable.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
 
-from .errors import DegenerateSetError, DomainError
+from .errors import DegenerateSetError, DomainError, SetParseError
 from .gauss_core import phi, phi_inv
 
 __all__ = [
@@ -21,6 +22,7 @@ __all__ = [
     "Halfline",
     "EMPTY",
     "FULL_LINE",
+    "parse_set",
     "halfline",
     "interval",
     "measure",
@@ -93,6 +95,43 @@ class GaussianSet:
 
 EMPTY = GaussianSet(())
 FULL_LINE = GaussianSet(((-INF, INF),))
+
+_WS = re.compile(r"\s*")
+_BOUND_RE = re.compile(r"[+-]?(?:inf|\d+\.?\d*(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?)")
+
+
+def parse_set(text: str) -> GaussianSet:
+    """Read the text that ``str(E)`` writes for a non-empty set E.
+
+    set := interval ("|" interval)*; interval := "(" bound "," bound ")";
+    bound := [+-](decimal | "inf"). Whitespace may stand around every token.
+    A SetParseError carries the character index in ``text`` where reading failed.
+    """
+    pairs, pos = [], 0
+    while True:
+        bounds = []
+        for token in "(n,n)":
+            pos = _WS.match(text, pos).end()
+            if token == "n":
+                m = _BOUND_RE.match(text, pos)
+                if m is None:
+                    raise SetParseError("expected a number, 'inf' or '-inf'", pos)
+                bounds.append((float(m.group()), pos))
+                pos = m.end()
+            elif text.startswith(token, pos):
+                pos += 1
+            else:
+                raise SetParseError(f"expected {token!r}", pos)
+        (a, a_pos), (b, _) = bounds
+        if not a < b:
+            raise SetParseError(f"inverted or empty interval ({a}, {b})", a_pos)
+        pairs.append((a, b))
+        pos = _WS.match(text, pos).end()
+        if pos == len(text):
+            return GaussianSet.from_intervals(pairs)
+        if text[pos] != "|":
+            raise SetParseError("expected '|' between intervals", pos)
+        pos += 1
 
 
 @dataclass(frozen=True)

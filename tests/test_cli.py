@@ -1,3 +1,4 @@
+import ast
 import csv
 import json
 import math
@@ -10,10 +11,11 @@ from pathlib import Path
 
 import pytest
 
-from fracgaussiso.cli import _COMMANDS, build_parser, main, parse_set
+from fracgaussiso import cli, sets
+from fracgaussiso.cli import _COMMANDS, build_parser, main
 from fracgaussiso.errors import SetParseError
 from fracgaussiso.extension import evaluate_extension, extension_field
-from fracgaussiso.sets import GaussianSet, halfline
+from fracgaussiso.sets import GaussianSet, halfline, parse_set
 from fracgaussiso.spectral import halfline_perimeter
 from fracgaussiso.suites import SUITES
 
@@ -53,6 +55,14 @@ def test_parse_set_malformed():
 def test_parse_roundtrip():
     E = GaussianSet.from_intervals([(-math.inf, -1.0), (0.25, 2.0)])
     assert parse_set(str(E)) == E
+
+
+def test_the_cli_reads_sets_with_the_one_reader_in_sets():
+    assert cli.parse_set is sets.parse_set
+    tree = ast.parse(Path(cli.__file__).read_text())
+    names = {a.name for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))
+             for a in node.names}
+    assert not names & {"re", "SetParseError"} and not hasattr(cli, "_BOUND_RE")
 
 
 def test_main_perimeter_inprocess(capsys):

@@ -12,7 +12,6 @@ from scipy import special
 from scipy.optimize import brentq
 
 from fracgaussiso import extension, suites
-from fracgaussiso.cli import parse_set
 from fracgaussiso.errors import DomainError, ResolutionError
 from fracgaussiso.extension import (LEVELSET_GRID, _BISECT_TOL, _LEVELSET_QUAD,
                                     _MEHLER_ENTRIES, ExtensionField,
@@ -22,7 +21,7 @@ from fracgaussiso.extension import (LEVELSET_GRID, _BISECT_TOL, _LEVELSET_QUAD,
                                     mehler_extension)
 from fracgaussiso.gauss_core import beta_coefficient, k_coefficient, laguerre_roots
 from fracgaussiso.sets import (EMPTY, FULL_LINE, GaussianSet, complement, halfline,
-                               interval, measure, reflect, symm_diff)
+                               interval, measure, parse_set, reflect, symm_diff)
 from oracles import (boundary_flux_check, boundary_flux_richardson, profile_psi, psi_bulk,
                      trace_gap)
 

@@ -4,12 +4,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fracgaussiso.errors import DegenerateSetError, DomainError
+from fracgaussiso.errors import DegenerateSetError, DomainError, SetParseError
 from fracgaussiso.sets import (EMPTY, FULL_LINE, GaussianSet, Halfline,
                                asymmetry, best_halfline, complement,
                                ehrhard_symmetrize, halfline, intersect,
-                               interval, measure, reflect, set_minus,
-                               symm_diff, union)
+                               interval, measure, parse_set, reflect,
+                               set_minus, symm_diff, union)
 
 INF = math.inf
 
@@ -157,6 +157,36 @@ def test_signed_endpoints_and_open_right_are_the_indicator(E, xs):
     assert E.finite_endpoints == tuple(e for ab in E.intervals for e in ab if math.isfinite(e))
     assert [e for e, _ in E.signed_endpoints] == list(E.finite_endpoints)
     assert str(E) == _str_by_intervals(E)
+
+
+@given(st.one_of(st.just(FULL_LINE), sets_with_tails()))
+@settings(max_examples=200, deadline=None)
+def test_parse_set_reads_what_str_writes(E):
+    # str(EMPTY) is "(empty)", which is not set text
+    assert parse_set(str(E)) == E
+    assert str(parse_set(str(E))) == str(E)
+
+
+@pytest.mark.parametrize("text, outcome", [
+    ("", "expected '(' (offset 0)"),
+    ("(0,1)|", "expected '(' (offset 6)"),
+    ("(x,1)", "expected a number, 'inf' or '-inf' (offset 1)"),
+    ("(0 1)", "expected ',' (offset 3)"),
+    ("(0,1", "expected ')' (offset 4)"),
+    ("(0,1)x", "expected '|' between intervals (offset 5)"),
+    ("(2,1)", "inverted or empty interval (2.0, 1.0) (offset 1)"),
+    ("(1e400,inf)", "inverted or empty interval (inf, inf) (offset 1)"),
+    # the offset counts characters: the 'x' is at index 6 and at UTF-8 byte 7
+    ("(\xa00,1)x", "expected '|' between intervals (offset 6)"),
+    (" ( -1 , .5 ) | ( 2. , +inf ) ", "(-1.0,0.5)|(2.0,inf)"),
+])
+def test_parse_set_outcomes(text, outcome):
+    try:
+        got = str(parse_set(text))
+    except SetParseError as exc:
+        got = str(exc)
+        assert got.endswith(f" (offset {exc.offset})")
+    assert got == outcome
 
 
 def test_the_empty_and_full_line_cases_follow_the_general_path():

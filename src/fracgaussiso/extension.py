@@ -53,6 +53,11 @@ _NDTR_FLAT = 9.0
 _PLATEAU_MARGIN = 1e-9
 # Level-set thresholds in [0, _MIN_THRESHOLD) lie below the Mehler rule's resolution.
 _MIN_THRESHOLD = 1e-12
+# Level sets bracket on every _CELL-th grid point first and skip a cell whose
+# ends clear t by its bound plus _CELL_MARGIN, far above the about 1e-14
+# rounding of a node sum.  The first t in _EAGER_T, the thresholds the lemmas
+# admit, fills the other cells of every t there.
+_CELL, _CELL_MARGIN, _EAGER_T = 16, 1e-11, (0.25, 0.75)
 
 
 def _check_sigma(sigma: float) -> None:
@@ -222,16 +227,47 @@ class _MehlerRule:
         self.base = E.open_right
 
     @cached_property
-    def grid_values(self) -> np.ndarray:
-        """U(., z) on LEVELSET_GRID, read-only, computed on first use."""
+    def grid(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """U(., z) on LEVELSET_GRID, known at every _CELL-th point and in the
+        filled coarse cells; each coarse cell's bound V (see
+        ``level_set_with_budget``); which cells are filled."""
         E, sigma, z, n_quad = self.key
-        vals = mehler_extension(E, sigma, LEVELSET_GRID, z, n_quad)
-        vals.flags.writeable = False
-        return vals
+        x = LEVELSET_GRID[::_CELL]
+        bound = np.zeros(x.size - 1)
+        for (e, _), lo, hi in zip(E.signed_endpoints, self.below, self.above):
+            # off [lo, hi] every term at e is on one plateau; keep a point past each side
+            a, b = max(np.searchsorted(x, lo) - 1, 0), np.searchsorted(x, hi, "right") + 1
+            terms = _ndtr_plateau((e - self.decay * x[a:b]) / self.d)
+            bound[a:b - 1] += (self.w * np.abs(np.diff(terms, axis=1))).sum(axis=0)
+        values = np.full(LEVELSET_GRID.size, math.nan)
+        values[::_CELL] = mehler_extension(E, sigma, x, z, n_quad)
+        return values, bound, np.zeros(bound.size, dtype=bool)
+
+    def crossing_cells(self, t: float) -> tuple[np.ndarray, np.ndarray]:
+        """The grid values and the sorted coarse cells where U - t can change
+        sign, all filled; the first t in _EAGER_T fills those of every t there."""
+        values, bound, filled = self.grid
+        coarse = values[::_CELL]
+        lo, hi = np.minimum(coarse[:-1], coarse[1:]), np.maximum(coarse[:-1], coarse[1:])
+        reach = bound + _CELL_MARGIN
+
+        def crossable(t_lo: float, t_hi: float) -> np.ndarray:
+            return (bound > 0.0) & (lo - t_hi <= reach) & (t_lo - hi <= reach)
+
+        cells = crossable(t, t)
+        need = (cells | crossable(*_EAGER_T)) if _EAGER_T[0] <= t <= _EAGER_T[1] else cells
+        need = np.flatnonzero(need & ~filled)
+        if need.size:
+            E, sigma, z, n_quad = self.key
+            idx = (_CELL * need[:, None] + np.arange(1, _CELL)).ravel()
+            values[idx] = mehler_extension(E, sigma, LEVELSET_GRID[idx], z, n_quad)
+            filled[need] = True
+        return values, np.flatnonzero(cells)
 
 
 # A closeness check and the bounds checks at two heights extract at both
-# quadrature orders, so one set uses 6 rules, each with a 128 kB grid.
+# quadrature orders, so one set uses 6 rules, each with a 128 kB grid array
+# evaluated only at the coarse points and in the cells near crossings.
 _mehler_rule = lru_cache(maxsize=8)(_MehlerRule)
 
 
@@ -305,9 +341,10 @@ def _predicted_path(lo: float, hi: float, guess: float) -> list[float]:
 
 def _extract_level_set(E: GaussianSet, sigma: float, t: float, z: float,
                        n_quad: int) -> GaussianSet:
-    vals = _mehler_rule(E, sigma, z, n_quad).grid_values
-    sign = vals > t
-    flips = np.nonzero(sign[1:] != sign[:-1])[0]
+    vals, cells = _mehler_rule(E, sigma, z, n_quad).crossing_cells(t)
+    idx = _CELL * cells[:, None] + np.arange(_CELL + 1)
+    sign = vals[idx] > t
+    flips = idx[:, :-1][sign[:, 1:] != sign[:, :-1]]
     # one [lo, hi, f_lo, f_hi] row of Python floats per bracket
     brackets = np.stack([LEVELSET_GRID[flips], LEVELSET_GRID[flips + 1],
                          vals[flips] - t, vals[flips + 1] - t], axis=1).tolist()
@@ -330,8 +367,8 @@ def _extract_level_set(E: GaussianSet, sigma: float, t: float, z: float,
                     break
             offset += len(path)
     # the crossings alternate between entering and leaving the set
-    edges = ([-math.inf] if sign[0] else []) + [0.5 * (lo + hi) for lo, hi, _, _ in brackets] \
-        + ([math.inf] if sign[-1] else [])
+    edges = ([-math.inf] if vals[0] > t else []) + [0.5 * (lo + hi) for lo, hi, _, _ in brackets] \
+        + ([math.inf] if vals[-1] > t else [])
     return GaussianSet.from_intervals(zip(edges[::2], edges[1::2]))
 
 
@@ -341,10 +378,18 @@ def level_set_with_budget(F: ExtensionField, t: float, z: float) -> tuple[LevelS
 
     Evaluation goes through ``mehler_extension``, whose values stay in
     [0, 1].  The grid covers [-8, 8] with step 1e-3; the Gaussian
-    mass outside is below 1e-15.  At small z most grid points lie where every
-    node's Phi term is exactly 0 or 1, and ``mehler_extension`` gives those
-    their value without evaluating them, so the grid costs little more than
-    the points near the endpoints of E.
+    mass outside is below 1e-15.  U is evaluated first at every 16th grid
+    point.  Each coarse cell between two of them gets the bound
+    V = sum_i w_i sum_e |Phi_ie(right end) - Phi_ie(left end)| over the nodes
+    i and finite endpoints e: every plateau-flattened Phi term is monotone in
+    x and every weight positive, so U moves by at most V inside the cell.  A
+    cell with V = 0 has the same rows at all its points, and one whose ends
+    both clear t by V + 1e-11 (far above the rounding of a node sum) keeps
+    the sign of its ends; neither can hold a crossing.  The other cells are
+    evaluated at every grid point, once per rule: the first t in [1/4, 3/4]
+    (the thresholds the lemmas admit) fills the cells of every t there, and
+    any other t fills its own.  So the grid signs, and every bracket below,
+    are those of the full grid, bit for bit.
 
     Every grid cell where U - t changes sign is a bracket, bisected to
     width 1e-10.  The bisection is speculative: a bracket's linear

@@ -77,6 +77,35 @@ def test_one_levelset_set_builds_six_mehler_rules(perfbench):
     assert info.misses == 6 and info.currsize == 6 and info.maxsize == 8
 
 
+def test_one_levelset_set_evaluates_the_grid_only_near_its_crossings(perfbench, monkeypatch):
+    # the 6 rules of the first set evaluate U on the coarse grid and in the
+    # cells near crossings: under a tenth of the 6 x 16 001 points that the
+    # whole grid took, while the bisection (its points are off the grid)
+    # evaluates exactly the 3 834 points it took then
+    import numpy as np
+
+    from fracgaussiso import extension
+
+    _, workloads = perfbench
+    calls, mehler = [], extension.mehler_extension
+
+    def counting(E, sigma, x, z, n_quad=80):
+        calls.append((bool(np.isin(x, extension.LEVELSET_GRID).all()), np.size(x)))
+        return mehler(E, sigma, x, z, n_quad)
+
+    monkeypatch.setattr(extension, "mehler_extension", counting)
+    wl = workloads.Levelset(SEED, 0.0, None)
+    try:
+        E = wl.first_rounds(1)[0]
+        extension._mehler_rule.cache_clear()
+        list(wl.run(E))
+    finally:
+        wl.close()
+    assert extension.LEVELSET_GRID.size not in [n for _, n in calls]
+    assert sum(n for on_grid, n in calls if on_grid) < 6 * 16_001 / 10
+    assert sum(n for on_grid, n in calls if not on_grid) == 3834
+
+
 def test_the_profile_and_the_mehler_rule_share_one_laguerre_root_cache(perfbench, monkeypatch):
     # the reference probe reads the 40- and 20-node rules at s = 0.5 and at
     # the three orders of `asymptotic`; the first levelset set then builds

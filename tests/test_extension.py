@@ -2,6 +2,7 @@ import ast
 import math
 import random
 import warnings
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -13,7 +14,7 @@ from scipy.optimize import brentq
 
 from fracgaussiso import extension, suites
 from fracgaussiso.errors import DomainError, ResolutionError
-from fracgaussiso.extension import (LEVELSET_GRID, _BISECT_TOL, _LEVELSET_QUAD,
+from fracgaussiso.extension import (_CELL, LEVELSET_GRID, _BISECT_TOL, _LEVELSET_QUAD,
                                     _MEHLER_ENTRIES, ExtensionField,
                                     _extract_level_set, _node_constants,
                                     _semigroup_rows, evaluate_extension,
@@ -233,9 +234,15 @@ def test_mehler_extension_does_not_depend_on_the_block_budget(monkeypatch):
             assert values[0] == values[1] == values[2]
 
 
+@lru_cache(maxsize=4)
+def _full_grid_values(E, sigma, z, n_quad):
+    return mehler_extension(E, sigma, LEVELSET_GRID, z, n_quad)
+
+
 def _scalar_bisection_level_set(E, sigma, t, z, n_quad=_LEVELSET_QUAD):
+    """Oracle of _extract_level_set: the whole grid, then one point per bisection call."""
     grid = LEVELSET_GRID
-    vals = mehler_extension(E, sigma, grid, z, n_quad)
+    vals = _full_grid_values(E, sigma, z, n_quad)
     sign = vals > t
     crossings = []
     for i in np.nonzero(sign[1:] != sign[:-1])[0]:
@@ -279,41 +286,83 @@ def test_level_set_at_a_threshold_equal_to_a_grid_value(n_quad):
     falling = next(i for i in flips if vals[i] > vals[i + 1])
     for i, t in ((rising, vals[rising]), (falling, vals[falling + 1])):
         assert (vals[i] > t) != (vals[i + 1] > t)
+    # and t equal to a coarse point's value, at both ends of each crossing's coarse cell
+    coarse = [k for i in (rising, falling) for k in (i - i % _CELL, i - i % _CELL + _CELL)]
+    for t in [vals[rising], vals[falling + 1]] + [vals[k] for k in coarse]:
         got = _extract_level_set(THREE_PIECES, 0.25, t, z, n_quad)
         assert got.intervals == _scalar_bisection_level_set(THREE_PIECES, 0.25, t, z,
                                                              n_quad).intervals
 
 
+# a tail at each side, a component and a gap narrower than two grid steps
+NARROW_AND_TAILED = (
+    TAILED,
+    GaussianSet.from_intervals([(-math.inf, -0.4), (0.1002, 0.1008), (0.9, 0.9015)]),
+    GaussianSet.from_intervals([(-1.0, 0.5), (0.5015, math.inf)]),
+)
+# thresholds from the resolution up to 1 - 1e-9, inside [1/4, 3/4] and out
+RANDOM_SET_THRESHOLDS = (0.25, 0.5, 0.75, 1e-12, 1e-6, 0.99, 1.0 - 1e-9)
+
+
 def test_level_set_matches_scalar_bisection_on_random_sets():
+    # also at heights where every grid point is live, at both quadrature
+    # orders, and with the thresholds of one rule in shuffled order, so an
+    # extraction meets its rule in every fill state of the coarse cells
     rng = random.Random(2024)
     crossings = 0
-    for _ in range(20):
-        E = suites.random_gaussian_set(rng)
-        for z in (1e-4, 5e-3):
-            for t in (0.25, 0.5, 0.75):
-                got = _extract_level_set(E, 0.25, t, z, _LEVELSET_QUAD)
-                assert got.intervals == _scalar_bisection_level_set(E, 0.25, t, z).intervals
+    sets = [suites.random_gaussian_set(rng) for _ in range(20)] + list(NARROW_AND_TAILED)
+    for E in sets:
+        for z in (1e-4, 5e-3, rng.choice((0.05, 0.3, 1.0))):
+            sigma, n_quad = rng.choice((0.05, 0.25, 0.49)), rng.choice((_LEVELSET_QUAD, 40))
+            for t in rng.sample(RANDOM_SET_THRESHOLDS, len(RANDOM_SET_THRESHOLDS)):
+                got = _extract_level_set(E, sigma, t, z, n_quad)
+                assert got.intervals == _scalar_bisection_level_set(E, sigma, t, z,
+                                                                     n_quad).intervals
                 crossings += len(got.finite_endpoints)
-    assert crossings > 300
+    assert crossings > 1000
+
+
+def test_a_coarse_cell_bound_holds_at_every_grid_point_inside():
+    # U moves by at most the cell's bound V inside each coarse cell, to
+    # rounding, and not at all where V = 0: the level sets skip cells by it
+    rng = random.Random(5)
+    for i in range(30):
+        E = NARROW_AND_TAILED[i] if i < len(NARROW_AND_TAILED) else suites.random_gaussian_set(rng)
+        sigma, z = rng.uniform(0.01, 0.49), 10.0 ** rng.uniform(-5.0, 0.0)
+        n_quad = rng.choice((_LEVELSET_QUAD, 40))
+        vals = mehler_extension(E, sigma, LEVELSET_GRID, z, n_quad)
+        _, bound, _ = extension._mehler_rule(E, sigma, z, n_quad).grid
+        cells = np.lib.stride_tricks.sliding_window_view(vals, _CELL + 1)[::_CELL]
+        assert cells.shape == (bound.size, _CELL + 1) == (1000, 17)
+        moved = np.maximum(np.abs(cells - cells[:, :1]), np.abs(cells - cells[:, -1:])).max(axis=1)
+        assert np.all(moved <= bound + 1e-14)
+        assert np.all(moved[bound == 0.0] == 0.0)
 
 
 def test_level_set_batches_its_bisection(monkeypatch):
-    # one grid call plus a few batched bisection calls per extraction; one
+    # per rule one call on the 1 001 coarse grid points and at most one on the
+    # cells that can hold a crossing of any t in [1/4, 3/4], never one on the
+    # whole grid; per extraction at most 5 batched bisection calls, where one
     # bisection step per call takes 24 calls from the grid step to the tolerance
-    sizes = []
+    calls = []
     mehler = extension.mehler_extension
 
     def counting(E, sigma, x, z, n_quad=80):
-        sizes.append(np.size(x))
+        calls.append(((z, n_quad), bool(np.isin(x, LEVELSET_GRID).all()), np.size(x)))
         return mehler(E, sigma, x, z, n_quad)
 
     monkeypatch.setattr(extension, "mehler_extension", counting)
+    extension._mehler_rule.cache_clear()
     for t, z in LEVELSET_CASES:
-        extension._mehler_rule.cache_clear()
-        sizes.clear()
+        start = len(calls)
         level_set_with_budget(extension_field(THREE_PIECES, 0.5, 500), t, z)
-        assert sizes.count(LEVELSET_GRID.size) == 2
-        assert len(sizes) <= 2 * (1 + 5)
+        assert sum(not on_grid for _, on_grid, _ in calls[start:]) <= 2 * 5
+    rules = {key for key, _, _ in calls}
+    assert len(rules) == 3 * 2
+    for rule in rules:
+        grid_calls = [n for key, on_grid, n in calls if key == rule and on_grid]
+        assert grid_calls[0] == 1001 and len(grid_calls) <= 2
+    assert LEVELSET_GRID.size not in [n for _, _, n in calls]
 
 
 def test_levelset_grid_is_shared_and_read_only():

@@ -171,6 +171,8 @@ def cmd_sweep(o: dict) -> tuple[list[dict], int]:
 
 def cmd_asymptotic(o: dict) -> tuple[list[dict], int]:
     r, limit, rows = o["r"], asymptotic_limit(o["r"]), []
+    if limit == 0.0:  # the ratio below divides by it
+        raise DomainError(f"the asymptotic limit underflows to 0 at r={r}")
     for s in _parse_grid(o["s_grid"]):
         pv = asymptotic_series_value(r, s)
         scaled = (1.0 - s) * pv.value

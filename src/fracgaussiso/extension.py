@@ -55,9 +55,10 @@ _PLATEAU_MARGIN = 1e-9
 _MIN_THRESHOLD = 1e-12
 # Level sets bracket on every _CELL-th grid point first and skip a cell whose
 # ends clear t by its bound plus _CELL_MARGIN, far above the about 1e-14
-# rounding of a node sum.  The first t in _EAGER_T, the thresholds the lemmas
-# admit, fills the other cells of every t there.
-_CELL, _CELL_MARGIN, _EAGER_T = 16, 1e-11, (0.25, 0.75)
+# rounding of a node sum.
+_CELL, _CELL_MARGIN = 16, 1e-11
+# The quadrature order of level sets, and the default of mehler_extension.
+_LEVELSET_QUAD = 80
 
 
 def _check_sigma(sigma: float) -> None:
@@ -227,10 +228,10 @@ class _MehlerRule:
         self.base = E.open_right
 
     @cached_property
-    def grid(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """U(., z) on LEVELSET_GRID, known at every _CELL-th point and in the
-        filled coarse cells; each coarse cell's bound V (see
-        ``level_set_with_budget``); which cells are filled."""
+    def grid(self) -> tuple[np.ndarray, np.ndarray]:
+        """U(., z) on LEVELSET_GRID, NaN at every point not yet evaluated (at
+        first all but every _CELL-th), and each coarse cell's bound V (see
+        ``level_set_with_budget``)."""
         E, sigma, z, n_quad = self.key
         x = LEVELSET_GRID[::_CELL]
         bound = np.zeros(x.size - 1)
@@ -241,38 +242,18 @@ class _MehlerRule:
             bound[a:b - 1] += (self.w * np.abs(np.diff(terms, axis=1))).sum(axis=0)
         values = np.full(LEVELSET_GRID.size, math.nan)
         values[::_CELL] = mehler_extension(E, sigma, x, z, n_quad)
-        return values, bound, np.zeros(bound.size, dtype=bool)
-
-    def crossing_cells(self, t: float) -> tuple[np.ndarray, np.ndarray]:
-        """The grid values and the sorted coarse cells where U - t can change
-        sign, all filled; the first t in _EAGER_T fills those of every t there."""
-        values, bound, filled = self.grid
-        coarse = values[::_CELL]
-        lo, hi = np.minimum(coarse[:-1], coarse[1:]), np.maximum(coarse[:-1], coarse[1:])
-        reach = bound + _CELL_MARGIN
-
-        def crossable(t_lo: float, t_hi: float) -> np.ndarray:
-            return (bound > 0.0) & (lo - t_hi <= reach) & (t_lo - hi <= reach)
-
-        cells = crossable(t, t)
-        need = (cells | crossable(*_EAGER_T)) if _EAGER_T[0] <= t <= _EAGER_T[1] else cells
-        need = np.flatnonzero(need & ~filled)
-        if need.size:
-            E, sigma, z, n_quad = self.key
-            idx = (_CELL * need[:, None] + np.arange(1, _CELL)).ravel()
-            values[idx] = mehler_extension(E, sigma, LEVELSET_GRID[idx], z, n_quad)
-            filled[need] = True
-        return values, np.flatnonzero(cells)
+        return values, bound
 
 
 # A closeness check and the bounds checks at two heights extract at both
-# quadrature orders, so one set uses 6 rules, each with a 128 kB grid array
-# evaluated only at the coarse points and in the cells near crossings.
+# quadrature orders, so one set uses 6 rules.  Each keeps one 128 kB grid
+# array, evaluated at the coarse points and in the cells that the
+# thresholds extracted so far could cross.
 _mehler_rule = lru_cache(maxsize=8)(_MehlerRule)
 
 
 def mehler_extension(E: GaussianSet, sigma: float, x, z: float,
-                     n_quad: int = 80) -> np.ndarray:
+                     n_quad: int = _LEVELSET_QUAD) -> np.ndarray:
     """U(x, z) with the integral over u taken by an ``n_quad``-node generalized
     Gauss-Laguerre rule, normalized so constant data maps to (to rounding) 1.
 
@@ -322,9 +303,6 @@ class LevelSetRecord:
     mu: float
 
 
-_LEVELSET_QUAD = 80
-
-
 def _predicted_path(lo: float, hi: float, guess: float) -> list[float]:
     """Bisection midpoints of [lo, hi] if the crossing lies at ``guess``:
     the bracket keeps its upper half exactly when guess > mid."""
@@ -339,9 +317,19 @@ def _predicted_path(lo: float, hi: float, guess: float) -> list[float]:
     return mids
 
 
-def _extract_level_set(E: GaussianSet, sigma: float, t: float, z: float,
-                       n_quad: int) -> GaussianSet:
-    vals, cells = _mehler_rule(E, sigma, z, n_quad).crossing_cells(t)
+def _extract_level_set(rule: _MehlerRule, t: float) -> GaussianSet:
+    """{U(., z) > t} under the rule (``level_set_with_budget``).  The coarse
+    cells that can hold a crossing of t and are still NaN in the rule's grid
+    are filled by one Mehler call, and only they are bracketed."""
+    E, sigma, z, n_quad = rule.key
+    vals, bound = rule.grid
+    coarse, reach = vals[::_CELL], bound + _CELL_MARGIN
+    cells = np.flatnonzero((bound > 0.0) & (np.minimum(coarse[:-1], coarse[1:]) - t <= reach)
+                           & (t - np.maximum(coarse[:-1], coarse[1:]) <= reach))
+    empty = cells[np.isnan(vals[_CELL * cells + 1])]
+    if empty.size:
+        idx = (_CELL * empty[:, None] + np.arange(1, _CELL)).ravel()
+        vals[idx] = mehler_extension(E, sigma, LEVELSET_GRID[idx], z, n_quad)
     idx = _CELL * cells[:, None] + np.arange(_CELL + 1)
     sign = vals[idx] > t
     flips = idx[:, :-1][sign[:, 1:] != sign[:, :-1]]
@@ -386,10 +374,9 @@ def level_set_with_budget(F: ExtensionField, t: float, z: float) -> tuple[LevelS
     cell with V = 0 has the same rows at all its points, and one whose ends
     both clear t by V + 1e-11 (far above the rounding of a node sum) keeps
     the sign of its ends; neither can hold a crossing.  The other cells are
-    evaluated at every grid point, once per rule: the first t in [1/4, 3/4]
-    (the thresholds the lemmas admit) fills the cells of every t there, and
-    any other t fills its own.  So the grid signs, and every bracket below,
-    are those of the full grid, bit for bit.
+    evaluated at every grid point, once per rule: each t fills those of its
+    cells that no earlier t of the rule filled.  So the grid signs, and
+    every bracket below, are those of the full grid, bit for bit.
 
     Every grid cell where U - t changes sign is a bracket, bisected to
     width 1e-10.  The bisection is speculative: a bracket's linear
@@ -426,9 +413,9 @@ def level_set_with_budget(F: ExtensionField, t: float, z: float) -> tuple[LevelS
     if t < _MIN_THRESHOLD:
         raise ResolutionError(f"level-set threshold t={t} lies below the resolution "
                               f"{_MIN_THRESHOLD} of the Mehler rule")
-    E_tz = _extract_level_set(F.set, F.sigma, t, z, _LEVELSET_QUAD)
+    E_tz = _extract_level_set(_mehler_rule(F.set, F.sigma, z, _LEVELSET_QUAD), t)
     mu = measure(E_tz)
-    mu_half = measure(_extract_level_set(F.set, F.sigma, t, z, _LEVELSET_QUAD // 2))
+    mu_half = measure(_extract_level_set(_mehler_rule(F.set, F.sigma, z, _LEVELSET_QUAD // 2), t))
     outside_mass = math.erfc(LEVELSET_GRID_HALFWIDTH / math.sqrt(2.0))
     ends = F.set.finite_endpoints
     narrow = sum(phi(b) - phi(a) for a, b in zip(ends, ends[1:])

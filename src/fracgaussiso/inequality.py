@@ -213,8 +213,8 @@ def verify_transfer_lemma(E: GaussianSet, F: GaussianSet, kappa: float) -> str:
 def closeness_z_max(E: GaussianSet, s, alpha: float, K: int = 10_000) -> float:
     """Upper end of the admissible z-range, (1/(8 alpha beta_s P_s(E)))^{1/s}."""
     order = as_order(s)
-    if alpha <= 0.0:
-        raise DomainError("alpha must be positive")
+    if not (alpha > 0.0 and math.isfinite(alpha)):  # a NaN would pass a ``<= 0`` test
+        raise DomainError(f"alpha must be positive and finite, got {alpha}")
     return _height(1.0, 1.0, order, perimeter_spectral(E, order, K), 8.0 * alpha)
 
 

@@ -27,6 +27,7 @@ solved by sparse LU, in two and three dimensions.
 """
 from __future__ import annotations
 
+import operator
 from functools import reduce
 
 import numpy as np
@@ -97,6 +98,14 @@ def _axis(nodes: np.ndarray, edge_w: np.ndarray, node_w: np.ndarray):
     if not (np.isfinite(c).all() and ((0.0 < node_w) & (node_w < np.inf)).all()):
         raise DomainError("mesh is degenerate in double precision; reduce L or Z, or raise s")
     return c, node_w
+
+
+def _counts(mesh) -> list[int]:
+    """The mesh counts as ints; a count that is not an integer raises DomainError."""
+    try:
+        return [operator.index(n) for n in mesh]
+    except TypeError:
+        raise DomainError(f"mesh counts must be integers, got {mesh}") from None
 
 
 def _pencil(c: np.ndarray, w: np.ndarray):
@@ -172,9 +181,9 @@ def pde_energy(E: GaussianSet, s, domain: tuple[float, float] = (6.0, 4.0),
                mesh: tuple[int, int] = (256, 256)) -> float:
     """Perimeter of E (with_constant convention) from the discrete energy.
 
-    domain = (L, Z) truncates to [-L, L] x (0, Z]; mesh = (n_x, n_z).
+    domain = (L, Z) truncates to [-L, L] x (0, Z]; mesh = (n_x, n_z), integers.
     """
-    x, axes = _planar(E, s, domain, *mesh)
+    x, axes = _planar(E, s, domain, *_counts(mesh))
     return 0.5 * _solve_tensor(axes, indicator(E, x))
 
 
@@ -187,7 +196,7 @@ def pde_energy_cylinder(E1: GaussianSet, s, domain: tuple[float, float] = (6.0, 
     fast diagonalization of `_solve_tensor`.  mesh = (n_y, n_x, n_z); the
     domain and (n_x, n_z) are checked as in `pde_energy`, and n_y >= 1.
     """
-    n_y, n_x, n_z = mesh
+    n_y, n_x, n_z = _counts(mesh)
     if n_y < 1:
         raise DomainError(f"mesh must satisfy n_y >= 1, got {n_y}")
     x, axes = _planar(E1, s, domain, n_x, n_z)

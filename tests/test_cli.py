@@ -422,6 +422,15 @@ def test_non_finite_halfline_thresholds_are_usage_errors(capsys, argv):
     assert "finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("r", ["40", "-40", "1e6"])
+def test_asymptotic_limit_underflow_is_a_usage_error(capsys, r):
+    # past |r| of about 38.5 the limit e^{-r^2/2} sqrt(2/pi)/(4 pi) is 0.0
+    assert main(["asymptotic", f"--r={r}"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: the asymptotic limit underflows to 0 at r={float(r)}\n"
+
+
 def test_extension_eval(capsys):
     xs = [0.5, 3.0, -1.25, 0.0, 0.999]
     code = main(["extension-eval", "--set", "(0,1)", "--s", "0.5",

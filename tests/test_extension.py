@@ -267,12 +267,12 @@ def test_batched_level_set_matches_scalar_bisection():
     F = extension_field(THREE_PIECES, 0.5, 500)
     for n_quad in (_LEVELSET_QUAD, _LEVELSET_QUAD // 2):
         for t, z in LEVELSET_CASES:
-            got = _extract_level_set(F.set, F.sigma, t, z, n_quad)
+            got = _extract_level_set(extension._mehler_rule(F.set, F.sigma, z, n_quad), t)
             assert len(got.intervals) == 3
             assert got.intervals == _scalar_bisection_level_set(THREE_PIECES, 0.25, t, z,
                                                                  n_quad).intervals
     assert level_set_with_budget(F, 0.5, 0.05)[0].set == _extract_level_set(
-        F.set, F.sigma, 0.5, 0.05, _LEVELSET_QUAD)
+        extension._mehler_rule(F.set, F.sigma, 0.05, _LEVELSET_QUAD), 0.5)
 
 
 @pytest.mark.parametrize("n_quad", [_LEVELSET_QUAD, _LEVELSET_QUAD // 2])
@@ -289,7 +289,7 @@ def test_level_set_at_a_threshold_equal_to_a_grid_value(n_quad):
     # and t equal to a coarse point's value, at both ends of each crossing's coarse cell
     coarse = [k for i in (rising, falling) for k in (i - i % _CELL, i - i % _CELL + _CELL)]
     for t in [vals[rising], vals[falling + 1]] + [vals[k] for k in coarse]:
-        got = _extract_level_set(THREE_PIECES, 0.25, t, z, n_quad)
+        got = _extract_level_set(extension._mehler_rule(THREE_PIECES, 0.25, z, n_quad), t)
         assert got.intervals == _scalar_bisection_level_set(THREE_PIECES, 0.25, t, z,
                                                              n_quad).intervals
 
@@ -315,7 +315,7 @@ def test_level_set_matches_scalar_bisection_on_random_sets():
         for z in (1e-4, 5e-3, rng.choice((0.05, 0.3, 1.0))):
             sigma, n_quad = rng.choice((0.05, 0.25, 0.49)), rng.choice((_LEVELSET_QUAD, 40))
             for t in rng.sample(RANDOM_SET_THRESHOLDS, len(RANDOM_SET_THRESHOLDS)):
-                got = _extract_level_set(E, sigma, t, z, n_quad)
+                got = _extract_level_set(extension._mehler_rule(E, sigma, z, n_quad), t)
                 assert got.intervals == _scalar_bisection_level_set(E, sigma, t, z,
                                                                      n_quad).intervals
                 crossings += len(got.finite_endpoints)
@@ -331,7 +331,7 @@ def test_a_coarse_cell_bound_holds_at_every_grid_point_inside():
         sigma, z = rng.uniform(0.01, 0.49), 10.0 ** rng.uniform(-5.0, 0.0)
         n_quad = rng.choice((_LEVELSET_QUAD, 40))
         vals = mehler_extension(E, sigma, LEVELSET_GRID, z, n_quad)
-        _, bound, _ = extension._mehler_rule(E, sigma, z, n_quad).grid
+        _, bound = extension._mehler_rule(E, sigma, z, n_quad).grid
         cells = np.lib.stride_tricks.sliding_window_view(vals, _CELL + 1)[::_CELL]
         assert cells.shape == (bound.size, _CELL + 1) == (1000, 17)
         moved = np.maximum(np.abs(cells - cells[:, :1]), np.abs(cells - cells[:, -1:])).max(axis=1)
@@ -340,29 +340,36 @@ def test_a_coarse_cell_bound_holds_at_every_grid_point_inside():
 
 
 def test_level_set_batches_its_bisection(monkeypatch):
-    # per rule one call on the 1 001 coarse grid points and at most one on the
-    # cells that can hold a crossing of any t in [1/4, 3/4], never one on the
-    # whole grid; per extraction at most 5 batched bisection calls, where one
-    # bisection step per call takes 24 calls from the grid step to the tolerance
+    # per rule a first call on the 1 001 coarse grid points, then calls on
+    # the cells that can hold a crossing of each t, never one on the whole
+    # grid and no grid point twice over all its thresholds, also when each
+    # case runs again; per extraction at most 5 batched bisection calls,
+    # where one bisection step per call takes 24 calls from the grid step
+    # to the tolerance
     calls = []
     mehler = extension.mehler_extension
 
     def counting(E, sigma, x, z, n_quad=80):
-        calls.append(((z, n_quad), bool(np.isin(x, LEVELSET_GRID).all()), np.size(x)))
+        calls.append(((z, n_quad), np.array(x, dtype=float)))
         return mehler(E, sigma, x, z, n_quad)
+
+    def on_grid(x):
+        return bool(np.isin(x, LEVELSET_GRID).all())
 
     monkeypatch.setattr(extension, "mehler_extension", counting)
     extension._mehler_rule.cache_clear()
-    for t, z in LEVELSET_CASES:
+    for t, z in LEVELSET_CASES * 2:
         start = len(calls)
         level_set_with_budget(extension_field(THREE_PIECES, 0.5, 500), t, z)
-        assert sum(not on_grid for _, on_grid, _ in calls[start:]) <= 2 * 5
-    rules = {key for key, _, _ in calls}
+        assert sum(not on_grid(x) for _, x in calls[start:]) <= 2 * 5
+    rules = {key for key, _ in calls}
     assert len(rules) == 3 * 2
     for rule in rules:
-        grid_calls = [n for key, on_grid, n in calls if key == rule and on_grid]
-        assert grid_calls[0] == 1001 and len(grid_calls) <= 2
-    assert LEVELSET_GRID.size not in [n for _, _, n in calls]
+        grid_calls = [x for key, x in calls if key == rule and on_grid(x)]
+        assert grid_calls[0].size == 1001
+        points = np.concatenate(grid_calls)
+        assert np.unique(points).size == points.size
+    assert LEVELSET_GRID.size not in [x.size for _, x in calls]
 
 
 def test_levelset_grid_is_shared_and_read_only():

@@ -22,6 +22,15 @@ from fracgaussiso.sets import (EMPTY, GaussianSet, complement,
 from fracgaussiso.spectral import perimeter_spectral
 
 
+@pytest.mark.parametrize("alpha", [math.nan, math.inf, 0.0, -1.0])
+def test_alpha_must_be_positive_and_finite(alpha):
+    E = interval(0.1, 1.2)
+    with pytest.raises(DomainError, match="alpha must be positive and finite"):
+        closeness_z_max(E, 0.5, alpha, 2000)
+    with pytest.raises(DomainError, match="alpha must be positive and finite"):
+        verify_levelset_closeness(E, 0.5, 0.5, 0.01, alpha, 2000)
+
+
 def test_sigma_min_endpoints():
     # interval entirely left of 1/2: left endpoint wins
     assert sigma_min(0.2) == pytest.approx(iso_function(0.2 / 9 * 5), rel=1e-12)

@@ -116,6 +116,24 @@ def test_pde_cylinder_needs_a_transverse_cell(n_y):
         pde_energy_cylinder(halfline(0.0), 0.5, mesh=(n_y, 64, 64))
 
 
+@pytest.mark.parametrize("bad", [2.5, 64.5, 64.0, math.nan, math.inf])
+def test_pde_mesh_counts_must_be_integers(bad):
+    for mesh in [(bad, 64), (64, bad)]:
+        with pytest.raises(DomainError, match="mesh counts must be integers"):
+            pde_energy(halfline(0.0), 0.5, mesh=mesh)
+    for mesh in [(bad, 64, 64), (2, bad, 64), (2, 64, bad)]:
+        with pytest.raises(DomainError, match="mesh counts must be integers"):
+            pde_energy_cylinder(halfline(0.0), 0.5, mesh=mesh)
+
+
+def test_pde_takes_numpy_integer_mesh_counts():
+    n = np.int64(64)
+    assert pde_energy(halfline(0.0), 0.5, mesh=(n, n)) == pde_energy(halfline(0.0), 0.5,
+                                                                    mesh=(64, 64))
+    assert pde_energy_cylinder(halfline(0.0), 0.5, mesh=(np.int32(2), n, n)) == \
+        pde_energy_cylinder(halfline(0.0), 0.5, mesh=(2, 64, 64))
+
+
 def test_pde_halfline_accuracy():
     ref = halfline_perimeter(0.0, 0.5).value
     val = pde_energy(halfline(0.0), 0.5, mesh=(128, 128))

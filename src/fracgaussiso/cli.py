@@ -13,7 +13,7 @@ import math
 import sys
 from typing import Callable, NamedTuple
 
-from .errors import DomainError
+from .errors import DomainError, ResolutionError
 from .inequality import ConstantParams, verify_main
 from .extension import evaluate_extension, extension_field
 from .sets import GaussianSet, best_halfline, measure, parse_set
@@ -171,8 +171,8 @@ def cmd_sweep(o: dict) -> tuple[list[dict], int]:
 
 def cmd_asymptotic(o: dict) -> tuple[list[dict], int]:
     r, limit, rows = o["r"], asymptotic_limit(o["r"]), []
-    if limit == 0.0:  # the ratio below divides by it
-        raise DomainError(f"the asymptotic limit underflows to 0 at r={r}")
+    if limit < sys.float_info.min:  # the ratio below divides by it
+        raise DomainError(f"the asymptotic limit underflows at r={r}")
     for s in _parse_grid(o["s_grid"]):
         pv = asymptotic_series_value(r, s)
         scaled = (1.0 - s) * pv.value
@@ -283,7 +283,7 @@ def main(argv=None) -> int:
         else:
             with open(o["out"], "w", encoding="utf-8") as out:
                 emit(rows, o["format"], out, conv)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, ResolutionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return 1 if failures else 0

@@ -210,16 +210,15 @@ class _MehlerRule:
         w = w / np.sum(w)
         self.decay, self.d = _node_constants([z * z / (4.0 * ui) for ui in u])
         self.w, self.w_total = w[:, None], np.add.accumulate(w)[-1]
-        c, d = self.decay[:, 0], self.d[:, 0]
+        c, d = self.decay, self.d  # node columns: below, each limit is node x endpoint
         ends = E.signed_endpoints
-        below, above = [], []
+        e = np.array([end for end, _ in ends], dtype=float)
+        slack = _PLATEAU_MARGIN * (1.0 + np.abs(e) + _NDTR_FLAT * d)
         # Only nodes with c > 0 are kept.  A tiny c overflows the quotient to the
         # correctly signed infinity, which is the limit rounded to a double.
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            for e, _ in ends:
-                slack = _PLATEAU_MARGIN * (1.0 + abs(e) + _NDTR_FLAT * d)
-                below.append(np.where(c > 0.0, (e - _NDTR_FLAT * d - slack) / c, -math.inf).min())
-                above.append(np.where(c > 0.0, (e + _NDTR_FLAT * d + slack) / c, math.inf).max())
+            below = np.where(c > 0.0, (e - _NDTR_FLAT * d - slack) / c, -math.inf).min(axis=0)
+            above = np.where(c > 0.0, (e + _NDTR_FLAT * d + slack) / c, math.inf).max(axis=0)
         # No finite x crosses the cap, and +-inf then gets its limit even at a
         # node with decay 0, where decay * x would be NaN.
         largest = np.finfo(float).max
@@ -320,7 +319,8 @@ def _predicted_path(lo: float, hi: float, guess: float) -> list[float]:
 def _extract_level_set(rule: _MehlerRule, t: float) -> GaussianSet:
     """{U(., z) > t} under the rule (``level_set_with_budget``).  The coarse
     cells that can hold a crossing of t and are still NaN in the rule's grid
-    are filled by one Mehler call, and only they are bracketed."""
+    are filled by one Mehler call, and only they are bracketed and bisected,
+    over a memo of U - t that each round fills along ``_predicted_path``."""
     E, sigma, z, n_quad = rule.key
     vals, bound = rule.grid
     coarse, reach = vals[::_CELL], bound + _CELL_MARGIN
@@ -336,24 +336,19 @@ def _extract_level_set(rule: _MehlerRule, t: float) -> GaussianSet:
     # one [lo, hi, f_lo, f_hi] row of Python floats per bracket
     brackets = np.stack([LEVELSET_GRID[flips], LEVELSET_GRID[flips + 1],
                          vals[flips] - t, vals[flips + 1] - t], axis=1).tolist()
+    known = {}  # U(x) - t at every bisection point evaluated so far
     while active := [b for b in brackets if b[1] - b[0] > _BISECT_TOL]:
         # one of f_lo, f_hi is > 0 and the other <= 0, so the guess is in [lo, hi]
-        guesses = [lo + (hi - lo) * (f_lo / (f_lo - f_hi)) for lo, hi, f_lo, f_hi in active]
-        paths = [_predicted_path(b[0], b[1], g) for b, g in zip(active, guesses)]
-        f_all = (mehler_extension(E, sigma, np.concatenate(paths), z, n_quad) - t).tolist()
-        # Replay each path with the bisection rule up to and including its
-        # first mispredicted step; the later midpoints of that path are unused.
-        offset = 0
-        for b, g, path in zip(active, guesses, paths):
-            for mid, f_mid in zip(path, f_all[offset:offset + len(path)]):
-                keep_lo = (f_mid > 0.0) == (b[2] > 0.0)
-                if keep_lo:
+        x = np.concatenate([_predicted_path(lo, hi, lo + (hi - lo) * (f_lo / (f_lo - f_hi)))
+                            for lo, hi, f_lo, f_hi in active])
+        known.update(zip(x.tolist(), (mehler_extension(E, sigma, x, z, n_quad) - t).tolist()))
+        for b in active:  # plain bisection, while the next midpoint is known
+            while b[1] - b[0] > _BISECT_TOL and (
+                    f_mid := known.get(mid := 0.5 * (b[0] + b[1]))) is not None:
+                if (f_mid > 0.0) == (b[2] > 0.0):
                     b[0], b[2] = mid, f_mid
                 else:
                     b[1], b[3] = mid, f_mid
-                if keep_lo != (g > mid):
-                    break
-            offset += len(path)
     # the crossings alternate between entering and leaving the set
     edges = ([-math.inf] if vals[0] > t else []) + [0.5 * (lo + hi) for lo, hi, _, _ in brackets] \
         + ([math.inf] if vals[-1] > t else [])
@@ -379,18 +374,14 @@ def level_set_with_budget(F: ExtensionField, t: float, z: float) -> tuple[LevelS
     every bracket below, are those of the full grid, bit for bit.
 
     Every grid cell where U - t changes sign is a bracket, bisected to
-    width 1e-10.  The bisection is speculative: a bracket's linear
-    interpolation guess predicts every decision of its remaining bisection,
-    the predicted midpoints of all brackets go into one Mehler call, and each
-    bracket then replays its path with the bisection rule up to and
-    including the first step whose decision differs from the prediction.
-    That step is resolved too, so each round advances each bracket by at
-    least one step, and the crossings are the ones plain bisection gives,
-    bit for bit, whatever the guesses (a Mehler value does not depend on the
-    other points of its call).  An extraction then takes a few calls after
-    the grid instead of one per bisection step (24 from the grid step down
-    to the tolerance).  A grid without a sign change gives the full line or
-    the empty set.
+    width 1e-10 (24 steps from the grid step) by plain bisection over a memo
+    of U - t.  Each round, one Mehler call adds to the memo the midpoints
+    that each bracket's linear interpolation guess predicts, and each bracket
+    then bisects while its next midpoint is in the memo; its first midpoint
+    always is.  A Mehler value does not depend on the other points of its
+    call, so the prefetch changes only the cost: a few calls per extraction
+    instead of one per step.  A grid without a sign change gives the full
+    line or the empty set.
 
     The budget compares the extraction at the working quadrature order with
     one at half the order (the dominant controllable error), plus the

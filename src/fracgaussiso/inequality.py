@@ -13,6 +13,7 @@ numerical budget from the series truncations.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 from .errors import DegenerateSetError, DomainError
@@ -140,6 +141,10 @@ def constant_C(s, m: float, params: ConstantParams, P_H: PerimeterValue) -> floa
 
     C = (3^{4-4/s} * 25 / (169 c)) * (1/2)^{8/s+2} * (sqrt(e)/(2-s))
         * sigma_m * m^{2/s-2} / (beta_s * P_H)^{2/s-1}
+
+    At small s a power, the product or the quotient can leave the normal
+    double range while C does not; C then comes from its logarithm, and is
+    0.0 only where C itself lies below the double range.
     """
     order = as_order(s)
     if not (0.0 < m <= 0.5):
@@ -147,11 +152,20 @@ def constant_C(s, m: float, params: ConstantParams, P_H: PerimeterValue) -> floa
     sv = order.s
     sig = sigma_min(m)
     beta = beta_coefficient(sv)
-    return (3.0 ** (4.0 - 4.0 / sv) * 25.0 / (169.0 * params.c)) \
-        * 0.5 ** (8.0 / sv + 2.0) \
-        * (math.sqrt(math.e) / (2.0 - sv)) \
-        * sig * m ** (2.0 / sv - 2.0) \
-        / (beta * P_H.value) ** (2.0 / sv - 1.0)
+    try:  # (beta_s P_H)^{2/s-1} overflows under the remark convention at small s
+        three, half, m_pow, divisor = pows = (
+            3.0 ** (4.0 - 4.0 / sv), 0.5 ** (8.0 / sv + 2.0), m ** (2.0 / sv - 2.0),
+            (beta * P_H.value) ** (2.0 / sv - 1.0))
+        num = (three * 25.0 / (169.0 * params.c)) * half \
+            * (math.sqrt(math.e) / (2.0 - sv)) * sig * m_pow
+        if min(*pows, num, num / divisor) >= sys.float_info.min:
+            return num / divisor
+    except (OverflowError, ZeroDivisionError):
+        pass
+    return math.exp((4.0 - 4.0 / sv) * math.log(3.0) + math.log(25.0 / (169.0 * params.c))
+                    - (8.0 / sv + 2.0) * math.log(2.0) + 0.5 - math.log(2.0 - sv)
+                    + math.log(sig) + (2.0 / sv - 2.0) * math.log(m)
+                    - (2.0 / sv - 1.0) * math.log(beta * P_H.value))
 
 
 def verify_main(E: GaussianSet, s, params: ConstantParams = ConstantParams(),

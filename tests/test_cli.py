@@ -422,13 +422,20 @@ def test_non_finite_halfline_thresholds_are_usage_errors(capsys, argv):
     assert "finite" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("r", ["40", "-40", "1e6"])
+@pytest.mark.parametrize("r", ["38.5", "-38.5", "40", "-40", "1e6"])
 def test_asymptotic_limit_underflow_is_a_usage_error(capsys, r):
-    # past |r| of about 38.5 the limit e^{-r^2/2} sqrt(2/pi)/(4 pi) is 0.0
+    # past |r| of about 37.567 the limit e^{-r^2/2} sqrt(2/pi)/(4 pi) is
+    # subnormal, where a ratio to it means nothing, and past 38.5 it is 0.0
     assert main(["asymptotic", f"--r={r}"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == f"error: the asymptotic limit underflows to 0 at r={float(r)}\n"
+    assert captured.err == f"error: the asymptotic limit underflows at r={float(r)}\n"
+
+
+def test_asymptotic_limit_at_the_normal_range_edge_is_printed(capsys):
+    assert main(["asymptotic", "--r=37.5"]) == 0
+    ratios = [float(line.split(",")[-2]) for line in capsys.readouterr().out.splitlines()[2:]]
+    assert len(ratios) == 3 and ratios == sorted(ratios) and 0.5 < ratios[0] < ratios[-1] < 1.0
 
 
 def test_extension_eval(capsys):
@@ -472,6 +479,15 @@ def test_extension_eval_rejects_non_finite_points(capsys, xs):
     assert code == 2
     assert captured.out == ""
     assert "points x must be finite" in captured.err
+
+
+def test_extension_eval_resolution_error_is_a_usage_error(capsys):
+    # the v-rule of evaluate_extension does not converge this far out
+    code = main(["extension-eval", "--set", "(0,1)", "--x", "1e28", "--z", "0.1"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: U at z=0.1") and captured.err.count("\n") == 1
 
 
 def test_verify_reports_each_failing_row():

@@ -372,6 +372,35 @@ def test_level_set_batches_its_bisection(monkeypatch):
     assert LEVELSET_GRID.size not in [x.size for _, x in calls]
 
 
+def _first_midpoint(lo, hi, guess):
+    return [0.5 * (lo + hi)]
+
+
+def _wrong_end_path(lo, hi, guess, path=extension._predicted_path):
+    return path(lo, hi, hi if guess <= 0.5 * (lo + hi) else lo)
+
+
+@pytest.mark.parametrize("prefetch", [_first_midpoint, _wrong_end_path])
+def test_level_sets_do_not_depend_on_the_prefetch(monkeypatch, prefetch):
+    # the predicted paths only fill the bisection memo: one midpoint per
+    # round, or every decision mispredicted, gives the same crossings, bit
+    # for bit, as the unpatched extraction and as plain scalar bisection,
+    # in one bisection step per round (24 from the grid step to the tolerance)
+    cases = [(E, n_quad, t) for E in (THREE_PIECES, NARROW_AND_TAILED[1])
+             for n_quad in (_LEVELSET_QUAD, _LEVELSET_QUAD // 2) for t in (0.02, 0.5)]
+    z = 0.05
+    want = [_extract_level_set(extension._mehler_rule(E, 0.25, z, n_quad), t)
+            for E, n_quad, t in cases]
+    paths = []
+    monkeypatch.setattr(extension, "_predicted_path",
+                        lambda *args: paths.append(args) or prefetch(*args))
+    for (E, n_quad, t), unpatched in zip(cases, want):
+        got = _extract_level_set(extension._mehler_rule(E, 0.25, z, n_quad), t)
+        assert got.intervals == unpatched.intervals == _scalar_bisection_level_set(
+            E, 0.25, t, z, n_quad).intervals
+    assert len(paths) == 24 * sum(len(F.finite_endpoints) for F in want) == 24 * 20
+
+
 def test_levelset_grid_is_shared_and_read_only():
     assert LEVELSET_GRID.size == 16_001
     assert LEVELSET_GRID[0] == -8.0 and LEVELSET_GRID[-1] == 8.0
@@ -498,6 +527,24 @@ def test_plateau_bounds_overflow_silently_at_a_tiny_node_decay():
         warnings.simplefilter("error")
         got = mehler_extension(E, 0.25, x, z, 80)
     assert np.array_equal(got, _node_by_node_extension(E, 0.25, x, z, 80))
+
+
+def test_plateau_limits_match_a_loop_over_the_endpoints():
+    # one array expression gives every endpoint's limits; each is the
+    # per-endpoint expression bit for bit, also where a node's decay is 0
+    rng, largest = random.Random(3), np.finfo(float).max
+    for i in range(60):
+        E = NARROW_AND_TAILED[i] if i < len(NARROW_AND_TAILED) else suites.random_gaussian_set(rng)
+        rule = extension._MehlerRule(E, rng.uniform(0.01, 0.49), 10.0 ** rng.uniform(-7.0, 3.0),
+                                     rng.choice((_LEVELSET_QUAD, 40)))
+        c, d, below, above = rule.decay[:, 0], rule.d[:, 0], [], []
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            for e, _ in E.signed_endpoints:
+                slack = extension._PLATEAU_MARGIN * (1.0 + abs(e) + 9.0 * d)
+                below.append(np.where(c > 0.0, (e - 9.0 * d - slack) / c, -math.inf).min())
+                above.append(np.where(c > 0.0, (e + 9.0 * d + slack) / c, math.inf).max())
+        assert rule.below.tobytes() == np.maximum(below, -largest).tobytes()
+        assert rule.above.tobytes() == np.minimum(above, largest).tobytes()
 
 
 @st.composite

@@ -15,7 +15,7 @@ from fracgaussiso.inequality import (ConstantParams, TRANSFER_FAILS,
                                      verify_levelset_closeness, verify_main,
                                      verify_transfer_lemma, z0_threshold,
                                      z_thresholds)
-from fracgaussiso.gauss_core import iso_function
+from fracgaussiso.gauss_core import beta_coefficient, iso_function
 from fracgaussiso.sets import (EMPTY, GaussianSet, complement,
                                ehrhard_symmetrize, halfline, interval,
                                measure, symm_diff)
@@ -119,6 +119,25 @@ def test_constant_C_golden():
         * (mp.sqrt(mp.e) / (2 - s)) * sig * m ** (2 / s - 2) \
         / (beta * mp.mpf(repr(P_H.value))) ** (2 / s - 1)
     assert val == pytest.approx(float(C), rel=1e-12)
+
+
+@pytest.mark.parametrize("text, s, convention", [
+    ("(5,inf)", 0.05, "with_constant"), ("(5,inf)", 0.02, "with_constant"),
+    ("(6,7)", 0.05, "with_constant"), ("(0,1)", 0.005, "with_constant"),
+    ("(0,1)", 0.005, "remark")])
+def test_constant_C_survives_the_underflow_of_its_factors(text, s, convention):
+    # a power in C underflows (or, under remark, the divisor overflows) where
+    # C need not: (5,inf) at s = 0.05 has log10 C = -74.3; only at (0,1),
+    # s = 0.005 does C itself lie below the double range
+    rep = verify_main(sets.parse_set(text), s, convention=convention)
+    assert rep.branch == "main"
+    mp.mp.dps = 30
+    sv, m = mp.mpf(s), mp.mpf(rep.m)
+    log_C = (4 - 4 / sv) * mp.log(3) + mp.log(mp.mpf(25) / 169) - (8 / sv + 2) * mp.log(2) \
+        + mp.mpf("0.5") - mp.log(2 - sv) + mp.log(sigma_min(rep.m)) + (2 / sv - 2) * mp.log(m) \
+        - (2 / sv - 1) * mp.log(mp.mpf(beta_coefficient(s)) * mp.mpf(rep.P_H.value))
+    assert rep.C == pytest.approx(float(mp.exp(log_C)), rel=1e-10, abs=0.0)
+    assert (rep.C == 0.0) == (text == "(0,1)")
 
 
 def test_constant_C_needs_small_m():

@@ -42,7 +42,9 @@ def _fmt(v) -> str:
 
 
 def _json_value(v) -> str:
-    return _fmt(v) if isinstance(v, (bool, int, float)) else json.dumps(str(v))
+    """A JSON token; JSON has no inf or nan, so a non-finite float is written as a string."""
+    numeric = isinstance(v, (bool, int)) or (isinstance(v, float) and math.isfinite(v))
+    return _fmt(v) if numeric else json.dumps(str(v))
 
 
 def emit(rows: list[dict], fmt: str, out, convention: str) -> None:

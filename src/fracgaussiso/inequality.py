@@ -13,7 +13,6 @@ numerical budget from the series truncations.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 
 from .errors import DegenerateSetError, DomainError
@@ -136,36 +135,34 @@ def z0_threshold(E: GaussianSet, s, K: int = 10_000) -> float:
     return _height(A, measure(E), order, perimeter_spectral(E, order, K), 72.0) if A else 0.0
 
 
+def _exp(x: float) -> float:
+    """e^x, or inf where e^x lies past the double range."""
+    try:
+        return math.exp(x)
+    except OverflowError:
+        return math.inf
+
+
+def _log_C(order: FractionalOrder, m: float, params: ConstantParams, P_H: PerimeterValue) -> float:
+    """log C_{s,m}, summed factor by factor so that no power leaves the double range."""
+    if not (0.0 < m <= 0.5):
+        raise DomainError(f"constant_C expects m in (0, 1/2] (complement first), got {m}")
+    sv = order.s
+    return ((4.0 - 4.0 / sv) * math.log(3.0) + math.log(25.0 / 169.0) - math.log(params.c)
+            - (8.0 / sv + 2.0) * math.log(2.0) + 0.5 - math.log(2.0 - sv)
+            + math.log(sigma_min(m)) + (2.0 / sv - 2.0) * math.log(m)
+            - (2.0 / sv - 1.0) * math.log(beta_coefficient(sv) * P_H.value))
+
+
 def constant_C(s, m: float, params: ConstantParams, P_H: PerimeterValue) -> float:
     """Explicit stability constant C_{s,m} for measures m <= 1/2.
 
     C = (3^{4-4/s} * 25 / (169 c)) * (1/2)^{8/s+2} * (sqrt(e)/(2-s))
         * sigma_m * m^{2/s-2} / (beta_s * P_H)^{2/s-1}
 
-    At small s a power, the product or the quotient can leave the normal
-    double range while C does not; C then comes from its logarithm, and is
-    0.0 only where C itself lies below the double range.
+    C is e^{log C}, so it is 0.0 or inf only where C itself leaves the double range.
     """
-    order = as_order(s)
-    if not (0.0 < m <= 0.5):
-        raise DomainError(f"constant_C expects m in (0, 1/2] (complement first), got {m}")
-    sv = order.s
-    sig = sigma_min(m)
-    beta = beta_coefficient(sv)
-    try:  # (beta_s P_H)^{2/s-1} overflows under the remark convention at small s
-        three, half, m_pow, divisor = pows = (
-            3.0 ** (4.0 - 4.0 / sv), 0.5 ** (8.0 / sv + 2.0), m ** (2.0 / sv - 2.0),
-            (beta * P_H.value) ** (2.0 / sv - 1.0))
-        num = (three * 25.0 / (169.0 * params.c)) * half \
-            * (math.sqrt(math.e) / (2.0 - sv)) * sig * m_pow
-        if min(*pows, num, num / divisor) >= sys.float_info.min:
-            return num / divisor
-    except (OverflowError, ZeroDivisionError):
-        pass
-    return math.exp((4.0 - 4.0 / sv) * math.log(3.0) + math.log(25.0 / (169.0 * params.c))
-                    - (8.0 / sv + 2.0) * math.log(2.0) + 0.5 - math.log(2.0 - sv)
-                    + math.log(sig) + (2.0 / sv - 2.0) * math.log(m)
-                    - (2.0 / sv - 1.0) * math.log(beta * P_H.value))
+    return _exp(_log_C(as_order(s), m, params, P_H))
 
 
 def verify_main(E: GaussianSet, s, params: ConstantParams = ConstantParams(),
@@ -175,7 +172,9 @@ def verify_main(E: GaussianSet, s, params: ConstantParams = ConstantParams(),
     Sets of measure above 1/2 are complemented first; perimeter, deficit and
     the (normalized) asymmetry are invariant under that, so the report is
     unambiguous.  When P_E > 2 P_H the reduction branch replaces C_{s,m} by
-    P_H / 2^{2/s}, which is what makes the inequality trivial there.
+    P_H / 2^{2/s}, which is what makes the inequality trivial there.  C and
+    rhs = C asym^{2/s} come from log C (rhs = 0.0 when asym = 0), so each is
+    0.0 or inf only where the value itself leaves the double range.
     """
     order = as_order(s)
     m_raw = measure(E)
@@ -189,13 +188,11 @@ def verify_main(E: GaussianSet, s, params: ConstantParams = ConstantParams(),
     deficit = P_E.value - P_H.value
     A = asymmetry(work)
     budget = 2.0 * (P_E.tail_bound + P_H.tail_bound)
-    if P_E.value > 2.0 * P_H.value:
-        branch = "large_perimeter"
-        C = P_H.value / 2.0 ** (2.0 / order.s)
-    else:
-        branch = "main"
-        C = constant_C(order, m, params, P_H)
-    rhs = C * A ** (2.0 / order.s)
+    branch = "large_perimeter" if P_E.value > 2.0 * P_H.value else "main"
+    log_C = (_log_C(order, m, params, P_H) if branch == "main"
+             else math.log(P_H.value) - (2.0 / order.s) * math.log(2.0))
+    C = _exp(log_C)
+    rhs = _exp(log_C + (2.0 / order.s) * math.log(A)) if A else 0.0
     satisfied = deficit >= rhs - budget
     return DeficitReport(E, order, m_raw, P_E, P_H, deficit, A, C, rhs,
                          satisfied, branch, params.c, budget)

@@ -235,7 +235,8 @@ def best_halfline(E: GaussianSet) -> tuple[float, Halfline]:
     """
     m = _require_proper(E)
     left = Halfline("left", phi_inv(m))
-    right = Halfline("right", phi_inv(1.0 - m))
+    # Phi^-1(1 - m) = -Phi^-1(m), which holds also where 1 - m rounds to 1
+    right = Halfline("right", -left.threshold)
     ratio_left = measure(symm_diff(E, left.as_set())) / m
     ratio_right = measure(symm_diff(E, right.as_set())) / m
     ratio, best = (ratio_left, left) if ratio_left <= ratio_right else (ratio_right, right)

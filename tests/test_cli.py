@@ -512,6 +512,46 @@ def test_an_infinite_constant_is_a_usage_error(capsys, argv):
     assert "constant c must be positive and finite" in captured.err
 
 
+@pytest.mark.parametrize("argv", [
+    ["deficit", "--set", "(0,0.01)|(0.5,0.51)", "--s", "0.001"],
+    ["deficit", "--set", "(-0.1,0)|(0.1,0.2)|(1,1.01)", "--s", "0.001"],
+    ["deficit", "--set", "(0,1)", "--c", "1.07e306"],
+    ["deficit", "--set", "(0,1)", "--c", "1e308"],
+    ["verify", "--suite", "main", "--n", "2", "--c", "1e308"],
+])
+def test_C_and_rhs_survive_a_factor_past_the_double_range(capsys, argv):
+    # asym^{2/s} overflows at asym = 2, s = 0.001, and 169 c from c = 1.07e306,
+    # while C and rhs themselves stay within range
+    assert main(argv) == 0
+    if argv[0] == "deficit":
+        header, values = csv.reader(capsys.readouterr().out.splitlines()[1:3])
+        row = dict(zip(header, values))
+        assert row["satisfied"] == "true"
+        if "--c" in argv:
+            assert 0.0 < float(row["C"]) < sys.float_info.min
+        else:
+            assert row["asym"] == "2"
+
+
+def test_json_writes_a_non_finite_value_as_a_string(capsys):
+    # c = 1e-320 puts C near 1.7e313, past the double range, and fails the row
+    assert main(["deficit", "--set", "(0,1)", "--c", "1e-320", "--format", "json"]) == 1
+    [row] = json.loads(capsys.readouterr().out)
+    assert row["C"] == row["rhs"] == "inf"
+    assert row["satisfied"] is False
+
+
+def test_a_set_of_measure_below_2_to_the_minus_54_is_its_own_halfline(capsys):
+    # 1 - m rounds to 1 at m = 5.2e-17
+    assert main(["asymmetry", "--set", "(-inf,-8.3)"]) == 0
+    header, values = csv.reader(capsys.readouterr().out.splitlines()[1:3])
+    row = dict(zip(header, values))
+    assert (row["asym"], row["orientation"]) == ("0", "left")
+    assert main(["deficit", "--set", "(-inf,-8.3)"]) == 0
+    header, values = csv.reader(capsys.readouterr().out.splitlines()[1:3])
+    assert dict(zip(header, values))["asym"] == "0"
+
+
 def test_verify_determinism_small():
     r1 = run_cli(["verify", "--suite", "transfer", "--n", "20", "--seed", "3"])
     r2 = run_cli(["verify", "--suite", "transfer", "--n", "20", "--seed", "3"])

@@ -121,23 +121,64 @@ def test_constant_C_golden():
     assert val == pytest.approx(float(C), rel=1e-12)
 
 
-@pytest.mark.parametrize("text, s, convention", [
-    ("(5,inf)", 0.05, "with_constant"), ("(5,inf)", 0.02, "with_constant"),
-    ("(6,7)", 0.05, "with_constant"), ("(0,1)", 0.005, "with_constant"),
-    ("(0,1)", 0.005, "remark")])
-def test_constant_C_survives_the_underflow_of_its_factors(text, s, convention):
-    # a power in C underflows (or, under remark, the divisor overflows) where
-    # C need not: (5,inf) at s = 0.05 has log10 C = -74.3; only at (0,1),
-    # s = 0.005 does C itself lie below the double range
-    rep = verify_main(sets.parse_set(text), s, convention=convention)
-    assert rep.branch == "main"
+def _log_C_30(s, m, c, P_H, branch="main"):
+    """log C of one report's float inputs, in 30 digits."""
     mp.mp.dps = 30
-    sv, m = mp.mpf(s), mp.mpf(rep.m)
-    log_C = (4 - 4 / sv) * mp.log(3) + mp.log(mp.mpf(25) / 169) - (8 / sv + 2) * mp.log(2) \
-        + mp.mpf("0.5") - mp.log(2 - sv) + mp.log(sigma_min(rep.m)) + (2 / sv - 2) * mp.log(m) \
-        - (2 / sv - 1) * mp.log(mp.mpf(beta_coefficient(s)) * mp.mpf(rep.P_H.value))
-    assert rep.C == pytest.approx(float(mp.exp(log_C)), rel=1e-10, abs=0.0)
-    assert (rep.C == 0.0) == (text == "(0,1)")
+    sv = mp.mpf(s)
+    if branch == "large_perimeter":
+        return mp.log(mp.mpf(P_H)) - (2 / sv) * mp.log(2)
+    return (4 - 4 / sv) * mp.log(3) + mp.log(mp.mpf(25) / 169) - mp.log(mp.mpf(c)) \
+        - (8 / sv + 2) * mp.log(2) + mp.mpf("0.5") - mp.log(2 - sv) \
+        + mp.log(sigma_min(m)) + (2 / sv - 2) * mp.log(mp.mpf(m)) \
+        - (2 / sv - 1) * mp.log(mp.mpf(beta_coefficient(s)) * mp.mpf(P_H))
+
+
+def _rhs_30(log_C, s, asym):
+    return mp.exp(log_C + (2 / mp.mpf(s)) * mp.log(mp.mpf(asym))) if asym else mp.mpf(0)
+
+
+def _case(text, s, convention, kind, c=1.0):
+    """One case, with the id "text-s-convention" and c appended when it is not 1."""
+    tail = "" if c == 1.0 else f"-{c}"
+    return pytest.param(text, s, convention, c, kind, id=f"{text}-{s}-{convention}{tail}")
+
+
+@pytest.mark.parametrize("text, s, convention, c, kind", [
+    _case("(5,inf)", 0.05, "with_constant", "normal"),
+    _case("(5,inf)", 0.02, "with_constant", "normal"),
+    _case("(6,7)", 0.05, "with_constant", "normal"),
+    _case("(0,1)", 0.005, "with_constant", "zero"),
+    _case("(0,1)", 0.005, "remark", "zero"),
+    _case("(-0.4,0.4)", 0.02, "remark", "zero"),
+    _case("(0,1)", 0.5, "with_constant", "inf", c=1e-320),
+    _case("(0,1)", 0.5, "with_constant", "subnormal", c=1e308)])
+def test_constant_C_survives_the_underflow_of_its_factors(text, s, convention, c, kind):
+    # a power in C underflows (or, under remark, the divisor overflows) where
+    # C need not: (5,inf) at s = 0.05 has log10 C = -74.3.  C itself lies below
+    # the double range at (0,1), s = 0.005 and at (-0.4,0.4), s = 0.02, where
+    # asym = 2 still leaves rhs = 2.4e-308; it lies above it at c = 1e-320,
+    # and is subnormal at c = 1e308, where 169 c overflows
+    rep = verify_main(sets.parse_set(text), s, ConstantParams(c), convention=convention)
+    assert rep.branch == "main"
+    log_C = _log_C_30(s, rep.m, c, rep.P_H.value)
+    # a subnormal holds fewer digits: allow one unit of its last place
+    assert rep.C == pytest.approx(float(mp.exp(log_C)), rel=1e-10, abs=math.ulp(0.0))
+    assert rep.rhs == pytest.approx(float(_rhs_30(log_C, s, rep.asym)), rel=1e-10,
+                                    abs=math.ulp(0.0))
+    assert kind == ("zero" if rep.C == 0.0 else "inf" if rep.C == math.inf
+                    else "subnormal" if rep.C < sys.float_info.min else "normal")
+
+
+def test_main_suite_C_and_rhs_match_their_30_digit_values():
+    rows, _ = suites.run_main_suite(12, 7)
+    for row in rows:
+        m = row["m"]
+        if m > 0.5:  # verify_main reads the complement's own measure
+            m = measure(complement(sets.parse_set(row["set"])))
+        log_C = _log_C_30(row["s"], m, row["c"], row["P_H"], row["branch"])
+        assert row["C"] == pytest.approx(float(mp.exp(log_C)), rel=1e-12, abs=0.0)
+        assert row["rhs"] == pytest.approx(float(_rhs_30(log_C, row["s"], row["asym"])),
+                                           rel=1e-12, abs=0.0)
 
 
 def test_constant_C_needs_small_m():

@@ -10,7 +10,8 @@ class DegenerateSetError(DomainError):
 
 
 class ResolutionError(RuntimeError):
-    """A level-set threshold lies below the resolution of the rule that extracts it."""
+    """A value lies below the resolution of the rule that computes it: a level-set
+    threshold below the extraction rule's, or a perimeter that underflows to 0."""
 
 
 class SetParseError(ValueError):

@@ -135,16 +135,17 @@ def iso_function(m: float) -> float:
 def k_coefficient(a: float) -> float:
     """Boundary-flux constant K_a = a |Gamma(-a/2)| / (2^a Gamma(a/2)), a in (0, 2).
 
-    For the perimeter of order s the relevant value is K_s (a = s); for the
-    flux of the order-sigma extension it is K_{2 sigma} (a = 2 sigma).
+    Taken in the pole-free form a Gamma(1 - a/2) / (2^a Gamma(1 + a/2)), which is
+    finite and positive on all of (0, 2), with K_a ~ a as a -> 0.  The perimeter
+    of order s uses K_s; the flux of the order-sigma extension uses K_{2 sigma}.
     """
     if not (0.0 < a < 2.0):
         raise DomainError(f"k_coefficient needs a in (0, 2), got {a}")
-    return a * abs(gamma_fn(-a / 2.0)) / (2.0 ** a * gamma_fn(a / 2.0))
+    return a * gamma_fn(1.0 - a / 2.0) / (2.0 ** a * gamma_fn(1.0 + a / 2.0))
 
 
 def beta_coefficient(a: float) -> float:
-    """Semigroup-trace constant beta_a = Gamma(1-a/2) / (2^a K_a Gamma(1+a/2))."""
+    """Semigroup-trace constant beta_a = Gamma(1-a/2) / (2^a K_a Gamma(1+a/2)), which is 1/a."""
     if not (0.0 < a < 2.0):
         raise DomainError(f"beta_coefficient needs a in (0, 2), got {a}")
-    return gamma_fn(1.0 - a / 2.0) / (2.0 ** a * k_coefficient(a) * gamma_fn(1.0 + a / 2.0))
+    return 1.0 / a

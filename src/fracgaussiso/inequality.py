@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import DegenerateSetError, DomainError
+from .errors import DegenerateSetError, DomainError, ResolutionError
 from .extension import extension_field, level_set_with_budget
 from .gauss_core import FractionalOrder, as_order, beta_coefficient, iso_function
 from .sets import (GaussianSet, asymmetry, complement, ehrhard_symmetrize,
@@ -112,14 +112,15 @@ def sigma_min(m: float) -> float:
 
 def _height(A: float, m: float, order: FractionalOrder, P: PerimeterValue,
             factor: float) -> float:
-    """(A m / (factor beta_s P))^{1/s}: z0 with 72 and P_s(E), z1 with 144 and
-    P_s(H), and the closeness limit with A = m = 1, 8 alpha and P_s(E)."""
+    """(s A m / (factor P))^{1/s}, which is (A m / (factor beta_s P))^{1/s} as beta_s = 1/s:
+    z0 with 72 and P_s(E), z1 with 144 and P_s(H), and the closeness limit
+    with A = m = 1, 8 alpha and P_s(E)."""
     return (A * m / (factor * beta_coefficient(order.s) * P.value)) ** (1.0 / order.s)
 
 
 def z_thresholds(E: GaussianSet, s, P_E: PerimeterValue,
                  P_H: PerimeterValue) -> ZThresholds:
-    """(z0, z1) = ((A m / (72 beta_s P_E))^{1/s}, (A m / (144 beta_s P_H))^{1/s})."""
+    """(z0, z1) = ((s A m / (72 P_E))^{1/s}, (s A m / (144 P_H))^{1/s}), by beta_s = 1/s."""
     order = as_order(s)
     A, m = asymmetry(E), measure(E)
     return ZThresholds(_height(A, m, order, P_E, 72.0), _height(A, m, order, P_H, 144.0))
@@ -158,9 +159,10 @@ def constant_C(s, m: float, params: ConstantParams, P_H: PerimeterValue) -> floa
     """Explicit stability constant C_{s,m} for measures m <= 1/2.
 
     C = (3^{4-4/s} * 25 / (169 c)) * (1/2)^{8/s+2} * (sqrt(e)/(2-s))
-        * sigma_m * m^{2/s-2} / (beta_s * P_H)^{2/s-1}
+        * sigma_m * m^{2/s-2} * (s / P_H)^{2/s-1},
 
-    C is e^{log C}, so it is 0.0 or inf only where C itself leaves the double range.
+    the last factor being 1/(beta_s P_H)^{2/s-1} with beta_s = 1/s.  C is e^{log C},
+    so it is 0.0 or inf only where C itself leaves the double range.
     """
     return _exp(_log_C(as_order(s), m, params, P_H))
 
@@ -185,6 +187,8 @@ def verify_main(E: GaussianSet, s, params: ConstantParams = ConstantParams(),
     H = ehrhard_symmetrize(work).as_set()
     P_E = perimeter_spectral(work, order, K, convention)
     P_H = perimeter_spectral(H, order, K, convention)
+    if P_H.value == 0.0:  # K_s P_s(H) underflows for s near 5e-324
+        raise ResolutionError(f"P_s(H) underflows to 0 at s={order.s}, so C_{{s,m}} is undefined")
     deficit = P_E.value - P_H.value
     A = asymmetry(work)
     budget = 2.0 * (P_E.tail_bound + P_H.tail_bound)
@@ -222,7 +226,8 @@ def verify_transfer_lemma(E: GaussianSet, F: GaussianSet, kappa: float) -> str:
 
 
 def closeness_z_max(E: GaussianSet, s, alpha: float, K: int = 10_000) -> float:
-    """Upper end of the admissible z-range, (1/(8 alpha beta_s P_s(E)))^{1/s}."""
+    """Upper end of the admissible z-range, (1/(8 alpha beta_s P_s(E)))^{1/s}
+    = (s/(8 alpha P_s(E)))^{1/s}."""
     order = as_order(s)
     if not (alpha > 0.0 and math.isfinite(alpha)):  # a NaN would pass a ``<= 0`` test
         raise DomainError(f"alpha must be positive and finite, got {alpha}")

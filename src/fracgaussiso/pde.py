@@ -79,11 +79,7 @@ def _x_masses(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     cdf = np.array([phi(v) for v in x])
     omega = np.diff(cdf)
     mid_cdf = np.array([phi(v) for v in 0.5 * (x[:-1] + x[1:])])
-    mu = np.empty(x.shape[0])
-    mu[0] = mid_cdf[0]
-    mu[1:-1] = np.diff(mid_cdf)
-    mu[-1] = 1.0 - mid_cdf[-1]
-    return omega, mu
+    return omega, np.diff(np.concatenate(([0.0], mid_cdf, [1.0])))
 
 
 def _axis(nodes: np.ndarray, edge_w: np.ndarray, node_w: np.ndarray):

@@ -66,71 +66,59 @@ def row_failed(row: dict) -> bool:
         row.get(key, True) for key in ("ok", "satisfied"))
 
 
+def _run(suite: str, n: int, seed: int, rows_of) -> tuple[list[dict], int]:
+    """Rows and failure count of n sets drawn from ``random.Random(seed)``; ``rows_of(E, rng)``
+    yields one set's rows and may draw more from rng before the next set is drawn."""
+    rng = random.Random(seed)
+    rows = [{"suite": suite, "case": i, **row}
+            for i in range(n) for row in rows_of(random_gaussian_set(rng), rng)]
+    return rows, sum(map(row_failed, rows))
+
+
 def run_transfer_suite(n: int = 500, seed: int = 0) -> tuple[list[dict], int]:
     """Asymmetry-transfer lemma on randomly perturbed pairs (F, E)."""
-    rng = random.Random(seed)
-    rows = []
-    for i in range(n):
-        F = random_gaussian_set(rng)
+    def rows_of(F, rng):
         x0 = rng.uniform(-3.0, 3.0)
         w = rng.uniform(0.001, 0.05)
         kappa = rng.uniform(0.05, 0.45)
         E = symm_diff(F, interval(x0, x0 + w))
-        rows.append({
-            "suite": "transfer", "case": i, "set_F": str(F), "set_E": str(E),
-            "kappa": kappa, "outcome": verify_transfer_lemma(E, F, kappa),
-        })
-    return rows, sum(map(row_failed, rows))
+        yield {"set_F": str(F), "set_E": str(E), "kappa": kappa,
+               "outcome": verify_transfer_lemma(E, F, kappa)}
+    return _run("transfer", n, seed, rows_of)
 
 
 def run_levelset_suite(n: int = 50, seed: int = 0) -> tuple[list[dict], int]:
     """Level-set closeness on random sets at 90% of the admissible height."""
-    rng = random.Random(seed)
-    s, alpha, K = _LEVELSET_S, _ALPHA, _LEVELSET_K
-    rows = []
-    for i in range(n):
-        E = random_gaussian_set(rng)
+    def rows_of(E, rng):
+        s, alpha, K = _LEVELSET_S, _ALPHA, _LEVELSET_K
         z = 0.9 * closeness_z_max(E, s, alpha, K)
         for t in _T_VALUES:
-            rows.append({
-                "suite": "levelset", "case": i, "set": str(E), "s": s, "t": t, "z": z,
-                "alpha": alpha, "ok": verify_levelset_closeness(E, s, t, z, alpha, K),
-            })
-    return rows, sum(map(row_failed, rows))
+            yield {"set": str(E), "s": s, "t": t, "z": z, "alpha": alpha,
+                   "ok": verify_levelset_closeness(E, s, t, z, alpha, K)}
+    return _run("levelset", n, seed, rows_of)
 
 
 def run_bounds_suite(n: int = 50, seed: int = 0) -> tuple[list[dict], int]:
     """Level-set measure/asymmetry bounds at z in {z0/2, z0}."""
-    rng = random.Random(seed)
-    s, K = _LEVELSET_S, _LEVELSET_K
-    rows = []
-    for i in range(n):
-        E = random_gaussian_set(rng)
-        z0 = z0_threshold(E, s, K)
-        if z0 == 0.0:  # asym(E) = 0: no admissible height
-            continue
-        for z in (0.5 * z0, z0):
+    def rows_of(E, rng):
+        s, K = _LEVELSET_S, _LEVELSET_K
+        z0 = z0_threshold(E, s, K)  # 0 when asym(E) = 0: no admissible height, no rows
+        for z in (0.5 * z0, z0) if z0 else ():
             for t in _T_VALUES:
-                rows.append({
-                    "suite": "bounds", "case": i, "set": str(E), "s": s,
-                    "t": t, "z": z, "ok": verify_levelset_bounds(E, s, t, z, K),
-                })
-    return rows, sum(map(row_failed, rows))
+                yield {"set": str(E), "s": s, "t": t, "z": z,
+                       "ok": verify_levelset_bounds(E, s, t, z, K)}
+    return _run("bounds", n, seed, rows_of)
 
 
 def run_main_suite(n: int = 200, seed: int = 0, K: int = 10_000, c: float = 1.0,
                    convention: str = "with_constant") -> tuple[list[dict], int]:
     """Main inequality over the random family."""
-    rng = random.Random(seed)
     params = ConstantParams(c)
-    rows = []
-    for i in range(n):
-        E = random_gaussian_set(rng)
+
+    def rows_of(E, rng):
         for s in _MAIN_S_VALUES:
-            rep = verify_main(E, s, params, K, convention)
-            rows.append({"suite": "main", "case": i, "set": str(E), "s": s,
-                         **rep.columns()})
-    return rows, sum(map(row_failed, rows))
+            yield {"set": str(E), "s": s, **verify_main(E, s, params, K, convention).columns()}
+    return _run("main", n, seed, rows_of)
 
 
 # Each suite's runner, in the order ``verify --suite all`` runs them.  Only

@@ -533,6 +533,27 @@ def test_C_and_rhs_survive_a_factor_past_the_double_range(capsys, argv):
             assert row["asym"] == "2"
 
 
+@pytest.mark.parametrize("argv, code", [
+    (["perimeter", "--set", "(0,1)", "--s", "1e-310"], 0),
+    (["sweep", "--r-grid", "0:0:1", "--s", "1e-320"], 0),
+    (["deficit", "--set", "(0,1)", "--s", "1e-310"], 0),
+    (["deficit", "--set", "(0,1)", "--s", "5e-324"], 2),
+])
+def test_orders_near_zero_give_finite_values_or_one_error(capsys, argv, code):
+    # K_s ~ s is finite down to the smallest double; at 5e-324 K_s P_s(H) underflows
+    # to 0, which leaves the deficit row without a constant
+    assert main(argv) == code
+    out, err = capsys.readouterr()
+    if code == 0:
+        assert "nan" not in out and err == ""
+        if argv[0] == "deficit":
+            header, values = csv.reader(out.splitlines()[1:3])
+            assert dict(zip(header, values))["satisfied"] == "true"
+    else:
+        assert out == "" and len(err.splitlines()) == 1
+        assert err.startswith("error: ") and "s=5e-324" in err
+
+
 def test_json_writes_a_non_finite_value_as_a_string(capsys):
     # c = 1e-320 puts C near 1.7e313, past the double range, and fails the row
     assert main(["deficit", "--set", "(0,1)", "--c", "1e-320", "--format", "json"]) == 1

@@ -158,6 +158,26 @@ def test_k_coefficient_at_one():
     assert k_coefficient(1.0) == pytest.approx(1.0, rel=1e-12)
 
 
+def test_beta_coefficient_is_one_over_a():
+    for a in (5e-324, 1e-300, 0.1, 0.5, 1.0, 1.9):
+        assert beta_coefficient(a) == 1.0 / a
+
+
+@pytest.mark.parametrize("a", [1e-300, 1e-100, 1e-10, 0.25, 0.5, 0.75, 1.5, 2.0 - 1e-12])
+def test_k_coefficient_against_mpmath(a):
+    # the defining form a |Gamma(-a/2)| / (2^a Gamma(a/2)), at 30 digits
+    with mpmath.workdps(30):
+        x = mpmath.mpf(a)
+        exact = float(x * abs(mpmath.gamma(-x / 2)) / (2 ** x * mpmath.gamma(x / 2)))
+    assert abs(k_coefficient(a) - exact) <= 1e-15 * exact
+
+
+def test_k_coefficient_is_finite_where_gamma_of_minus_a_half_is_not():
+    # Gamma(-a/2) overflows below a = 1.1e-308 and has its pole at -0.0 for a = 5e-324
+    for a in (1e-310, 5e-324):
+        assert 0.0 < k_coefficient(a) < math.inf
+
+
 def test_constants_identity():
     # K_s * beta_s * 2^s = Gamma(1-s/2)/Gamma(1+s/2)
     for s in (0.1, 0.25, 0.5, 0.75, 0.9):

@@ -68,6 +68,16 @@ def test_run_suite_dispatch():
     assert rows and failures == 0
 
 
+@pytest.mark.parametrize("name", list(SUITES))
+def test_suite_rows_follow_the_draw_order(name):
+    # each set's rows are made before the next set is drawn, so a shorter run is a prefix
+    knobs = {"K": 1000} if name == "main" else {}
+    rows, _ = SUITES[name](4, 11, **knobs)
+    head, _ = SUITES[name](2, 11, **knobs)
+    assert head and [row for row in rows if row["case"] < 2] == head
+    assert all(list(row)[:2] == ["suite", "case"] and row["suite"] == name for row in rows)
+
+
 @pytest.mark.parametrize("row, failed", [
     ({"suite": "transfer", "outcome": "fails"}, True),
     ({"suite": "transfer", "outcome": "inapplicable"}, False),

@@ -18,8 +18,8 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .errors import DomainError, ResolutionError
-from .gauss_core import as_order, gamma_fn, laguerre_roots, phi
-from .sets import EMPTY, FULL_LINE, GaussianSet, indicator, measure
+from .gauss_core import as_order, gamma_fn, laguerre_roots
+from .sets import EMPTY, FULL_LINE, GaussianSet, indicator, interval, measure
 
 __all__ = [
     "ExtensionField",
@@ -409,7 +409,7 @@ def level_set_with_budget(F: ExtensionField, t: float, z: float) -> tuple[LevelS
     mu_half = measure(_extract_level_set(_mehler_rule(F.set, F.sigma, z, _LEVELSET_QUAD // 2), t))
     outside_mass = math.erfc(LEVELSET_GRID_HALFWIDTH / math.sqrt(2.0))
     ends = F.set.finite_endpoints
-    narrow = sum(phi(b) - phi(a) for a, b in zip(ends, ends[1:])
+    narrow = sum(measure(interval(a, b)) for a, b in zip(ends, ends[1:])
                  if b - a < 2.0 * LEVELSET_GRID_STEP)
     budget = 2.0 * abs(mu - mu_half) + outside_mass + 8.0 * _BISECT_TOL + narrow
     return LevelSetRecord(t, z, E_tz, mu), budget

@@ -110,12 +110,18 @@ def sigma_min(m: float) -> float:
     return min(iso_function(5.0 * m / 9.0), iso_function(13.0 * m / 9.0))
 
 
-def _height(A: float, m: float, order: FractionalOrder, P: PerimeterValue,
-            factor: float) -> float:
-    """(s A m / (factor P))^{1/s}, which is (A m / (factor beta_s P))^{1/s} as beta_s = 1/s:
-    z0 with 72 and P_s(E), z1 with 144 and P_s(H), and the closeness limit
-    with A = m = 1, 8 alpha and P_s(E)."""
-    return (A * m / (factor * beta_coefficient(order.s) * P.value)) ** (1.0 / order.s)
+def _ratio(A: float, m: float, order: FractionalOrder, P: PerimeterValue, factor: float) -> float:
+    """A m / (factor beta_s P) = s A m / (factor P): z0^s with 72 and P_s(E), z1^s with 144
+    and P_s(H), and z_max^s with A = m = 1, 8 alpha and P_s(E)."""
+    return A * m / (factor * beta_coefficient(order.s) * P.value)
+
+
+def _height(A: float, m: float, order: FractionalOrder, P: PerimeterValue, factor: float) -> float:
+    """`_ratio` to the power 1/s, or inf where that lies past the double range."""
+    try:
+        return _ratio(A, m, order, P, factor) ** (1.0 / order.s)
+    except OverflowError:
+        return math.inf
 
 
 def z_thresholds(E: GaussianSet, s, P_E: PerimeterValue,
@@ -144,27 +150,25 @@ def _exp(x: float) -> float:
         return math.inf
 
 
-def _log_C(order: FractionalOrder, m: float, params: ConstantParams, P_H: PerimeterValue) -> float:
-    """log C_{s,m}, summed factor by factor so that no power leaves the double range."""
+def _log_C(order: FractionalOrder, m: float, params: ConstantParams, P_H: PerimeterValue,
+           A: float) -> float:
+    """log(C_{s,m} A^{2/s}); 1/s enters once, as (2 - s) log(q) / s with q = z1^s; -inf at q = 0."""
     if not (0.0 < m <= 0.5):
         raise DomainError(f"constant_C expects m in (0, 1/2] (complement first), got {m}")
-    sv = order.s
-    return ((4.0 - 4.0 / sv) * math.log(3.0) + math.log(25.0 / 169.0) - math.log(params.c)
-            - (8.0 / sv + 2.0) * math.log(2.0) + 0.5 - math.log(2.0 - sv)
-            + math.log(sigma_min(m)) + (2.0 / sv - 2.0) * math.log(m)
-            - (2.0 / sv - 1.0) * math.log(beta_coefficient(sv) * P_H.value))
+    q = _ratio(A, m, order, P_H, 144.0)
+    return (math.log(225.0 * sigma_min(m) * A / (10816.0 * m * (2.0 - order.s))) + 0.5
+            - math.log(params.c) + ((2.0 - order.s) * math.log(q) / order.s if q else -math.inf))
 
 
 def constant_C(s, m: float, params: ConstantParams, P_H: PerimeterValue) -> float:
-    """Explicit stability constant C_{s,m} for measures m <= 1/2.
+    """Explicit stability constant C_{s,m} for measures m <= 1/2:
 
-    C = (3^{4-4/s} * 25 / (169 c)) * (1/2)^{8/s+2} * (sqrt(e)/(2-s))
-        * sigma_m * m^{2/s-2} * (s / P_H)^{2/s-1},
+    C = (225 sqrt(e) / (10816 c)) * sigma_m / (m (2-s)) * (s m / (144 P_H))^{2/s-1},
 
-    the last factor being 1/(beta_s P_H)^{2/s-1} with beta_s = 1/s.  C is e^{log C},
-    so it is 0.0 or inf only where C itself leaves the double range.
+    the paper's product of powers with its 1/s powers gathered into one (beta_s = 1/s).
+    C is e^{log C}, so it is 0.0 or inf only where C itself leaves the double range.
     """
-    return _exp(_log_C(as_order(s), m, params, P_H))
+    return _exp(_log_C(as_order(s), m, params, P_H, 1.0))
 
 
 def verify_main(E: GaussianSet, s, params: ConstantParams = ConstantParams(),
@@ -174,9 +178,10 @@ def verify_main(E: GaussianSet, s, params: ConstantParams = ConstantParams(),
     Sets of measure above 1/2 are complemented first; perimeter, deficit and
     the (normalized) asymmetry are invariant under that, so the report is
     unambiguous.  When P_E > 2 P_H the reduction branch replaces C_{s,m} by
-    P_H / 2^{2/s}, which is what makes the inequality trivial there.  C and
-    rhs = C asym^{2/s} come from log C (rhs = 0.0 when asym = 0), so each is
-    0.0 or inf only where the value itself leaves the double range.
+    P_H / 2^{2/s}, which is what makes the inequality trivial there.  Main-branch
+    rhs = C asym^{2/s} = (225 sqrt(e) / (10816 c)) sigma_m asym / (m (2-s)) z1^{2-s},
+    z1 from `z_thresholds`.  C and rhs are e to one exponent taken at asym = 1 and at
+    asym (rhs = 0.0 at asym = 0): 0.0 or inf only where the value leaves the double range.
     """
     order = as_order(s)
     m_raw = measure(E)
@@ -193,10 +198,9 @@ def verify_main(E: GaussianSet, s, params: ConstantParams = ConstantParams(),
     A = asymmetry(work)
     budget = 2.0 * (P_E.tail_bound + P_H.tail_bound)
     branch = "large_perimeter" if P_E.value > 2.0 * P_H.value else "main"
-    log_C = (_log_C(order, m, params, P_H) if branch == "main"
-             else math.log(P_H.value) - (2.0 / order.s) * math.log(2.0))
-    C = _exp(log_C)
-    rhs = _exp(log_C + (2.0 / order.s) * math.log(A)) if A else 0.0
+    log_rhs = ((lambda a: _log_C(order, m, params, P_H, a)) if branch == "main"
+               else lambda a: 2.0 * math.log(a / 2.0) / order.s + math.log(P_H.value))
+    C, rhs = _exp(log_rhs(1.0)), (_exp(log_rhs(A)) if A else 0.0)
     satisfied = deficit >= rhs - budget
     return DeficitReport(E, order, m_raw, P_E, P_H, deficit, A, C, rhs,
                          satisfied, branch, params.c, budget)
@@ -235,14 +239,12 @@ def closeness_z_max(E: GaussianSet, s, alpha: float, K: int = 10_000) -> float:
 
 
 def _field_of(E: GaussianSet, order: FractionalOrder, field):
-    """The ExtensionField of E at order s, or ``field`` once checked against it."""
+    """The ExtensionField of E at order s; a given ``field`` must equal it."""
     own = extension_field(E, order)
-    if field is None:
-        return own
-    if field.set != E or field.sigma != own.sigma:
+    if field not in (None, own):
         raise DomainError(f"field of {field.set} at order {field.sigma} does not belong "
                           f"to {E} at order {own.sigma}")
-    return field
+    return own
 
 
 def verify_levelset_closeness(E: GaussianSet, s, t: float, z: float,

@@ -538,10 +538,12 @@ def test_C_and_rhs_survive_a_factor_past_the_double_range(capsys, argv):
     (["sweep", "--r-grid", "0:0:1", "--s", "1e-320"], 0),
     (["deficit", "--set", "(0,1)", "--s", "1e-310"], 0),
     (["deficit", "--set", "(0,1)", "--s", "5e-324"], 2),
+    (["deficit", "--set", "(0,1)", "--s", "1e-308"], 0),
 ])
 def test_orders_near_zero_give_finite_values_or_one_error(capsys, argv, code):
     # K_s ~ s is finite down to the smallest double; at 5e-324 K_s P_s(H) underflows
-    # to 0, which leaves the deficit row without a constant
+    # to 0, which leaves the deficit row without a constant.  At 1e-308 the 1/s
+    # terms of log C, summed one by one, would overflow to infinities of both signs
     assert main(argv) == code
     out, err = capsys.readouterr()
     if code == 0:

@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import random
 import sys
 
 import mpmath as mp
@@ -15,11 +17,11 @@ from fracgaussiso.inequality import (ConstantParams, TRANSFER_FAILS,
                                      verify_levelset_closeness, verify_main,
                                      verify_transfer_lemma, z0_threshold,
                                      z_thresholds)
-from fracgaussiso.gauss_core import beta_coefficient, iso_function
+from fracgaussiso.gauss_core import as_order, beta_coefficient, iso_function, phi_inv
 from fracgaussiso.sets import (EMPTY, GaussianSet, complement,
                                ehrhard_symmetrize, halfline, interval,
                                measure, symm_diff)
-from fracgaussiso.spectral import perimeter_spectral
+from fracgaussiso.spectral import PerimeterValue, halfline_perimeter, perimeter_spectral
 
 
 @pytest.mark.parametrize("alpha", [math.nan, math.inf, 0.0, -1.0])
@@ -181,6 +183,66 @@ def test_main_suite_C_and_rhs_match_their_30_digit_values():
                                            rel=1e-12, abs=0.0)
 
 
+def test_rhs_is_the_closed_form_on_the_reduction_height():
+    # C asym^{2/s} = (225 sqrt(e) / (10816 c)) sigma_m asym / (m (2-s)) z1^{2-s}, with z1
+    # the reduction height of the set verify_main works on
+    rows, _ = suites.run_main_suite(12, 7)
+    main_rows = [row for row in rows if row["branch"] == "main"]
+    assert main_rows
+    for row in main_rows:
+        E, s = sets.parse_set(row["set"]), row["s"]
+        work = complement(E) if row["m"] > 0.5 else E
+        m = measure(work)
+        P_E, P_H = (PerimeterValue(row[k], as_order(s), 10_000, 0.0, "with_constant")
+                    for k in ("P_E", "P_H"))
+        z1 = z_thresholds(work, s, P_E, P_H).z1
+        rhs = (225.0 * math.sqrt(math.e) / (10816.0 * row["c"]) * sigma_min(m) * row["asym"]
+               / (m * (2.0 - s)) * z1 ** (2.0 - s))
+        assert row["rhs"] == pytest.approx(rhs, rel=1e-12, abs=0.0)
+
+
+_ORDERS_NEAR_0 = [3e-308, 1e-308, 8e-309, 1e-310, 1e-320]
+
+
+@pytest.mark.parametrize("s", _ORDERS_NEAR_0)
+def test_C_and_rhs_are_numbers_for_s_near_0(s):
+    # summed term by term, the 1/s powers of log C would overflow to infinities of
+    # both signs below s = 4.5e-308; gathered, 1/s scales log z1^s < 0 alone
+    rng = random.Random(3)
+    for E in [suites.random_gaussian_set(rng) for _ in range(40)]:
+        rep = verify_main(E, s, K=500)
+        assert math.isfinite(rep.C) and math.isfinite(rep.rhs), (str(E), rep.C, rep.rhs)
+        assert rep.satisfied, str(E)
+
+
+@pytest.mark.parametrize("s", _ORDERS_NEAR_0)
+def test_asym_2_gives_no_nan_on_either_branch(monkeypatch, s):
+    # at asym = 2 the large-perimeter exponent carries log(asym/2) = 0 where 2/s
+    # overflows; a stand-in that triples P_s(E) sends the row to that branch
+    E = interval(-0.4, 0.4)
+    rep = verify_main(E, s, K=500)
+    assert (rep.asym, rep.branch, rep.C, rep.rhs, rep.satisfied) == (2.0, "main", 0.0, 0.0, True)
+    real = inequality.perimeter_spectral
+
+    def tripled(F, *args):
+        P = real(F, *args)
+        return dataclasses.replace(P, value=3.0 * P.value) if F == E else P
+    monkeypatch.setattr(inequality, "perimeter_spectral", tripled)
+    rep = verify_main(E, s, K=500)
+    assert (rep.asym, rep.branch, rep.C, rep.satisfied) == (2.0, "large_perimeter", 0.0, True)
+    # rhs = P_H (asym/2)^{2/s} = P_H, through a log and an exp of a subnormal P_H
+    assert rep.rhs == pytest.approx(rep.P_H.value, rel=1e-3)
+
+
+def test_the_constant_exceeds_the_perimeter_of_a_tail_halfline():
+    # on the main branch P_E <= 2 P_H, so deficit <= P_s(H): the statement as coded
+    # cannot hold there once asym^{2/s} C > P_H, which C / P_H = 2.55e8 at m = 1e-16
+    # allows from asym = 0.008 at s = 0.5.  This pins the defect until the
+    # constant's form for small m is settled against the paper.
+    P_H = halfline_perimeter(phi_inv(1e-16), 0.5)
+    assert constant_C(0.5, 1e-16, ConstantParams(), P_H) / P_H.value > 1.0
+
+
 def test_constant_C_needs_small_m():
     P_H = perimeter_spectral(halfline(0.0), 0.5, 500)
     with pytest.raises(DomainError):
@@ -268,6 +330,14 @@ def test_levelset_closeness_cases():
     z = 0.9 * closeness_z_max(E, s, alpha, 2000)
     for t in (0.25, 0.75):
         assert verify_levelset_closeness(E, s, t, z, alpha, 2000)
+
+
+def test_a_height_past_the_double_range_is_inf():
+    # (s / (8 alpha P_s(E)))^{1/s} at s = 0.01 lies past the largest double on these
+    # tail intervals; every finite z lies below it
+    assert closeness_z_max(interval(6, 7), 0.01, 20.0) == math.inf
+    assert closeness_z_max(interval(8, 9), 0.01, 20.0) == math.inf
+    assert verify_levelset_closeness(interval(6, 7), 0.01, 0.5, 1.0, 20.0) is True
 
 
 def test_levelset_closeness_precondition():

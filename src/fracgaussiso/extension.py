@@ -5,9 +5,9 @@ At sigma = s/2, U(x, z) = (1/Gamma(sigma)) int_0^inf e^{-u} u^{sigma-1}
 Every evaluator sums the one family of rows (P_tau chi_E)(x), exact in x
 (``_semigroup_rows``), by one of two rules in u until the level sets move to
 the first: ``evaluate_extension`` takes a converged trapezoid in v = -log u,
-and ``mehler_extension``, through which ``level_set_with_budget`` extracts
-{U(., z) > t}, an n_quad-node generalized Gauss-Laguerre rule that does not
-resolve small z (README, "Numerical notes").
+and ``mehler_extension`` and the level sets {U(., z) > t} of
+``level_set_with_budget`` an n_quad-node generalized Gauss-Laguerre rule that
+does not resolve small z (README, "Numerical notes").
 """
 from __future__ import annotations
 
@@ -170,15 +170,20 @@ def _ndtr_plateau(arg: np.ndarray) -> np.ndarray:
     return out
 
 
+def _phi_terms(E: GaussianSet, decay: np.ndarray, d: np.ndarray, x: np.ndarray) -> dict:
+    """Each finite endpoint e of E -> its Phi terms _ndtr_plateau((e - decay x)/d)."""
+    return {e: _ndtr_plateau((e - decay * x) / d) for e in E.finite_endpoints}
+
+
 def _semigroup_rows(E: GaussianSet, decay: np.ndarray, d: np.ndarray,
-                    x: np.ndarray) -> np.ndarray:
+                    x: np.ndarray, phi: dict | None = None) -> np.ndarray:
     """Row i holds (P_tau chi_E)(x) at the i-th node of ``_node_constants``,
-    for the 1-D array x, clipped to [0, 1]."""
+    for the 1-D array x, clipped to [0, 1].  Each endpoint's Phi terms are
+    read once from ``phi`` (``_phi_terms`` when not given)."""
+    phi = _phi_terms(E, decay, d, x) if phi is None else phi
     out = np.zeros((len(decay), x.size))
     for a, b in E.intervals:
-        hi = _ndtr_plateau((b - decay * x) / d) if math.isfinite(b) else 1.0
-        lo = _ndtr_plateau((a - decay * x) / d) if math.isfinite(a) else 0.0
-        out += hi - lo
+        out += (phi[b] if math.isfinite(b) else 1.0) - (phi[a] if math.isfinite(a) else 0.0)
     return np.clip(out, 0.0, 1.0, out=out)
 
 
@@ -187,20 +192,14 @@ class _MehlerRule:
 
     decay and d are the columns of ``_node_constants`` at the node times
     tau_i = z^2/(4 u_i), w is the column of normalized weights, and w_total
-    their sum in node order, the value at a point where every row is 1 (it
-    need not be exactly 1.0).
+    their sum in node order, the value where every row is 1 (not always 1.0).
 
-    The plateau limits run over the finite endpoints e of E, in the one
-    form of chi_E (``GaussianSet.signed_endpoints``).  Below
-    ``below[j]`` every node's argument (e - decay x)/d at e is at least
-    _NDTR_FLAT, so every row's Phi term there is 1; above ``above[j]`` it is
-    at most -_NDTR_FLAT and ``_ndtr_plateau`` makes the term 0.  Each limit
-    carries a margin far above the rounding of the arguments.  A node with
-    decay 0 sees no x, so it leaves no finite point on a plateau; the limits
-    are capped at the largest double, so -inf and +inf always lie on one.  A point on a plateau at every endpoint has
-    the same row at every node, 0 or 1: base (``open_right``) plus sign
-    (+1 at right ends, -1 at left ends) summed over the endpoints it lies
-    below, clipped.
+    ``grid`` alone reads the plateau limits of the finite endpoints e of E:
+    below ``below[j]`` every node's argument (e - decay x)/d at e is at least
+    _NDTR_FLAT, so every Phi term is 1, and above ``above[j]`` at most
+    -_NDTR_FLAT, where ``_ndtr_plateau`` makes it 0.  Each limit has a margin
+    far above the rounding of the arguments.  A node with decay 0 leaves no
+    finite point on a plateau; the limits are capped at the largest double.
     """
 
     def __init__(self, E: GaussianSet, sigma: float, z: float, n_quad: int):
@@ -211,36 +210,49 @@ class _MehlerRule:
         self.decay, self.d = _node_constants([z * z / (4.0 * ui) for ui in u])
         self.w, self.w_total = w[:, None], np.add.accumulate(w)[-1]
         c, d = self.decay, self.d  # node columns: below, each limit is node x endpoint
-        ends = E.signed_endpoints
-        e = np.array([end for end, _ in ends], dtype=float)
+        e = np.array(E.finite_endpoints, dtype=float)
         slack = _PLATEAU_MARGIN * (1.0 + np.abs(e) + _NDTR_FLAT * d)
         # Only nodes with c > 0 are kept.  A tiny c overflows the quotient to the
         # correctly signed infinity, which is the limit rounded to a double.
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             below = np.where(c > 0.0, (e - _NDTR_FLAT * d - slack) / c, -math.inf).min(axis=0)
             above = np.where(c > 0.0, (e + _NDTR_FLAT * d + slack) / c, math.inf).max(axis=0)
-        # No finite x crosses the cap, and +-inf then gets its limit even at a
-        # node with decay 0, where decay * x would be NaN.
         largest = np.finfo(float).max
         self.below, self.above = np.maximum(below, -largest), np.minimum(above, largest)
-        self.sign = np.array([sign for _, sign in ends], dtype=np.int64)
-        self.base = E.open_right
+
+    def node_sum(self, x: np.ndarray, phi: dict | None = None) -> np.ndarray:
+        """U at the 1-D points x: the weighted node sum of ``_semigroup_rows``."""
+        rows = _semigroup_rows(self.key[0], self.decay, self.d, x, phi)
+        # In node order: a matmul or a pairwise sum would round differently.
+        return np.add.accumulate(self.w * rows, axis=0)[-1]
 
     @cached_property
     def grid(self) -> tuple[np.ndarray, np.ndarray]:
         """U(., z) on LEVELSET_GRID, NaN at every point not yet evaluated (at
         first all but every _CELL-th), and each coarse cell's bound V (see
-        ``level_set_with_budget``)."""
-        E, sigma, z, n_quad = self.key
-        x = LEVELSET_GRID[::_CELL]
+        ``level_set_with_budget``).
+
+        A coarse point is live in an endpoint's window: between its plateau
+        limits, or one point past either side.  Each endpoint's Phi terms are
+        evaluated once, at the live points, for U there (``node_sum``, as in
+        ``mehler_extension``) and V on each cell between two of them.  Off every
+        window each term is 1 below its limits and 0 above: U is 0.0 or w_total.
+        """
+        E, x = self.key[0], LEVELSET_GRID[::_CELL]
+        live = np.zeros(x.size, dtype=bool)
+        for lo, hi in zip(self.below, self.above):
+            live[max(np.searchsorted(x, lo) - 1, 0):np.searchsorted(x, hi, "right") + 1] = True
+        at = np.flatnonzero(live)
+        phi = _phi_terms(E, self.decay, self.d, x[at])
+        flat = {e: (x < lo).astype(float) for e, lo in zip(E.finite_endpoints, self.below)}
+        # one node's row: off every window all nodes have it
+        coarse = self.w_total * _semigroup_rows(E, self.decay[:1], self.d[:1], x, flat)[0]
+        coarse[at] = self.node_sum(x[at], phi)
         bound = np.zeros(x.size - 1)
-        for (e, _), lo, hi in zip(E.signed_endpoints, self.below, self.above):
-            # off [lo, hi] every term at e is on one plateau; keep a point past each side
-            a, b = max(np.searchsorted(x, lo) - 1, 0), np.searchsorted(x, hi, "right") + 1
-            terms = _ndtr_plateau((e - self.decay * x[a:b]) / self.d)
-            bound[a:b - 1] += (self.w * np.abs(np.diff(terms, axis=1))).sum(axis=0)
+        for terms in phi.values():  # two live points apart lie on one plateau of each term
+            bound[at[:-1]] += np.add.accumulate(self.w * np.abs(np.diff(terms, axis=1)))[-1]
         values = np.full(LEVELSET_GRID.size, math.nan)
-        values[::_CELL] = mehler_extension(E, sigma, x, z, n_quad)
+        values[::_CELL] = coarse
         return values, bound
 
 
@@ -261,34 +273,21 @@ def mehler_extension(E: GaussianSet, sigma: float, x, z: float,
     semigroup time turns large, so the mass below it is missed (README,
     "Numerical notes").
 
-    The value is the node-order weighted sum of the semigroup rows, whose
-    Phi terms are flattened to exactly 1 at arguments >= 9 and exactly 0 at
-    <= -9 (``_ndtr_plateau``).  Against plain ndtr at every node each term
-    moves by at most ndtr(-9) = 1.13e-19, so U moves by at most that times
-    the number of finite endpoints, plus rounding.  A point far enough from
-    every endpoint that each node's argument lies on a plateau gets the sum
-    directly, 0.0 or the node-order weight sum, and so do x = -inf and
-    +inf, whose value is the limit; only the other points are evaluated, in
-    blocks of ``_MEHLER_ENTRIES // n_quad`` points (at least one).  A
-    point's value reads only its own column, so the block size changes no
-    bit, and the result is bit-identical to evaluating the flattened rows at
-    every node and point.  A NaN x raises DomainError.
+    The value is the node-order weighted sum of the semigroup rows at every
+    point, in blocks of ``_MEHLER_ENTRIES // n_quad`` points (at least one);
+    a point's value reads only its own column, so the block size changes no
+    bit.  The Phi terms are flattened to exactly 1 at arguments >= 9 and 0 at
+    <= -9 (``_ndtr_plateau``), which moves U by at most ndtr(-9) = 1.13e-19
+    per finite endpoint, plus rounding.  A NaN or infinite x raises DomainError.
     """
     _check_positive(z, "mehler_extension height z")
     rule = _mehler_rule(E, sigma, z, n_quad)
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    flat_x = x.ravel()
-    if np.isnan(flat_x).any():
-        raise DomainError("mehler_extension points x must not be NaN")
-    under = flat_x[:, None] < rule.below
-    acc = np.where(rule.base + under @ rule.sign > 0, rule.w_total, 0.0)
-    live = np.flatnonzero(~(under | (flat_x[:, None] > rule.above)).all(axis=1))
-    step = max(1, _MEHLER_ENTRIES // n_quad)
-    for start in range(0, live.size, step):
-        block = live[start:start + step]
-        rows = _semigroup_rows(E, rule.decay, rule.d, flat_x[block])
-        # In node order: a matmul or a pairwise sum would round differently.
-        acc[block] = np.add.accumulate(rule.w * rows, axis=0)[-1]
+    if not np.isfinite(x).all():
+        raise DomainError("mehler_extension points x must be finite")
+    acc, step = np.empty(x.size), max(1, _MEHLER_ENTRIES // n_quad)
+    for start in range(0, x.size, step):
+        acc[start:start + step] = rule.node_sum(x.ravel()[start:start + step])
     return acc.reshape(x.shape)
 
 
@@ -359,10 +358,10 @@ def level_set_with_budget(F: ExtensionField, t: float, z: float) -> tuple[LevelS
     """Superlevel set of x -> U(x, z) by grid bracketing plus bisection, with
     a data-driven resolution budget for its measure.
 
-    Evaluation goes through ``mehler_extension``, whose values stay in
-    [0, 1].  The grid covers [-8, 8] with step 1e-3; the Gaussian
-    mass outside is below 1e-15.  U is evaluated first at every 16th grid
-    point.  Each coarse cell between two of them gets the bound
+    U is the Mehler rule's node sum, which stays in [0, 1].  The grid
+    covers [-8, 8] with step 1e-3; the Gaussian mass outside is below
+    1e-15.  U is evaluated first at every 16th grid point, by the rule's
+    ``grid``.  Each coarse cell between two of them gets the bound
     V = sum_i w_i sum_e |Phi_ie(right end) - Phi_ie(left end)| over the nodes
     i and finite endpoints e: every plateau-flattened Phi term is monotone in
     x and every weight positive, so U moves by at most V inside the cell.  A

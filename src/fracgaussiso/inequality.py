@@ -112,7 +112,9 @@ def sigma_min(m: float) -> float:
 
 def _ratio(A: float, m: float, order: FractionalOrder, P: PerimeterValue, factor: float) -> float:
     """A m / (factor beta_s P) = s A m / (factor P): z0^s with 72 and P_s(E), z1^s with 144
-    and P_s(H), and z_max^s with A = m = 1, 8 alpha and P_s(E)."""
+    and P_s(H), and z_max^s with A = m = 1, 8 alpha and P_s(E).  P = 0 raises ResolutionError."""
+    if P.value == 0.0:  # no boundary, or K_s P_s underflows for s near 1e-310
+        raise ResolutionError(f"perimeter is 0 at s={order.s}, so the height is undefined")
     return A * m / (factor * beta_coefficient(order.s) * P.value)
 
 

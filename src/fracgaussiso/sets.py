@@ -72,7 +72,7 @@ class GaussianSet:
         """(e, -1) at each finite left end and (e, +1) at each finite right end, in order.
 
         With ``open_right`` this is the one form of chi_E that the coefficient
-        table, the Mehler rule and the PDE boundary data read: off the
+        table and the PDE boundary data read: off the
         endpoints, chi_E = open_right + sum_e sign_e chi_(-inf, e).
         """
         return tuple((e, sign) for ab in self.intervals for e, sign in zip(ab, (-1, 1))

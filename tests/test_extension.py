@@ -340,12 +340,12 @@ def test_a_coarse_cell_bound_holds_at_every_grid_point_inside():
 
 
 def test_level_set_batches_its_bisection(monkeypatch):
-    # per rule a first call on the 1 001 coarse grid points, then calls on
-    # the cells that can hold a crossing of each t, never one on the whole
-    # grid and no grid point twice over all its thresholds, also when each
-    # case runs again; per extraction at most 5 batched bisection calls,
-    # where one bisection step per call takes 24 calls from the grid step
-    # to the tolerance
+    # each rule's coarse grid comes from the rule itself, so the grid calls
+    # fill only the inner points of the cells that can hold a crossing of
+    # each t: never a coarse point, never the whole grid and no grid point
+    # twice over all its thresholds, also when each case runs again; per
+    # extraction at most 5 batched bisection calls, where one bisection step
+    # per call takes 24 calls from the grid step to the tolerance
     calls = []
     mehler = extension.mehler_extension
 
@@ -365,11 +365,52 @@ def test_level_set_batches_its_bisection(monkeypatch):
     rules = {key for key, _ in calls}
     assert len(rules) == 3 * 2
     for rule in rules:
-        grid_calls = [x for key, x in calls if key == rule and on_grid(x)]
-        assert grid_calls[0].size == 1001
-        points = np.concatenate(grid_calls)
+        points = np.concatenate([x for key, x in calls if key == rule and on_grid(x)])
         assert np.unique(points).size == points.size
+        assert not np.isin(points, LEVELSET_GRID[::_CELL]).any()
     assert LEVELSET_GRID.size not in [x.size for _, x in calls]
+
+
+def test_a_grid_evaluates_each_endpoint_once_and_calls_no_mehler_extension(monkeypatch):
+    # one _ndtr_plateau call per finite endpoint, all on the same live
+    # coarse points: fewer than the 1 001 at small z, where the windows are narrow
+    plateau, shapes = extension._ndtr_plateau, []
+    monkeypatch.setattr(extension, "_ndtr_plateau", lambda arg: shapes.append(arg.shape)
+                        or plateau(arg))
+    monkeypatch.setattr(extension, "mehler_extension",
+                        lambda *args: pytest.fail("the grid called mehler_extension"))
+    for E in (EMPTY, FULL_LINE, halfline(0.3), TAILED, THREE_PIECES):
+        for z, n_quad in ((1e-3, _LEVELSET_QUAD), (0.3, 40)):
+            shapes.clear()
+            values, bound = extension._MehlerRule(E, 0.25, z, n_quad).grid
+            assert len(shapes) == len(E.finite_endpoints)
+            assert all(shape == (n_quad, shapes[0][1]) for shape in shapes)
+            assert not np.isnan(values[::_CELL]).any() and bound.size == 1000
+            if E.finite_endpoints and z < 0.01:
+                assert shapes[0][1] < 1001 / 2
+
+
+@st.composite
+def _grid_cases(draw):
+    # 0 to 8 finite endpoints; a left tail by choice, a right one by parity,
+    # so the empty set, the full line and both halflines are among them
+    ends = sorted(draw(st.lists(st.floats(-9.0, 9.0), max_size=8, unique=True)))
+    ends = [-math.inf] * draw(st.booleans()) + ends
+    ends += [math.inf] * (len(ends) % 2)
+    E = GaussianSet.from_intervals(zip(ends[0::2], ends[1::2]))
+    z = 10.0 ** draw(st.floats(-4.0, 0.0))
+    return E, draw(st.floats(0.01, 0.49)), z, draw(st.sampled_from([40, _LEVELSET_QUAD]))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_grid_cases())
+def test_the_coarse_grid_is_mehler_extension_bit_for_bit(case):
+    # the grid's own node sums at the live points, and 0.0 or w_total off
+    # every plateau window, are mehler_extension's values there
+    E, sigma, z, n_quad = case
+    values, _ = extension._MehlerRule(E, sigma, z, n_quad).grid
+    coarse = LEVELSET_GRID[::_CELL]
+    assert values[::_CELL].tobytes() == mehler_extension(E, sigma, coarse, z, n_quad).tobytes()
 
 
 def _first_midpoint(lo, hi, guess):
@@ -447,22 +488,21 @@ def test_a_level_set_of_forty_intervals_is_extracted():
 
 
 def test_non_finite_points():
+    # mehler_extension refuses +-inf as evaluate_extension does, also at
+    # z = 20, where the largest node times round e^{-tau} to 0
     E = interval(0.0, 1.0)
     F = extension_field(E, 0.5, 200)
     for bad in (math.nan, math.inf, -math.inf):
         for x in (bad, np.array([0.5, bad])):
             with pytest.raises(DomainError, match="points x must be finite"):
                 evaluate_extension(F, x, 0.05)
-    with pytest.raises(DomainError, match="NaN"):
-        mehler_extension(E, 0.25, np.array([0.5, math.nan]), 0.05)
-    # +-inf is the limit, also at z = 20, where the largest node times round
-    # e^{-tau} to 0 and decay * x would be NaN
+            for z in (0.05, 20.0):
+                with pytest.raises(DomainError, match="points x must be finite"):
+                    mehler_extension(TAILED, 0.25, x, z)
     for z in (0.05, 20.0):
-        assert np.array_equal(mehler_extension(E, 0.25, np.array([-math.inf, math.inf]), z),
-                              [0.0, 0.0])
-        got = mehler_extension(TAILED, 0.25, np.array([-math.inf, math.inf, 0.0]), z)
-        assert got[0] == 0.0 and got[1] == extension._mehler_rule(TAILED, 0.25, z, 80).w_total
-        assert got[2] == _node_by_node_extension(TAILED, 0.25, np.array([0.0]), z, 80)[0]
+        got = mehler_extension(TAILED, 0.25, np.array([-8.0, 8.0, 0.0]), z)
+        assert got.tobytes() == _node_by_node_extension(TAILED, 0.25, np.array([-8.0, 8.0, 0.0]),
+                                                        z, 80).tobytes()
 
 
 def test_series_height_zero_is_the_trace():

@@ -7,7 +7,7 @@ import mpmath as mp
 import pytest
 
 from fracgaussiso import cli, inequality, sets, suites
-from fracgaussiso.errors import DegenerateSetError, DomainError
+from fracgaussiso.errors import DegenerateSetError, DomainError, ResolutionError
 from fracgaussiso.extension import LevelSetRecord
 from fracgaussiso.inequality import (ConstantParams, TRANSFER_FAILS,
                                      TRANSFER_HOLDS, TRANSFER_INAPPLICABLE,
@@ -338,6 +338,32 @@ def test_a_height_past_the_double_range_is_inf():
     assert closeness_z_max(interval(6, 7), 0.01, 20.0) == math.inf
     assert closeness_z_max(interval(8, 9), 0.01, 20.0) == math.inf
     assert verify_levelset_closeness(interval(6, 7), 0.01, 0.5, 1.0, 20.0) is True
+
+
+def test_a_perimeter_that_underflows_to_0_gives_no_height():
+    # at s = 1e-310, P_s((-8, -7.5)) underflows to 0.0 and beta_s = 1/s to inf,
+    # whose product made every height nan and the closeness check's z-range (0, nan)
+    E, s = interval(-8.0, -7.5), 1e-310
+    assert perimeter_spectral(E, s, 10_000).value == 0.0
+    for check in (lambda: closeness_z_max(E, s, 20.0), lambda: z0_threshold(E, s),
+                  lambda: verify_levelset_closeness(E, s, 0.5, 0.1, 20.0),
+                  lambda: verify_levelset_bounds(E, s, 0.5, 0.1)):
+        with pytest.raises(ResolutionError, match="perimeter is 0"):
+            check()
+
+
+def test_each_main_row_fails_below_its_flip_value_of_c():
+    # rhs is proportional to 1/c, so a row is satisfied exactly when c >= c_flip =
+    # rhs(c = 1) / (deficit + budget): every seed-7 main row with asym > 0 fails
+    # at c_flip / 2 and passes at 2 c_flip
+    rows, _ = suites.run_main_suite(12, 7)
+    flipped = [row for row in rows if row["asym"] > 0.0]
+    assert (len(rows), len(flipped)) == (36, 30)
+    for row in flipped:
+        assert row["branch"] == "main" and row["c"] == 1.0 and row["satisfied"]
+        E, c_flip = sets.parse_set(row["set"]), row["rhs"] / (row["deficit"] + row["budget"])
+        assert not verify_main(E, row["s"], ConstantParams(c_flip / 2.0)).satisfied
+        assert verify_main(E, row["s"], ConstantParams(2.0 * c_flip)).satisfied
 
 
 def test_levelset_closeness_precondition():

@@ -9,8 +9,8 @@ verifiers for the quantitative isoperimetric inequality.
 from ._backend import BACKEND
 from .errors import (DegenerateSetError, DomainError, ResolutionError,
                      SetParseError)
-from .gauss_core import (FractionalOrder, beta_coefficient, gamma_fn,
-                         iso_function, k_coefficient, phi, phi_inv)
+from .gauss_core import (FractionalOrder, gamma_fn, iso_function,
+                         k_coefficient, phi, phi_inv)
 from .sets import (EMPTY, FULL_LINE, GaussianSet, Halfline, asymmetry,
                    best_halfline, complement, ehrhard_symmetrize, halfline,
                    interval, intersect, measure, reflect, set_minus,
@@ -23,10 +23,9 @@ from .extension import (ExtensionField, LevelSetRecord, evaluate_extension,
                         extension_field, level_set_with_budget,
                         mehler_extension)
 from .pde import pde_energy, pde_energy_cylinder
-from .inequality import (ConstantParams, DeficitReport, constant_C, sigma_min,
-                         verify_levelset_bounds, verify_levelset_closeness,
-                         verify_main, verify_transfer_lemma, z0_threshold,
-                         z_thresholds)
+from .inequality import (DeficitReport, constant_C, sigma_min, verify_levelset_bounds,
+                         verify_levelset_closeness, verify_main, verify_transfer_lemma,
+                         z0_threshold, z_thresholds)
 from .suites import SUITES, random_gaussian_set
 
 __version__ = "0.1.0"

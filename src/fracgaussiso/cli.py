@@ -14,7 +14,8 @@ import sys
 from typing import Callable, NamedTuple
 
 from .errors import DomainError, ResolutionError
-from .inequality import ConstantParams, verify_main
+from .gauss_core import check_positive
+from .inequality import verify_main
 from .extension import evaluate_extension, extension_field
 from .sets import GaussianSet, best_halfline, measure, parse_set
 from .spectral import (CONVENTIONS, asymptotic_limit, asymptotic_series_value,
@@ -121,10 +122,9 @@ def cmd_asymmetry(o: dict) -> tuple[list[dict], int]:
 
 def cmd_deficit(o: dict) -> tuple[list[dict], int]:
     E = _require_set(o)
-    K, conv, params = o["K"], o["convention"], ConstantParams(o["c"])
-    rows = []
+    K, conv, rows = o["K"], o["convention"], []
     for s in _s_list(o):
-        rep = verify_main(E, s, params, K, conv)
+        rep = verify_main(E, s, o["c"], K, conv)
         rows.append({"set": str(E), "s": s, "K": K, "convention": conv,
                      **rep.columns()})
     return rows, sum(map(row_failed, rows))
@@ -149,7 +149,7 @@ def cmd_verify(o: dict) -> tuple[list[dict], int]:
         raise DomainError(f"verify --suite {o['suite']} reads no "
                           f"{', '.join('--' + key for key in knobs)}")
     if "c" in knobs:
-        ConstantParams(knobs["c"])  # a bad --c fails before any suite runs
+        check_positive(knobs["c"], "constant c")  # a bad --c fails before any suite runs
     summary, total_failures = [], 0
     for name in names:
         rows, failures = SUITES[name](o["n"], o["seed"], **(knobs if name == "main" else {}))

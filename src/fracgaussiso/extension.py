@@ -18,7 +18,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .errors import DomainError, ResolutionError
-from .gauss_core import as_order, gamma_fn, laguerre_roots
+from .gauss_core import as_order, check_positive, gamma_fn, laguerre_roots
 from .sets import EMPTY, FULL_LINE, GaussianSet, indicator, interval, measure
 
 __all__ = [
@@ -64,12 +64,6 @@ _LEVELSET_QUAD = 80
 def _check_sigma(sigma: float) -> None:
     if not (0.0 < sigma < 1.0):
         raise DomainError(f"extension order must lie in (0, 1), got {sigma}")
-
-
-def _check_positive(value: float, what: str) -> None:
-    """Reject NaN, +inf and values <= 0; a NaN would pass a ``<= 0`` test."""
-    if not (value > 0.0 and math.isfinite(value)):
-        raise DomainError(f"{what} must be positive and finite, got {value}")
 
 
 @dataclass(frozen=True)
@@ -199,7 +193,7 @@ class _MehlerRule:
     _NDTR_FLAT, so every Phi term is 1, and above ``above[j]`` at most
     -_NDTR_FLAT, where ``_ndtr_plateau`` makes it 0.  Each limit has a margin
     far above the rounding of the arguments.  A node with decay 0 leaves no
-    finite point on a plateau; the limits are capped at the largest double.
+    finite point on a plateau, and makes the limits -inf and inf.
     """
 
     def __init__(self, E: GaussianSet, sigma: float, z: float, n_quad: int):
@@ -215,10 +209,8 @@ class _MehlerRule:
         # Only nodes with c > 0 are kept.  A tiny c overflows the quotient to the
         # correctly signed infinity, which is the limit rounded to a double.
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            below = np.where(c > 0.0, (e - _NDTR_FLAT * d - slack) / c, -math.inf).min(axis=0)
-            above = np.where(c > 0.0, (e + _NDTR_FLAT * d + slack) / c, math.inf).max(axis=0)
-        largest = np.finfo(float).max
-        self.below, self.above = np.maximum(below, -largest), np.minimum(above, largest)
+            self.below = np.where(c > 0.0, (e - _NDTR_FLAT * d - slack) / c, -math.inf).min(axis=0)
+            self.above = np.where(c > 0.0, (e + _NDTR_FLAT * d + slack) / c, math.inf).max(axis=0)
 
     def node_sum(self, x: np.ndarray, phi: dict | None = None) -> np.ndarray:
         """U at the 1-D points x: the weighted node sum of ``_semigroup_rows``."""
@@ -280,7 +272,7 @@ def mehler_extension(E: GaussianSet, sigma: float, x, z: float,
     <= -9 (``_ndtr_plateau``), which moves U by at most ndtr(-9) = 1.13e-19
     per finite endpoint, plus rounding.  A NaN or infinite x raises DomainError.
     """
-    _check_positive(z, "mehler_extension height z")
+    check_positive(z, "mehler_extension height z")
     rule = _mehler_rule(E, sigma, z, n_quad)
     x = np.atleast_1d(np.asarray(x, dtype=float))
     if not np.isfinite(x).all():
@@ -393,7 +385,7 @@ def level_set_with_budget(F: ExtensionField, t: float, z: float) -> tuple[LevelS
     Phi's far tails, which the rule flattens to 0 below 1.13e-19 and ndtr
     underflows to 0 further out, so they say nothing about the set.
     """
-    _check_positive(z, "level-set height z")
+    check_positive(z, "level-set height z")
     if not math.isfinite(t):
         raise DomainError(f"level-set threshold must be finite, got {t}")
     if t >= 1.0:

@@ -26,7 +26,6 @@ __all__ = [
     "phi_inv",
     "iso_function",
     "k_coefficient",
-    "beta_coefficient",
     "as_order",
 ]
 
@@ -44,6 +43,12 @@ class FractionalOrder:
     def __post_init__(self):
         if not (0.0 < self.s < 1.0):
             raise DomainError(f"fractional order must lie in (0, 1), got {self.s}")
+
+
+def check_positive(value: float, what: str) -> None:
+    """Reject NaN, +inf and values <= 0; a NaN would pass a ``<= 0`` test."""
+    if not (value > 0.0 and math.isfinite(value)):
+        raise DomainError(f"{what} must be positive and finite, got {value}")
 
 
 def as_order(s) -> FractionalOrder:
@@ -143,9 +148,3 @@ def k_coefficient(a: float) -> float:
         raise DomainError(f"k_coefficient needs a in (0, 2), got {a}")
     return a * gamma_fn(1.0 - a / 2.0) / (2.0 ** a * gamma_fn(1.0 + a / 2.0))
 
-
-def beta_coefficient(a: float) -> float:
-    """Semigroup-trace constant beta_a = Gamma(1-a/2) / (2^a K_a Gamma(1+a/2)), which is 1/a."""
-    if not (0.0 < a < 2.0):
-        raise DomainError(f"beta_coefficient needs a in (0, 2), got {a}")
-    return 1.0 / a

@@ -17,14 +17,13 @@ from dataclasses import dataclass
 
 from .errors import DegenerateSetError, DomainError, ResolutionError
 from .extension import extension_field, level_set_with_budget
-from .gauss_core import FractionalOrder, as_order, beta_coefficient, iso_function
+from .gauss_core import FractionalOrder, as_order, check_positive, iso_function
 from .sets import (GaussianSet, asymmetry, complement, ehrhard_symmetrize,
                    measure, set_minus, symm_diff)
 from .spectral import PerimeterValue, perimeter_spectral
 
 __all__ = [
     "DeficitReport",
-    "ConstantParams",
     "ZThresholds",
     "sigma_min",
     "z_thresholds",
@@ -48,22 +47,6 @@ TRANSFER_TRIVIAL = "trivial"
 
 # Measure-zero branch threshold for the transfer lemma's c_kappa.
 _NULL_MEASURE = 1e-14
-
-
-@dataclass(frozen=True)
-class ConstantParams:
-    """Free parameters of the stability constant.
-
-    c is the absolute constant of the halfspace stability input; its true
-    value is not numerically known, so c = 1.0 is an assumption and every
-    report records the value actually used.
-    """
-
-    c: float = 1.0
-
-    def __post_init__(self):
-        if not (0.0 < self.c < math.inf):
-            raise DomainError(f"constant c must be positive and finite, got {self.c}")
 
 
 @dataclass(frozen=True)
@@ -111,11 +94,11 @@ def sigma_min(m: float) -> float:
 
 
 def _ratio(A: float, m: float, order: FractionalOrder, P: PerimeterValue, factor: float) -> float:
-    """A m / (factor beta_s P) = s A m / (factor P): z0^s with 72 and P_s(E), z1^s with 144
+    """(s/P) (A m / factor), finite where 1/s is not: z0^s with 72 and P_s(E), z1^s with 144
     and P_s(H), and z_max^s with A = m = 1, 8 alpha and P_s(E).  P = 0 raises ResolutionError."""
     if P.value == 0.0:  # no boundary, or K_s P_s underflows for s near 1e-310
         raise ResolutionError(f"perimeter is 0 at s={order.s}, so the height is undefined")
-    return A * m / (factor * beta_coefficient(order.s) * P.value)
+    return order.s / P.value * (A * m / factor)
 
 
 def _height(A: float, m: float, order: FractionalOrder, P: PerimeterValue, factor: float) -> float:
@@ -128,7 +111,7 @@ def _height(A: float, m: float, order: FractionalOrder, P: PerimeterValue, facto
 
 def z_thresholds(E: GaussianSet, s, P_E: PerimeterValue,
                  P_H: PerimeterValue) -> ZThresholds:
-    """(z0, z1) = ((s A m / (72 P_E))^{1/s}, (s A m / (144 P_H))^{1/s}), by beta_s = 1/s."""
+    """(z0, z1) = ((s A m / (72 P_E))^{1/s}, (s A m / (144 P_H))^{1/s})."""
     order = as_order(s)
     A, m = asymmetry(E), measure(E)
     return ZThresholds(_height(A, m, order, P_E, 72.0), _height(A, m, order, P_H, 144.0))
@@ -152,29 +135,29 @@ def _exp(x: float) -> float:
         return math.inf
 
 
-def _log_C(order: FractionalOrder, m: float, params: ConstantParams, P_H: PerimeterValue,
-           A: float) -> float:
+def _log_C(order: FractionalOrder, m: float, c: float, P_H: PerimeterValue, A: float) -> float:
     """log(C_{s,m} A^{2/s}); 1/s enters once, as (2 - s) log(q) / s with q = z1^s; -inf at q = 0."""
     if not (0.0 < m <= 0.5):
         raise DomainError(f"constant_C expects m in (0, 1/2] (complement first), got {m}")
     q = _ratio(A, m, order, P_H, 144.0)
     return (math.log(225.0 * sigma_min(m) * A / (10816.0 * m * (2.0 - order.s))) + 0.5
-            - math.log(params.c) + ((2.0 - order.s) * math.log(q) / order.s if q else -math.inf))
+            - math.log(c) + ((2.0 - order.s) * math.log(q) / order.s if q else -math.inf))
 
 
-def constant_C(s, m: float, params: ConstantParams, P_H: PerimeterValue) -> float:
+def constant_C(s, m: float, c: float, P_H: PerimeterValue) -> float:
     """Explicit stability constant C_{s,m} for measures m <= 1/2:
 
     C = (225 sqrt(e) / (10816 c)) * sigma_m / (m (2-s)) * (s m / (144 P_H))^{2/s-1},
 
-    the paper's product of powers with its 1/s powers gathered into one (beta_s = 1/s).
-    C is e^{log C}, so it is 0.0 or inf only where C itself leaves the double range.
+    the paper's product of powers with its 1/s powers gathered into one (beta_s = 1/s), for
+    a positive, finite c.  C is e^{log C}: 0.0 or inf only where C leaves the double range.
     """
-    return _exp(_log_C(as_order(s), m, params, P_H, 1.0))
+    check_positive(c, "constant c")
+    return _exp(_log_C(as_order(s), m, c, P_H, 1.0))
 
 
-def verify_main(E: GaussianSet, s, params: ConstantParams = ConstantParams(),
-                K: int = 10_000, convention: str = "with_constant") -> DeficitReport:
+def verify_main(E: GaussianSet, s, c: float = 1.0, K: int = 10_000,
+                convention: str = "with_constant") -> DeficitReport:
     """Full main-inequality check: deficit >= rhs up to the truncation budget.
 
     Sets of measure above 1/2 are complemented first; perimeter, deficit and
@@ -184,7 +167,9 @@ def verify_main(E: GaussianSet, s, params: ConstantParams = ConstantParams(),
     rhs = C asym^{2/s} = (225 sqrt(e) / (10816 c)) sigma_m asym / (m (2-s)) z1^{2-s},
     z1 from `z_thresholds`.  C and rhs are e to one exponent taken at asym = 1 and at
     asym (rhs = 0.0 at asym = 0): 0.0 or inf only where the value leaves the double range.
+    c (assumed 1 by default) is recorded; a c not positive and finite raises first.
     """
+    check_positive(c, "constant c")
     order = as_order(s)
     m_raw = measure(E)
     if not (0.0 < m_raw < 1.0):
@@ -200,12 +185,12 @@ def verify_main(E: GaussianSet, s, params: ConstantParams = ConstantParams(),
     A = asymmetry(work)
     budget = 2.0 * (P_E.tail_bound + P_H.tail_bound)
     branch = "large_perimeter" if P_E.value > 2.0 * P_H.value else "main"
-    log_rhs = ((lambda a: _log_C(order, m, params, P_H, a)) if branch == "main"
+    log_rhs = ((lambda a: _log_C(order, m, c, P_H, a)) if branch == "main"
                else lambda a: 2.0 * math.log(a / 2.0) / order.s + math.log(P_H.value))
     C, rhs = _exp(log_rhs(1.0)), (_exp(log_rhs(A)) if A else 0.0)
     satisfied = deficit >= rhs - budget
     return DeficitReport(E, order, m_raw, P_E, P_H, deficit, A, C, rhs,
-                         satisfied, branch, params.c, budget)
+                         satisfied, branch, c, budget)
 
 
 def verify_transfer_lemma(E: GaussianSet, F: GaussianSet, kappa: float) -> str:
@@ -232,11 +217,10 @@ def verify_transfer_lemma(E: GaussianSet, F: GaussianSet, kappa: float) -> str:
 
 
 def closeness_z_max(E: GaussianSet, s, alpha: float, K: int = 10_000) -> float:
-    """Upper end of the admissible z-range, (1/(8 alpha beta_s P_s(E)))^{1/s}
-    = (s/(8 alpha P_s(E)))^{1/s}."""
+    """Upper end of the admissible z-range, (s/(8 alpha P_s(E)))^{1/s}; inf where that
+    lies past the double range, down to the subnormal s."""
     order = as_order(s)
-    if not (alpha > 0.0 and math.isfinite(alpha)):  # a NaN would pass a ``<= 0`` test
-        raise DomainError(f"alpha must be positive and finite, got {alpha}")
+    check_positive(alpha, "alpha")
     return _height(1.0, 1.0, order, perimeter_spectral(E, order, K), 8.0 * alpha)
 
 
@@ -274,8 +258,10 @@ def verify_levelset_bounds(E: GaussianSet, s, t: float, z: float,
     """Measure closeness and asymmetry retention of the level set at height z.
 
     Checks |mu_z(t) - m| <= (2/9) m asym(E) and
-    asym(E_{t,z}) >= (5/13) asym(E), for t in [1/4, 3/4] and z <= z0.
-    ``field`` is as in `verify_levelset_closeness`.
+    asym(E_{t,z}) >= (5/13) asym(E), for t in [1/4, 3/4] and z <= z0, up to the
+    level set's budget.  Where that covers (5/13) asym(E) the second holds unread;
+    else a level set of measure 0 or 1 fails it.  ``field`` is as in
+    `verify_levelset_closeness`.
     """
     order = as_order(s)
     if not (0.25 <= t <= 0.75):
@@ -292,4 +278,5 @@ def verify_levelset_bounds(E: GaussianSet, s, t: float, z: float,
     if not abs(rec.mu - m) <= (2.0 / 9.0) * m * A + budget:
         return False
     asym_budget = budget / min(rec.mu, m) if min(rec.mu, m) > 0.0 else math.inf
-    return asymmetry(rec.set) >= (5.0 / 13.0) * A - asym_budget
+    least = (5.0 / 13.0) * A - asym_budget
+    return least <= 0.0 or (0.0 < rec.mu < 1.0 and asymmetry(rec.set) >= least)

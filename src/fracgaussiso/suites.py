@@ -10,9 +10,9 @@ from __future__ import annotations
 import random
 
 from .errors import DomainError
-from .inequality import (ConstantParams, TRANSFER_FAILS, closeness_z_max,
-                         verify_levelset_bounds, verify_levelset_closeness,
-                         verify_main, verify_transfer_lemma, z0_threshold)
+from .inequality import (TRANSFER_FAILS, closeness_z_max, verify_levelset_bounds,
+                         verify_levelset_closeness, verify_main,
+                         verify_transfer_lemma, z0_threshold)
 from .sets import GaussianSet, interval, measure, symm_diff
 
 __all__ = [
@@ -113,11 +113,9 @@ def run_bounds_suite(n: int = 50, seed: int = 0) -> tuple[list[dict], int]:
 def run_main_suite(n: int = 200, seed: int = 0, K: int = 10_000, c: float = 1.0,
                    convention: str = "with_constant") -> tuple[list[dict], int]:
     """Main inequality over the random family."""
-    params = ConstantParams(c)
-
     def rows_of(E, rng):
         for s in _MAIN_S_VALUES:
-            yield {"set": str(E), "s": s, **verify_main(E, s, params, K, convention).columns()}
+            yield {"set": str(E), "s": s, **verify_main(E, s, c, K, convention).columns()}
     return _run("main", n, seed, rows_of)
 
 

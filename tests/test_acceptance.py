@@ -93,7 +93,7 @@ def test_criterion_07_trace_gap():
             P = fg.perimeter_spectral(E, s, 4000).value
             for z in np.geomspace(1e-3, 10.0, 13):
                 gap = trace_gap(E, s, float(z), 4000)
-                if gap > 2.0 * fg.beta_coefficient(s) * z ** s * P * (1 + 1e-12):
+                if gap > 2.0 / s * z ** s * P * (1 + 1e-12):  # beta_s = 1/s
                     violations += 1
     _report(7, "trace gap inequality, zero violations", violations == 0)
 

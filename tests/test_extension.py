@@ -20,7 +20,7 @@ from fracgaussiso.extension import (_CELL, LEVELSET_GRID, _BISECT_TOL, _LEVELSET
                                     _semigroup_rows, evaluate_extension,
                                     extension_field, level_set_with_budget,
                                     mehler_extension)
-from fracgaussiso.gauss_core import beta_coefficient, k_coefficient, laguerre_roots
+from fracgaussiso.gauss_core import k_coefficient, laguerre_roots
 from fracgaussiso.sets import (EMPTY, FULL_LINE, GaussianSet, complement, halfline,
                                interval, measure, parse_set, reflect, symm_diff)
 from oracles import (boundary_flux_check, boundary_flux_richardson, profile_psi, psi_bulk,
@@ -78,7 +78,7 @@ def test_trace_gap_bound():
             P = perimeter_spectral(E, s, 2000).value
             for z in np.geomspace(1e-3, 10.0, 9):
                 gap = trace_gap(E, s, float(z), 2000)
-                assert gap <= 2.0 * beta_coefficient(s) * z ** s * P * (1 + 1e-12)
+                assert gap <= 2.0 / s * z ** s * P * (1 + 1e-12)  # 2 beta_s z^s P, beta_s = 1/s
 
 
 def test_trace_gap_vanishes_as_z_to_zero():
@@ -227,11 +227,13 @@ def test_mehler_extension_does_not_depend_on_the_block_budget(monkeypatch):
     for x in (LEVELSET_GRID, scattered):
         # few live points at 80 nodes, most of them live at 40 nodes
         for sigma, z, n_quad in ((0.25, 1e-3, 80), (0.4, 0.05, 40)):
+            # one-point blocks cost a numpy pass per point: the scattered points alone
+            budgets = (_MEHLER_ENTRIES, n_quad * x.size) + ((n_quad,) if x is scattered else ())
             values = []
-            for budget in (n_quad, _MEHLER_ENTRIES, n_quad * x.size):
+            for budget in budgets:
                 monkeypatch.setattr(extension, "_MEHLER_ENTRIES", budget)
                 values.append(mehler_extension(THREE_PIECES, sigma, x, z, n_quad).tobytes())
-            assert values[0] == values[1] == values[2]
+            assert all(v == values[0] for v in values)
 
 
 @lru_cache(maxsize=4)
@@ -572,7 +574,7 @@ def test_plateau_bounds_overflow_silently_at_a_tiny_node_decay():
 def test_plateau_limits_match_a_loop_over_the_endpoints():
     # one array expression gives every endpoint's limits; each is the
     # per-endpoint expression bit for bit, also where a node's decay is 0
-    rng, largest = random.Random(3), np.finfo(float).max
+    rng = random.Random(3)
     for i in range(60):
         E = NARROW_AND_TAILED[i] if i < len(NARROW_AND_TAILED) else suites.random_gaussian_set(rng)
         rule = extension._MehlerRule(E, rng.uniform(0.01, 0.49), 10.0 ** rng.uniform(-7.0, 3.0),
@@ -583,8 +585,8 @@ def test_plateau_limits_match_a_loop_over_the_endpoints():
                 slack = extension._PLATEAU_MARGIN * (1.0 + abs(e) + 9.0 * d)
                 below.append(np.where(c > 0.0, (e - 9.0 * d - slack) / c, -math.inf).min())
                 above.append(np.where(c > 0.0, (e + 9.0 * d + slack) / c, math.inf).max())
-        assert rule.below.tobytes() == np.maximum(below, -largest).tobytes()
-        assert rule.above.tobytes() == np.minimum(above, largest).tobytes()
+        assert rule.below.tobytes() == np.array(below).tobytes()
+        assert rule.above.tobytes() == np.array(above).tobytes()
 
 
 @st.composite

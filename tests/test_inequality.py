@@ -9,7 +9,7 @@ import pytest
 from fracgaussiso import cli, inequality, sets, suites
 from fracgaussiso.errors import DegenerateSetError, DomainError, ResolutionError
 from fracgaussiso.extension import LevelSetRecord
-from fracgaussiso.inequality import (ConstantParams, TRANSFER_FAILS,
+from fracgaussiso.inequality import (TRANSFER_FAILS,
                                      TRANSFER_HOLDS, TRANSFER_INAPPLICABLE,
                                      TRANSFER_TRIVIAL, closeness_z_max,
                                      constant_C, sigma_min,
@@ -17,7 +17,7 @@ from fracgaussiso.inequality import (ConstantParams, TRANSFER_FAILS,
                                      verify_levelset_closeness, verify_main,
                                      verify_transfer_lemma, z0_threshold,
                                      z_thresholds)
-from fracgaussiso.gauss_core import as_order, beta_coefficient, iso_function, phi_inv
+from fracgaussiso.gauss_core import as_order, iso_function, phi_inv
 from fracgaussiso.sets import (EMPTY, GaussianSet, complement,
                                ehrhard_symmetrize, halfline, interval,
                                measure, symm_diff)
@@ -95,8 +95,8 @@ def test_the_bounds_checks_never_symmetrize(monkeypatch):
 
 def test_constant_C_positive_and_linear_in_c():
     P_H = perimeter_spectral(halfline(0.0), 0.5, 2000)
-    c1 = constant_C(0.5, 0.3, ConstantParams(1.0), P_H)
-    c2 = constant_C(0.5, 0.3, ConstantParams(2.0), P_H)
+    c1 = constant_C(0.5, 0.3, 1.0, P_H)
+    c2 = constant_C(0.5, 0.3, 2.0, P_H)
     assert c1 > 0.0
     assert c2 == pytest.approx(c1 / 2.0, rel=1e-14)
 
@@ -104,7 +104,7 @@ def test_constant_C_positive_and_linear_in_c():
 def test_constant_C_golden():
     # dual transcription: frozen literal plus an independent mpmath evaluation
     P_H = perimeter_spectral(halfline(0.0), 0.5, 10_000)
-    val = constant_C(0.5, 0.5, ConstantParams(), P_H)
+    val = constant_C(0.5, 0.5, 1.0, P_H)
     assert val == pytest.approx(3.4391354482574013e-07, rel=1e-12)
     mp.mp.dps = 40
     s = mp.mpf("0.5")
@@ -132,7 +132,7 @@ def _log_C_30(s, m, c, P_H, branch="main"):
     return (4 - 4 / sv) * mp.log(3) + mp.log(mp.mpf(25) / 169) - mp.log(mp.mpf(c)) \
         - (8 / sv + 2) * mp.log(2) + mp.mpf("0.5") - mp.log(2 - sv) \
         + mp.log(sigma_min(m)) + (2 / sv - 2) * mp.log(mp.mpf(m)) \
-        - (2 / sv - 1) * mp.log(mp.mpf(beta_coefficient(s)) * mp.mpf(P_H))
+        - (2 / sv - 1) * mp.log(mp.mpf(P_H) / sv)  # beta_s P_H, beta_s = 1/s
 
 
 def _rhs_30(log_C, s, asym):
@@ -160,7 +160,7 @@ def test_constant_C_survives_the_underflow_of_its_factors(text, s, convention, c
     # the double range at (0,1), s = 0.005 and at (-0.4,0.4), s = 0.02, where
     # asym = 2 still leaves rhs = 2.4e-308; it lies above it at c = 1e-320,
     # and is subnormal at c = 1e308, where 169 c overflows
-    rep = verify_main(sets.parse_set(text), s, ConstantParams(c), convention=convention)
+    rep = verify_main(sets.parse_set(text), s, c, convention=convention)
     assert rep.branch == "main"
     log_C = _log_C_30(s, rep.m, c, rep.P_H.value)
     # a subnormal holds fewer digits: allow one unit of its last place
@@ -240,24 +240,29 @@ def test_the_constant_exceeds_the_perimeter_of_a_tail_halfline():
     # allows from asym = 0.008 at s = 0.5.  This pins the defect until the
     # constant's form for small m is settled against the paper.
     P_H = halfline_perimeter(phi_inv(1e-16), 0.5)
-    assert constant_C(0.5, 1e-16, ConstantParams(), P_H) / P_H.value > 1.0
+    assert constant_C(0.5, 1e-16, 1.0, P_H) / P_H.value > 1.0
 
 
 def test_constant_C_needs_small_m():
     P_H = perimeter_spectral(halfline(0.0), 0.5, 500)
     with pytest.raises(DomainError):
-        constant_C(0.5, 0.7, ConstantParams(), P_H)
+        constant_C(0.5, 0.7, 1.0, P_H)
 
 
-def test_constant_params_validation():
-    with pytest.raises(DomainError):
-        ConstantParams(0.0)
+def test_constant_c_is_checked_before_the_set():
+    # an empty set with a bad c names c, as the CLI's deficit did before any s
+    for c in (0.0, -1.0):
+        with pytest.raises(DomainError, match="constant c must be positive and finite"):
+            verify_main(EMPTY, 0.5, c)
 
 
-@pytest.mark.parametrize("c", [math.inf, math.nan])
-def test_constant_params_rejects_c_outside_0_inf(c):
+@pytest.mark.parametrize("c", [0.0, -1.0, math.inf, math.nan])
+def test_verify_main_and_constant_C_reject_c_outside_0_inf(c):
+    P_H = perimeter_spectral(halfline(0.0), 0.5, 500)
     with pytest.raises(DomainError, match="constant c"):
-        ConstantParams(c)
+        verify_main(interval(0.0, 1.0), 0.5, c, K=500)
+    with pytest.raises(DomainError, match="constant c"):
+        constant_C(0.5, 0.3, c, P_H)
 
 
 def test_verify_main_halfline_trivial():
@@ -283,8 +288,7 @@ def test_verify_main_branch_consistency():
     if rep.branch == "large_perimeter":
         expect = rep.P_H.value / 2.0 ** (2.0 / 0.5) * rep.asym ** (2.0 / 0.5)
     else:
-        expect = constant_C(0.5, min(rep.m, 1 - rep.m), ConstantParams(),
-                            rep.P_H) * rep.asym ** (2.0 / 0.5)
+        expect = constant_C(0.5, min(rep.m, 1 - rep.m), 1.0, rep.P_H) * rep.asym ** (2.0 / 0.5)
     assert rep.rhs == pytest.approx(expect, rel=1e-12)
 
 
@@ -340,6 +344,13 @@ def test_a_height_past_the_double_range_is_inf():
     assert verify_levelset_closeness(interval(6, 7), 0.01, 0.5, 1.0, 20.0) is True
 
 
+@pytest.mark.parametrize("s", [8e-307, 1e-307, 1e-308])
+def test_a_closeness_limit_is_inf_down_to_the_subnormal_s(s):
+    # 8 alpha / s overflows here, but s / P_s(E) stays finite and the limit
+    # lies past the double range; 0.0 would leave no admissible z
+    assert closeness_z_max(interval(-8.0, -7.5), s, 20.0) == math.inf
+
+
 def test_a_perimeter_that_underflows_to_0_gives_no_height():
     # at s = 1e-310, P_s((-8, -7.5)) underflows to 0.0 and beta_s = 1/s to inf,
     # whose product made every height nan and the closeness check's z-range (0, nan)
@@ -362,8 +373,8 @@ def test_each_main_row_fails_below_its_flip_value_of_c():
     for row in flipped:
         assert row["branch"] == "main" and row["c"] == 1.0 and row["satisfied"]
         E, c_flip = sets.parse_set(row["set"]), row["rhs"] / (row["deficit"] + row["budget"])
-        assert not verify_main(E, row["s"], ConstantParams(c_flip / 2.0)).satisfied
-        assert verify_main(E, row["s"], ConstantParams(2.0 * c_flip)).satisfied
+        assert not verify_main(E, row["s"], c_flip / 2.0).satisfied
+        assert verify_main(E, row["s"], 2.0 * c_flip).satisfied
 
 
 def test_levelset_closeness_precondition():
@@ -403,6 +414,18 @@ def test_levelset_checks_reject_a_field_of_another_set_or_order():
             verify_levelset_closeness(E, s, 0.5, z, 20.0, K, field=wrong)
         with pytest.raises(DomainError, match="does not belong"):
             verify_levelset_bounds(E, s, 0.5, thr.z0, K, field=wrong)
+
+
+@pytest.mark.parametrize("text", ["(0.1002,0.1008)", "(-inf,0.1002)|(0.1008,inf)"])
+def test_levelset_bounds_hold_within_budget_on_an_empty_or_full_level_set(text):
+    # the level set is empty (or the whole line), and the narrow part's mass puts the
+    # budget, 2.38e-4, above m = 2.38e-4: both checks hold within it, without the
+    # asymmetry of the level set, which a set of measure 0 or 1 lacks
+    E, s = sets.parse_set(text), 0.5
+    z0 = z0_threshold(E, s)
+    for z in (z0, z0 / 2.0):
+        for t in (0.25, 0.5, 0.75):
+            assert verify_levelset_bounds(E, s, t, z)
 
 
 def test_levelset_bounds_vacuous_for_halfline():

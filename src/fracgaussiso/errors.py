@@ -11,7 +11,8 @@ class DegenerateSetError(DomainError):
 
 class ResolutionError(RuntimeError):
     """A value lies below the resolution of the rule that computes it: a level-set
-    threshold below the extraction rule's, or a perimeter that underflows to 0."""
+    threshold or an extension order below the Mehler rule's, or a perimeter that
+    underflows to 0."""
 
 
 class SetParseError(ValueError):

@@ -2,10 +2,10 @@
 
 Everything is taken with respect to the standard Gaussian probability measure
 gamma_1 = (2 pi)^{-1/2} e^{-x^2/2} dx.  Gamma is ``math.gamma``, the inverse
-CDF is ``statistics.NormalDist().inv_cdf`` and ``phi`` is ``math.erfc``; the
-Gauss-Laguerre roots are computed here with numpy (``laguerre_roots``).  So
-importing this module loads no scipy.  The wrappers add the domain checks on
-outside input.
+CDF is ``statistics.NormalDist().inv_cdf``, ``phi`` is ``math.erfc``, and
+``ndtr`` (Phi on arrays) and the Gauss-Laguerre roots (``laguerre_roots``) are
+computed here with numpy.  So importing this module loads no scipy.  The
+wrappers add the domain checks on outside input.
 """
 from __future__ import annotations
 
@@ -23,6 +23,7 @@ __all__ = [
     "laguerre_roots",
     "gamma_fn",
     "phi",
+    "ndtr",
     "phi_inv",
     "iso_function",
     "k_coefficient",
@@ -120,6 +121,51 @@ def gamma_fn(x: float) -> float:
 def phi(r: float) -> float:
     """Gaussian CDF Phi(r) = gamma_1((-inf, r)); exactly 0 and 1 at -inf and +inf."""
     return 0.5 * math.erfc(-r / math.sqrt(2.0))
+
+
+# Cephes ndtr (Moshier): erf(x) = x T(x^2)/U(x^2) for |x| < 1 and erfc(x) =
+# e^{-x^2} P(x)/Q(x) for 1 <= x < 8, as the Horner schemes (polevl) of T + iU and
+# P + iQ: at a real argument the real and imaginary parts round as two real
+# schemes.  The monic U and Q (p1evl) lead with 1.0 (1 x + c is x + c), T with 0.0.
+_ERF_TU = [complex(*c) for c in zip(
+    (0.0, 9.60497373987051638749E0, 9.00260197203842689217E1, 2.23200534594684319226E3,
+     7.00332514112805075473E3, 5.55923013010394962768E4),
+    (1.0, 3.35617141647503099647E1, 5.21357949780152679795E2, 4.59432382970980127987E3,
+     2.26290000613890934246E4, 4.92673942608635921086E4))]
+_ERFC_PQ = [complex(*c) for c in zip(
+    (2.46196981473530512524E-10, 5.64189564831068821977E-1, 7.46321056442269912687E0,
+     4.86371970985681366614E1, 1.96520832956077098242E2, 5.26445194995477358631E2,
+     9.34528527171957607540E2, 1.02755188689515710272E3, 5.57535335369399327526E2),
+    (1.0, 1.32281951154744992508E1, 8.67072140885989742329E1, 3.54937778887819891062E2,
+     9.75708501743205489753E2, 1.82390916687909736289E3, 2.24633760818710981792E3,
+     1.65666309194161350182E3, 5.57535340817727675546E2))]
+
+
+def _horner(z: np.ndarray, coefs: list) -> np.ndarray:
+    """The complex Horner scheme of ``_ERF_TU`` or ``_ERFC_PQ`` at z."""
+    acc = coefs[0] * z + coefs[1]
+    for c in coefs[2:]:
+        acc *= z
+        acc += c
+    return acc
+
+
+def ndtr(a: np.ndarray) -> np.ndarray:
+    """Phi on an array, scipy.special.ndtr's Cephes code and C-library exp bit
+    for bit where |a| < 8 sqrt(2): with x = a/sqrt(2), 0.5 + 0.5 erf(x) for
+    |x| < 1, else 1 - y for x > 0 and y below, y = 0.5 erfc(|x|).  NaN stays NaN."""
+    x = np.asarray(a, dtype=float) * math.sqrt(0.5)
+    out, r = np.empty_like(x), np.abs(x)
+    erf = r < 1.0
+    xs = x[erf]
+    tu = _horner(xs * xs + 0j, _ERF_TU)
+    out[erf] = 0.5 + 0.5 * (xs * tu.real / tu.imag)
+    xs, r = x[~erf], r[~erf]
+    pq = _horner(r + 0j, _ERFC_PQ)
+    # Cephes's exp: the complex np.exp takes the C library's; np.exp of a double may not
+    y = 0.5 * (np.exp(0j - r * r).real * pq.real / pq.imag)
+    out[~erf] = np.where(xs > 0.0, 1.0 - y, y)
+    return out
 
 
 def phi_inv(m: float) -> float:

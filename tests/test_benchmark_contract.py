@@ -81,7 +81,7 @@ def test_one_levelset_set_evaluates_the_grid_only_near_its_crossings(perfbench, 
     # the 6 rules of the first set evaluate U on the coarse grid and in the
     # cells near crossings: under a tenth of the 6 x 16 001 points that the
     # whole grid took, while the bisection (its points are off the grid)
-    # evaluates exactly the 3 834 points it took then
+    # evaluates exactly the points its prefetch depths ask for
     import numpy as np
 
     from fracgaussiso import extension
@@ -103,7 +103,40 @@ def test_one_levelset_set_evaluates_the_grid_only_near_its_crossings(perfbench, 
         wl.close()
     assert extension.LEVELSET_GRID.size not in [n for _, n in calls]
     assert sum(n for on_grid, n in calls if on_grid) < 6 * 16_001 / 10
-    assert sum(n for on_grid, n in calls if not on_grid) == 3834
+    assert sum(n for on_grid, n in calls if not on_grid) == 2108
+
+
+def test_a_levelset_pass_bisects_with_at_most_32_points_per_crossing(perfbench, monkeypatch):
+    # 24 bisection steps per crossing; a prefetch of each bracket's whole
+    # predicted path took 58 points, most of them past its first mispredicted
+    # midpoint
+    import numpy as np
+
+    from fracgaussiso import extension
+
+    _, workloads = perfbench
+    points, crossings = [], []
+    mehler, extract = extension.mehler_extension, extension._extract_level_set
+
+    def counting(E, sigma, x, z, n_quad=80):
+        if not np.isin(x, extension.LEVELSET_GRID).all():
+            points.append(np.size(x))
+        return mehler(E, sigma, x, z, n_quad)
+
+    def extracting(rule, t):
+        level_set = extract(rule, t)
+        crossings.append(len(level_set.finite_endpoints))
+        return level_set
+
+    monkeypatch.setattr(extension, "mehler_extension", counting)
+    monkeypatch.setattr(extension, "_extract_level_set", extracting)
+    wl = workloads.Levelset(SEED, 25.0, None)
+    try:
+        for E in wl.units:
+            list(wl.run(E))
+    finally:
+        wl.close()
+    assert sum(crossings) > 400 and sum(points) <= 32 * sum(crossings)
 
 
 def test_the_profile_and_the_mehler_rule_share_one_laguerre_root_cache(perfbench, monkeypatch):

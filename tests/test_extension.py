@@ -20,7 +20,7 @@ from fracgaussiso.extension import (_CELL, LEVELSET_GRID, _BISECT_TOL, _LEVELSET
                                     _semigroup_rows, evaluate_extension,
                                     extension_field, level_set_with_budget,
                                     mehler_extension)
-from fracgaussiso.gauss_core import k_coefficient, laguerre_roots
+from fracgaussiso.gauss_core import k_coefficient, laguerre_roots, ndtr
 from fracgaussiso.sets import (EMPTY, FULL_LINE, GaussianSet, complement, halfline,
                                interval, measure, parse_set, reflect, symm_diff)
 from oracles import (boundary_flux_check, boundary_flux_richardson, profile_psi, psi_bulk,
@@ -172,8 +172,10 @@ def test_level_set_rejects_a_field_of_an_order_outside_0_1(sigma):
 
 
 def _flat_ndtr(arg):
-    """Phi with its lower tail dropped at -9, as the Mehler rows take it."""
-    return np.where(arg <= -9.0, 0.0, special.ndtr(arg))
+    """The module's array Phi with its tails flattened at +-9, as the Mehler
+    rows take it."""
+    live = np.abs(arg) < 9.0
+    return np.where(live, ndtr(np.where(live, arg, 0.0)), arg >= 9.0)
 
 
 def _dense_rows(E, taus, x, phi=_flat_ndtr):
@@ -374,8 +376,9 @@ def test_level_set_batches_its_bisection(monkeypatch):
 
 
 def test_a_grid_evaluates_each_endpoint_once_and_calls_no_mehler_extension(monkeypatch):
-    # one _ndtr_plateau call per finite endpoint, all on the same live
-    # coarse points: fewer than the 1 001 at small z, where the windows are narrow
+    # each endpoint's terms once, in one _ndtr_plateau call of shape
+    # (endpoints, n_quad, live coarse points): fewer points than the 1 001 at
+    # small z, where the windows are narrow
     plateau, shapes = extension._ndtr_plateau, []
     monkeypatch.setattr(extension, "_ndtr_plateau", lambda arg: shapes.append(arg.shape)
                         or plateau(arg))
@@ -385,11 +388,10 @@ def test_a_grid_evaluates_each_endpoint_once_and_calls_no_mehler_extension(monke
         for z, n_quad in ((1e-3, _LEVELSET_QUAD), (0.3, 40)):
             shapes.clear()
             values, bound = extension._MehlerRule(E, 0.25, z, n_quad).grid
-            assert len(shapes) == len(E.finite_endpoints)
-            assert all(shape == (n_quad, shapes[0][1]) for shape in shapes)
+            assert len(shapes) == 1 and shapes[0][:2] == (len(E.finite_endpoints), n_quad)
             assert not np.isnan(values[::_CELL]).any() and bound.size == 1000
             if E.finite_endpoints and z < 0.01:
-                assert shapes[0][1] < 1001 / 2
+                assert shapes[0][2] < 1001 / 2
 
 
 @st.composite

@@ -6,7 +6,7 @@ import pytest
 
 from fracgaussiso.errors import DomainError
 from fracgaussiso.gauss_core import (FractionalOrder, gamma_fn, iso_function,
-                                     k_coefficient, laguerre_roots, phi, phi_inv)
+                                     k_coefficient, laguerre_roots, ndtr, phi, phi_inv)
 from oracles import hermite_eval, hermite_rule, phi_quad
 
 
@@ -48,6 +48,22 @@ def test_phi_values():
     assert abs(phi(1.0) - phi_quad(1.0)) < 1e-10
     assert phi(math.inf) == 1.0
     assert phi(-math.inf) == 0.0
+
+
+def test_array_phi_is_the_cephes_ndtr_of_scipy():
+    # bit for bit on a dense sweep of (-9, 9) and at the branch edges +-sqrt 2:
+    # the erf branch (|a| < sqrt 2, no exp) pins T and U, the erfc branch P, Q
+    # and the C library's exp
+    from scipy.special import ndtr as scipy_ndtr
+
+    root2 = math.sqrt(2.0)
+    edge = np.array([root2, -root2])[:, None] + np.spacing(root2) * np.arange(-40.0, 41.0)
+    a = np.concatenate([np.linspace(-9.0, 9.0, 400_001), edge.ravel(), [0.0, -0.0]])
+    erf = np.abs(a) < root2
+    assert 60_000 < erf.sum() < a.size - 300_000
+    assert np.array_equal(ndtr(a), scipy_ndtr(a))
+    assert math.isnan(ndtr(np.array([math.nan]))[0])
+    assert ndtr(np.zeros((2, 0, 3))).shape == (2, 0, 3)
 
 
 def test_phi_inv_roundtrip():

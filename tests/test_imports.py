@@ -12,11 +12,11 @@ definition.  A third check keeps ndarray fields out of dataclasses whose
 keeps the ``roots_*`` functions of ``scipy.special`` and ``scipy.integrate``
 out of the package (``gauss_core.laguerre_roots`` computes the package's
 rules, and the tests' quadrature oracles live in ``tests/oracles.py``), a
-fifth keeps every call of scipy's ``ndtr`` in ``extension._ndtr_plateau``, so
-the Mehler rows have one Phi, and a sixth keeps the Hermite recurrence in
-``_kernels_py`` and every coefficient table one kernel call per set.  The last test imports the package in a
-fresh interpreter: the package and the spectral commands load no scipy, and
-the paths that use it import it.
+fifth keeps ``scipy.special`` out of the package (``gauss_core.ndtr`` is the
+Mehler rows' Phi), and a sixth keeps the Hermite recurrence in
+``_kernels_py`` and every coefficient table one kernel call per set.  The last
+test imports the package in a fresh interpreter: the package and every
+command load no scipy, and the PDE solve that uses it imports it.
 """
 import ast
 import json
@@ -179,8 +179,8 @@ def test_the_check_flags_root_calls_by_attribute_and_by_imported_name():
                                           "line 7: roots_legendre"]
 
 
-def scipy_integrate_imports(source: str) -> list[str]:
-    """'line N' for each import of ``scipy.integrate`` or of a name from it."""
+def scipy_imports(source: str, module: str) -> list[str]:
+    """'line N' for each import of the scipy subpackage ``module`` or of a name from it."""
     found = []
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Import):
@@ -189,56 +189,28 @@ def scipy_integrate_imports(source: str) -> list[str]:
             names = [f"{node.module}.{alias.name}" for alias in node.names]
         else:
             continue
-        if any(name == "scipy.integrate" or name.startswith("scipy.integrate.")
-               for name in names):
+        if any(name == module or name.startswith(f"{module}.") for name in names):
             found.append(f"line {node.lineno}")
     return found
 
 
 def test_no_module_imports_scipy_integrate():
     assert [f"{p.name}: {line}" for p in MODULES
-            for line in scipy_integrate_imports(p.read_text())] == []
+            for line in scipy_imports(p.read_text(), "scipy.integrate")] == []
     source = ("import scipy.integrate as si\nfrom scipy import special, integrate\n"
               "from scipy.integrate import quad\nfrom scipy import special\nimport scipy\n"
               "from . import integrate\n")
-    assert scipy_integrate_imports(source) == ["line 1", "line 2", "line 3"]
+    assert scipy_imports(source, "scipy.integrate") == ["line 1", "line 2", "line 3"]
 
 
-def ndtr_calls(source: str) -> list[str]:
-    """The top-level function, class or '<module>' around each call of
-    ``ndtr``, as an attribute (``special.ndtr``) or as a name imported from
-    ``scipy.special`` (``from scipy.special import ndtr as phi``)."""
-    tree = ast.parse(source)
-    imported = {alias.asname or alias.name for node in ast.walk(tree)
-                if isinstance(node, ast.ImportFrom) and node.module == "scipy.special"
-                for alias in node.names if alias.name == "ndtr"}
-    found = []
-    for top in tree.body:
-        name = top.name if isinstance(top, (ast.FunctionDef, ast.AsyncFunctionDef,
-                                            ast.ClassDef)) else "<module>"
-        found += [name for node in ast.walk(top) if isinstance(node, ast.Call) and (
-            (isinstance(node.func, ast.Attribute) and node.func.attr == "ndtr")
-            or (isinstance(node.func, ast.Name) and node.func.id in imported))]
-    return found
-
-
-def test_only_the_plateau_evaluator_calls_ndtr():
-    # the Mehler rows take Phi with its tails flattened, from this one place
-    assert [f"{p.name}: {name}" for p in MODULES
-            for name in ndtr_calls(p.read_text())] == ["extension.py: _ndtr_plateau"]
-
-
-def test_the_check_flags_ndtr_calls_by_attribute_and_by_imported_name():
-    source = ("import scipy.special\nfrom scipy import special\n"
-              "from scipy.special import ndtr as Phi, ndtri\n\n"
-              "def attr(x):\n    return special.ndtr(x) + special.ndtri(x)\n\n"
-              "def local(x):\n    from scipy.special import log_ndtr, ndtr\n"
-              "    return ndtr(x) + log_ndtr(x)\n\n"
-              "class Rule:\n    def row(self, x):\n        return scipy.special.ndtr(x)\n\n"
-              "def module_alias(x):\n    return Phi(x) + ndtri(x)\n\n"
-              "def other(x):\n    return phi(x) + ndtr_like(x)\n\n"
-              "VALUE = special.ndtr(0.0)\n")
-    assert ndtr_calls(source) == ["attr", "local", "Rule", "module_alias", "<module>"]
+def test_no_module_imports_scipy_special():
+    # the Mehler rows take Phi from gauss_core.ndtr, a numpy port
+    assert [f"{p.name}: {line}" for p in MODULES
+            for line in scipy_imports(p.read_text(), "scipy.special")] == []
+    source = ("import scipy.special\nfrom scipy import linalg, special\n"
+              "def local(x):\n    from scipy.special import ndtr as Phi\n    return Phi(x)\n"
+              "from scipy import linalg\nimport scipy\nfrom . import special\n")
+    assert scipy_imports(source, "scipy.special") == ["line 1", "line 2", "line 4"]
 
 
 _LOOPS = (ast.For, ast.AsyncFor, ast.While, ast.ListComp, ast.SetComp, ast.DictComp,
@@ -308,7 +280,8 @@ def loaded():
 steps = [["import", 0, loaded()]]
 for argv in (["deficit", "--set", "(-1,0.5)|(1,inf)", "--s", "0.5"],
              ["perimeter", "--set", "(0,1)", "--s", "0.5"], ["asymptotic"],
-             ["sweep", "--s", "0.5"], ["verify", "--suite", "levelset", "--n", "1"]):
+             ["sweep", "--s", "0.5"], ["verify", "--suite", "all", "--n", "1"],
+             ["extension-eval", "--set", "(0,1)", "--x", "0.3", "--z", "0.1"]):
     with contextlib.redirect_stdout(io.StringIO()):
         rc = cli.main(argv)
     steps.append([argv[0], rc, loaded()])
@@ -326,8 +299,8 @@ def test_import_and_the_spectral_commands_load_no_scipy():
                          check=True).stdout
     steps = {name: (rc, modules) for name, rc, modules in json.loads(out)}
     assert all(rc == 0 for rc, _ in steps.values()), steps
-    for name in ("import", "deficit", "perimeter", "asymptotic", "sweep"):
+    for name in ("import", "deficit", "perimeter", "asymptotic", "sweep", "verify",
+                 "extension-eval"):
         assert steps[name][1] == [], name
-    # the Mehler path imports scipy.special for ndtr, and the PDE solve scipy.linalg
-    assert "scipy.special" in steps["verify"][1]
+    # only the PDE solve imports scipy, its scipy.linalg
     assert "scipy.linalg" in steps["pde_energy"][1]

@@ -351,6 +351,16 @@ def test_a_closeness_limit_is_inf_down_to_the_subnormal_s(s):
     assert closeness_z_max(interval(-8.0, -7.5), s, 20.0) == math.inf
 
 
+@pytest.mark.parametrize("s", [1e-16, 1e-17, 1e-308])
+def test_an_extension_order_below_the_mehler_rule_raises_resolution_error(s):
+    # sigma - 1 rounds to -1 below sigma = 5.6e-17, which made the Mehler
+    # rule's weight u^(sigma - 1) the non-integrable 1/u
+    with pytest.raises(ResolutionError, match="extension order") as raised:
+        verify_levelset_closeness(interval(-8.0, -7.5), s, 0.5, 0.1, 20.0)
+    assert "Laguerre" not in str(raised.value)
+    assert verify_levelset_closeness(interval(-8.0, -7.5), 2e-16, 0.5, 0.1, 20.0) is True
+
+
 def test_a_perimeter_that_underflows_to_0_gives_no_height():
     # at s = 1e-310, P_s((-8, -7.5)) underflows to 0.0 and beta_s = 1/s to inf,
     # whose product made every height nan and the closeness check's z-range (0, nan)

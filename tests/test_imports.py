@@ -13,7 +13,8 @@ keeps the ``roots_*`` functions of ``scipy.special`` and ``scipy.integrate``
 out of the package (``gauss_core.laguerre_roots`` computes the package's
 rules, and the tests' quadrature oracles live in ``tests/oracles.py``), a
 fifth keeps ``scipy.special`` out of the package (``gauss_core.ndtr`` is the
-Mehler rows' Phi), and a sixth keeps the Hermite recurrence in
+Mehler rows' Phi) and every call of ``ndtr`` in ``extension._ndtr_plateau``,
+so the Mehler rows have one Phi, and a sixth keeps the Hermite recurrence in
 ``_kernels_py`` and every coefficient table one kernel call per set.  The last
 test imports the package in a fresh interpreter: the package and every
 command load no scipy, and the PDE solve that uses it imports it.
@@ -211,6 +212,49 @@ def test_no_module_imports_scipy_special():
               "def local(x):\n    from scipy.special import ndtr as Phi\n    return Phi(x)\n"
               "from scipy import linalg\nimport scipy\nfrom . import special\n")
     assert scipy_imports(source, "scipy.special") == ["line 1", "line 2", "line 4"]
+
+
+
+def ndtr_calls(source: str) -> list[str]:
+    """The top-level function, class or '<module>' around each call of
+    ``ndtr``, as an attribute (``gauss_core.ndtr``, ``special.ndtr``) or as a
+    name imported from ``gauss_core`` or ``scipy.special``
+    (``from .gauss_core import ndtr as phi``)."""
+    tree = ast.parse(source)
+    imported = {alias.asname or alias.name for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom)
+                and node.module in ("gauss_core", "fracgaussiso.gauss_core", "scipy.special")
+                for alias in node.names if alias.name == "ndtr"}
+    found = []
+    for top in tree.body:
+        name = top.name if isinstance(top, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                            ast.ClassDef)) else "<module>"
+        found += [name for node in ast.walk(top) if isinstance(node, ast.Call) and (
+            (isinstance(node.func, ast.Attribute) and node.func.attr == "ndtr")
+            or (isinstance(node.func, ast.Name) and node.func.id in imported))]
+    return found
+
+
+def test_only_the_plateau_evaluator_calls_ndtr():
+    # the Mehler rows take Phi with its tails flattened, from this one place
+    assert [f"{p.name}: {name}" for p in MODULES
+            for name in ndtr_calls(p.read_text())] == ["extension.py: _ndtr_plateau"]
+
+
+def test_the_check_flags_ndtr_calls_by_attribute_and_by_imported_name():
+    source = ("import scipy.special\nfrom scipy import special\n"
+              "from scipy.special import ndtr as Phi, ndtri\n"
+              "from .gauss_core import ndtr as port, gamma_fn\n\n"
+              "def attr(x):\n    return special.ndtr(x) + special.ndtri(x)\n\n"
+              "def local(x):\n    from scipy.special import log_ndtr, ndtr\n"
+              "    return ndtr(x) + log_ndtr(x)\n\n"
+              "class Rule:\n    def row(self, x):\n        return scipy.special.ndtr(x)\n\n"
+              "def module_alias(x):\n    return Phi(x) + ndtri(x)\n\n"
+              "def ported(x):\n    return port(x) + gamma_fn(x)\n\n"
+              "def other(x):\n    return phi(x) + ndtr_like(x)\n\n"
+              "VALUE = gauss_core.ndtr(0.0)\n")
+    assert ndtr_calls(source) == ["attr", "local", "Rule", "module_alias", "ported",
+                                  "<module>"]
 
 
 _LOOPS = (ast.For, ast.AsyncFor, ast.While, ast.ListComp, ast.SetComp, ast.DictComp,

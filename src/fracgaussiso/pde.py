@@ -17,8 +17,9 @@ object in any dimension: the Kronecker sum of 1-D weighted path Laplacians,
 one per axis, each multiplied by the node weights of the other axes.  Both
 the planar energy on the axes (z, x) and the cylinder energy on the axes
 (z, x, y) are solved by fast diagonalization (Lynch, Rice & Thomas 1964)
-without assembling that sum: one eigenbasis per transverse pencil turns it
-into independent tridiagonal z-problems, one per mode of the Kronecker sum,
+without assembling that sum: one eigenbasis per transverse pencil, taken
+from its edges with an exact zero mode (`_pencil`), turns it into
+independent tridiagonal z-problems, one per mode of the Kronecker sum,
 eliminated together in one sweep over z (`_solve_tensor`).  The planar
 energy costs O(n_x^3 + n_x n_z) time and O(n_x^2) memory, the cylinder
 energy O(n_x^3 + n_y^3 + n_x n_y (n_x + n_y + n_z)) time.  The independent
@@ -105,16 +106,23 @@ def _counts(mesh) -> list[int]:
 
 
 def _pencil(c: np.ndarray, w: np.ndarray):
-    """(r, lam, Q) with r = w^{-1/2} and Q diag(lam) Q^T = R L R for R = diag(r).
+    """(lam, w0, V): the modes of the pencil (L, W) of a weighted path, from its edges.
 
-    L is the path Laplacian with edge conductances c and W = diag(w).
+    L = D^T C D, with D the difference matrix, C = diag(c) and W = diag(w).
+    The zero mode, the constants, has lam = 0 exactly, and the coefficient
+    f @ w0 = sum(w f) / sqrt(sum(w)).  The other modes come from the SPD edge
+    matrix T = C^{1/2} D W^{-1} D^T C^{1/2} = U diag(mu) U^T: mode m is
+    W^{-1} D^T C^{1/2} u_m / sqrt(mu_m), with eigenvalue mu_m and norm 1 in W,
+    and a field's coefficient on it is read from its jumps, diff(f) @ V with
+    V = diag(sqrt(c)) U diag(mu)^{-1/2}.  lam is [0, mu].
     """
     from scipy.linalg import eigh_tridiagonal  # imported here: importing the package loads no scipy
 
-    r = 1.0 / np.sqrt(w)
-    diagonal = np.pad(c, (0, 1)) + np.pad(c, (1, 0))
-    lam, Q = eigh_tridiagonal(diagonal * r * r, -c * r[:-1] * r[1:])
-    return r, lam, Q
+    root_c = np.sqrt(c)
+    mu, V = eigh_tridiagonal(c / w[:-1] + c / w[1:], -root_c[:-1] * root_c[1:] / w[1:-1])
+    V *= root_c[:, None]  # U into V in place: at n_x = 512 each copy is 2 MB
+    V /= np.sqrt(mu)
+    return np.concatenate(([0.0], mu)), w / np.sqrt(w.sum()), V
 
 
 def _planar(E: GaussianSet, s, domain, n_x: int, n_z: int):
@@ -138,37 +146,29 @@ def _solve_tensor(axes, bottom: np.ndarray) -> float:
     """Minimal energy on the axes [z, x] or [z, x, y] with the z = 0 layer fixed to bottom.
 
     bottom is flattened with the last axis fastest.  Per transverse axis,
-    with Phi = W^{-1/2} Q from `_pencil`, Phi^T L Phi = diag(lam) and
-    Phi^T W Phi = I.  In the tensor basis of the Phi's, mode m = (j, l) has
-    the eigenvalue lam_j + mu_l (the Kronecker sum), and its modal field
-    solves (L_z + lam_m W_z) u = 0 above z = 0, with u[0] the projection of
-    bottom: a path of z-edges with conductances c_j and a leak lam_m w_z[j]
-    at each node.  Eliminating from the zero-flux top down, node j sees the
-    conductance G[j] = lam w_z[j] + c_j G[j + 1] / (c_j + G[j + 1]).  The
-    energy is sum_m G_m[0] u_m[0]^2, a sum of nonnegative terms.
-
-    Constants span the kernel (the zero mode), but the computed zero
-    eigenvalues and eigenvectors carry rounding, so the data's weighted mean
-    (weights w_x, or w_x w_y) would leak through the Q's into the energy.
-    The mean is subtracted before projecting, which leaves the exact energy
-    unchanged.  The weights sum to 1 only to rounding, though, so constant
-    data would still leave a residue of order 1e-45 of either sign; its
-    energy is exactly 0 and is returned without a solve.
+    `_pencil` gives the modes of (L, W), with norm 1 in W.  In their tensor
+    basis, mode m = (j, l) has the eigenvalue lam_j + mu_l (the Kronecker
+    sum), and its modal field solves (L_z + lam_m W_z) u = 0 above z = 0,
+    with u[0] the coefficient of bottom: a path of z-edges with conductances
+    c_j and a leak lam_m w_z[j] at each node.  Eliminating from the zero-flux
+    top down, node j sees the conductance
+    G[j] = lam w_z[j] + c_j G[j + 1] / (c_j + G[j + 1]).  The energy is
+    sum_m G_m[0] u_m[0]^2, a sum of nonnegative terms.  The zero mode's G is
+    exactly 0, so constant data has energy exactly 0, and the other
+    coefficients read only jumps, which a set and its complement share up to
+    sign.
     """
-    if bottom.min() == bottom.max():
-        return 0.0
     (c, wz), *transverse = axes
     shape = tuple(w.shape[0] for _, w in transverse)
-    r, lam, Q = zip(*(_pencil(*axis) for axis in transverse))
+    lam, w0, V = zip(*(_pencil(*axis) for axis in transverse))
     lam = reduce(np.add.outer, lam).ravel()
     G = wz[-1] * lam  # one sweep over z, all modes at once
     for j in range(c.shape[0] - 1, -1, -1):
         G = wz[j] * lam + c[j] / (c[j] + G) * G
-    mean = reduce(np.multiply.outer, [w for _, w in transverse]).ravel() @ bottom
-    # project onto Phi^T W along each transverse axis in turn
-    u0 = bottom.reshape(shape) - mean
+    u0 = bottom.reshape(shape)  # coefficients along each transverse axis in turn
     for k in range(len(shape)):
-        u0 = np.moveaxis(np.moveaxis(u0, k, -1) / r[k] @ Q[k], -1, k)
+        f = np.moveaxis(u0, k, -1)
+        u0 = np.moveaxis(np.concatenate([(f @ w0[k])[..., None], np.diff(f) @ V[k]], -1), -1, k)
     u0 = u0.ravel()
     return float(G @ (u0 * u0))
 

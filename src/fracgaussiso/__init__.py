@@ -9,8 +9,7 @@ verifiers for the quantitative isoperimetric inequality.
 from ._backend import BACKEND
 from .errors import (DegenerateSetError, DomainError, ResolutionError,
                      SetParseError)
-from .gauss_core import (FractionalOrder, gamma_fn, iso_function,
-                         k_coefficient, phi, phi_inv)
+from .gauss_core import gamma_fn, iso_function, k_coefficient, phi, phi_inv
 from .sets import (EMPTY, FULL_LINE, GaussianSet, Halfline, asymmetry,
                    best_halfline, complement, ehrhard_symmetrize, halfline,
                    interval, intersect, measure, reflect, set_minus,

@@ -20,7 +20,7 @@ from itertools import islice
 import numpy as np
 
 from .errors import DomainError, ResolutionError
-from .gauss_core import as_order, check_positive, gamma_fn, laguerre_roots, ndtr
+from .gauss_core import check_order, check_positive, gamma_fn, laguerre_roots, ndtr
 from .sets import EMPTY, FULL_LINE, GaussianSet, indicator, interval, measure
 
 __all__ = [
@@ -64,11 +64,6 @@ _CELL, _CELL_MARGIN = 16, 1e-11
 _LEVELSET_QUAD = 80
 
 
-def _check_sigma(sigma: float) -> None:
-    if not (0.0 < sigma < 1.0):
-        raise DomainError(f"extension order must lie in (0, 1), got {sigma}")
-
-
 @dataclass(frozen=True)
 class ExtensionField:
     """Extension of order sigma of chi_E."""
@@ -79,7 +74,7 @@ class ExtensionField:
 
 def extension_field(E: GaussianSet, s, K=None) -> ExtensionField:
     """Extension of order s/2 of chi_E.  K is not read; perfbench passes one."""
-    return ExtensionField(E, as_order(s).s / 2.0)
+    return ExtensionField(E, check_order(s) / 2.0)
 
 
 def evaluate_extension(F: ExtensionField, x, z: float):
@@ -91,7 +86,7 @@ def evaluate_extension(F: ExtensionField, x, z: float):
     m = gamma(E), tau = (z^2/4) e^v, over v = -6, -6 + h, ... up to
     8 - log(z^2/4) (U = m if that range is empty).  h starts at 1/16 and
     halves at each point whose sum differs from its every-other-node sum by
-    more than 1e-8, at most 4 times, and then raises ResolutionError.  A
+    more than 1e-8, at most 8 times, and then raises ResolutionError.  A
     point's value reads only its own rows (README, "Numerical notes").
     """
     z = float(z)
@@ -100,13 +95,13 @@ def evaluate_extension(F: ExtensionField, x, z: float):
     x = np.asarray(x, dtype=float)
     if not np.isfinite(x).all():
         raise DomainError("extension points x must be finite")
-    _check_sigma(F.sigma)
-    vals = _subordinate(F.set, F.sigma, x.ravel(), z) if z else indicator(F.set, x.ravel())
+    sigma = check_order(F.sigma, "extension order")
+    vals = _subordinate(F.set, sigma, x.ravel(), z) if z else indicator(F.set, x.ravel())
     return float(vals[0]) if x.ndim == 0 else vals.reshape(x.shape)
 
 
 # The v-rule of evaluate_extension: its range, first step, halving check and halvings.
-_V_LO, _V_HI, _V_STEP, _V_CHECK, _V_HALVINGS = -6.0, 8.0, 1.0 / 16.0, 1e-8, 4
+_V_LO, _V_HI, _V_STEP, _V_CHECK, _V_HALVINGS = -6.0, 8.0, 1.0 / 16.0, 1e-8, 8
 
 
 def _subordinate(E: GaussianSet, sigma: float, x: np.ndarray, z: float) -> np.ndarray:
@@ -163,9 +158,12 @@ def _ndtr_plateau(arg: np.ndarray) -> np.ndarray:
 
 
 def _phi_terms(E: GaussianSet, decay: np.ndarray, d: np.ndarray, x: np.ndarray) -> dict:
-    """Each finite endpoint e -> its Phi terms, one _ndtr_plateau call on all (e - decay x)/d."""
+    """Each finite endpoint e -> its Phi terms, one _ndtr_plateau call on all (e - decay x)/d.
+    Near the double max an argument overflows to the infinity of its sign, a plateau."""
     e = np.array(E.finite_endpoints, dtype=float).reshape(-1, 1, 1)
-    return dict(zip(E.finite_endpoints, _ndtr_plateau((e - decay * x) / d)))
+    with np.errstate(over="ignore"):
+        arg = (e - decay * x) / d
+    return dict(zip(E.finite_endpoints, _ndtr_plateau(arg)))
 
 
 def _semigroup_rows(E: GaussianSet, decay: np.ndarray, d: np.ndarray,
@@ -196,7 +194,7 @@ class _MehlerRule:
     """
 
     def __init__(self, E: GaussianSet, sigma: float, z: float, n_quad: int):
-        _check_sigma(sigma)
+        check_order(sigma, "extension order")
         if sigma - 1.0 == -1.0:  # below 5.6e-17 the weight u^(sigma - 1) rounds to 1/u
             raise ResolutionError(f"extension order {sigma} lies below the Mehler rule's")
         self.key = (E, sigma, z, n_quad)

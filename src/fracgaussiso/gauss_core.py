@@ -10,7 +10,6 @@ wrappers add the domain checks on outside input.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from statistics import NormalDist
 
@@ -19,7 +18,7 @@ import numpy as np
 from .errors import DomainError
 
 __all__ = [
-    "FractionalOrder",
+    "check_order",
     "laguerre_roots",
     "gamma_fn",
     "phi",
@@ -27,23 +26,11 @@ __all__ = [
     "phi_inv",
     "iso_function",
     "k_coefficient",
-    "as_order",
 ]
 
 _STANDARD_NORMAL = NormalDist()
 # Near 360 nodes the Laguerre recurrence overflows a double at the largest nodes.
 _MAX_LAGUERRE_NODES = 300
-
-
-@dataclass(frozen=True)
-class FractionalOrder:
-    """Fractional order s, constrained to the open interval (0, 1)."""
-
-    s: float
-
-    def __post_init__(self):
-        if not (0.0 < self.s < 1.0):
-            raise DomainError(f"fractional order must lie in (0, 1), got {self.s}")
 
 
 def check_positive(value: float, what: str) -> None:
@@ -52,11 +39,12 @@ def check_positive(value: float, what: str) -> None:
         raise DomainError(f"{what} must be positive and finite, got {value}")
 
 
-def as_order(s) -> FractionalOrder:
-    """Coerce a float (or FractionalOrder) into a validated FractionalOrder."""
-    if isinstance(s, FractionalOrder):
-        return s
-    return FractionalOrder(float(s))
+def check_order(s, what: str = "fractional order") -> float:
+    """float(s), for an s in the open interval (0, 1); NaN fails the test too."""
+    s = float(s)
+    if not (0.0 < s < 1.0):
+        raise DomainError(f"{what} must lie in (0, 1), got {s}")
+    return s
 
 
 def _gauss_laguerre(a: float, n: int) -> tuple[np.ndarray, np.ndarray]:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 from .errors import DegenerateSetError, DomainError, ResolutionError
 from .extension import extension_field, level_set_with_budget
-from .gauss_core import FractionalOrder, as_order, check_positive, iso_function
+from .gauss_core import check_order, check_positive, iso_function
 from .sets import (GaussianSet, asymmetry, complement, ehrhard_symmetrize,
                    measure, set_minus, symm_diff)
 from .spectral import PerimeterValue, perimeter_spectral
@@ -62,7 +62,7 @@ class DeficitReport:
     """One run of the main-inequality check on a single set."""
 
     E: GaussianSet
-    s: FractionalOrder
+    s: float
     m: float
     P_E: PerimeterValue
     P_H: PerimeterValue
@@ -93,18 +93,18 @@ def sigma_min(m: float) -> float:
     return min(iso_function(5.0 * m / 9.0), iso_function(13.0 * m / 9.0))
 
 
-def _ratio(A: float, m: float, order: FractionalOrder, P: PerimeterValue, factor: float) -> float:
+def _ratio(A: float, m: float, s: float, P: PerimeterValue, factor: float) -> float:
     """(s/P) (A m / factor), finite where 1/s is not: z0^s with 72 and P_s(E), z1^s with 144
     and P_s(H), and z_max^s with A = m = 1, 8 alpha and P_s(E).  P = 0 raises ResolutionError."""
     if P.value == 0.0:  # no boundary, or K_s P_s underflows for s near 1e-310
-        raise ResolutionError(f"perimeter is 0 at s={order.s}, so the height is undefined")
-    return order.s / P.value * (A * m / factor)
+        raise ResolutionError(f"perimeter is 0 at s={s}, so the height is undefined")
+    return s / P.value * (A * m / factor)
 
 
-def _height(A: float, m: float, order: FractionalOrder, P: PerimeterValue, factor: float) -> float:
+def _height(A: float, m: float, s: float, P: PerimeterValue, factor: float) -> float:
     """`_ratio` to the power 1/s, or inf where that lies past the double range."""
     try:
-        return _ratio(A, m, order, P, factor) ** (1.0 / order.s)
+        return _ratio(A, m, s, P, factor) ** (1.0 / s)
     except OverflowError:
         return math.inf
 
@@ -112,9 +112,9 @@ def _height(A: float, m: float, order: FractionalOrder, P: PerimeterValue, facto
 def z_thresholds(E: GaussianSet, s, P_E: PerimeterValue,
                  P_H: PerimeterValue) -> ZThresholds:
     """(z0, z1) = ((s A m / (72 P_E))^{1/s}, (s A m / (144 P_H))^{1/s})."""
-    order = as_order(s)
+    s = check_order(s)
     A, m = asymmetry(E), measure(E)
-    return ZThresholds(_height(A, m, order, P_E, 72.0), _height(A, m, order, P_H, 144.0))
+    return ZThresholds(_height(A, m, s, P_E, 72.0), _height(A, m, s, P_H, 144.0))
 
 
 def z0_threshold(E: GaussianSet, s, K: int = 10_000) -> float:
@@ -122,9 +122,9 @@ def z0_threshold(E: GaussianSet, s, K: int = 10_000) -> float:
 
     The level-set bounds read z0 alone, so no symmetrized halfline is built.
     """
-    order = as_order(s)
+    s = check_order(s)
     A = asymmetry(E)
-    return _height(A, measure(E), order, perimeter_spectral(E, order, K), 72.0) if A else 0.0
+    return _height(A, measure(E), s, perimeter_spectral(E, s, K), 72.0) if A else 0.0
 
 
 def _exp(x: float) -> float:
@@ -135,13 +135,13 @@ def _exp(x: float) -> float:
         return math.inf
 
 
-def _log_C(order: FractionalOrder, m: float, c: float, P_H: PerimeterValue, A: float) -> float:
+def _log_C(s: float, m: float, c: float, P_H: PerimeterValue, A: float) -> float:
     """log(C_{s,m} A^{2/s}); 1/s enters once, as (2 - s) log(q) / s with q = z1^s; -inf at q = 0."""
     if not (0.0 < m <= 0.5):
         raise DomainError(f"constant_C expects m in (0, 1/2] (complement first), got {m}")
-    q = _ratio(A, m, order, P_H, 144.0)
-    return (math.log(225.0 * sigma_min(m) * A / (10816.0 * m * (2.0 - order.s))) + 0.5
-            - math.log(c) + ((2.0 - order.s) * math.log(q) / order.s if q else -math.inf))
+    q = _ratio(A, m, s, P_H, 144.0)
+    return (math.log(225.0 * sigma_min(m) * A / (10816.0 * m * (2.0 - s))) + 0.5
+            - math.log(c) + ((2.0 - s) * math.log(q) / s if q else -math.inf))
 
 
 def constant_C(s, m: float, c: float, P_H: PerimeterValue) -> float:
@@ -153,7 +153,7 @@ def constant_C(s, m: float, c: float, P_H: PerimeterValue) -> float:
     a positive, finite c.  C is e^{log C}: 0.0 or inf only where C leaves the double range.
     """
     check_positive(c, "constant c")
-    return _exp(_log_C(as_order(s), m, c, P_H, 1.0))
+    return _exp(_log_C(check_order(s), m, c, P_H, 1.0))
 
 
 def verify_main(E: GaussianSet, s, c: float = 1.0, K: int = 10_000,
@@ -170,26 +170,26 @@ def verify_main(E: GaussianSet, s, c: float = 1.0, K: int = 10_000,
     c (assumed 1 by default) is recorded; a c not positive and finite raises first.
     """
     check_positive(c, "constant c")
-    order = as_order(s)
+    s = check_order(s)
     m_raw = measure(E)
     if not (0.0 < m_raw < 1.0):
         raise DegenerateSetError(f"verify_main needs measure in (0, 1), got {m_raw}")
     work = complement(E) if m_raw > 0.5 else E
     m = measure(work)
     H = ehrhard_symmetrize(work).as_set()
-    P_E = perimeter_spectral(work, order, K, convention)
-    P_H = perimeter_spectral(H, order, K, convention)
+    P_E = perimeter_spectral(work, s, K, convention)
+    P_H = perimeter_spectral(H, s, K, convention)
     if P_H.value == 0.0:  # K_s P_s(H) underflows for s near 5e-324
-        raise ResolutionError(f"P_s(H) underflows to 0 at s={order.s}, so C_{{s,m}} is undefined")
+        raise ResolutionError(f"P_s(H) underflows to 0 at s={s}, so C_{{s,m}} is undefined")
     deficit = P_E.value - P_H.value
     A = asymmetry(work)
     budget = 2.0 * (P_E.tail_bound + P_H.tail_bound)
     branch = "large_perimeter" if P_E.value > 2.0 * P_H.value else "main"
-    log_rhs = ((lambda a: _log_C(order, m, c, P_H, a)) if branch == "main"
-               else lambda a: 2.0 * math.log(a / 2.0) / order.s + math.log(P_H.value))
+    log_rhs = ((lambda a: _log_C(s, m, c, P_H, a)) if branch == "main"
+               else lambda a: 2.0 * math.log(a / 2.0) / s + math.log(P_H.value))
     C, rhs = _exp(log_rhs(1.0)), (_exp(log_rhs(A)) if A else 0.0)
     satisfied = deficit >= rhs - budget
-    return DeficitReport(E, order, m_raw, P_E, P_H, deficit, A, C, rhs,
+    return DeficitReport(E, s, m_raw, P_E, P_H, deficit, A, C, rhs,
                          satisfied, branch, c, budget)
 
 
@@ -219,14 +219,14 @@ def verify_transfer_lemma(E: GaussianSet, F: GaussianSet, kappa: float) -> str:
 def closeness_z_max(E: GaussianSet, s, alpha: float, K: int = 10_000) -> float:
     """Upper end of the admissible z-range, (s/(8 alpha P_s(E)))^{1/s}; inf where that
     lies past the double range, down to the subnormal s."""
-    order = as_order(s)
+    s = check_order(s)
     check_positive(alpha, "alpha")
-    return _height(1.0, 1.0, order, perimeter_spectral(E, order, K), 8.0 * alpha)
+    return _height(1.0, 1.0, s, perimeter_spectral(E, s, K), 8.0 * alpha)
 
 
-def _field_of(E: GaussianSet, order: FractionalOrder, field):
+def _field_of(E: GaussianSet, s: float, field):
     """The ExtensionField of E at order s; a given ``field`` must equal it."""
-    own = extension_field(E, order)
+    own = extension_field(E, s)
     if field not in (None, own):
         raise DomainError(f"field of {field.set} at order {field.sigma} does not belong "
                           f"to {E} at order {own.sigma}")
@@ -240,13 +240,13 @@ def verify_levelset_closeness(E: GaussianSet, s, t: float, z: float,
     ``field``, if given, must be the ExtensionField of E at order s/2; a
     field of another set or order raises DomainError.
     """
-    order = as_order(s)
+    s = check_order(s)
     if not (0.25 <= t <= 0.75):
         raise DomainError(f"t must lie in [1/4, 3/4], got {t}")
-    z_max = closeness_z_max(E, order, alpha, K)
+    z_max = closeness_z_max(E, s, alpha, K)
     if not (0.0 < z < z_max):
         raise DomainError(f"z must lie in (0, {z_max}), got {z}")
-    rec, budget = level_set_with_budget(_field_of(E, order, field), t, z)
+    rec, budget = level_set_with_budget(_field_of(E, s, field), t, z)
     lo = measure(set_minus(E, rec.set))
     hi = measure(set_minus(rec.set, E))
     bound = 1.0 / alpha + budget
@@ -263,7 +263,7 @@ def verify_levelset_bounds(E: GaussianSet, s, t: float, z: float,
     else a level set of measure 0 or 1 fails it.  ``field`` is as in
     `verify_levelset_closeness`.
     """
-    order = as_order(s)
+    s = check_order(s)
     if not (0.25 <= t <= 0.75):
         raise DomainError(f"t must lie in [1/4, 3/4], got {t}")
     m = measure(E)
@@ -271,10 +271,10 @@ def verify_levelset_bounds(E: GaussianSet, s, t: float, z: float,
     if A == 0.0:
         # z0 = 0: the admissible z-range is empty and the claim is vacuous.
         return True
-    z0 = z0_threshold(E, order, K)
+    z0 = z0_threshold(E, s, K)
     if not (0.0 < z <= z0):
         raise DomainError(f"z must lie in (0, z0={z0}], got {z}")
-    rec, budget = level_set_with_budget(_field_of(E, order, field), t, z)
+    rec, budget = level_set_with_budget(_field_of(E, s, field), t, z)
     if not abs(rec.mu - m) <= (2.0 / 9.0) * m * A + budget:
         return False
     asym_budget = budget / min(rec.mu, m) if min(rec.mu, m) > 0.0 else math.inf

@@ -34,7 +34,7 @@ from functools import reduce
 import numpy as np
 
 from .errors import DomainError
-from .gauss_core import as_order, phi
+from .gauss_core import check_order, phi
 from .sets import GaussianSet, indicator
 
 __all__ = ["pde_energy", "pde_energy_cylinder", "graded_x_mesh"]
@@ -127,15 +127,15 @@ def _pencil(c: np.ndarray, w: np.ndarray):
 
 def _planar(E: GaussianSet, s, domain, n_x: int, n_z: int):
     """Validated x-mesh and [z, x] axes of the planar energy of E."""
-    order = as_order(s)
+    s = check_order(s)
     L, Z = domain
     if not (6.0 <= L < np.inf and 4.0 <= Z < np.inf):
         raise DomainError(f"domain must satisfy 6 <= L < inf, 4 <= Z < inf, got {domain}")
     if n_x < 64 or n_z < 64:
         raise DomainError("mesh must satisfy n_x, n_z >= 64")
-    z = Z * (np.arange(n_z + 1, dtype=float) / n_z) ** (2.0 / order.s)
+    z = Z * (np.arange(n_z + 1, dtype=float) / n_z) ** (2.0 / s)
     zmid = np.concatenate([[0.0], 0.5 * (z[:-1] + z[1:]), [Z]])
-    p = 2.0 - order.s  # the weights are int z^{1-s} dz over cells and dual cells
+    p = 2.0 - s  # the weights are int z^{1-s} dz over cells and dual cells
     with np.errstate(over="ignore", invalid="ignore"):  # a huge Z is rejected by _axis
         z_weights = np.diff(z ** p) / p, np.diff(zmid ** p) / p
     x = graded_x_mesh(E.finite_endpoints, L, n_x)

@@ -20,7 +20,7 @@ import numpy as np
 
 from ._kernels_py import coeff_antideriv_table, halfspace_series_sum
 from .errors import DomainError
-from .gauss_core import FractionalOrder, as_order, k_coefficient, laguerre_roots
+from .gauss_core import check_order, k_coefficient, laguerre_roots
 from .sets import GaussianSet, measure
 
 __all__ = [
@@ -49,7 +49,7 @@ class PerimeterValue:
     """A perimeter together with its truncation and normalization metadata."""
 
     value: float
-    s: FractionalOrder
+    s: float
     K: int
     tail_bound: float
     convention: str
@@ -115,15 +115,14 @@ def _tail_past(c: float, s: float, K: float) -> float:
 def perimeter_spectral(E: GaussianSet, s, K: int = 10_000,
                        convention: str = "with_constant") -> PerimeterValue:
     """Fractional Gaussian perimeter of E from the truncated Hermite series."""
-    order = as_order(s)
+    s = check_order(s)
     _check_convention(convention)
     if K < 1:
         raise DomainError("perimeter needs truncation K >= 1")
-    weights, window_weights = _order_weights(K, order.s)
+    weights, window_weights = _order_weights(K, s)
     terms = weights * coeff_table(E, K)[1:] ** 2
     return _scaled(0.5 * float(np.sum(terms)),
-                   0.5 * _calibrated_tail(terms, window_weights, order.s, K),
-                   order, K, convention)
+                   0.5 * _calibrated_tail(terms, window_weights, s, K), s, K, convention)
 
 
 def _finite(r: float) -> float:
@@ -132,13 +131,12 @@ def _finite(r: float) -> float:
     return r
 
 
-def _scaled(value: float, bound: float, order: FractionalOrder, K: int,
-            convention: str) -> PerimeterValue:
+def _scaled(value: float, bound: float, s: float, K: int, convention: str) -> PerimeterValue:
     """A bare-convention value and bound, times K_s in the 'with_constant' convention."""
     if convention == "with_constant":
-        ks = k_coefficient(order.s)
+        ks = k_coefficient(s)
         value, bound = ks * value, ks * bound
-    return PerimeterValue(value, order, K, bound, convention)
+    return PerimeterValue(value, s, K, bound, convention)
 
 
 def halfspace_series(r: float, s, K: int = 10_000,
@@ -149,12 +147,12 @@ def halfspace_series(r: float, s, K: int = 10_000,
     h_{k-1}^2(r) (bare); its tail_bound is the tail past K of the envelope
     asymptotic_limit(r) k^{(s-3)/2}, under which the terms lie.
     """
-    r, order = _finite(r), as_order(s)
+    r, s = _finite(r), check_order(s)
     _check_convention(convention)
     if K < 1:
         raise DomainError("halfline series needs K >= 1")
-    partial = halfspace_series_sum(r, order.s / 2.0 - 1.0, K) / FOUR_PI
-    return _scaled(partial, _tail_past(asymptotic_limit(r), order.s, K), order, K, convention)
+    partial = halfspace_series_sum(r, s / 2.0 - 1.0, K) / FOUR_PI
+    return _scaled(partial, _tail_past(asymptotic_limit(r), s, K), s, K, convention)
 
 
 def halfline_perimeter(r: float, s, convention: str = "with_constant") -> PerimeterValue:
@@ -169,9 +167,9 @@ def halfline_perimeter(r: float, s, convention: str = "with_constant") -> Perime
     weights are normalized, so the rounding of -alpha-1/2 stays out of their
     sum Gamma(1/2-alpha).
     """
-    r, order = _finite(r), as_order(s)
+    r, s = _finite(r), check_order(s)
     _check_convention(convention)
-    alpha = order.s / 2.0
+    alpha = s / 2.0
     scale = math.gamma(0.5 - alpha) / (FOUR_PI * math.gamma(1.0 - alpha))
     means = []
     for n in (40, 20):
@@ -179,7 +177,7 @@ def halfline_perimeter(r: float, s, convention: str = "with_constant") -> Perime
         g = np.sqrt(y / -np.expm1(-2.0 * y)) * np.exp(-r * r / (1.0 + np.exp(-y)))
         means.append(scale * float(w @ g) / float(np.sum(w)))
     bound = abs(means[0] - means[1]) + 40.0 * np.finfo(float).eps * means[0]
-    return _scaled(means[0], bound, order, 40, convention)
+    return _scaled(means[0], bound, s, 40, convention)
 
 
 def halfline_perimeter_reference(r: float, s, K: int = 1_000_000,

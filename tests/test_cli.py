@@ -481,13 +481,14 @@ def test_extension_eval_rejects_non_finite_points(capsys, xs):
     assert "points x must be finite" in captured.err
 
 
-def test_extension_eval_resolution_error_is_a_usage_error(capsys):
-    # the v-rule of evaluate_extension does not converge this far out
+def test_extension_eval_far_out_point_is_the_library_value(capsys):
+    # the v-rule of evaluate_extension converges this far out, at its 5th halving
     code = main(["extension-eval", "--set", "(0,1)", "--x", "1e28", "--z", "0.1"])
     captured = capsys.readouterr()
-    assert code == 2
-    assert captured.out == ""
-    assert captured.err.startswith("error: U at z=0.1") and captured.err.count("\n") == 1
+    assert code == 0 and captured.err == ""
+    value = float(captured.out.splitlines()[2].split(",")[-1])
+    assert 0.0 < value < 1.0
+    assert value.hex() == evaluate_extension(extension_field(parse_set("(0,1)"), 0.5), 1e28, 0.1).hex()
 
 
 def test_verify_reports_each_failing_row():

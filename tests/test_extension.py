@@ -712,3 +712,25 @@ def test_a_part_narrower_than_two_grid_steps_widens_the_budget():
     mu_true = measure(interval(lo, hi))
     assert mu_true == pytest.approx(2.36e-4, rel=1e-2)
     assert rec.mu == 0.0 and abs(rec.mu - mu_true) <= budget < 2.5e-4
+
+
+def test_points_near_the_double_max_take_the_plateau_values_silently():
+    # (e - decay x)/d overflows to the correctly signed infinity there, whose Phi
+    # is the plateau value; under the project's warning filter no warning may rise
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = mehler_extension(interval(0.0, 1.0), 0.25, [1.7e308, -1.7e308], 0.1)
+    assert got.tolist() == [0.0, 0.0]
+
+
+def test_far_out_points_converge_within_the_halvings(monkeypatch):
+    # for x >> 1 the rows step from 0 to m near tau = ln x, over a width in v of
+    # about 6/ln x: at 1e28 the v-rule resolves it at its 5th halving
+    x = np.array([1e20, 1e28, 1e100, 1e300, 1.7e308])
+    U = evaluate_extension(extension_field(interval(0.0, 1.0), 0.5), x, 0.1)
+    assert np.all(np.diff(U) < 0.0) and 0.0324 < U[0] < 0.0325 and 0.0163 < U[-1] < 0.0164
+    reflected = evaluate_extension(extension_field(interval(-1.0, 0.0), 0.5), -x, 0.1)
+    assert U.tobytes() == reflected.tobytes()
+    monkeypatch.setattr(extension, "_V_HALVINGS", 4)
+    with pytest.raises(ResolutionError, match=r"U at z=0.1, x=1e\+28 not converged in 4 halvings"):
+        evaluate_extension(extension_field(interval(0.0, 1.0), 0.5), 1e28, 0.1)

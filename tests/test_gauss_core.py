@@ -4,17 +4,50 @@ import mpmath
 import numpy as np
 import pytest
 
+from fracgaussiso import (constant_C, extension_field, halfline_perimeter, halfspace_series,
+                          interval, pde_energy, perimeter_spectral, verify_levelset_bounds,
+                          verify_levelset_closeness, verify_main, z0_threshold, z_thresholds)
 from fracgaussiso.errors import DomainError
-from fracgaussiso.gauss_core import (FractionalOrder, gamma_fn, iso_function,
+from fracgaussiso.gauss_core import (check_order, gamma_fn, iso_function,
                                      k_coefficient, laguerre_roots, ndtr, phi, phi_inv)
+from fracgaussiso.inequality import closeness_z_max
 from oracles import hermite_eval, hermite_rule, phi_quad
 
 
 def test_fractional_order_validation():
-    FractionalOrder(0.5)
-    for bad in (0.0, 1.0, -0.1, 1.7):
-        with pytest.raises(DomainError):
-            FractionalOrder(bad)
+    assert check_order(0.5) == 0.5 and type(check_order(np.float64(0.5))) is float
+    for bad in (0.0, 1.0, -0.1, 1.7, math.nan, math.inf):
+        with pytest.raises(DomainError, match=r"fractional order must lie in \(0, 1\), got"):
+            check_order(bad)
+
+
+_E = interval(0.0, 1.0)
+_P = halfline_perimeter(0.3, 0.5)
+# every public entry that takes the order s, with its other arguments
+_ORDER_ENTRIES = {
+    "perimeter_spectral": lambda s: perimeter_spectral(_E, s, 200),
+    "halfspace_series": lambda s: halfspace_series(0.3, s, 200),
+    "halfline_perimeter": lambda s: halfline_perimeter(0.3, s),
+    "extension_field": lambda s: extension_field(_E, s),
+    "pde_energy": lambda s: pde_energy(_E, s, mesh=(64, 64)),
+    "verify_main": lambda s: verify_main(_E, s, K=200),
+    "constant_C": lambda s: constant_C(s, 0.3, 1.0, _P),
+    "z_thresholds": lambda s: z_thresholds(_E, s, _P, _P),
+    "z0_threshold": lambda s: z0_threshold(_E, s, 200),
+    "closeness_z_max": lambda s: closeness_z_max(_E, s, 4.0, 200),
+    "verify_levelset_closeness": lambda s: verify_levelset_closeness(_E, s, 0.5, 0.01, 4.0, 200),
+    "verify_levelset_bounds": lambda s: verify_levelset_bounds(_E, s, 0.5, 3e-4, 200),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(_ORDER_ENTRIES))
+def test_every_entry_checks_the_order_and_takes_it_as_a_float(entry):
+    call = _ORDER_ENTRIES[entry]
+    for bad in (0.0, 1.0, math.nan, -0.1, 1.5):
+        with pytest.raises(DomainError, match="fractional order must lie in"):
+            call(bad)
+    # the repr shows a numpy scalar that was stored unconverted
+    assert repr(call(np.float64(0.5))) == repr(call(0.5))
 
 
 def test_gamma_anchors():

@@ -17,7 +17,7 @@ from fracgaussiso.inequality import (TRANSFER_FAILS,
                                      verify_levelset_closeness, verify_main,
                                      verify_transfer_lemma, z0_threshold,
                                      z_thresholds)
-from fracgaussiso.gauss_core import as_order, iso_function, phi_inv
+from fracgaussiso.gauss_core import iso_function, phi_inv
 from fracgaussiso.sets import (EMPTY, GaussianSet, complement,
                                ehrhard_symmetrize, halfline, interval,
                                measure, symm_diff)
@@ -193,7 +193,7 @@ def test_rhs_is_the_closed_form_on_the_reduction_height():
         E, s = sets.parse_set(row["set"]), row["s"]
         work = complement(E) if row["m"] > 0.5 else E
         m = measure(work)
-        P_E, P_H = (PerimeterValue(row[k], as_order(s), 10_000, 0.0, "with_constant")
+        P_E, P_H = (PerimeterValue(row[k], s, 10_000, 0.0, "with_constant")
                     for k in ("P_E", "P_H"))
         z1 = z_thresholds(work, s, P_E, P_H).z1
         rhs = (225.0 * math.sqrt(math.e) / (10816.0 * row["c"]) * sigma_min(m) * row["asym"]

@@ -20,16 +20,18 @@ the planar energy on the axes (z, x) and the cylinder energy on the axes
 without assembling that sum: one eigenbasis per transverse pencil, taken
 from its edges with an exact zero mode (`_pencil`), turns it into
 independent tridiagonal z-problems, one per mode of the Kronecker sum,
-eliminated together in one sweep over z (`_solve_tensor`).  The planar
-energy costs O(n_x^3 + n_x n_z) time and O(n_x^2) memory, the cylinder
-energy O(n_x^3 + n_y^3 + n_x n_y (n_x + n_y + n_z)) time.  The independent
-check of this algebra is in the tests: the operator assembled edge by edge,
-solved by sparse LU, in two and three dimensions.
+eliminated together in one sweep over z (`_solve_tensor`).  The modes of a
+transverse axis do not depend on s, Z or n_z, so the O(n_x^3) pencil is
+paid once per transverse axis and kept (`_transverse`, O(n_x^2) memory).
+Then each planar solve costs O(n_x (n_x + n_z)) time, O(n_x n_z) of it the
+sweep over z, and each cylinder solve O(n_x n_y (n_x + n_y + n_z)).  The
+independent check of this algebra is in the tests: the operator assembled
+edge by edge, solved by sparse LU, in two and three dimensions.
 """
 from __future__ import annotations
 
 import operator
-from functools import reduce
+from functools import lru_cache, reduce
 
 import numpy as np
 
@@ -52,6 +54,11 @@ def __getattr__(name: str):
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
+def _inside(anchors, L: float) -> tuple:
+    """The distinct anchors strictly inside (-L, L), sorted: the ones a graded mesh keeps."""
+    return tuple(sorted({a for a in anchors if -L < a < L}))
+
+
 def graded_x_mesh(anchors, L: float, n_x: int) -> np.ndarray:
     """Mesh on [-L, L] graded quadratically toward each anchor point.
 
@@ -61,8 +68,8 @@ def graded_x_mesh(anchors, L: float, n_x: int) -> np.ndarray:
     is graded quadratically toward that end, or uniform when it has none,
     with max(4, round(n_x (q - p) / (2L))) cells.
     """
-    anchors = sorted({a for a in anchors if -L < a < L})
-    bounds = sorted([-L, L] + anchors + [0.5 * (a + b) for a, b in zip(anchors, anchors[1:])])
+    anchors = _inside(anchors, L)
+    bounds = sorted([-L, L, *anchors, *(0.5 * (a + b) for a, b in zip(anchors, anchors[1:]))])
     nodes = [np.array(bounds)]
     for p, q in zip(bounds, bounds[1:]):
         u = np.linspace(0.0, 1.0, max(4, int(round(n_x * (q - p) / (2.0 * L)))) + 1)[1:-1]
@@ -125,8 +132,29 @@ def _pencil(c: np.ndarray, w: np.ndarray):
     return np.concatenate(([0.0], mu)), w / np.sqrt(w.sum()), V
 
 
+# Eight axes: an s-sweep reuses one and a cylinder two, while one pass of
+# the benchmark's pde workload cycles through five, which four would
+# thrash.  An entry holds about 8 n^2 bytes: 0.5 MB at n = 256, 2 MB at 512
+# and 32 MB at 2048.
+@lru_cache(maxsize=8)
+def _transverse(anchors, L: float, n: int):
+    """(nodes, lam, w0, V) of one transverse axis of [-L, L], read-only and cached.
+
+    anchors=None is the cylinder's uniform y-mesh with n cells; otherwise the
+    x-mesh graded toward anchors, given as `_inside(anchors, L)` so that a
+    set, its complement and sets that differ only outside the domain share
+    one entry.  The modes (`_pencil`) do not depend on s, Z or n_z.  A
+    degenerate axis raises DomainError, which is not cached.
+    """
+    nodes = np.linspace(-L, L, n + 1) if anchors is None else graded_x_mesh(anchors, L, n)
+    axis = (nodes, *_pencil(*_axis(nodes, *_x_masses(nodes))))
+    for a in axis:
+        a.flags.writeable = False
+    return axis
+
+
 def _planar(E: GaussianSet, s, domain, n_x: int, n_z: int):
-    """Validated x-mesh and [z, x] axes of the planar energy of E."""
+    """Validated x-mesh and [z-axis, x-modes] of the planar energy of E."""
     s = check_order(s)
     L, Z = domain
     if not (6.0 <= L < np.inf and 4.0 <= Z < np.inf):
@@ -138,15 +166,17 @@ def _planar(E: GaussianSet, s, domain, n_x: int, n_z: int):
     p = 2.0 - s  # the weights are int z^{1-s} dz over cells and dual cells
     with np.errstate(over="ignore", invalid="ignore"):  # a huge Z is rejected by _axis
         z_weights = np.diff(z ** p) / p, np.diff(zmid ** p) / p
-    x = graded_x_mesh(E.finite_endpoints, L, n_x)
-    return x, [_axis(z, *z_weights), _axis(x, *_x_masses(x))]
+    z_axis = _axis(z, *z_weights)
+    x, *modes = _transverse(_inside(E.finite_endpoints, L), L, n_x)
+    return x, [z_axis, modes]
 
 
 def _solve_tensor(axes, bottom: np.ndarray) -> float:
     """Minimal energy on the axes [z, x] or [z, x, y] with the z = 0 layer fixed to bottom.
 
-    bottom is flattened with the last axis fastest.  Per transverse axis,
-    `_pencil` gives the modes of (L, W), with norm 1 in W.  In their tensor
+    axes holds the z-axis's (conductances, weights) and then, per transverse
+    axis, its modes (lam, w0, V) of (L, W) from `_pencil`, with norm 1 in W.
+    bottom is flattened with the last axis fastest.  In their tensor
     basis, mode m = (j, l) has the eigenvalue lam_j + mu_l (the Kronecker
     sum), and its modal field solves (L_z + lam_m W_z) u = 0 above z = 0,
     with u[0] the coefficient of bottom: a path of z-edges with conductances
@@ -159,8 +189,8 @@ def _solve_tensor(axes, bottom: np.ndarray) -> float:
     sign.
     """
     (c, wz), *transverse = axes
-    shape = tuple(w.shape[0] for _, w in transverse)
-    lam, w0, V = zip(*(_pencil(*axis) for axis in transverse))
+    lam, w0, V = zip(*transverse)
+    shape = tuple(w.shape[0] for w in w0)
     lam = reduce(np.add.outer, lam).ravel()
     G = wz[-1] * lam  # one sweep over z, all modes at once
     for j in range(c.shape[0] - 1, -1, -1):
@@ -196,6 +226,6 @@ def pde_energy_cylinder(E1: GaussianSet, s, domain: tuple[float, float] = (6.0, 
     if n_y < 1:
         raise DomainError(f"mesh must satisfy n_y >= 1, got {n_y}")
     x, axes = _planar(E1, s, domain, n_x, n_z)
-    y = np.linspace(-domain[0], domain[0], n_y + 1)
+    _, *y_modes = _transverse(None, domain[0], n_y)
     bottom = np.repeat(indicator(E1, x), n_y + 1)
-    return 0.5 * _solve_tensor(axes + [_axis(y, *_x_masses(y))], bottom)
+    return 0.5 * _solve_tensor(axes + [y_modes], bottom)

@@ -10,7 +10,7 @@ from scipy.sparse.linalg import splu
 
 from fracgaussiso.errors import DomainError
 from fracgaussiso.gauss_core import k_coefficient
-from fracgaussiso.pde import (_axis, _planar, _solve_tensor, _x_masses,
+from fracgaussiso.pde import (_axis, _pencil, _planar, _solve_tensor, _transverse, _x_masses,
                               graded_x_mesh, pde_energy, pde_energy_cylinder)
 from fracgaussiso.sets import (EMPTY, FULL_LINE, GaussianSet, complement, halfline,
                                indicator, interval)
@@ -323,7 +323,7 @@ def test_cylinder_solve_matches_lu(E, s):
     data_x = indicator(E, x)
     _check_lu(Lap, lu, np.repeat(data_x, n_y + 1), 2.0 * pde_energy_cylinder(E, s, mesh=mesh))
     product = np.outer(data_x, indicator(interval(-2.0, 0.5), y)).ravel()
-    _check_lu(Lap, lu, product, _solve_tensor(axes + [_axis(y, *_x_masses(y))], product))
+    _check_lu(Lap, lu, product, _solve_tensor(axes + [_pencil(*_axis(y, *_x_masses(y)))], product))
 
 
 @settings(max_examples=20, deadline=None)
@@ -332,3 +332,40 @@ def test_cylinder_solve_matches_lu(E, s):
 @example(_grid_set([-16, 0, 1, 18]), 0.05)  # likewise
 def test_planar_solve_matches_lu_on_grid_sets(E, s):
     _check_against_lu(E, s, 64)
+
+
+def test_a_warm_cache_gives_the_cold_energies_bit_for_bit():
+    # Every run shares n_x = 96 and L = 6.  halfline(0.3) takes the first
+    # entries, so a cache key without the anchors would hand E its x-axis.
+    E = interval(0.0, 1.0)
+    runs = [(f, s, domain, (*n_y, 96, n_z))
+            for f, n_y in ((pde_energy, ()), (pde_energy_cylinder, (4,)))
+            for s, domain, n_z in ((0.25, (6.0, 4.0), 64), (0.5, (6.0, 4.0), 64),
+                                   (0.75, (6.0, 4.0), 64), (0.5, (6.0, 5.0), 64),
+                                   (0.5, (6.0, 4.0), 80))]
+    _transverse.cache_clear()
+    pde_energy_cylinder(halfline(0.3), 0.5, mesh=(4, 96, 64))
+    warm = [f(E, s, domain, mesh).hex() for f, s, domain, mesh in runs]
+    assert _transverse.cache_info().misses == 3  # the x-axes of both sets and one y-axis
+    # the complement and a set that differs from E only outside [-6, 6] hit E's entry
+    hits = _transverse.cache_info().hits
+    for same_axis in (complement(E), GaussianSet.from_intervals([(0.0, 1.0), (7.0, 8.0)])):
+        assert pde_energy(same_axis, 0.5, mesh=(96, 64)).hex() == warm[1]
+    assert _transverse.cache_info().hits == hits + 2
+    for (f, s, domain, mesh), energy in zip(runs, warm):
+        _transverse.cache_clear()
+        assert f(E, s, domain, mesh).hex() == energy
+
+
+def test_cached_modes_are_read_only_and_a_degenerate_axis_is_not_cached():
+    _transverse.cache_clear()
+    energy = pde_energy(halfline(0.0), 0.5, mesh=(64, 64))
+    for a in _transverse((0.0,), 6.0, 64):  # nodes, lam, w0 and V
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] += 1.0
+    size = _transverse.cache_info().currsize
+    for _ in range(2):  # at L = 1000 the outer x-cells carry no Gaussian mass
+        with pytest.raises(DomainError, match="degenerate"):
+            pde_energy(halfline(0.0), 0.5, domain=(1000.0, 4.0), mesh=(64, 64))
+    assert _transverse.cache_info().currsize == size
+    assert pde_energy(halfline(0.0), 0.5, mesh=(64, 64)) == energy

@@ -22,11 +22,12 @@ from its edges with an exact zero mode (`_pencil`), turns it into
 independent tridiagonal z-problems, one per mode of the Kronecker sum,
 eliminated together in one sweep over z (`_solve_tensor`).  The modes of a
 transverse axis do not depend on s, Z or n_z, so the O(n_x^3) pencil is
-paid once per transverse axis and kept (`_transverse`, O(n_x^2) memory).
-Then each planar solve costs O(n_x (n_x + n_z)) time, O(n_x n_z) of it the
-sweep over z, and each cylinder solve O(n_x n_y (n_x + n_y + n_z)).  The
-independent check of this algebra is in the tests: the operator assembled
-edge by edge, solved by sparse LU, in two and three dimensions.
+paid once per transverse axis of at most 1024 cells and kept (`_modes`,
+O(n_x^2) memory).  Then each planar solve costs O(n_x (n_x + n_z)) time,
+O(n_x n_z) of it the sweep over z, and each cylinder solve
+O(n_x n_y (n_x + n_y + n_z)).  The independent check of this algebra is in
+the tests: the operator assembled edge by edge, solved by sparse LU, in two
+and three dimensions.
 """
 from __future__ import annotations
 
@@ -132,10 +133,10 @@ def _pencil(c: np.ndarray, w: np.ndarray):
     return np.concatenate(([0.0], mu)), w / np.sqrt(w.sum()), V
 
 
-# Eight axes: an s-sweep reuses one and a cylinder two, while one pass of
-# the benchmark's pde workload cycles through five, which four would
+# Eight axes: a sweep over s, Z or n_z reuses one and a cylinder two, while
+# one pass of perfbench's pde workload cycles through five, which four would
 # thrash.  An entry holds about 8 n^2 bytes: 0.5 MB at n = 256, 2 MB at 512
-# and 32 MB at 2048.
+# and 8 MB at 1024, so the cache keeps at most about 70 MB (`_modes`).
 @lru_cache(maxsize=8)
 def _transverse(anchors, L: float, n: int):
     """(nodes, lam, w0, V) of one transverse axis of [-L, L], read-only and cached.
@@ -153,6 +154,17 @@ def _transverse(anchors, L: float, n: int):
     return axis
 
 
+# The most cells of a cached axis.  The pencil dominates a solve at every n
+# (0.20 s of a 0.21 s 2048^2 solve), so the bound is set by memory: eight
+# 2048-cell axes would keep 256 MB.
+_CACHED_CELLS = 1024
+
+
+def _modes(anchors, L: float, n: int):
+    """`_transverse`, cached up to _CACHED_CELLS cells and built afresh above."""
+    return (_transverse if n <= _CACHED_CELLS else _transverse.__wrapped__)(anchors, L, n)
+
+
 def _planar(E: GaussianSet, s, domain, n_x: int, n_z: int):
     """Validated x-mesh and [z-axis, x-modes] of the planar energy of E."""
     s = check_order(s)
@@ -167,7 +179,7 @@ def _planar(E: GaussianSet, s, domain, n_x: int, n_z: int):
     with np.errstate(over="ignore", invalid="ignore"):  # a huge Z is rejected by _axis
         z_weights = np.diff(z ** p) / p, np.diff(zmid ** p) / p
     z_axis = _axis(z, *z_weights)
-    x, *modes = _transverse(_inside(E.finite_endpoints, L), L, n_x)
+    x, *modes = _modes(_inside(E.finite_endpoints, L), L, n_x)
     return x, [z_axis, modes]
 
 
@@ -226,6 +238,6 @@ def pde_energy_cylinder(E1: GaussianSet, s, domain: tuple[float, float] = (6.0, 
     if n_y < 1:
         raise DomainError(f"mesh must satisfy n_y >= 1, got {n_y}")
     x, axes = _planar(E1, s, domain, n_x, n_z)
-    _, *y_modes = _transverse(None, domain[0], n_y)
+    _, *y_modes = _modes(None, domain[0], n_y)
     bottom = np.repeat(indicator(E1, x), n_y + 1)
     return 0.5 * _solve_tensor(axes + [y_modes], bottom)

@@ -5,7 +5,8 @@ the Gaussian CDF and the subordination profile psi_sigma by adaptive
 quadrature, the Hermite recurrence at one point, the Gauss-Hermite rule for
 gamma_1, and the subordination profile psi_sigma in closed form
 (``psi_bulk``), with the boundary flux and the trace gap of the Hermite
-series of the extension built from it.
+series of the extension built from it, and the perimeter of an interval
+from its correlated-pair formula.
 """
 import math
 
@@ -124,3 +125,28 @@ def trace_gap(E, s: float, z: float, K: int) -> float:
     psi = psi_bulk(s / 2.0, np.sqrt(np.arange(K + 1, dtype=float)) * z)
     f = coeff_table(E, K)
     return float(np.sum(f[1:] ** 2 * (1.0 - psi[1:])))
+
+
+def interval_perimeter_exact(a: float, b: float, s: float) -> float:
+    """P_s((a, b)) in the with_constant convention, by adaptive quadrature.
+
+    P = K_s (alpha / (2 Gamma(1 - alpha))) int_0^inf t^{-1-alpha} D(t) dt with
+    alpha = s/2, where D(t) = P(X in E, Y not in E) for standard normals X, Y
+    with correlation e^{-t}: 2T(a, h) + 2T(b, h) - 2P(X < a, Y > b), with
+    Owen's T and h = sqrt(tanh(t/2)).
+    """
+    alpha = 0.5 * s
+
+    def cross(t):  # P(X < a, Y > b)
+        rho, d = math.exp(-t), math.sqrt(-math.expm1(-2.0 * t))
+        return integrate.quad(lambda x: math.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
+                              * special.ndtr((rho * x - b) / d), -math.inf, a, limit=200)[0]
+
+    def D(t):
+        h = math.sqrt(math.tanh(0.5 * t))
+        return 2.0 * special.owens_t(a, h) + 2.0 * special.owens_t(b, h) - 2.0 * cross(t)
+
+    edges = [0.0] + [10.0 ** k for k in range(-12, 1)] + [math.inf]
+    total = sum(integrate.quad(lambda t: t ** (-1.0 - alpha) * D(t), lo, hi, limit=200)[0]
+                for lo, hi in zip(edges, edges[1:]))
+    return k_coefficient(s) * 0.5 * alpha / special.gamma(1.0 - alpha) * total

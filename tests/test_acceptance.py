@@ -12,7 +12,7 @@ from fracgaussiso.pde import pde_energy, pde_energy_cylinder
 from fracgaussiso.suites import (run_bounds_suite, run_levelset_suite,
                                  run_main_suite)
 from oracles import (boundary_flux_richardson, hermite_eval, hermite_rule,
-                     phi_quad, profile_psi, trace_gap)
+                     interval_perimeter_exact, phi_quad, profile_psi, trace_gap)
 
 GOLDEN = Path(__file__).parent / "golden" / "verify_all_seed7.csv"
 
@@ -138,9 +138,21 @@ def test_criterion_11_pde_cross_check():
     # reference-free observed orders from the 128/256/512 and 256/512/1024 triples
     p = [math.log2((v[i + 1] - v[i]) / (v[i + 2] - v[i + 1])) for i in (0, 1)]
     richardson = v[3] + (v[3] - v[2]) / (2.0 ** p[1] - 1.0)
+    # On one x-axis (L = 6, n_x = 512), doubling the height Z or the z-mesh
+    # n_z moves the energy by under a quarter of its error against the exact
+    # value, so the error left at 512^2 is the x-mesh's.
+    shares = []
+    for E, s, exact in ((fg.halfline(0.0), 0.5, ref),
+                        (fg.interval(0.0, 1.0), 0.25, interval_perimeter_exact(0.0, 1.0, 0.25))):
+        base, taller, finer_z = (pde_energy(E, s, domain=(6.0, Z), mesh=(512, n_z))
+                                 for Z, n_z in ((4.0, 512), (8.0, 512), (4.0, 1024)))
+        err, dZ, dn = ((val - base) / exact for val in (exact, taller, finer_z))
+        ok &= abs(err) < 0.02 and max(abs(dZ), abs(dn)) < 0.25 * abs(err)
+        shares.append(f"{E}: {err:+.1e}, Z {dZ:+.0e}, n_z {dn:+.0e}")
     _report(11, f"PDE energy within 2% at 512^2 with observed convergence "
                 f"(order {p[0]:.2f}, {p[1]:.2f}; Richardson {richardson:.6f}, "
-                f"reference {ref:.6f})", ok)
+                f"reference {ref:.6f}); error at 512^2 and its Z and n_z shares: "
+                f"{'; '.join(shares)}", ok)
 
 
 def test_criterion_12_cli_determinism_golden():

@@ -4,17 +4,16 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from scipy import integrate, special
 from scipy.sparse import coo_matrix
 from scipy.sparse.linalg import splu
 
 from fracgaussiso.errors import DomainError
-from fracgaussiso.gauss_core import k_coefficient
 from fracgaussiso.pde import (_axis, _pencil, _planar, _solve_tensor, _transverse, _x_masses,
                               graded_x_mesh, pde_energy, pde_energy_cylinder)
 from fracgaussiso.sets import (EMPTY, FULL_LINE, GaussianSet, complement, halfline,
                                indicator, interval)
 from fracgaussiso.spectral import halfline_perimeter, perimeter_spectral
+from oracles import interval_perimeter_exact
 
 
 def test_graded_mesh_contains_anchors():
@@ -43,31 +42,6 @@ def test_graded_mesh_refines_between_two_anchors():
     assert widest(1024) < widest(256) / 3.0
 
 
-def _interval_perimeter_exact(a: float, b: float, s: float) -> float:
-    """P_s((a, b)) in the with_constant convention, by adaptive quadrature.
-
-    P = K_s (alpha / (2 Gamma(1 - alpha))) int_0^inf t^{-1-alpha} D(t) dt with
-    alpha = s/2, where D(t) = P(X in E, Y not in E) for standard normals X, Y
-    with correlation e^{-t}: 2T(a, h) + 2T(b, h) - 2P(X < a, Y > b), with
-    Owen's T and h = sqrt(tanh(t/2)).
-    """
-    alpha = 0.5 * s
-
-    def cross(t):  # P(X < a, Y > b)
-        rho, d = math.exp(-t), math.sqrt(-math.expm1(-2.0 * t))
-        return integrate.quad(lambda x: math.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
-                              * special.ndtr((rho * x - b) / d), -math.inf, a, limit=200)[0]
-
-    def D(t):
-        h = math.sqrt(math.tanh(0.5 * t))
-        return 2.0 * special.owens_t(a, h) + 2.0 * special.owens_t(b, h) - 2.0 * cross(t)
-
-    edges = [0.0] + [10.0 ** k for k in range(-12, 1)] + [math.inf]
-    total = sum(integrate.quad(lambda t: t ** (-1.0 - alpha) * D(t), lo, hi, limit=200)[0]
-                for lo, hi in zip(edges, edges[1:]))
-    return k_coefficient(s) * 0.5 * alpha / special.gamma(1.0 - alpha) * total
-
-
 def test_exact_interval_perimeter_matches_the_halfline_reference():
     # Two quadratures of the same semigroup formula; they agree to 2e-14
     # relative.  The profile's own tail_bound is checked against a 30-digit
@@ -75,11 +49,11 @@ def test_exact_interval_perimeter_matches_the_halfline_reference():
     for r in (0.0, 0.7):
         for s in (0.5, 0.9):
             ref = halfline_perimeter(r, s).value
-            assert _interval_perimeter_exact(-40.0, r, s) == pytest.approx(ref, rel=1e-10)
+            assert interval_perimeter_exact(-40.0, r, s) == pytest.approx(ref, rel=1e-10)
 
 
 def test_pde_interval_converges_to_the_exact_value():
-    exact = _interval_perimeter_exact(0.0, 1.0, 0.25)
+    exact = interval_perimeter_exact(0.0, 1.0, 0.25)
     errs = [abs(exact - pde_energy(interval(0.0, 1.0), 0.25, mesh=(n, n))) / exact
             for n in (256, 512, 1024)]
     assert errs[0] > errs[1] > errs[2] and errs[2] < 1e-3
@@ -369,3 +343,11 @@ def test_cached_modes_are_read_only_and_a_degenerate_axis_is_not_cached():
             pde_energy(halfline(0.0), 0.5, domain=(1000.0, 4.0), mesh=(64, 64))
     assert _transverse.cache_info().currsize == size
     assert pde_energy(halfline(0.0), 0.5, mesh=(64, 64)) == energy
+
+
+def test_an_axis_above_1024_cells_is_built_on_every_call():
+    # A 1025-cell axis would hold 8 MB; it is not kept, and gives the same energy.
+    _transverse.cache_clear()
+    energies = {pde_energy(halfline(0.0), 0.5, mesh=(1025, 64)).hex() for _ in range(2)}
+    assert len(energies) == 1
+    assert _transverse.cache_info().currsize == 0

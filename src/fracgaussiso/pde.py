@@ -23,11 +23,13 @@ independent tridiagonal z-problems, one per mode of the Kronecker sum,
 eliminated together in one sweep over z (`_solve_tensor`).  The modes of a
 transverse axis do not depend on s, Z or n_z, so the O(n_x^3) pencil is
 paid once per transverse axis of at most 1024 cells and kept (`_modes`,
-O(n_x^2) memory).  Then each planar solve costs O(n_x (n_x + n_z)) time,
-O(n_x n_z) of it the sweep over z, and each cylinder solve
-O(n_x n_y (n_x + n_y + n_z)).  The independent check of this algebra is in
-the tests: the operator assembled edge by edge, solved by sparse LU, in two
-and three dimensions.
+O(n_x^2) memory).  The sweep over z runs in place over the excited modes
+only, those whose coefficient is nonzero, at O(n_z) per mode.  Then each
+planar solve costs O(n_x (n_x + n_z)) time, O(n_x n_z) of it the sweep, and
+each cylinder solve O(n_x n_y (n_x + n_y) + n_x n_z): its data is constant
+in y, so only the n_x + 1 modes on the y zero mode are excited.  The
+independent check of this algebra is in the tests: the operator assembled
+edge by edge, solved by sparse LU, in two and three dimensions.
 """
 from __future__ import annotations
 
@@ -46,8 +48,10 @@ __all__ = ["pde_energy", "pde_energy_cylinder", "graded_x_mesh"]
 def __getattr__(name: str):
     """``pde.cg`` and ``pde.spsolve``, the sparse solvers of ``scipy.sparse.linalg``.
 
-    Neither is called here; perfbench/spans.py wraps both by name.  They are
-    looked up on first access, so importing this module loads no scipy.
+    Neither is called here.  perfbench/spans.py names both, but its `rebind`
+    replaces only names bound in this module's namespace, so it installs no
+    wrapper on either and `pde.solve_s` reads 0.  They are looked up on first
+    access, so importing this module loads no scipy.
     """
     if name in ("cg", "spsolve"):
         from scipy.sparse import linalg
@@ -85,9 +89,9 @@ def graded_x_mesh(anchors, L: float, n_x: int) -> np.ndarray:
 
 def _x_masses(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(interval gamma-masses, dual-cell gamma-masses extended to +-inf)."""
-    cdf = np.array([phi(v) for v in x])
+    cdf = np.array([phi(v) for v in x.tolist()])  # floats: numpy scalars cost more per call
     omega = np.diff(cdf)
-    mid_cdf = np.array([phi(v) for v in 0.5 * (x[:-1] + x[1:])])
+    mid_cdf = np.array([phi(v) for v in (0.5 * (x[:-1] + x[1:])).tolist()])
     return omega, np.diff(np.concatenate(([0.0], mid_cdf, [1.0])))
 
 
@@ -183,6 +187,11 @@ def _planar(E: GaussianSet, s, domain, n_x: int, n_z: int):
     return x, [z_axis, modes]
 
 
+# The z-rows of w_z[j] lam that the sweep takes at once: a block of 64 rows
+# holds 0.26 MB at 512 modes, where all n_z rows would hold n_z / 64 times that.
+_SWEEP_ROWS = 64
+
+
 def _solve_tensor(axes, bottom: np.ndarray) -> float:
     """Minimal energy on the axes [z, x] or [z, x, y] with the z = 0 layer fixed to bottom.
 
@@ -195,7 +204,11 @@ def _solve_tensor(axes, bottom: np.ndarray) -> float:
     c_j and a leak lam_m w_z[j] at each node.  Eliminating from the zero-flux
     top down, node j sees the conductance
     G[j] = lam w_z[j] + c_j G[j + 1] / (c_j + G[j + 1]).  The energy is
-    sum_m G_m[0] u_m[0]^2, a sum of nonnegative terms.  The zero mode's G is
+    sum_m G_m[0] u_m[0]^2, a sum of nonnegative terms, so only the modes
+    with a nonzero coefficient are swept: all of them for planar data, and
+    for the cylinder's y-constant data only the n_x + 1 modes on the y zero
+    mode.  Each z-step is four in-place ufunc calls on the live modes, in
+    the arithmetic order of the formula above.  The zero mode's G is
     exactly 0, so constant data has energy exactly 0, and the other
     coefficients read only jumps, which a set and its complement share up to
     sign.
@@ -203,16 +216,26 @@ def _solve_tensor(axes, bottom: np.ndarray) -> float:
     (c, wz), *transverse = axes
     lam, w0, V = zip(*transverse)
     shape = tuple(w.shape[0] for w in w0)
-    lam = reduce(np.add.outer, lam).ravel()
-    G = wz[-1] * lam  # one sweep over z, all modes at once
-    for j in range(c.shape[0] - 1, -1, -1):
-        G = wz[j] * lam + c[j] / (c[j] + G) * G
     u0 = bottom.reshape(shape)  # coefficients along each transverse axis in turn
     for k in range(len(shape)):
         f = np.moveaxis(u0, k, -1)
         u0 = np.moveaxis(np.concatenate([(f @ w0[k])[..., None], np.diff(f) @ V[k]], -1), -1, k)
     u0 = u0.ravel()
-    return float(G @ (u0 * u0))
+    live = u0 != 0.0  # by value, not sign: a set and its complement excite the same modes
+    lam = reduce(np.add.outer, lam).ravel()[live]
+    G = wz[-1] * lam  # one sweep over z, the live modes at once
+    t = np.empty_like(G)
+    c = [c[j, ...] for j in range(c.shape[0])]  # 0-d arrays: cheaper ufunc operands than floats
+    for top in range(len(c), 0, -_SWEEP_ROWS):
+        low = max(top - _SWEEP_ROWS, 0)
+        for cj, wl_j in zip(reversed(c[low:top]), np.multiply.outer(wz[low:top], lam)[::-1]):
+            np.add(G, cj, t)  # G = wz[j] lam + c_j / (c_j + G) G, in place
+            np.divide(cj, t, t)
+            np.multiply(t, G, G)
+            np.add(wl_j, G, G)
+    full = np.zeros_like(u0)  # a dot over the live modes alone would sum in another order
+    full[live] = G
+    return float(full @ (u0 * u0))
 
 
 def pde_energy(E: GaussianSet, s, domain: tuple[float, float] = (6.0, 4.0),

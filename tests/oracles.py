@@ -6,9 +6,11 @@ quadrature, the Hermite recurrence at one point, the Gauss-Hermite rule for
 gamma_1, and the subordination profile psi_sigma in closed form
 (``psi_bulk``), with the boundary flux and the trace gap of the Hermite
 series of the extension built from it, and the perimeter of an interval
-from its correlated-pair formula.
+from its correlated-pair formula, and the PDE energy's sweep over z in its
+plain out-of-place form over every mode.
 """
 import math
+from functools import reduce
 
 import numpy as np
 from scipy import integrate, special
@@ -150,3 +152,25 @@ def interval_perimeter_exact(a: float, b: float, s: float) -> float:
     total = sum(integrate.quad(lambda t: t ** (-1.0 - alpha) * D(t), lo, hi, limit=200)[0]
                 for lo, hi in zip(edges, edges[1:]))
     return k_coefficient(s) * 0.5 * alpha / special.gamma(1.0 - alpha) * total
+
+
+def pde_sweep_reference(axes, bottom: np.ndarray) -> float:
+    """The minimal energy of `pde._solve_tensor`, swept over every mode out of place.
+
+    The modal coefficients are taken as there; the sweep then runs
+    G = w_z[j] lam + c_j / (c_j + G) G over all modes, excited or not, from
+    G = w_z[-1] lam, and the energy is G @ (u0 u0).
+    """
+    (c, wz), *transverse = axes
+    lam, w0, V = zip(*transverse)
+    shape = tuple(w.shape[0] for w in w0)
+    lam = reduce(np.add.outer, lam).ravel()
+    G = wz[-1] * lam
+    for j in range(c.shape[0] - 1, -1, -1):
+        G = wz[j] * lam + c[j] / (c[j] + G) * G
+    u0 = bottom.reshape(shape)
+    for k in range(len(shape)):
+        f = np.moveaxis(u0, k, -1)
+        u0 = np.moveaxis(np.concatenate([(f @ w0[k])[..., None], np.diff(f) @ V[k]], -1), -1, k)
+    u0 = u0.ravel()
+    return float(G @ (u0 * u0))

@@ -140,18 +140,23 @@ def test_criterion_11_pde_cross_check():
     richardson = v[3] + (v[3] - v[2]) / (2.0 ** p[1] - 1.0)
     # On one x-axis (L = 6, n_x = 512), doubling the height Z or the z-mesh
     # n_z moves the energy by under a quarter of its error against the exact
-    # value, so the error left at 512^2 is the x-mesh's.
+    # value, and so does widening the domain to L = 8 at the same uniform
+    # cell width (n_x = 683): the error left at 512^2 is the x-mesh's.  The
+    # L shares read +6e-4 and +4e-5 against errors of +4.6e-3 and +2.0e-3.
     shares = []
     for E, s, exact in ((fg.halfline(0.0), 0.5, ref),
                         (fg.interval(0.0, 1.0), 0.25, interval_perimeter_exact(0.0, 1.0, 0.25))):
-        base, taller, finer_z = (pde_energy(E, s, domain=(6.0, Z), mesh=(512, n_z))
-                                 for Z, n_z in ((4.0, 512), (8.0, 512), (4.0, 1024)))
-        err, dZ, dn = ((val - base) / exact for val in (exact, taller, finer_z))
-        ok &= abs(err) < 0.02 and max(abs(dZ), abs(dn)) < 0.25 * abs(err)
-        shares.append(f"{E}: {err:+.1e}, Z {dZ:+.0e}, n_z {dn:+.0e}")
+        base, taller, finer_z, wider = (pde_energy(E, s, domain=(L, Z), mesh=(n_x, n_z))
+                                        for L, Z, n_x, n_z in ((6.0, 4.0, 512, 512),
+                                                               (6.0, 8.0, 512, 512),
+                                                               (6.0, 4.0, 512, 1024),
+                                                               (8.0, 4.0, 683, 512)))
+        err, dZ, dn, dL = ((val - base) / exact for val in (exact, taller, finer_z, wider))
+        ok &= abs(err) < 0.02 and max(abs(dZ), abs(dn), abs(dL)) < 0.25 * abs(err)
+        shares.append(f"{E}: {err:+.1e}, Z {dZ:+.0e}, n_z {dn:+.0e}, L {dL:+.0e}")
     _report(11, f"PDE energy within 2% at 512^2 with observed convergence "
                 f"(order {p[0]:.2f}, {p[1]:.2f}; Richardson {richardson:.6f}, "
-                f"reference {ref:.6f}); error at 512^2 and its Z and n_z shares: "
+                f"reference {ref:.6f}); error at 512^2 and its Z, n_z and L shares: "
                 f"{'; '.join(shares)}", ok)
 
 

@@ -8,12 +8,12 @@ from scipy.sparse import coo_matrix
 from scipy.sparse.linalg import splu
 
 from fracgaussiso.errors import DomainError
-from fracgaussiso.pde import (_axis, _pencil, _planar, _solve_tensor, _transverse, _x_masses,
-                              graded_x_mesh, pde_energy, pde_energy_cylinder)
+from fracgaussiso.pde import (_axis, _modes, _pencil, _planar, _solve_tensor, _transverse,
+                              _x_masses, graded_x_mesh, pde_energy, pde_energy_cylinder)
 from fracgaussiso.sets import (EMPTY, FULL_LINE, GaussianSet, complement, halfline,
                                indicator, interval)
 from fracgaussiso.spectral import halfline_perimeter, perimeter_spectral
-from oracles import interval_perimeter_exact
+from oracles import interval_perimeter_exact, pde_sweep_reference
 
 
 def test_graded_mesh_contains_anchors():
@@ -351,3 +351,32 @@ def test_an_axis_above_1024_cells_is_built_on_every_call():
     energies = {pde_energy(halfline(0.0), 0.5, mesh=(1025, 64)).hex() for _ in range(2)}
     assert len(energies) == 1
     assert _transverse.cache_info().currsize == 0
+
+
+_SWEEP_SETS = {"halfline": halfline(0.0), "interval": interval(0.0, 1.0),
+               "complement": complement(interval(0.0, 1.0)), "narrow": interval(-1.7, -1.6),
+               "two_pieces": TWO_PIECES}
+
+
+@pytest.mark.parametrize("s", [0.25, 0.5, 0.75])
+@pytest.mark.parametrize("name", list(_SWEEP_SETS))
+def test_the_sweep_over_live_modes_is_the_full_sweep_bit_for_bit(name, s):
+    # The in-place sweep over the modes with data gives the energy of the
+    # out-of-place sweep over every mode, bit for bit: planar, the cylinder,
+    # whose y-constant data excites only the y zero mode, and y-varying
+    # product data, which excites every mode (each y-mode of halfline(0.3)
+    # has a nonzero coefficient at n_y = 1, 8 and 32).
+    E = _SWEEP_SETS[name]
+    for n_x, n_z in ((64, 64), (512, 512), (128, 1024)):
+        x, axes = _planar(E, s, (6.0, 4.0), n_x, n_z)
+        assert pde_energy(E, s, mesh=(n_x, n_z)).hex() == \
+            (0.5 * pde_sweep_reference(axes, indicator(E, x))).hex()
+    x, axes = _planar(E, s, (6.0, 4.0), 64, 64)
+    for n_y in (1, 8, 32):
+        y_axis = axes + [_modes(None, 6.0, n_y)[1:]]
+        bottom = np.repeat(indicator(E, x), n_y + 1)
+        assert pde_energy_cylinder(E, s, mesh=(n_y, 64, 64)).hex() == \
+            (0.5 * pde_sweep_reference(y_axis, bottom)).hex()
+        y = np.linspace(-6.0, 6.0, n_y + 1)
+        product = np.outer(indicator(E, x), indicator(halfline(0.3), y)).ravel()
+        assert _solve_tensor(y_axis, product).hex() == pde_sweep_reference(y_axis, product).hex()

@@ -10,6 +10,7 @@ wrappers add the domain checks on outside input.
 from __future__ import annotations
 
 import math
+import operator
 from functools import lru_cache
 from statistics import NormalDist
 
@@ -45,6 +46,17 @@ def check_order(s, what: str = "fractional order") -> float:
     if not (0.0 < s < 1.0):
         raise DomainError(f"{what} must lie in (0, 1), got {s}")
     return s
+
+
+def check_truncation(K) -> int:
+    """K as an int, for an integer K >= 1; a float K (4000.0 too) raises DomainError."""
+    try:
+        K = operator.index(K)
+    except TypeError:
+        raise DomainError(f"truncation K must be an integer, got {K!r}") from None
+    if K < 1:
+        raise DomainError("perimeter needs truncation K >= 1")
+    return K
 
 
 def _gauss_laguerre(a: float, n: int) -> tuple[np.ndarray, np.ndarray]:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 from .errors import DegenerateSetError, DomainError, ResolutionError
 from .extension import extension_field, level_set_with_budget
-from .gauss_core import check_order, check_positive, iso_function
+from .gauss_core import check_order, check_positive, check_truncation, iso_function
 from .sets import (GaussianSet, asymmetry, complement, ehrhard_symmetrize,
                    measure, set_minus, symm_diff)
 from .spectral import PerimeterValue, perimeter_spectral
@@ -123,7 +123,7 @@ def z0_threshold(E: GaussianSet, s, K: int = 10_000) -> float:
     The level-set bounds read z0 alone, so no symmetrized halfline is built.
     """
     s = check_order(s)
-    A = asymmetry(E)
+    A, K = asymmetry(E), check_truncation(K)  # K is checked also where A = 0 reads no P
     return _height(A, measure(E), s, perimeter_spectral(E, s, K), 72.0) if A else 0.0
 
 
@@ -267,7 +267,7 @@ def verify_levelset_bounds(E: GaussianSet, s, t: float, z: float,
     if not (0.25 <= t <= 0.75):
         raise DomainError(f"t must lie in [1/4, 3/4], got {t}")
     m = measure(E)
-    A = asymmetry(E)
+    A, K = asymmetry(E), check_truncation(K)  # K is checked also where A = 0 reads no P
     if A == 0.0:
         # z0 = 0: the admissible z-range is empty and the claim is vacuous.
         return True

@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
+from functools import cached_property, lru_cache
 from typing import Iterable
 
 import numpy as np
@@ -43,7 +44,12 @@ INF = math.inf
 
 @dataclass(frozen=True)
 class GaussianSet:
-    """Canonical finite union of disjoint open intervals (a_i, b_i)."""
+    """Canonical finite union of disjoint open intervals (a_i, b_i).
+
+    ``signed_endpoints``, ``finite_endpoints`` and ``open_right`` are computed
+    on first read and kept on the instance: the set is immutable, so they
+    cannot go stale, and equality and hashing read only ``intervals``.
+    """
 
     intervals: tuple[tuple[float, float], ...]
 
@@ -67,7 +73,7 @@ class GaussianSet:
                 merged.append((a, b))
         return GaussianSet(tuple(merged))
 
-    @property
+    @cached_property
     def signed_endpoints(self) -> tuple[tuple[float, int], ...]:
         """(e, -1) at each finite left end and (e, +1) at each finite right end, in order.
 
@@ -78,12 +84,12 @@ class GaussianSet:
         return tuple((e, sign) for ab in self.intervals for e, sign in zip(ab, (-1, 1))
                      if math.isfinite(e))
 
-    @property
+    @cached_property
     def open_right(self) -> int:
         """The number of intervals open to +inf (0 or 1 in canonical form)."""
         return sum(1 for _, b in self.intervals if b == INF)
 
-    @property
+    @cached_property
     def finite_endpoints(self) -> tuple[float, ...]:
         return tuple(e for e, _ in self.signed_endpoints)
 
@@ -227,11 +233,16 @@ def ehrhard_symmetrize(E: GaussianSet) -> Halfline:
     return Halfline("left", phi_inv(m))
 
 
+# The level-set suites read a set's asymmetry up to 12 times, with at most one
+# other set (a level set) read between two of those reads.
+@lru_cache(maxsize=16)
 def best_halfline(E: GaussianSet) -> tuple[float, Halfline]:
     """Fraenkel asymmetry together with a minimizing halfline.
 
     In one dimension the minimum over halfspace orientations collapses to the
     two halflines of measure gamma_1(E); ties go to the left orientation.
+    The result is memoized per set value (the last 16 sets): it is a pure
+    function of ``E.intervals``, and the tuple it returns is immutable.
     """
     m = _require_proper(E)
     left = Halfline("left", phi_inv(m))

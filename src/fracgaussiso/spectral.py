@@ -20,7 +20,7 @@ import numpy as np
 
 from ._kernels_py import coeff_antideriv_table, halfspace_series_sum
 from .errors import DomainError
-from .gauss_core import check_order, k_coefficient, laguerre_roots
+from .gauss_core import check_order, check_truncation, k_coefficient, laguerre_roots
 from .sets import GaussianSet, measure
 
 __all__ = [
@@ -114,11 +114,24 @@ def _tail_past(c: float, s: float, K: float) -> float:
 
 def perimeter_spectral(E: GaussianSet, s, K: int = 10_000,
                        convention: str = "with_constant") -> PerimeterValue:
-    """Fractional Gaussian perimeter of E from the truncated Hermite series."""
+    """Fractional Gaussian perimeter of E from the truncated Hermite series.
+
+    The order, the convention and K are checked first, in that order; then
+    the value is looked up by (E, float s, int K, convention) in a memo of
+    the last 16 values (`_perimeter`).  The value is a pure function of that
+    key and is immutable, so a verifier that reads P_s(E) at every height
+    and threshold evaluates it once.
+    """
     s = check_order(s)
     _check_convention(convention)
-    if K < 1:
-        raise DomainError("perimeter needs truncation K >= 1")
+    return _perimeter(E, s, check_truncation(K), convention)
+
+
+# A level-set check reads the perimeters of E and of its symmetrized halfline
+# at one (s, K), and a main-suite set those of both at three orders.
+@lru_cache(maxsize=16)
+def _perimeter(E: GaussianSet, s: float, K: int, convention: str) -> PerimeterValue:
+    """`perimeter_spectral` on checked arguments, memoized."""
     weights, window_weights = _order_weights(K, s)
     terms = weights * coeff_table(E, K)[1:] ** 2
     return _scaled(0.5 * float(np.sum(terms)),
@@ -149,8 +162,7 @@ def halfspace_series(r: float, s, K: int = 10_000,
     """
     r, s = _finite(r), check_order(s)
     _check_convention(convention)
-    if K < 1:
-        raise DomainError("halfline series needs K >= 1")
+    K = check_truncation(K)
     partial = halfspace_series_sum(r, s / 2.0 - 1.0, K) / FOUR_PI
     return _scaled(partial, _tail_past(asymptotic_limit(r), s, K), s, K, convention)
 

@@ -58,7 +58,7 @@ def test_reference_probe_runs_traced(perfbench):
     assert not names & {"backend.halfspace_series_sum", "backend.coeff_antideriv_table"}
 
 
-def test_one_levelset_set_builds_six_mehler_rules(perfbench):
+def test_one_levelset_set_builds_six_mehler_rules(perfbench, cold_caches):
     # 3 closeness checks at one height, then bounds checks at z0/2 and z0
     # with 3 thresholds each; every check extracts at 80 and 40 nodes, so
     # 3 heights x 2 orders are 6 rules, inside the cache of 8
@@ -68,7 +68,6 @@ def test_one_levelset_set_builds_six_mehler_rules(perfbench):
     wl = workloads.Levelset(SEED, 0.0, None)
     try:
         E = wl.first_rounds(1)[0]
-        extension._mehler_rule.cache_clear()
         outcomes = list(wl.run(E))
     finally:
         wl.close()
@@ -77,7 +76,8 @@ def test_one_levelset_set_builds_six_mehler_rules(perfbench):
     assert info.misses == 6 and info.currsize == 6 and info.maxsize == 8
 
 
-def test_one_levelset_set_evaluates_the_grid_only_near_its_crossings(perfbench, monkeypatch):
+def test_one_levelset_set_evaluates_the_grid_only_near_its_crossings(perfbench, monkeypatch,
+                                                                    cold_caches):
     # the 6 rules of the first set evaluate U on the coarse grid and in the
     # cells near crossings: under a tenth of the 6 x 16 001 points that the
     # whole grid took, while the bisection (its points are off the grid)
@@ -97,7 +97,6 @@ def test_one_levelset_set_evaluates_the_grid_only_near_its_crossings(perfbench, 
     wl = workloads.Levelset(SEED, 0.0, None)
     try:
         E = wl.first_rounds(1)[0]
-        extension._mehler_rule.cache_clear()
         list(wl.run(E))
     finally:
         wl.close()
@@ -139,18 +138,18 @@ def test_a_levelset_pass_bisects_with_at_most_32_points_per_crossing(perfbench, 
     assert sum(crossings) > 400 and sum(points) <= 32 * sum(crossings)
 
 
-def test_the_profile_and_the_mehler_rule_share_one_laguerre_root_cache(perfbench, monkeypatch):
+def test_the_profile_and_the_mehler_rule_share_one_laguerre_root_cache(perfbench, monkeypatch,
+                                                                      cold_caches):
     # the reference probe reads the 40- and 20-node rules at s = 0.5 and at
     # the three orders of `asymptotic`; the first levelset set then builds
     # only the 80-node rule at a = -0.75, since its 40-node rule is the
     # profile's at s = 0.5
-    from fracgaussiso import extension, gauss_core
+    from fracgaussiso import gauss_core
 
     _, workloads = perfbench
     built, rule = [], gauss_core._gauss_laguerre
     monkeypatch.setattr(gauss_core, "_gauss_laguerre",
                         lambda a, n: built.append((a, n)) or rule(a, n))
-    gauss_core.laguerre_roots.cache_clear()
     workloads.reference_pair()
     assert gauss_core.laguerre_roots.cache_info().misses == len(built) == 8
     workloads.reference_pair()
@@ -158,7 +157,6 @@ def test_the_profile_and_the_mehler_rule_share_one_laguerre_root_cache(perfbench
     wl = workloads.Levelset(SEED, 0.0, None)
     try:
         E = wl.first_rounds(1)[0]
-        extension._mehler_rule.cache_clear()
         list(wl.run(E))
     finally:
         wl.close()
@@ -168,7 +166,7 @@ def test_the_profile_and_the_mehler_rule_share_one_laguerre_root_cache(perfbench
 
 
 def test_one_deficit_set_builds_each_table_in_one_segment_and_reads_cached_weights(
-        perfbench, monkeypatch):
+        perfbench, monkeypatch, cold_caches):
     # a deficit set reads the tables of E and of its symmetrized halfline H at
     # three orders: each table is one kernel call that runs one segment at
     # K = 1e4, and the order weights are computed for the three (K, s) keys
@@ -193,8 +191,6 @@ def test_one_deficit_set_builds_each_table_in_one_segment_and_reads_cached_weigh
     wl = workloads.Deficit(SEED, 2 * workloads.Deficit.ROUND_S, None)
     try:
         first, second = wl.first_rounds(2)
-        spectral.coeff_table.cache_clear()
-        spectral._order_weights.cache_clear()
         assert not any(bad for _, bad in wl.run(first))
         assert calls == [(len(first.finite_endpoints), 10_000), (1, 10_000)]
         assert segments == [(0, 10_000)] * 2

@@ -354,7 +354,7 @@ def test_a_coarse_cell_bound_holds_at_every_grid_point_inside():
         assert np.all(moved[bound == 0.0] == 0.0)
 
 
-def test_level_set_batches_its_bisection(monkeypatch):
+def test_level_set_batches_its_bisection(monkeypatch, cold_caches):
     # each rule's coarse grid comes from the rule itself, so the grid calls
     # fill only the inner points of the cells that can hold a crossing of
     # each t: never a coarse point, never the whole grid and no grid point
@@ -372,7 +372,6 @@ def test_level_set_batches_its_bisection(monkeypatch):
         return bool(np.isin(x, LEVELSET_GRID).all())
 
     monkeypatch.setattr(extension, "mehler_extension", counting)
-    extension._mehler_rule.cache_clear()
     for t, z in LEVELSET_CASES * 2:
         start = len(calls)
         level_set_with_budget(extension_field(THREE_PIECES, 0.5, 500), t, z)

@@ -4,9 +4,10 @@ import mpmath
 import numpy as np
 import pytest
 
-from fracgaussiso import (constant_C, extension_field, halfline_perimeter, halfspace_series,
-                          interval, pde_energy, perimeter_spectral, verify_levelset_bounds,
-                          verify_levelset_closeness, verify_main, z0_threshold, z_thresholds)
+from fracgaussiso import (constant_C, extension_field, halfline, halfline_perimeter,
+                          halfspace_series, interval, pde_energy, perimeter_spectral,
+                          verify_levelset_bounds, verify_levelset_closeness, verify_main,
+                          z0_threshold, z_thresholds)
 from fracgaussiso.errors import DomainError
 from fracgaussiso.gauss_core import (check_order, gamma_fn, iso_function,
                                      k_coefficient, laguerre_roots, ndtr, phi, phi_inv)
@@ -46,8 +47,39 @@ def test_every_entry_checks_the_order_and_takes_it_as_a_float(entry):
     for bad in (0.0, 1.0, math.nan, -0.1, 1.5):
         with pytest.raises(DomainError, match="fractional order must lie in"):
             call(bad)
-    # the repr shows a numpy scalar that was stored unconverted
-    assert repr(call(np.float64(0.5))) == repr(call(0.5))
+    # the repr shows a numpy scalar that was stored unconverted; a 0-d array
+    # would be an unhashable memo key
+    assert repr(call(np.float64(0.5))) == repr(call(np.array(0.5))) == repr(call(0.5))
+
+
+# every public entry that takes the truncation K, with its other arguments
+_TRUNCATION_ENTRIES = {
+    "perimeter_spectral": lambda K: perimeter_spectral(_E, 0.5, K),
+    "halfspace_series": lambda K: halfspace_series(0.3, 0.5, K),
+    "verify_main": lambda K: verify_main(_E, 0.5, K=K),
+    "z0_threshold": lambda K: z0_threshold(_E, 0.5, K),
+    "closeness_z_max": lambda K: closeness_z_max(_E, 0.5, 4.0, K),
+    "verify_levelset_closeness": lambda K: verify_levelset_closeness(_E, 0.5, 0.5, 0.01, 4.0, K),
+    "verify_levelset_bounds": lambda K: verify_levelset_bounds(_E, 0.5, 0.5, 3e-4, K),
+    # a halfline has asymmetry 0, so no perimeter is read
+    "z0_threshold of a halfline": lambda K: z0_threshold(halfline(0.3), 0.5, K),
+    "verify_levelset_bounds of a halfline":
+        lambda K: verify_levelset_bounds(halfline(0.3), 0.5, 0.5, 3e-4, K),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(_TRUNCATION_ENTRIES))
+def test_every_entry_checks_the_truncation_and_takes_it_as_an_int(entry):
+    call = _TRUNCATION_ENTRIES[entry]
+    # an integral float would otherwise share the memo entry of the int
+    for bad in (200.0, 200.5, "200", None):
+        with pytest.raises(DomainError, match="truncation K must be an integer"):
+            call(bad)
+    for bad in (0, -1):
+        with pytest.raises(DomainError, match="needs truncation K >= 1"):
+            call(bad)
+    # in either order of the calls, the repr shows no numpy integer
+    assert repr(call(np.int64(200))) == repr(call(200)) == repr(call(np.int64(200)))
 
 
 def test_gamma_anchors():

@@ -308,7 +308,7 @@ def test_planar_solve_matches_lu_on_grid_sets(E, s):
     _check_against_lu(E, s, 64)
 
 
-def test_a_warm_cache_gives_the_cold_energies_bit_for_bit():
+def test_a_warm_cache_gives_the_cold_energies_bit_for_bit(cold_caches):
     # Every run shares n_x = 96 and L = 6.  halfline(0.3) takes the first
     # entries, so a cache key without the anchors would hand E its x-axis.
     E = interval(0.0, 1.0)
@@ -317,7 +317,6 @@ def test_a_warm_cache_gives_the_cold_energies_bit_for_bit():
             for s, domain, n_z in ((0.25, (6.0, 4.0), 64), (0.5, (6.0, 4.0), 64),
                                    (0.75, (6.0, 4.0), 64), (0.5, (6.0, 5.0), 64),
                                    (0.5, (6.0, 4.0), 80))]
-    _transverse.cache_clear()
     pde_energy_cylinder(halfline(0.3), 0.5, mesh=(4, 96, 64))
     warm = [f(E, s, domain, mesh).hex() for f, s, domain, mesh in runs]
     assert _transverse.cache_info().misses == 3  # the x-axes of both sets and one y-axis
@@ -331,8 +330,7 @@ def test_a_warm_cache_gives_the_cold_energies_bit_for_bit():
         assert f(E, s, domain, mesh).hex() == energy
 
 
-def test_cached_modes_are_read_only_and_a_degenerate_axis_is_not_cached():
-    _transverse.cache_clear()
+def test_cached_modes_are_read_only_and_a_degenerate_axis_is_not_cached(cold_caches):
     energy = pde_energy(halfline(0.0), 0.5, mesh=(64, 64))
     for a in _transverse((0.0,), 6.0, 64):  # nodes, lam, w0 and V
         with pytest.raises(ValueError, match="read-only"):
@@ -345,9 +343,8 @@ def test_cached_modes_are_read_only_and_a_degenerate_axis_is_not_cached():
     assert pde_energy(halfline(0.0), 0.5, mesh=(64, 64)) == energy
 
 
-def test_an_axis_above_1024_cells_is_built_on_every_call():
+def test_an_axis_above_1024_cells_is_built_on_every_call(cold_caches):
     # A 1025-cell axis would hold 8 MB; it is not kept, and gives the same energy.
-    _transverse.cache_clear()
     energies = {pde_energy(halfline(0.0), 0.5, mesh=(1025, 64)).hex() for _ in range(2)}
     assert len(energies) == 1
     assert _transverse.cache_info().currsize == 0

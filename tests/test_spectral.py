@@ -77,7 +77,7 @@ def test_set_coefficients_vs_quadrature():
 TWO_PIECES = GaussianSet.from_intervals([(-1.5, -0.2), (0.4, 1.1)])
 
 
-def test_coeff_table_built_once_per_set(monkeypatch):
+def test_coeff_table_built_once_per_set(monkeypatch, cold_caches):
     # The table does not depend on s: three orders build it once, by one
     # kernel call that carries all four endpoints with their signs.
     calls = []
@@ -88,7 +88,6 @@ def test_coeff_table_built_once_per_set(monkeypatch):
         return kernel(x, K, signs)
 
     monkeypatch.setattr(spectral, "coeff_antideriv_table", counted)
-    coeff_table.cache_clear()
     for s in (0.25, 0.5, 0.75):
         perimeter_spectral(TWO_PIECES, s, 2000)
     assert calls == [((-1.5, -0.2, 0.4, 1.1), 2000, (1.0, -1.0, 1.0, -1.0))]
@@ -212,16 +211,20 @@ def test_unknown_convention():
 
 @pytest.mark.parametrize("s, convention, K", [
     (1.5, "remark", 10**6), (0.0, "with_constant", 100), (0.5, "banana", 10**6),
-    (0.5, "remark", 0), (0.5, "with_constant", -1)])
+    (0.5, "remark", 0), (0.5, "with_constant", -1), (0.5, "remark", 4000.0),
+    (0.5, "remark", "4000")])
 def test_bad_arguments_raise_before_a_table_is_built(monkeypatch, s, convention, K):
-    # a bad order, convention or K neither runs the kernel nor touches the cache
+    # a bad order, convention or K neither runs the kernel nor touches a cache
     calls = []
     monkeypatch.setattr(spectral, "coeff_antideriv_table", lambda *args: calls.append(args))
-    before = coeff_table.cache_info()
+    caches = (coeff_table, spectral._perimeter)
+    before = [cache.cache_info() for cache in caches]
     with pytest.raises(DomainError) as exc:
         perimeter_spectral(TWO_PIECES, s, K, convention)
-    assert calls == [] and coeff_table.cache_info() == before
-    if K < 1:
+    assert calls == [] and [cache.cache_info() for cache in caches] == before
+    if not isinstance(K, int):
+        assert str(exc.value) == f"truncation K must be an integer, got {K!r}"
+    elif K < 1:
         assert str(exc.value) == "perimeter needs truncation K >= 1"
 
 

@@ -20,8 +20,10 @@ from itertools import islice
 import numpy as np
 
 from .errors import DomainError, ResolutionError
-from .gauss_core import check_order, check_positive, gamma_fn, laguerre_roots, ndtr
-from .sets import EMPTY, FULL_LINE, GaussianSet, indicator, interval, measure
+from .gauss_core import (check_order, check_positive, check_truncation, gamma_fn,
+                         laguerre_roots, ndtr)
+from .sets import EMPTY, FULL_LINE, GaussianSet, asymmetry, indicator, interval, measure
+from .spectral import PerimeterValue, perimeter_spectral
 
 __all__ = [
     "ExtensionField",
@@ -66,15 +68,26 @@ _LEVELSET_QUAD = 80
 
 @dataclass(frozen=True)
 class ExtensionField:
-    """Extension of order sigma of chi_E."""
+    """Extension of order sigma of chi_E and the record of E that the level-set checks
+    read: ``perimeter`` (P_s(E), s = 2 sigma, at truncation K: half of U's minimal
+    weighted energy) and ``asymmetry`` are kept once read; ``==`` reads the fields."""
 
     set: GaussianSet
     sigma: float
+    K: int = 10_000
+
+    @cached_property
+    def perimeter(self) -> PerimeterValue:
+        return perimeter_spectral(self.set, 2.0 * self.sigma, self.K)
+
+    @cached_property
+    def asymmetry(self) -> float:
+        return asymmetry(self.set)
 
 
-def extension_field(E: GaussianSet, s, K=None) -> ExtensionField:
-    """Extension of order s/2 of chi_E.  K is not read; perfbench passes one."""
-    return ExtensionField(E, check_order(s) / 2.0)
+def extension_field(E: GaussianSet, s, K: int = 10_000) -> ExtensionField:
+    """Extension of order s/2 of chi_E, whose perimeter is read at truncation K."""
+    return ExtensionField(E, check_order(s) / 2.0, check_truncation(K))
 
 
 def evaluate_extension(F: ExtensionField, x, z: float):

@@ -16,9 +16,9 @@ import math
 from dataclasses import dataclass
 
 from .errors import DegenerateSetError, DomainError, ResolutionError
-from .extension import extension_field, level_set_with_budget
-from .gauss_core import check_order, check_positive, check_truncation, iso_function
-from .sets import (GaussianSet, asymmetry, complement, ehrhard_symmetrize,
+from .extension import ExtensionField, extension_field, level_set_with_budget
+from .gauss_core import check_order, check_positive, iso_function
+from .sets import (GaussianSet, _require_proper, asymmetry, complement, ehrhard_symmetrize,
                    measure, set_minus, symm_diff)
 from .spectral import PerimeterValue, perimeter_spectral
 
@@ -117,14 +117,15 @@ def z_thresholds(E: GaussianSet, s, P_E: PerimeterValue,
     return ZThresholds(_height(A, m, s, P_E, 72.0), _height(A, m, s, P_H, 144.0))
 
 
-def z0_threshold(E: GaussianSet, s, K: int = 10_000) -> float:
-    """z0 of `z_thresholds` with P_E = P_s(E) at truncation K; 0 when asym(E) = 0.
+def _z0(F: ExtensionField, s: float, m: float) -> float:
+    """`z0_threshold` from the field of E, with m = gamma(E)."""
+    return _height(F.asymmetry, m, s, F.perimeter, 72.0) if F.asymmetry else 0.0
 
-    The level-set bounds read z0 alone, so no symmetrized halfline is built.
-    """
-    s = check_order(s)
-    A, K = asymmetry(E), check_truncation(K)  # K is checked also where A = 0 reads no P
-    return _height(A, measure(E), s, perimeter_spectral(E, s, K), 72.0) if A else 0.0
+
+def z0_threshold(E: GaussianSet, s, K: int = 10_000) -> float:
+    """z0 of `z_thresholds` with P_E = P_s(E) at truncation K; 0 where asym(E) = 0."""
+    s, m = check_order(s), _require_proper(E)  # asym(E)'s error, named before a bad K
+    return _z0(extension_field(E, s, K), s, m)
 
 
 def _exp(x: float) -> float:
@@ -216,37 +217,41 @@ def verify_transfer_lemma(E: GaussianSet, F: GaussianSet, kappa: float) -> str:
     return TRANSFER_HOLDS if ok else TRANSFER_FAILS
 
 
+def _z_max(F: ExtensionField, s: float, alpha: float) -> float:
+    """`closeness_z_max` from the field of E."""
+    return _height(1.0, 1.0, s, F.perimeter, 8.0 * alpha)
+
+
 def closeness_z_max(E: GaussianSet, s, alpha: float, K: int = 10_000) -> float:
     """Upper end of the admissible z-range, (s/(8 alpha P_s(E)))^{1/s}; inf where that
     lies past the double range, down to the subnormal s."""
     s = check_order(s)
     check_positive(alpha, "alpha")
-    return _height(1.0, 1.0, s, perimeter_spectral(E, s, K), 8.0 * alpha)
+    return _z_max(extension_field(E, s, K), s, alpha)
 
 
-def _field_of(E: GaussianSet, s: float, field):
-    """The ExtensionField of E at order s; a given ``field`` must equal it."""
-    own = extension_field(E, s)
+def _field_of(E: GaussianSet, s: float, K, field) -> ExtensionField:
+    """``extension_field(E, s, K)``, or a given ``field`` equal to it, which keeps its values."""
+    own = extension_field(E, s, K)
     if field not in (None, own):
-        raise DomainError(f"field of {field.set} at order {field.sigma} does not belong "
-                          f"to {E} at order {own.sigma}")
-    return own
+        raise DomainError(f"field of {field.set} at (sigma, K) = ({field.sigma}, {field.K}) "
+                          f"does not belong to {E} at ({own.sigma}, {own.K})")
+    return own if field is None else field
 
 
 def verify_levelset_closeness(E: GaussianSet, s, t: float, z: float,
                               alpha: float, K: int = 10_000, field=None) -> bool:
-    """Both set differences between E and the level set stay below 1/alpha.
-
-    ``field``, if given, must be the ExtensionField of E at order s/2; a
-    field of another set or order raises DomainError.
-    """
+    """Both set differences between E and the level set stay below 1/alpha.  ``field``,
+    if given, must be ``extension_field(E, s, K)``; z_max is read from it."""
     s = check_order(s)
     if not (0.25 <= t <= 0.75):
         raise DomainError(f"t must lie in [1/4, 3/4], got {t}")
-    z_max = closeness_z_max(E, s, alpha, K)
+    check_positive(alpha, "alpha")
+    F = _field_of(E, s, K, field)
+    z_max = _z_max(F, s, alpha)
     if not (0.0 < z < z_max):
         raise DomainError(f"z must lie in (0, {z_max}), got {z}")
-    rec, budget = level_set_with_budget(_field_of(E, s, field), t, z)
+    rec, budget = level_set_with_budget(F, t, z)
     lo = measure(set_minus(E, rec.set))
     hi = measure(set_minus(rec.set, E))
     bound = 1.0 / alpha + budget
@@ -261,20 +266,19 @@ def verify_levelset_bounds(E: GaussianSet, s, t: float, z: float,
     asym(E_{t,z}) >= (5/13) asym(E), for t in [1/4, 3/4] and z <= z0, up to the
     level set's budget.  Where that covers (5/13) asym(E) the second holds unread;
     else a level set of measure 0 or 1 fails it.  ``field`` is as in
-    `verify_levelset_closeness`.
+    `verify_levelset_closeness`; z0 and asym(E) are read from it.
     """
     s = check_order(s)
     if not (0.25 <= t <= 0.75):
         raise DomainError(f"t must lie in [1/4, 3/4], got {t}")
-    m = measure(E)
-    A, K = asymmetry(E), check_truncation(K)  # K is checked also where A = 0 reads no P
-    if A == 0.0:
-        # z0 = 0: the admissible z-range is empty and the claim is vacuous.
+    m = _require_proper(E)  # the error asym(E) raises, named before a bad K
+    F = _field_of(E, s, K, field)
+    if (A := F.asymmetry) == 0.0:  # z0 = 0: no z is admissible, and the claim is vacuous
         return True
-    z0 = z0_threshold(E, s, K)
+    z0 = _z0(F, s, m)
     if not (0.0 < z <= z0):
         raise DomainError(f"z must lie in (0, z0={z0}], got {z}")
-    rec, budget = level_set_with_budget(_field_of(E, s, field), t, z)
+    rec, budget = level_set_with_budget(F, t, z)
     if not abs(rec.mu - m) <= (2.0 / 9.0) * m * A + budget:
         return False
     asym_budget = budget / min(rec.mu, m) if min(rec.mu, m) > 0.0 else math.inf

@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 from typing import Iterable
 
 import numpy as np
@@ -233,16 +233,11 @@ def ehrhard_symmetrize(E: GaussianSet) -> Halfline:
     return Halfline("left", phi_inv(m))
 
 
-# The level-set suites read a set's asymmetry up to 12 times, with at most one
-# other set (a level set) read between two of those reads.
-@lru_cache(maxsize=16)
 def best_halfline(E: GaussianSet) -> tuple[float, Halfline]:
     """Fraenkel asymmetry together with a minimizing halfline.
 
     In one dimension the minimum over halfspace orientations collapses to the
     two halflines of measure gamma_1(E); ties go to the left orientation.
-    The result is memoized per set value (the last 16 sets): it is a pure
-    function of ``E.intervals``, and the tuple it returns is immutable.
     """
     m = _require_proper(E)
     left = Halfline("left", phi_inv(m))

@@ -114,24 +114,11 @@ def _tail_past(c: float, s: float, K: float) -> float:
 
 def perimeter_spectral(E: GaussianSet, s, K: int = 10_000,
                        convention: str = "with_constant") -> PerimeterValue:
-    """Fractional Gaussian perimeter of E from the truncated Hermite series.
-
-    The order, the convention and K are checked first, in that order; then
-    the value is looked up by (E, float s, int K, convention) in a memo of
-    the last 16 values (`_perimeter`).  The value is a pure function of that
-    key and is immutable, so a verifier that reads P_s(E) at every height
-    and threshold evaluates it once.
-    """
+    """Fractional Gaussian perimeter of E from the truncated Hermite series; the order,
+    the convention and K are checked, in that order, before a table is built."""
     s = check_order(s)
     _check_convention(convention)
-    return _perimeter(E, s, check_truncation(K), convention)
-
-
-# A level-set check reads the perimeters of E and of its symmetrized halfline
-# at one (s, K), and a main-suite set those of both at three orders.
-@lru_cache(maxsize=16)
-def _perimeter(E: GaussianSet, s: float, K: int, convention: str) -> PerimeterValue:
-    """`perimeter_spectral` on checked arguments, memoized."""
+    K = check_truncation(K)
     weights, window_weights = _order_weights(K, s)
     terms = weights * coeff_table(E, K)[1:] ** 2
     return _scaled(0.5 * float(np.sum(terms)),
@@ -194,8 +181,8 @@ def halfline_perimeter(r: float, s, convention: str = "with_constant") -> Perime
 
 def halfline_perimeter_reference(r: float, s, K: int = 1_000_000,
                                  convention: str = "with_constant") -> PerimeterValue:
-    """`halfline_perimeter`.  K is ignored; it stays because
-    ``perfbench/workloads.py`` (``reference_pair``) passes K = 10**6."""
+    """`halfline_perimeter`; K is checked and not read (perfbench passes 10**6)."""
+    check_truncation(K)
     return halfline_perimeter(r, s, convention)
 
 

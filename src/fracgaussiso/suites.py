@@ -10,6 +10,7 @@ from __future__ import annotations
 import random
 
 from .errors import DomainError
+from .extension import extension_field
 from .inequality import (TRANSFER_FAILS, closeness_z_max, verify_levelset_bounds,
                          verify_levelset_closeness, verify_main,
                          verify_transfer_lemma, z0_threshold)
@@ -91,10 +92,10 @@ def run_levelset_suite(n: int = 50, seed: int = 0) -> tuple[list[dict], int]:
     """Level-set closeness on random sets at 90% of the admissible height."""
     def rows_of(E, rng):
         s, alpha, K = _LEVELSET_S, _ALPHA, _LEVELSET_K
-        z = 0.9 * closeness_z_max(E, s, alpha, K)
+        z, F = 0.9 * closeness_z_max(E, s, alpha, K), extension_field(E, s, K)
         for t in _T_VALUES:
             yield {"set": str(E), "s": s, "t": t, "z": z, "alpha": alpha,
-                   "ok": verify_levelset_closeness(E, s, t, z, alpha, K)}
+                   "ok": verify_levelset_closeness(E, s, t, z, alpha, K, field=F)}
     return _run("levelset", n, seed, rows_of)
 
 
@@ -102,11 +103,11 @@ def run_bounds_suite(n: int = 50, seed: int = 0) -> tuple[list[dict], int]:
     """Level-set measure/asymmetry bounds at z in {z0/2, z0}."""
     def rows_of(E, rng):
         s, K = _LEVELSET_S, _LEVELSET_K
-        z0 = z0_threshold(E, s, K)  # 0 when asym(E) = 0: no admissible height, no rows
+        z0, F = z0_threshold(E, s, K), extension_field(E, s, K)  # z0 = 0 at asym(E) = 0: no rows
         for z in (0.5 * z0, z0) if z0 else ():
             for t in _T_VALUES:
                 yield {"set": str(E), "s": s, "t": t, "z": z,
-                       "ok": verify_levelset_bounds(E, s, t, z, K)}
+                       "ok": verify_levelset_bounds(E, s, t, z, K, field=F)}
     return _run("bounds", n, seed, rows_of)
 
 

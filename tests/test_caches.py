@@ -1,15 +1,18 @@
-"""The package's memos: the fixture that clears them, and what they save.
+"""The package's caches, the fixture that clears them, and the per-set values.
 
-A perimeter is memoized per (set, s, K, convention) in ``spectral._perimeter``
-and an asymmetry per set in ``sets.best_halfline``; a GaussianSet keeps its
-endpoint tuples once computed.  None of them may move an output.
+The level-set checks read each set's P_s(E) and asym(E) from the
+ExtensionField they take, which keeps both once read; a GaussianSet keeps its
+endpoint tuples.  Neither is a module-level cache, and neither may move an
+output.
 """
 import importlib
 import pkgutil
+import sys
+from collections import Counter
 
 import fracgaussiso
 from fracgaussiso import inequality, sets, spectral
-from fracgaussiso.sets import GaussianSet
+from fracgaussiso.sets import GaussianSet, parse_set
 from levelset_golden import GOLDEN, N_SETS, SEED, SUITES
 
 _ENDPOINT_TUPLES = ("signed_endpoints", "finite_endpoints", "open_right")
@@ -37,64 +40,56 @@ def _package_caches() -> list:
 
 def test_the_cache_fixture_clears_every_cache_of_the_package(cold_caches):
     caches = _package_caches()
-    assert len(caches) >= 8  # the walk finds the caches it should
+    assert len(caches) >= 6  # the walk finds the caches it should
     missing = [f"{c.__module__}.{c.__qualname__}" for c in caches
                if not any(c is known for known in cold_caches)]
     assert not missing, f"add {missing} to CACHES in tests/conftest.py"
     assert all(c.cache_info().currsize == 0 for c in caches)
 
 
-def _hexed(value):
-    return value.hex() if isinstance(value, float) else value
-
-
-def _suite_outputs(monkeypatch) -> tuple[list, str]:
-    """The rows of the level-set suites on the golden sets, floats as hex, and
-    their level-set records in the golden file's format."""
-    rows, lines = [], []
+def test_the_level_set_suites_evaluate_each_perimeter_and_asymmetry_at_most_twice(
+        cold_caches, monkeypatch):
+    # Every binding of perimeter_spectral and asymmetry in the package counts its
+    # calls per (suite, function, set).  A suite passes one field per set to every
+    # check, so a set's P_s(E) is evaluated for its height and once on the field.
+    counts, lines, suite = Counter(), [], [None]
+    for name, real in (("perimeter_spectral", spectral.perimeter_spectral),
+                       ("asymmetry", sets.asymmetry)):
+        def count(E, *args, name=name, real=real):
+            counts[suite[0], name, E] += 1
+            return real(E, *args)
+        bound = [m for key, m in sys.modules.items()
+                 if key.startswith("fracgaussiso") and getattr(m, name, None) is real]
+        assert len(bound) >= 3  # spectral or sets, extension, inequality
+        for module in bound:
+            monkeypatch.setattr(module, name, count)
     extract = inequality.level_set_with_budget
-    with monkeypatch.context() as patch:
-        for name, run in SUITES:
-            def record(F, t, z, name=name):
-                rec, budget = extract(F, t, z)
-                lines.append(" ".join([name, str(F.set)]
-                                      + [v.hex() for v in (t, z, rec.mu, budget)]))
-                return rec, budget
 
-            patch.setattr(inequality, "level_set_with_budget", record)
-            rows += [{k: _hexed(v) for k, v in row.items()} for row in run(N_SETS, SEED)[0]]
-    return rows, "".join(line + "\n" for line in lines)
+    def record(F, t, z):
+        rec, budget = extract(F, t, z)
+        lines.append(" ".join([suite[0], str(F.set)] + [v.hex() for v in (t, z, rec.mu, budget)]))
+        return rec, budget
 
-
-def test_each_perimeter_and_asymmetry_is_evaluated_once(cold_caches, monkeypatch):
-    # A cache's misses count the runs of its body.  Each perimeter key and each set
-    # is read many times, and its body runs once: misses equal the distinct keys.
-    perimeter, best = spectral._perimeter, sets.best_halfline
-    keys = {perimeter: [], best: []}
-    for owner, name, memo in ((spectral, "_perimeter", perimeter), (sets, "best_halfline", best)):
-        monkeypatch.setattr(owner, name,
-                            lambda *key, memo=memo: keys[memo].append(key) or memo(*key))
-    _suite_outputs(monkeypatch)
-    for memo, read in keys.items():
-        assert memo.cache_info().misses == len(set(read)) < len(read)
-    # the levelset suite reads P_s(E) 4 times per set; the bounds suite, on the same
-    # sets, 7 times per set of positive asymmetry (2 of the 4: a halfline has z0 = 0
-    # and no rows); asymmetries are read of the 4 sets and of the level sets
-    assert len(keys[perimeter]) == 4 * N_SETS + 7 * 2 and len(set(keys[perimeter])) == N_SETS
-    assert {E for E, *_ in keys[best]} > {E for E, *_ in keys[perimeter]}
-
-
-def test_the_memos_move_no_row_and_no_level_set(cold_caches, monkeypatch):
-    memoized = _suite_outputs(monkeypatch)
-    assert memoized[1] == GOLDEN.read_text(encoding="utf-8")
-    perimeter, best = spectral._perimeter, sets.best_halfline
-    for owner, name, memo in ((spectral, "_perimeter", perimeter), (sets, "best_halfline", best)):
-        monkeypatch.setattr(owner, name,
-                            lambda *key, memo=memo: memo.cache_clear() or memo(*key))
-    for name in _ENDPOINT_TUPLES:  # a plain property computes on every read
-        monkeypatch.setattr(GaussianSet, name, property(vars(GaussianSet)[name].func))
-    assert _suite_outputs(monkeypatch) == memoized
-    assert perimeter.cache_info().hits == best.cache_info().hits == 0
+    monkeypatch.setattr(inequality, "level_set_with_budget", record)
+    rows = []
+    for title, run in SUITES:
+        suite[0] = title
+        rows += run(N_SETS, SEED)[0]
+    assert "".join(line + "\n" for line in lines) == GOLDEN.read_text(encoding="utf-8")
+    drawn = {parse_set(row["set"]) for row in rows}
+    assert len(drawn) == N_SETS
+    per_set = {key: n for key, n in counts.items() if key[2] in drawn}
+    assert max(per_set.values()) <= 2
+    # the levelset suite reads P_s(E) of every set and no asym(E); the bounds suite
+    # reads asym(E) of every set, and P_s(E) of the 2 sets of positive asymmetry
+    # (a halfline has z0 = 0 and no rows)
+    tally = Counter({(s, f): 0 for s, _ in SUITES for f in ("perimeter_spectral", "asymmetry")})
+    for (s, f, _), n in per_set.items():
+        tally[s, f] += n
+    assert tally == {("levelset", "perimeter_spectral"): 2 * N_SETS,
+                     ("levelset", "asymmetry"): 0,
+                     ("bounds", "perimeter_spectral"): 2 * 2,
+                     ("bounds", "asymmetry"): 2 * 2 + 2}
 
 
 def test_a_set_keeps_its_endpoint_tuples_and_compares_by_intervals():

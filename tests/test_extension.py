@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from scipy import special
 from scipy.optimize import brentq
 
-from fracgaussiso import extension, suites
+from fracgaussiso import extension, spectral, suites
 from fracgaussiso.errors import DomainError, ResolutionError
 from fracgaussiso.extension import (_CELL, LEVELSET_GRID, _BISECT_TOL, _LEVELSET_QUAD,
                                     _MEHLER_ENTRIES, ExtensionField,
@@ -21,8 +21,8 @@ from fracgaussiso.extension import (_CELL, LEVELSET_GRID, _BISECT_TOL, _LEVELSET
                                     extension_field, level_set_with_budget,
                                     mehler_extension)
 from fracgaussiso.gauss_core import k_coefficient, laguerre_roots, ndtr
-from fracgaussiso.sets import (EMPTY, FULL_LINE, GaussianSet, complement, halfline,
-                               interval, measure, parse_set, reflect, symm_diff)
+from fracgaussiso.sets import (EMPTY, FULL_LINE, GaussianSet, asymmetry, complement,
+                               halfline, interval, measure, parse_set, reflect, symm_diff)
 from oracles import (boundary_flux_check, boundary_flux_richardson, profile_psi, psi_bulk,
                      trace_gap)
 
@@ -146,20 +146,52 @@ def test_level_set_degenerate_t():
 def test_fields_hash_and_compare_without_raising():
     E = interval(0.0, 1.0)
     F = extension_field(E, 0.5)
-    assert (F.set, F.sigma) == (E, 0.25) and evaluate_extension(F, np.array([0.5]), 0.0).shape == (1,)
-    assert F == ExtensionField(E, 0.25) == extension_field(E, 0.5, 200)  # K is not read
+    assert (F.set, F.sigma, F.K) == (E, 0.25, 10_000)
+    assert evaluate_extension(F, np.array([0.5]), 0.0).shape == (1,)
+    assert F == ExtensionField(E, 0.25) == extension_field(E, 0.5, np.int64(10_000))
+    assert type(extension_field(E, 0.5, np.int64(200)).K) is int
+    assert F != extension_field(E, 0.5, 200)  # K sets the perimeter, so it is read
     assert F != extension_field(E, 0.25) and F != extension_field(interval(0.0, 2.0), 0.5)
-    assert hash(F) == hash(ExtensionField(E, 0.25))
-    assert len({F, extension_field(E, 0.5, 100), extension_field(E, 0.25)}) == 2
+    assert len({F, extension_field(E, 0.5, 200), extension_field(E, 0.25)}) == 3
+    # the perimeter and asymmetry are kept on the field once read, and are not fields
+    G = extension_field(E, 0.5)
+    assert F.perimeter is F.perimeter
+    assert F.perimeter == spectral.perimeter_spectral(E, 0.5, 10_000)
+    assert F.asymmetry == asymmetry(E) and vars(G).keys() == {"set", "sigma", "K"}
+    assert F == G and hash(F) == hash(G) == hash(ExtensionField(E, 0.25, 10_000))
 
 
-def test_the_level_set_path_builds_no_coefficient_table():
-    # the extension imports neither the Hermite tables (spectral) nor the Hermite
-    # recurrence (_kernels_py), so no path of it builds a table
+def test_the_level_set_path_builds_no_coefficient_table(monkeypatch, cold_caches):
+    # the extension takes from the Hermite tables (spectral) only the perimeter, which
+    # ExtensionField.perimeter alone reads, and nothing from the recurrence (_kernels_py)
     tree = ast.parse(Path(extension.__file__).read_text())
-    imported = {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
-    assert {"errors", "gauss_core", "sets"} <= imported
-    assert not imported & {"spectral", "_kernels_py"}
+    imports = [node for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))]
+    modules = {getattr(node, "module", None) for node in imports}
+    assert {"errors", "gauss_core", "sets", "spectral"} <= modules and "_kernels_py" not in modules
+    assert not {alias.name.rpartition(".")[2] for node in imports for alias in node.names} \
+        & {"spectral", "_kernels_py"}
+    taken = {alias.name for node in imports if getattr(node, "module", None) == "spectral"
+             for alias in node.names}
+    assert taken == {"perimeter_spectral", "PerimeterValue"}
+    field = next(node for node in tree.body
+                 if isinstance(node, ast.ClassDef) and node.name == "ExtensionField")
+    reader = next(node for node in field.body
+                  if isinstance(node, ast.FunctionDef) and node.name == "perimeter")
+
+    def reads(node):
+        return sum(isinstance(n, ast.Name) and n.id in taken for n in ast.walk(node))
+
+    assert reads(tree) == reads(reader) == 2
+    # and behaviourally: the level sets and both evaluators build no table
+    calls, real = [], spectral.coeff_antideriv_table
+    monkeypatch.setattr(spectral, "coeff_antideriv_table",
+                        lambda *args: calls.append(args) or real(*args))
+    F = extension_field(THREE_PIECES, 0.5, 2000)
+    assert level_set_with_budget(F, 0.5, 0.1)[0].mu > 0.0
+    mehler_extension(F.set, F.sigma, [0.0, 1.0], 0.1)
+    evaluate_extension(F, [0.0, 1.0], 0.1)
+    assert calls == []
+    assert F.perimeter.K == 2000 and len(calls) == 1  # the count sees the one reader
 
 
 @pytest.mark.parametrize("sigma", [-0.5, 0.0, 1.0, 1.5, math.nan])

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from fracgaussiso import (constant_C, extension_field, halfline, halfline_perimeter,
-                          halfspace_series, interval, pde_energy, perimeter_spectral,
+                          halfline_perimeter_reference, halfspace_series, interval,
+                          pde_energy, perimeter_spectral,
                           verify_levelset_bounds, verify_levelset_closeness, verify_main,
                           z0_threshold, z_thresholds)
 from fracgaussiso.errors import DomainError
@@ -56,6 +57,9 @@ def test_every_entry_checks_the_order_and_takes_it_as_a_float(entry):
 _TRUNCATION_ENTRIES = {
     "perimeter_spectral": lambda K: perimeter_spectral(_E, 0.5, K),
     "halfspace_series": lambda K: halfspace_series(0.3, 0.5, K),
+    # the field's perimeter reads K; the reference ignores it and checks it
+    "extension_field": lambda K: extension_field(_E, 0.5, K),
+    "halfline_perimeter_reference": lambda K: halfline_perimeter_reference(0.3, 0.5, K),
     "verify_main": lambda K: verify_main(_E, 0.5, K=K),
     "z0_threshold": lambda K: z0_threshold(_E, 0.5, K),
     "closeness_z_max": lambda K: closeness_z_max(_E, 0.5, 4.0, K),
@@ -71,7 +75,7 @@ _TRUNCATION_ENTRIES = {
 @pytest.mark.parametrize("entry", sorted(_TRUNCATION_ENTRIES))
 def test_every_entry_checks_the_truncation_and_takes_it_as_an_int(entry):
     call = _TRUNCATION_ENTRIES[entry]
-    # an integral float would otherwise share the memo entry of the int
+    # K is an index: a float is refused, an integral one too
     for bad in (200.0, 200.5, "200", None):
         with pytest.raises(DomainError, match="truncation K must be an integer"):
             call(bad)

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import random
+import re
 import sys
 
 import mpmath as mp
@@ -419,11 +420,19 @@ def test_levelset_checks_reject_a_field_of_another_set_or_order():
     own = extension_field(E, s, K)
     assert verify_levelset_closeness(E, s, 0.5, z, 20.0, K, field=own)
     assert verify_levelset_bounds(E, s, 0.5, thr.z0, K, field=own)
-    for wrong in (extension_field(interval(2.0, 2.5), s, K), extension_field(E, 0.9, K)):
-        with pytest.raises(DomainError, match="does not belong"):
+    # the checks read the given field itself, which keeps what they read of it
+    assert vars(own).keys() >= {"perimeter", "asymmetry"}
+    for wrong in (extension_field(interval(2.0, 2.5), s, K), extension_field(E, 0.9, K),
+                  extension_field(E, s, 2000)):
+        named = f"at (sigma, K) = ({wrong.sigma}, {wrong.K}) does not belong"
+        with pytest.raises(DomainError, match=re.escape(named)):
             verify_levelset_closeness(E, s, 0.5, z, 20.0, K, field=wrong)
-        with pytest.raises(DomainError, match="does not belong"):
+        with pytest.raises(DomainError, match=re.escape(named)):
             verify_levelset_bounds(E, s, 0.5, thr.z0, K, field=wrong)
+    # z0 is read from the field, so the field is checked first, also where asym(E) = 0
+    assert verify_levelset_bounds(halfline(0.3), s, 0.5, 1e-3, K)
+    with pytest.raises(DomainError, match="does not belong"):
+        verify_levelset_bounds(halfline(0.3), s, 0.5, 1e-3, K, field=own)
 
 
 @pytest.mark.parametrize("text", ["(0.1002,0.1008)", "(-inf,0.1002)|(0.1008,inf)"])

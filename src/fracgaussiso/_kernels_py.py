@@ -5,18 +5,21 @@ h_{n+1} = (x h_n - sqrt(n) h_{n-1}) / sqrt(n+1).  Every recurrence starts
 from h_{-1} = 0 and h_0 = 1: its step n = 0 gives exactly h_1 = x, so one
 loop from n = 0 covers every term.
 
-The antiderivative table and the halfline sum read the signed sum
+The antiderivative table and the halfline sum read signed sums
 sum_j signs_j g_n(x_j) of g_n(x) = e^{-x^2/2} h_n(x), n < K, over the
-endpoints x_j, from one blocked solution of the recurrence (Kogge and Stone,
-1973).  The indices are cut into blocks of L = 32.  For every endpoint and
-every block at once, L numpy steps run the recurrence from the unit starts
-(1, 0) and (0, 1) at the block's indices (n0 - 1, n0), giving solutions u
-and w; the divisors sqrt(n) and sqrt(n + 1) of a step are contiguous rows.
-One scalar 2x2 step per block carries the true start (g_{n0-1}, g_{n0})
-from (0, e^{-x^2/2}), and one ``einsum`` contracts the solutions, the
-starts and the signs into the block's signed sum of g_{n0-1} u + g_{n0} w;
-the per-endpoint values are never formed.  g is the dominant solution, so
-the forward recurrence is stable: the tables stay within 2.7 eps max|A| of
+endpoints x_j, one per row of signs, from one blocked solution of the
+recurrence (Kogge and Stone, 1973).  The indices are cut into blocks of
+L = 32.  For every endpoint and every block at once, L numpy steps run the
+recurrence from the unit starts (1, 0) and (0, 1) at the block's indices
+(n0 - 1, n0), giving solutions u and w; the divisors sqrt(n) and
+sqrt(n + 1) of a step are contiguous rows.  One scalar 2x2 step per block
+carries the true start (g_{n0-1}, g_{n0}) from (0, e^{-x^2/2}), and one
+``einsum`` per row contracts the solutions, the starts and the signs over
+the row's span of nonzero signs into the block's signed sum of
+g_{n0-1} u + g_{n0} w; the per-endpoint values are never formed.  A row's
+sum is the one its endpoints alone give, bit for bit, so the tables of
+several sets share one pass.  g is the dominant solution, so the forward
+recurrence is stable: the tables stay within 2.7 eps max|A| of
 one scalar recurrence at the tested points (``tests/test_backend.py``).
 Long K runs in segments of 2^17 / (m + 4) indices over all m endpoints
 (26 208 at one endpoint, 10 912 at eight) that carry the start across, so a
@@ -45,14 +48,19 @@ _SEGMENT_ENTRIES = 1 << 17
 
 
 def _weighted_rows(x: np.ndarray, signs: np.ndarray, K: int):
-    """Yield (n0, S) with S[i] = sum_j signs_j e^{-x_j^2/2} h_{n0+i}(x_j),
-    segment by segment over n < K."""
+    """Yield (n0, S) with S[..., i] = sum_j signs[..., j] e^{-x_j^2/2} h_{n0+i}(x_j),
+    segment by segment over n < K, for ``signs`` of one row or of a 2-D stack of rows."""
     m, L = x.shape[0], _BLOCK
     seg = L * max(1, _SEGMENT_ENTRIES // (L * (m + 4)))
     p = [0.0] * m  # g_{n0-1} and g_{n0} at the start of each segment
     q = [math.exp(-0.5 * v * v) for v in x.tolist()]
     # An endpoint whose weight underflows adds nothing; x = 0 keeps its blocks finite.
     x = np.where(np.array(q) > 0.0, x, 0.0)[:, None]
+    # Each row is contracted over the span of its nonzero signs only, which is
+    # faster than one contraction over zero-padded rows and gives the same bits.
+    rows = np.atleast_2d(signs)
+    spans = [(nz[0], nz[-1] + 1) if (nz := np.flatnonzero(row)).size else (0, 0)
+             for row in rows]
     # T[i, :, j, b] = (u, w) at index n0 + b L + i - 1, reused by every segment
     T = np.empty((L + 2, 2, m, -(-min(seg, K) // L)))
     T[:2] = np.eye(2)[:, :, None, None]
@@ -76,8 +84,10 @@ def _weighted_rows(x: np.ndarray, signs: np.ndarray, K: int):
             PQ[:, j] = P, Q
             p[j], q[j] = a, b
         # the block values g_{n0-1} u + g_{n0} w, summed over endpoints with their signs
-        S = np.einsum("icjb,j,cjb->bi", U[1:L + 1], signs, PQ).reshape(B * L)
-        yield n0, S[:n]
+        S = np.empty((len(spans), B, L))
+        for r, (row, (j0, j1)) in enumerate(zip(rows, spans)):
+            S[r] = np.einsum("icjb,j,cjb->bi", U[1:L + 1, :, j0:j1], row[j0:j1], PQ[:, j0:j1])
+        yield n0, S.reshape(signs.shape[:-1] + (B * L,))[..., :n]
 
 
 def coeff_antideriv_table(x, K: int, signs=1.0) -> np.ndarray:
@@ -86,16 +96,19 @@ def coeff_antideriv_table(x, K: int, signs=1.0) -> np.ndarray:
     A_k(x) = e^{-x^2/2} h_{k-1}(x) / sqrt(2 pi k) for k >= 1, at one point x
     or at each point of a 1-D array x, with ``signs`` broadcast against x.
     Returns a new array of length K+1 whose entry 0 is 0.0 (the k = 0
-    projection is handled by the Gaussian CDF, not by this table).  The
+    projection is handled by the Gaussian CDF, not by this table); a 2-D
+    ``signs`` of one row per sum gives one such table per row.  The
     exponential factor is carried through the recurrence, so large |x|
     cannot overflow.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    signs = np.broadcast_to(np.asarray(signs, dtype=float), x.shape)
-    A = np.zeros(K + 1)
+    signs = np.asarray(signs, dtype=float)
+    signs = np.broadcast_to(signs, signs.shape[:-1] + x.shape)
+    A = np.zeros(signs.shape[:-1] + (K + 1,))
     for n0, S in _weighted_rows(x, signs, K):
-        scale = np.sqrt(2.0 * math.pi * np.arange(n0 + 1, n0 + 1 + S.size, dtype=float))
-        np.divide(S, scale, out=A[n0 + 1:n0 + 1 + S.size])
+        n = S.shape[-1]
+        scale = np.sqrt(2.0 * math.pi * np.arange(n0 + 1, n0 + 1 + n, dtype=float))
+        np.divide(S, scale, out=A[..., n0 + 1:n0 + 1 + n])
     return A
 
 

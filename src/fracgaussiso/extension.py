@@ -86,8 +86,12 @@ class ExtensionField:
 
 
 def extension_field(E: GaussianSet, s, K: int = 10_000) -> ExtensionField:
-    """Extension of order s/2 of chi_E, whose perimeter is read at truncation K."""
-    return ExtensionField(E, check_order(s) / 2.0, check_truncation(K))
+    """Extension of order s/2 of chi_E, whose perimeter is read at truncation K; an s
+    whose half rounds to 0 (s = 5e-324) raises DomainError."""
+    s = check_order(s)
+    if s / 2.0 == 0.0:
+        raise DomainError(f"extension order s/2 rounds to 0 at s={s}")
+    return ExtensionField(E, s / 2.0, check_truncation(K))
 
 
 def evaluate_extension(F: ExtensionField, x, z: float):

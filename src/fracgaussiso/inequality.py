@@ -15,20 +15,25 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import DegenerateSetError, DomainError, ResolutionError
 from .extension import ExtensionField, extension_field, level_set_with_budget
-from .gauss_core import check_order, check_positive, iso_function
+from .gauss_core import check_order, check_positive, check_truncation, iso_function
 from .sets import (GaussianSet, _require_proper, asymmetry, complement, ehrhard_symmetrize,
                    measure, set_minus, symm_diff)
-from .spectral import PerimeterValue, perimeter_spectral
+from .spectral import PerimeterValue, _check_convention, coeff_tables, perimeter_of_table
 
 __all__ = [
     "DeficitReport",
+    "PreparedSet",
     "ZThresholds",
     "sigma_min",
     "z_thresholds",
     "z0_threshold",
     "constant_C",
+    "prepare",
+    "verify_prepared",
     "verify_main",
     "verify_transfer_lemma",
     "closeness_z_max",
@@ -122,10 +127,11 @@ def _z0(F: ExtensionField, s: float, m: float) -> float:
     return _height(F.asymmetry, m, s, F.perimeter, 72.0) if F.asymmetry else 0.0
 
 
-def z0_threshold(E: GaussianSet, s, K: int = 10_000) -> float:
-    """z0 of `z_thresholds` with P_E = P_s(E) at truncation K; 0 where asym(E) = 0."""
+def z0_threshold(E: GaussianSet, s, K: int = 10_000, field=None) -> float:
+    """z0 of `z_thresholds` with P_E = P_s(E) at truncation K; 0 where asym(E) = 0.
+    ``field`` is as in `verify_levelset_closeness`; P_s(E) and asym(E) are read from it."""
     s, m = check_order(s), _require_proper(E)  # asym(E)'s error, named before a bad K
-    return _z0(extension_field(E, s, K), s, m)
+    return _z0(_field_of(E, s, K, field), s, m)
 
 
 def _exp(x: float) -> float:
@@ -157,41 +163,86 @@ def constant_C(s, m: float, c: float, P_H: PerimeterValue) -> float:
     return _exp(_log_C(check_order(s), m, c, P_H, 1.0))
 
 
-def verify_main(E: GaussianSet, s, c: float = 1.0, K: int = 10_000,
-                convention: str = "with_constant") -> DeficitReport:
-    """Full main-inequality check: deficit >= rhs up to the truncation budget.
+@dataclass(frozen=True, eq=False)
+class PreparedSet:
+    """The order-free inputs of the main-inequality check on one set E: its measure
+    m_raw, the working set ``work`` (E, or its complement where m_raw > 1/2) of
+    measure m, the halfline H of measure m, asym(E) and the read-only coefficient
+    tables f_0..f_K of ``work`` and of H (one array where H is ``work``)."""
 
-    Sets of measure above 1/2 are complemented first; perimeter, deficit and
-    the (normalized) asymmetry are invariant under that, so the report is
-    unambiguous.  When P_E > 2 P_H the reduction branch replaces C_{s,m} by
-    P_H / 2^{2/s}, which is what makes the inequality trivial there.  Main-branch
-    rhs = C asym^{2/s} = (225 sqrt(e) / (10816 c)) sigma_m asym / (m (2-s)) z1^{2-s},
-    z1 from `z_thresholds`.  C and rhs are e to one exponent taken at asym = 1 and at
-    asym (rhs = 0.0 at asym = 0): 0.0 or inf only where the value leaves the double range.
-    c (assumed 1 by default) is recorded; a c not positive and finite raises first.
-    """
-    check_positive(c, "constant c")
-    s = check_order(s)
+    E: GaussianSet
+    m_raw: float
+    work: GaussianSet
+    m: float
+    H: GaussianSet
+    asym: float
+    table: np.ndarray
+    table_H: np.ndarray
+
+
+def _proper_measure(E: GaussianSet) -> float:
     m_raw = measure(E)
     if not (0.0 < m_raw < 1.0):
         raise DegenerateSetError(f"verify_main needs measure in (0, 1), got {m_raw}")
+    return m_raw
+
+
+def prepare(E: GaussianSet, K: int = 10_000) -> PreparedSet:
+    """The record of E that `verify_prepared` reads at every order s: the measure is
+    checked before K, and both tables come from one kernel call.  Perimeter,
+    deficit and the (normalized) asymmetry are invariant under the complement,
+    so the report of the working set is the report of E."""
+    m_raw = _proper_measure(E)
+    K = check_truncation(K)
     work = complement(E) if m_raw > 0.5 else E
-    m = measure(work)
     H = ehrhard_symmetrize(work).as_set()
-    P_E = perimeter_spectral(work, s, K, convention)
-    P_H = perimeter_spectral(H, s, K, convention)
+    tables = coeff_tables((work,) if H == work else (work, H), K)
+    return PreparedSet(E, m_raw, work, measure(work), H, asymmetry(work), tables[0], tables[-1])
+
+
+def verify_prepared(prep: PreparedSet, s, c: float = 1.0,
+                    convention: str = "with_constant") -> DeficitReport:
+    """The main-inequality check of `verify_main` at order s, from the record of E.
+
+    When P_E > 2 P_H the reduction branch replaces C_{s,m} by P_H / 2^{2/s}, which
+    is what makes the inequality trivial there.  Main-branch
+    rhs = C asym^{2/s} = (225 sqrt(e) / (10816 c)) sigma_m asym / (m (2-s)) z1^{2-s},
+    z1 from `z_thresholds`.  C and rhs are e to one exponent taken at asym = 1 and at
+    asym (rhs = 0.0 at asym = 0): 0.0 or inf only where the value leaves the double range.
+    c, the order and the convention are checked, in that order.
+    """
+    check_positive(c, "constant c")
+    s = check_order(s)
+    _check_convention(convention)
+    P_E = perimeter_of_table(prep.table, s, convention)
+    P_H = perimeter_of_table(prep.table_H, s, convention)
     if P_H.value == 0.0:  # K_s P_s(H) underflows for s near 5e-324
         raise ResolutionError(f"P_s(H) underflows to 0 at s={s}, so C_{{s,m}} is undefined")
     deficit = P_E.value - P_H.value
-    A = asymmetry(work)
+    A, m = prep.asym, prep.m
     budget = 2.0 * (P_E.tail_bound + P_H.tail_bound)
     branch = "large_perimeter" if P_E.value > 2.0 * P_H.value else "main"
     log_rhs = ((lambda a: _log_C(s, m, c, P_H, a)) if branch == "main"
                else lambda a: 2.0 * math.log(a / 2.0) / s + math.log(P_H.value))
     C, rhs = _exp(log_rhs(1.0)), (_exp(log_rhs(A)) if A else 0.0)
     satisfied = deficit >= rhs - budget
-    return DeficitReport(E, s, m_raw, P_E, P_H, deficit, A, C, rhs,
+    return DeficitReport(prep.E, s, prep.m_raw, P_E, P_H, deficit, A, C, rhs,
                          satisfied, branch, c, budget)
+
+
+def verify_main(E: GaussianSet, s, c: float = 1.0, K: int = 10_000,
+                convention: str = "with_constant") -> DeficitReport:
+    """Full main-inequality check: deficit >= rhs up to the truncation budget.
+
+    Sets of measure above 1/2 are complemented first (`prepare`); the check at s
+    is `verify_prepared`.  c (assumed 1 by default) is recorded.  A bad c, order,
+    measure, convention or K raises, in that order, before a table is built.
+    """
+    check_positive(c, "constant c")
+    s = check_order(s)
+    _proper_measure(E)
+    _check_convention(convention)
+    return verify_prepared(prepare(E, K), s, c, convention)
 
 
 def verify_transfer_lemma(E: GaussianSet, F: GaussianSet, kappa: float) -> str:
@@ -222,12 +273,13 @@ def _z_max(F: ExtensionField, s: float, alpha: float) -> float:
     return _height(1.0, 1.0, s, F.perimeter, 8.0 * alpha)
 
 
-def closeness_z_max(E: GaussianSet, s, alpha: float, K: int = 10_000) -> float:
+def closeness_z_max(E: GaussianSet, s, alpha: float, K: int = 10_000, field=None) -> float:
     """Upper end of the admissible z-range, (s/(8 alpha P_s(E)))^{1/s}; inf where that
-    lies past the double range, down to the subnormal s."""
+    lies past the double range, as at subnormal s.  ``field`` is as in
+    `verify_levelset_closeness`; P_s(E) is read from it."""
     s = check_order(s)
     check_positive(alpha, "alpha")
-    return _z_max(extension_field(E, s, K), s, alpha)
+    return _z_max(_field_of(E, s, K, field), s, alpha)
 
 
 def _field_of(E: GaussianSet, s: float, K, field) -> ExtensionField:

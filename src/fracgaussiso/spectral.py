@@ -27,6 +27,8 @@ __all__ = [
     "PerimeterValue",
     "CONVENTIONS",
     "perimeter_spectral",
+    "perimeter_of_table",
+    "coeff_tables",
     "halfspace_series",
     "halfline_perimeter",
     "asymptotic_limit",
@@ -55,9 +57,8 @@ class PerimeterValue:
     convention: str
 
 
-@lru_cache(maxsize=4, typed=True)
-def coeff_table(E: GaussianSet, K: int) -> np.ndarray:
-    """Coefficient vector f_0..f_K of chi_E, read-only.
+def coeff_tables(sets, K: int) -> tuple[np.ndarray, ...]:
+    """Coefficient vectors f_0..f_K of chi_E for each set E of ``sets``, read-only.
 
     f_k for k >= 1 is read from the one form of chi_E,
     open_right + sum_e sign_e chi_(-inf, e) (``GaussianSet.signed_endpoints``):
@@ -65,18 +66,30 @@ def coeff_table(E: GaussianSet, K: int) -> np.ndarray:
     A_k(x) = e^{-x^2/2} h_{k-1}(x)/sqrt(2 pi k) the antiderivative of h_k
     against gamma_1.  So each interval (a, b) contributes A_k(a) - A_k(b).
 
-    The table does not depend on the order s, so it is memoized per (E, K):
-    a caller checking one set and its symmetrization over several orders
-    builds each table once.  One kernel call sums the A_k of every finite
-    endpoint with its negated sign.  The shared array is not writeable.
+    One kernel call runs the recurrence at the finite endpoints of every set
+    and sums each set's A_k with its negated signs, one row per set; each
+    table equals the one its set alone gives, bit for bit.  The tables share
+    one array, which is not writeable.
     """
     if K < 0:
         raise DomainError("truncation index must be nonnegative")
-    x, signs = np.array(E.signed_endpoints, dtype=float).reshape(-1, 2).T
-    f = coeff_antideriv_table(x, K, -signs)
-    f[0] = measure(E)
+    x = [e for E in sets for e, _ in E.signed_endpoints]
+    signs, j = np.zeros((len(sets), len(x))), 0
+    for row, E in zip(signs, sets):
+        n = len(E.signed_endpoints)
+        row[j:j + n] = [-sign for _, sign in E.signed_endpoints]
+        j += n
+    f = coeff_antideriv_table(np.array(x, dtype=float), K, signs)
+    f[:, 0] = [measure(E) for E in sets]
     f.flags.writeable = False
-    return f
+    return tuple(f)
+
+
+@lru_cache(maxsize=4, typed=True)
+def coeff_table(E: GaussianSet, K: int) -> np.ndarray:
+    """The one-set ``coeff_tables``, memoized per (E, K): the table does not depend
+    on the order s, so a caller reading one set at several orders builds it once."""
+    return coeff_tables((E,), K)[0]
 
 
 @lru_cache(maxsize=4)
@@ -119,8 +132,15 @@ def perimeter_spectral(E: GaussianSet, s, K: int = 10_000,
     s = check_order(s)
     _check_convention(convention)
     K = check_truncation(K)
+    return perimeter_of_table(coeff_table(E, K), s, convention)
+
+
+def perimeter_of_table(f: np.ndarray, s: float, convention: str) -> PerimeterValue:
+    """P_s of the set whose coefficient table is f (``coeff_tables``), at K = len(f) - 1,
+    for an order and a convention already checked."""
+    K = f.size - 1
     weights, window_weights = _order_weights(K, s)
-    terms = weights * coeff_table(E, K)[1:] ** 2
+    terms = weights * f[1:] ** 2
     return _scaled(0.5 * float(np.sum(terms)),
                    0.5 * _calibrated_tail(terms, window_weights, s, K), s, K, convention)
 

@@ -11,8 +11,8 @@ import random
 
 from .errors import DomainError
 from .extension import extension_field
-from .inequality import (TRANSFER_FAILS, closeness_z_max, verify_levelset_bounds,
-                         verify_levelset_closeness, verify_main,
+from .inequality import (TRANSFER_FAILS, closeness_z_max, prepare, verify_levelset_bounds,
+                         verify_levelset_closeness, verify_prepared,
                          verify_transfer_lemma, z0_threshold)
 from .sets import GaussianSet, interval, measure, symm_diff
 
@@ -92,7 +92,8 @@ def run_levelset_suite(n: int = 50, seed: int = 0) -> tuple[list[dict], int]:
     """Level-set closeness on random sets at 90% of the admissible height."""
     def rows_of(E, rng):
         s, alpha, K = _LEVELSET_S, _ALPHA, _LEVELSET_K
-        z, F = 0.9 * closeness_z_max(E, s, alpha, K), extension_field(E, s, K)
+        F = extension_field(E, s, K)
+        z = 0.9 * closeness_z_max(E, s, alpha, K, field=F)
         for t in _T_VALUES:
             yield {"set": str(E), "s": s, "t": t, "z": z, "alpha": alpha,
                    "ok": verify_levelset_closeness(E, s, t, z, alpha, K, field=F)}
@@ -103,7 +104,8 @@ def run_bounds_suite(n: int = 50, seed: int = 0) -> tuple[list[dict], int]:
     """Level-set measure/asymmetry bounds at z in {z0/2, z0}."""
     def rows_of(E, rng):
         s, K = _LEVELSET_S, _LEVELSET_K
-        z0, F = z0_threshold(E, s, K), extension_field(E, s, K)  # z0 = 0 at asym(E) = 0: no rows
+        F = extension_field(E, s, K)
+        z0 = z0_threshold(E, s, K, field=F)  # z0 = 0 at asym(E) = 0: no rows
         for z in (0.5 * z0, z0) if z0 else ():
             for t in _T_VALUES:
                 yield {"set": str(E), "s": s, "t": t, "z": z,
@@ -113,10 +115,11 @@ def run_bounds_suite(n: int = 50, seed: int = 0) -> tuple[list[dict], int]:
 
 def run_main_suite(n: int = 200, seed: int = 0, K: int = 10_000, c: float = 1.0,
                    convention: str = "with_constant") -> tuple[list[dict], int]:
-    """Main inequality over the random family."""
+    """Main inequality over the random family; each set is prepared once for its orders."""
     def rows_of(E, rng):
+        prep = prepare(E, K)
         for s in _MAIN_S_VALUES:
-            yield {"set": str(E), "s": s, **verify_main(E, s, c, K, convention).columns()}
+            yield {"set": str(E), "s": s, **verify_prepared(prep, s, c, convention).columns()}
     return _run("main", n, seed, rows_of)
 
 

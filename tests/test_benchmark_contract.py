@@ -168,9 +168,9 @@ def test_the_profile_and_the_mehler_rule_share_one_laguerre_root_cache(perfbench
 def test_one_deficit_set_builds_each_table_in_one_segment_and_reads_cached_weights(
         perfbench, monkeypatch, cold_caches):
     # a deficit set reads the tables of E and of its symmetrized halfline H at
-    # three orders: each table is one kernel call that runs one segment at
-    # K = 1e4, and the order weights are computed for the three (K, s) keys
-    # by the first set alone
+    # three orders: both tables come from one kernel call over the m endpoints
+    # of E and the one of H, which runs one segment at K = 1e4, and the order
+    # weights are computed for the three (K, s) keys by the first set alone
     from fracgaussiso import _kernels_py, spectral
 
     _, workloads = perfbench
@@ -183,7 +183,7 @@ def test_one_deficit_set_builds_each_table_in_one_segment_and_reads_cached_weigh
 
     def counted_rows(x, signs, K):
         for n0, S in rows(x, signs, K):
-            segments.append((n0, S.size))
+            segments.append((n0, S.shape[-1]))
             yield n0, S
 
     monkeypatch.setattr(spectral, "coeff_antideriv_table", counted_kernel)
@@ -192,8 +192,8 @@ def test_one_deficit_set_builds_each_table_in_one_segment_and_reads_cached_weigh
     try:
         first, second = wl.first_rounds(2)
         assert not any(bad for _, bad in wl.run(first))
-        assert calls == [(len(first.finite_endpoints), 10_000), (1, 10_000)]
-        assert segments == [(0, 10_000)] * 2
+        assert calls == [(len(first.finite_endpoints) + 1, 10_000)]
+        assert segments == [(0, 10_000)]
         info = spectral._order_weights.cache_info()
         assert (info.misses, info.hits, info.currsize) == (3, 3, 3)
         assert not any(bad for _, bad in wl.run(second))
@@ -201,7 +201,7 @@ def test_one_deficit_set_builds_each_table_in_one_segment_and_reads_cached_weigh
         assert (info.misses, info.hits, info.currsize) == (3, 9, 3)
     finally:
         wl.close()
-    assert len(calls) == 4
+    assert len(calls) == 2
     for s in workloads.S_VALUES:
         weights, window = spectral._order_weights(10_000, s)
         assert weights.shape == (10_000,) and not weights.flags.writeable

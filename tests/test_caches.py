@@ -11,7 +11,7 @@ import sys
 from collections import Counter
 
 import fracgaussiso
-from fracgaussiso import inequality, sets, spectral
+from fracgaussiso import cli, inequality, sets, spectral
 from fracgaussiso.sets import GaussianSet, parse_set
 from levelset_golden import GOLDEN, N_SETS, SEED, SUITES
 
@@ -47,11 +47,11 @@ def test_the_cache_fixture_clears_every_cache_of_the_package(cold_caches):
     assert all(c.cache_info().currsize == 0 for c in caches)
 
 
-def test_the_level_set_suites_evaluate_each_perimeter_and_asymmetry_at_most_twice(
+def test_the_level_set_suites_evaluate_each_perimeter_and_asymmetry_once_per_set(
         cold_caches, monkeypatch):
     # Every binding of perimeter_spectral and asymmetry in the package counts its
-    # calls per (suite, function, set).  A suite passes one field per set to every
-    # check, so a set's P_s(E) is evaluated for its height and once on the field.
+    # calls per (suite, function, set).  A suite passes one field per set to its
+    # height and to every check, so each set's P_s(E) and asym(E) is evaluated once.
     counts, lines, suite = Counter(), [], [None]
     for name, real in (("perimeter_spectral", spectral.perimeter_spectral),
                        ("asymmetry", sets.asymmetry)):
@@ -79,17 +79,40 @@ def test_the_level_set_suites_evaluate_each_perimeter_and_asymmetry_at_most_twic
     drawn = {parse_set(row["set"]) for row in rows}
     assert len(drawn) == N_SETS
     per_set = {key: n for key, n in counts.items() if key[2] in drawn}
-    assert max(per_set.values()) <= 2
+    assert max(per_set.values()) == 1
     # the levelset suite reads P_s(E) of every set and no asym(E); the bounds suite
     # reads asym(E) of every set, and P_s(E) of the 2 sets of positive asymmetry
     # (a halfline has z0 = 0 and no rows)
     tally = Counter({(s, f): 0 for s, _ in SUITES for f in ("perimeter_spectral", "asymmetry")})
     for (s, f, _), n in per_set.items():
         tally[s, f] += n
-    assert tally == {("levelset", "perimeter_spectral"): 2 * N_SETS,
+    assert tally == {("levelset", "perimeter_spectral"): N_SETS,
                      ("levelset", "asymmetry"): 0,
-                     ("bounds", "perimeter_spectral"): 2 * 2,
-                     ("bounds", "asymmetry"): 2 * 2 + 2}
+                     ("bounds", "perimeter_spectral"): 2,
+                     ("bounds", "asymmetry"): N_SETS}
+
+
+def test_deficit_and_the_main_suite_prepare_each_set_once(monkeypatch, capsys):
+    # one kernel call builds the tables of a set and its H, and asym(E) is read
+    # once, whatever the number of orders
+    counts, real_asymmetry = Counter(), sets.asymmetry
+    kernel = spectral.coeff_antideriv_table
+    monkeypatch.setattr(spectral, "coeff_antideriv_table",
+                        lambda *args: counts.update(["kernel"]) or kernel(*args))
+
+    def asymmetry(E):
+        counts["asymmetry", E] += 1
+        return real_asymmetry(E)
+    for key, module in list(sys.modules.items()):
+        if key.startswith("fracgaussiso") and getattr(module, "asymmetry", None) is real_asymmetry:
+            monkeypatch.setattr(module, "asymmetry", asymmetry)
+    assert cli.main(["deficit", "--set", "(-1.2,-0.3)|(0.4,2)", "--s-grid", "0.25:0.75:0.25"]) == 0
+    # of the set's complement, its working set of measure 0.41
+    assert counts.pop("kernel") == 1 and list(counts.values()) == [1]
+    counts.clear()
+    assert cli.main(["verify", "--suite", "main", "--n", "2"]) == 0
+    assert counts.pop("kernel") == 2 and list(counts.values()) == [1, 1]
+    capsys.readouterr()
 
 
 def test_a_set_keeps_its_endpoint_tuples_and_compares_by_intervals():

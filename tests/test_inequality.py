@@ -5,6 +5,7 @@ import re
 import sys
 
 import mpmath as mp
+import numpy as np
 import pytest
 
 from fracgaussiso import cli, inequality, sets, suites
@@ -219,16 +220,17 @@ def test_C_and_rhs_are_numbers_for_s_near_0(s):
 @pytest.mark.parametrize("s", _ORDERS_NEAR_0)
 def test_asym_2_gives_no_nan_on_either_branch(monkeypatch, s):
     # at asym = 2 the large-perimeter exponent carries log(asym/2) = 0 where 2/s
-    # overflows; a stand-in that triples P_s(E) sends the row to that branch
+    # overflows; a stand-in that triples P_s(E), read from E's table, sends the
+    # row to that branch
     E = interval(-0.4, 0.4)
     rep = verify_main(E, s, K=500)
     assert (rep.asym, rep.branch, rep.C, rep.rhs, rep.satisfied) == (2.0, "main", 0.0, 0.0, True)
-    real = inequality.perimeter_spectral
+    real, table = inequality.perimeter_of_table, inequality.prepare(E, 500).table
 
-    def tripled(F, *args):
-        P = real(F, *args)
-        return dataclasses.replace(P, value=3.0 * P.value) if F == E else P
-    monkeypatch.setattr(inequality, "perimeter_spectral", tripled)
+    def tripled(f, *args):
+        P = real(f, *args)
+        return dataclasses.replace(P, value=3.0 * P.value) if np.array_equal(f, table) else P
+    monkeypatch.setattr(inequality, "perimeter_of_table", tripled)
     rep = verify_main(E, s, K=500)
     assert (rep.asym, rep.branch, rep.C, rep.satisfied) == (2.0, "large_perimeter", 0.0, True)
     # rhs = P_H (asym/2)^{2/s} = P_H, through a log and an exp of a subnormal P_H
@@ -429,10 +431,68 @@ def test_levelset_checks_reject_a_field_of_another_set_or_order():
             verify_levelset_closeness(E, s, 0.5, z, 20.0, K, field=wrong)
         with pytest.raises(DomainError, match=re.escape(named)):
             verify_levelset_bounds(E, s, 0.5, thr.z0, K, field=wrong)
+        with pytest.raises(DomainError, match=re.escape(named)):
+            closeness_z_max(E, s, 20.0, K, field=wrong)
+        with pytest.raises(DomainError, match=re.escape(named)):
+            z0_threshold(E, s, K, field=wrong)
+    # the heights read the given field, as the checks do
+    assert 0.9 * closeness_z_max(E, s, 20.0, K, field=own) == z
+    assert z0_threshold(E, s, K, field=own) == thr.z0
     # z0 is read from the field, so the field is checked first, also where asym(E) = 0
     assert verify_levelset_bounds(halfline(0.3), s, 0.5, 1e-3, K)
     with pytest.raises(DomainError, match="does not belong"):
         verify_levelset_bounds(halfline(0.3), s, 0.5, 1e-3, K, field=own)
+
+
+@pytest.mark.parametrize("text", ["(-inf,0)", "(-inf,-0.4)", "(0.2,inf)", "(-1.2,-0.3)|(0.4,2)",
+                                  "(-inf,0.9)|(1.5,2)"])
+def test_one_record_serves_every_order_as_verify_main_does(text):
+    # the record holds the order-free inputs of E; a set that is its own H
+    # ((-inf, 0), of measure 1/2 exactly) has one table
+    E = sets.parse_set(text)
+    prep = inequality.prepare(E, 2000)
+    assert (prep.table_H is prep.table) == (prep.H == prep.work)
+    assert prep.H == prep.work or text != "(-inf,0)"
+    assert not (prep.table.flags.writeable or prep.table_H.flags.writeable)
+
+    def hexed(rep):
+        return {k: v.hex() if isinstance(v, float) else v for k, v in rep.columns().items()}
+    for s in (0.25, 0.5, 0.75):
+        a, b = inequality.verify_prepared(prep, s), verify_main(E, s, K=2000)
+        assert hexed(a) == hexed(b) and (a.E, a.P_E, a.P_H) == (b.E, b.P_E, b.P_H)
+
+
+def test_verify_main_checks_c_order_measure_convention_and_K_in_that_order():
+    args = {"c": 0.0, "s": 1.5, "E": EMPTY, "convention": "banana", "K": 0}
+    for key, good, error in (("c", 1.0, "constant c must be positive"),
+                             ("s", 0.5, "fractional order must lie in (0, 1)"),
+                             ("E", interval(0.0, 1.0), "verify_main needs measure in (0, 1)"),
+                             ("convention", "remark", "unknown convention"),
+                             ("K", 500, "perimeter needs truncation K >= 1")):
+        with pytest.raises(DomainError, match=re.escape(error)):
+            verify_main(args["E"], args["s"], args["c"], args["K"], args["convention"])
+        args[key] = good
+    assert verify_main(args["E"], args["s"], args["c"], args["K"], args["convention"]).satisfied
+    # the record checks the measure before K, and the per-order stage c, s and convention
+    with pytest.raises(DegenerateSetError):
+        inequality.prepare(EMPTY, 0)
+    prep = inequality.prepare(interval(0.0, 1.0), 500)
+    for c, s, convention, error in ((0.0, 1.5, "banana", "constant c"),
+                                    (1.0, 1.5, "banana", "order"),
+                                    (1.0, 0.5, "banana", "convention")):
+        with pytest.raises(DomainError, match=error):
+            inequality.verify_prepared(prep, s, c, convention)
+
+
+def test_an_order_whose_half_rounds_to_0_is_named_as_given():
+    # 5e-324 / 2 rounds to 0.0; the field refuses it, so no later error names
+    # the order 0.0
+    from fracgaussiso.extension import extension_field
+    with pytest.raises(DomainError, match=re.escape("s/2 rounds to 0 at s=5e-324")):
+        closeness_z_max(interval(-8.0, -7.5), 5e-324, 20.0)
+    with pytest.raises(DomainError, match=re.escape("at s=5e-324")):
+        extension_field(interval(-8.0, -7.5), 5e-324)
+    assert extension_field(interval(-8.0, -7.5), 1e-323).sigma == 5e-324
 
 
 @pytest.mark.parametrize("text", ["(0.1002,0.1008)", "(-inf,0.1002)|(0.1008,inf)"])

@@ -79,18 +79,56 @@ TWO_PIECES = GaussianSet.from_intervals([(-1.5, -0.2), (0.4, 1.1)])
 
 def test_coeff_table_built_once_per_set(monkeypatch, cold_caches):
     # The table does not depend on s: three orders build it once, by one
-    # kernel call that carries all four endpoints with their signs.
+    # kernel call that carries all four endpoints with their signs, one row.
     calls = []
     kernel = spectral.coeff_antideriv_table
 
     def counted(x, K, signs):
-        calls.append((tuple(x.tolist()), K, tuple(signs.tolist())))
+        calls.append((tuple(x.tolist()), K, tuple(map(tuple, signs.tolist()))))
         return kernel(x, K, signs)
 
     monkeypatch.setattr(spectral, "coeff_antideriv_table", counted)
     for s in (0.25, 0.5, 0.75):
         perimeter_spectral(TWO_PIECES, s, 2000)
-    assert calls == [((-1.5, -0.2, 0.4, 1.1), 2000, (1.0, -1.0, 1.0, -1.0))]
+    assert calls == [((-1.5, -0.2, 0.4, 1.1), 2000, ((1.0, -1.0, 1.0, -1.0),))]
+
+
+def _sets_of_1_to_10_endpoints() -> list:
+    """Sets of 1 to 10 finite endpoints; those of 2 and 8 have endpoints whose
+    weight e^{-x^2/2} underflows to 0 (|x| >= 39)."""
+    rng = np.random.default_rng(5)
+    found = []
+    for m in range(1, 11):
+        pts = sorted(rng.uniform(-3.0, 3.0, m).tolist())
+        if m in (2, 8):
+            pts[0], pts[-1] = -45.0, 39.0 + (m == 8)
+        pts = [-math.inf] * (m % 2) + pts
+        found.append(GaussianSet.from_intervals(list(zip(pts[::2], pts[1::2]))))
+        assert len(found[-1].finite_endpoints) == m
+    return found
+
+
+@pytest.mark.parametrize("K", [1, 31, 32, 33, 4000, 10_000, 40_000])
+def test_tables_of_several_sets_equal_one_call_per_set(K):
+    # each set with a halfline, as `inequality.prepare` pairs a set with its H
+    # (at K = 1e4 the 9-endpoint set alone is one segment and with its halfline
+    # two), and all ten sets, 55 endpoints, in one call
+    sets = _sets_of_1_to_10_endpoints()
+    H = halfline(0.2)
+    alone = {E: spectral.coeff_tables((E,), K)[0] for E in (*sets, H)}
+    for E, f in alone.items():
+        x, signs = np.array(E.signed_endpoints, dtype=float).reshape(-1, 2).T
+        one = coeff_antideriv_table(x, K, -signs)  # the 1-D call of one set
+        one[0] = measure(E)
+        assert f.shape == (K + 1,) and not f.flags.writeable and (f == one).all()
+    for group in [(E, H) for E in sets] + [tuple(sets)]:
+        tables = spectral.coeff_tables(group, K)
+        assert len(tables) == len(group)
+        for E, f in zip(group, tables):
+            assert not f.flags.writeable and (f == alone[E]).all()
+            for s in (0.25, 0.5, 0.75):
+                assert (spectral.perimeter_of_table(f, s, "with_constant").value.hex()
+                        == spectral.perimeter_of_table(alone[E], s, "with_constant").value.hex())
 
 
 def test_coeff_table_memory_stays_near_one_table():

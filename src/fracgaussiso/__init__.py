@@ -22,9 +22,9 @@ from .extension import (ExtensionField, LevelSetRecord, evaluate_extension,
                         extension_field, level_set_with_budget,
                         mehler_extension)
 from .pde import pde_energy, pde_energy_cylinder
-from .inequality import (DeficitReport, PreparedSet, constant_C, prepare, sigma_min,
-                         verify_levelset_bounds, verify_levelset_closeness, verify_main,
-                         verify_prepared, verify_transfer_lemma, z0_threshold, z_thresholds)
+from .inequality import (DeficitReport, constant_C, sigma_min, verify_levelset_bounds,
+                         verify_levelset_closeness, verify_main, verify_orders,
+                         verify_transfer_lemma, z0_threshold, z_thresholds)
 from .suites import SUITES, random_gaussian_set
 
 __version__ = "0.1.0"

@@ -14,8 +14,8 @@ import sys
 from typing import Callable, NamedTuple
 
 from .errors import DomainError, ResolutionError
-from .gauss_core import check_order, check_positive
-from .inequality import prepare, verify_prepared
+from .gauss_core import check_positive
+from .inequality import verify_orders
 from .extension import evaluate_extension, extension_field
 from .sets import GaussianSet, best_halfline, measure, parse_set
 from .spectral import (CONVENTIONS, asymptotic_limit, asymptotic_series_value,
@@ -122,13 +122,9 @@ def cmd_asymmetry(o: dict) -> tuple[list[dict], int]:
 
 def cmd_deficit(o: dict) -> tuple[list[dict], int]:
     E = _require_set(o)
-    K, conv, c, s_values = o["K"], o["convention"], o["c"], _s_list(o)
-    # verify_main's error order: c and the first order before the set's measure and K
-    check_positive(c, "constant c")
-    check_order(s_values[0])
-    prep = prepare(E, K)
-    rows = [{"set": str(E), "s": s, "K": K, "convention": conv,
-             **verify_prepared(prep, s, c, conv).columns()} for s in s_values]
+    K, conv = o["K"], o["convention"]
+    rows = [{"set": str(E), "s": rep.s, "K": K, "convention": conv, **rep.columns()}
+            for rep in verify_orders(E, _s_list(o), o["c"], K, conv)]
     return rows, sum(map(row_failed, rows))
 
 

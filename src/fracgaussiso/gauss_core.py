@@ -176,7 +176,8 @@ def phi_inv(m: float) -> float:
 
 
 def iso_function(m: float) -> float:
-    """Gaussian isoperimetric function I(m) = exp(-Phi^{-1}(m)^2 / 2)."""
+    """Gaussian isoperimetric function I(m) = exp(-Phi^{-1}(m)^2 / 2), normalized as
+    sqrt(2 pi) phi(Phi^{-1}(m)): the profile phi(Phi^{-1}(m)) without its 1/sqrt(2 pi)."""
     if not (0.0 < m < 1.0):
         raise DomainError(f"iso_function needs an argument in (0, 1), got {m}")
     r = phi_inv(m)

@@ -15,8 +15,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import DegenerateSetError, DomainError, ResolutionError
 from .extension import ExtensionField, extension_field, level_set_with_budget
 from .gauss_core import check_order, check_positive, check_truncation, iso_function
@@ -26,14 +24,12 @@ from .spectral import PerimeterValue, _check_convention, coeff_tables, perimeter
 
 __all__ = [
     "DeficitReport",
-    "PreparedSet",
     "ZThresholds",
     "sigma_min",
     "z_thresholds",
     "z0_threshold",
     "constant_C",
-    "prepare",
-    "verify_prepared",
+    "verify_orders",
     "verify_main",
     "verify_transfer_lemma",
     "closeness_z_max",
@@ -91,7 +87,9 @@ class DeficitReport:
 def sigma_min(m: float) -> float:
     """min of the isoperimetric profile I over [5m/9, 13m/9].
 
-    I is unimodal with peak at 1/2, so the minimum sits at an endpoint.
+    I is `iso_function`, exp(-Phi^{-1}(m)^2 / 2) = sqrt(2 pi) phi(Phi^{-1}(m)), so
+    sigma_m carries no 1/sqrt(2 pi).  I is unimodal with peak at 1/2, so the
+    minimum sits at an endpoint.
     """
     if not (0.0 < m < 9.0 / 13.0):
         raise DomainError(f"sigma_min needs 13m/9 < 1, got m={m}")
@@ -163,86 +161,55 @@ def constant_C(s, m: float, c: float, P_H: PerimeterValue) -> float:
     return _exp(_log_C(check_order(s), m, c, P_H, 1.0))
 
 
-@dataclass(frozen=True, eq=False)
-class PreparedSet:
-    """The order-free inputs of the main-inequality check on one set E: its measure
-    m_raw, the working set ``work`` (E, or its complement where m_raw > 1/2) of
-    measure m, the halfline H of measure m, asym(E) and the read-only coefficient
-    tables f_0..f_K of ``work`` and of H (one array where H is ``work``)."""
+def verify_orders(E: GaussianSet, s_values, c: float = 1.0, K: int = 10_000,
+                  convention: str = "with_constant") -> list[DeficitReport]:
+    """The main-inequality check of E at each order of ``s_values``: deficit >= rhs up to
+    the truncation budget.
 
-    E: GaussianSet
-    m_raw: float
-    work: GaussianSet
-    m: float
-    H: GaussianSet
-    asym: float
-    table: np.ndarray
-    table_H: np.ndarray
-
-
-def _proper_measure(E: GaussianSet) -> float:
+    c, every order, the measure, the convention and K are checked, in that order,
+    before a table is built.  Sets of measure above 1/2 are complemented first, and
+    one kernel call builds the tables of the working set and of its halfline H.  Each
+    report's m is gamma(E) and its asym, perimeters and deficit are the working set's
+    (the complement's above m = 1/2).  When P_E > 2 P_H the reduction branch replaces
+    C_{s,m} by P_H / 2^{2/s}, which is what makes the inequality trivial there.
+    Main-branch rhs = C asym^{2/s} = (225 sqrt(e) / (10816 c)) sigma_m asym / (m (2-s)) z1^{2-s},
+    z1 from `z_thresholds`.  C and rhs are e to one exponent taken at asym = 1 and at
+    asym (rhs = 0.0 at asym = 0): 0.0 or inf only where the value leaves the double range.
+    c (assumed 1 by default) is recorded.
+    """
+    check_positive(c, "constant c")
+    orders = [check_order(s) for s in s_values]
     m_raw = measure(E)
     if not (0.0 < m_raw < 1.0):
         raise DegenerateSetError(f"verify_main needs measure in (0, 1), got {m_raw}")
-    return m_raw
-
-
-def prepare(E: GaussianSet, K: int = 10_000) -> PreparedSet:
-    """The record of E that `verify_prepared` reads at every order s: the measure is
-    checked before K, and both tables come from one kernel call.  Perimeter,
-    deficit and the (normalized) asymmetry are invariant under the complement,
-    so the report of the working set is the report of E."""
-    m_raw = _proper_measure(E)
+    _check_convention(convention)
     K = check_truncation(K)
     work = complement(E) if m_raw > 0.5 else E
     H = ehrhard_symmetrize(work).as_set()
     tables = coeff_tables((work,) if H == work else (work, H), K)
-    return PreparedSet(E, m_raw, work, measure(work), H, asymmetry(work), tables[0], tables[-1])
-
-
-def verify_prepared(prep: PreparedSet, s, c: float = 1.0,
-                    convention: str = "with_constant") -> DeficitReport:
-    """The main-inequality check of `verify_main` at order s, from the record of E.
-
-    When P_E > 2 P_H the reduction branch replaces C_{s,m} by P_H / 2^{2/s}, which
-    is what makes the inequality trivial there.  Main-branch
-    rhs = C asym^{2/s} = (225 sqrt(e) / (10816 c)) sigma_m asym / (m (2-s)) z1^{2-s},
-    z1 from `z_thresholds`.  C and rhs are e to one exponent taken at asym = 1 and at
-    asym (rhs = 0.0 at asym = 0): 0.0 or inf only where the value leaves the double range.
-    c, the order and the convention are checked, in that order.
-    """
-    check_positive(c, "constant c")
-    s = check_order(s)
-    _check_convention(convention)
-    P_E = perimeter_of_table(prep.table, s, convention)
-    P_H = perimeter_of_table(prep.table_H, s, convention)
-    if P_H.value == 0.0:  # K_s P_s(H) underflows for s near 5e-324
-        raise ResolutionError(f"P_s(H) underflows to 0 at s={s}, so C_{{s,m}} is undefined")
-    deficit = P_E.value - P_H.value
-    A, m = prep.asym, prep.m
-    budget = 2.0 * (P_E.tail_bound + P_H.tail_bound)
-    branch = "large_perimeter" if P_E.value > 2.0 * P_H.value else "main"
-    log_rhs = ((lambda a: _log_C(s, m, c, P_H, a)) if branch == "main"
-               else lambda a: 2.0 * math.log(a / 2.0) / s + math.log(P_H.value))
-    C, rhs = _exp(log_rhs(1.0)), (_exp(log_rhs(A)) if A else 0.0)
-    satisfied = deficit >= rhs - budget
-    return DeficitReport(prep.E, s, prep.m_raw, P_E, P_H, deficit, A, C, rhs,
-                         satisfied, branch, c, budget)
+    A, m = asymmetry(work), measure(work)
+    reports = []
+    for s in orders:
+        P_E = perimeter_of_table(tables[0], s, convention)
+        P_H = perimeter_of_table(tables[-1], s, convention)
+        if P_H.value == 0.0:  # K_s P_s(H) underflows for s near 5e-324
+            raise ResolutionError(f"P_s(H) underflows to 0 at s={s}, so C_{{s,m}} is undefined")
+        deficit = P_E.value - P_H.value
+        budget = 2.0 * (P_E.tail_bound + P_H.tail_bound)
+        branch = "large_perimeter" if P_E.value > 2.0 * P_H.value else "main"
+        log_rhs = ((lambda a: _log_C(s, m, c, P_H, a)) if branch == "main"
+                   else lambda a: 2.0 * math.log(a / 2.0) / s + math.log(P_H.value))
+        C, rhs = _exp(log_rhs(1.0)), (_exp(log_rhs(A)) if A else 0.0)
+        reports.append(DeficitReport(E, s, m_raw, P_E, P_H, deficit, A, C, rhs,
+                                     deficit >= rhs - budget, branch, c, budget))
+    return reports
 
 
 def verify_main(E: GaussianSet, s, c: float = 1.0, K: int = 10_000,
                 convention: str = "with_constant") -> DeficitReport:
-    """Full main-inequality check: deficit >= rhs up to the truncation budget.
-
-    Sets of measure above 1/2 are complemented first (`prepare`); the check at s
-    is `verify_prepared`.  c (assumed 1 by default) is recorded.  A bad c, order,
-    measure, convention or K raises, in that order, before a table is built.
-    """
-    check_positive(c, "constant c")
-    s = check_order(s)
-    _proper_measure(E)
-    _check_convention(convention)
-    return verify_prepared(prepare(E, K), s, c, convention)
+    """`verify_orders` at the one order s: a bad c, order, measure, convention or K
+    raises, in that order, before a table is built."""
+    return verify_orders(E, (s,), c, K, convention)[0]
 
 
 def verify_transfer_lemma(E: GaussianSet, F: GaussianSet, kappa: float) -> str:

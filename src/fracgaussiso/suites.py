@@ -11,9 +11,9 @@ import random
 
 from .errors import DomainError
 from .extension import extension_field
-from .inequality import (TRANSFER_FAILS, closeness_z_max, prepare, verify_levelset_bounds,
-                         verify_levelset_closeness, verify_prepared,
-                         verify_transfer_lemma, z0_threshold)
+from .inequality import (TRANSFER_FAILS, closeness_z_max, verify_levelset_bounds,
+                         verify_levelset_closeness, verify_orders, verify_transfer_lemma,
+                         z0_threshold)
 from .sets import GaussianSet, interval, measure, symm_diff
 
 __all__ = [
@@ -115,11 +115,10 @@ def run_bounds_suite(n: int = 50, seed: int = 0) -> tuple[list[dict], int]:
 
 def run_main_suite(n: int = 200, seed: int = 0, K: int = 10_000, c: float = 1.0,
                    convention: str = "with_constant") -> tuple[list[dict], int]:
-    """Main inequality over the random family; each set is prepared once for its orders."""
+    """Main inequality over the random family, each set checked at all its orders at once."""
     def rows_of(E, rng):
-        prep = prepare(E, K)
-        for s in _MAIN_S_VALUES:
-            yield {"set": str(E), "s": s, **verify_prepared(prep, s, c, convention).columns()}
+        for rep in verify_orders(E, _MAIN_S_VALUES, c, K, convention):
+            yield {"set": str(E), "s": rep.s, **rep.columns()}
     return _run("main", n, seed, rows_of)
 
 

@@ -115,6 +115,16 @@ def test_deficit_and_the_main_suite_prepare_each_set_once(monkeypatch, capsys):
     capsys.readouterr()
 
 
+def test_deficit_checks_every_order_before_a_kernel_call(monkeypatch, capsys):
+    # s = 1.0 is the grid's last order, and it is refused before a table is built
+    calls, kernel = [], spectral.coeff_antideriv_table
+    monkeypatch.setattr(spectral, "coeff_antideriv_table",
+                        lambda *args: calls.append(1) or kernel(*args))
+    assert cli.main(["deficit", "--set", "(0,1)", "--s-grid", "0.5:1:0.25"]) == 2
+    out, err = capsys.readouterr()
+    assert (calls, out) == ([], "") and "fractional order must lie in (0, 1), got 1.0" in err
+
+
 def test_a_set_keeps_its_endpoint_tuples_and_compares_by_intervals():
     E = GaussianSet.from_intervals([(-float("inf"), -1.0), (0.0, 2.0)])
     F = GaussianSet.from_intervals([(0.0, 2.0), (-float("inf"), -1.0)])

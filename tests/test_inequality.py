@@ -17,13 +17,14 @@ from fracgaussiso.inequality import (TRANSFER_FAILS,
                                      constant_C, sigma_min,
                                      verify_levelset_bounds,
                                      verify_levelset_closeness, verify_main,
-                                     verify_transfer_lemma, z0_threshold,
+                                     verify_orders, verify_transfer_lemma, z0_threshold,
                                      z_thresholds)
 from fracgaussiso.gauss_core import iso_function, phi_inv
-from fracgaussiso.sets import (EMPTY, GaussianSet, complement,
+from fracgaussiso.sets import (EMPTY, GaussianSet, asymmetry, complement,
                                ehrhard_symmetrize, halfline, interval,
                                measure, symm_diff)
-from fracgaussiso.spectral import PerimeterValue, halfline_perimeter, perimeter_spectral
+from fracgaussiso.spectral import (PerimeterValue, coeff_tables, halfline_perimeter,
+                                  perimeter_spectral)
 
 
 @pytest.mark.parametrize("alpha", [math.nan, math.inf, 0.0, -1.0])
@@ -223,15 +224,15 @@ def test_asym_2_gives_no_nan_on_either_branch(monkeypatch, s):
     # overflows; a stand-in that triples P_s(E), read from E's table, sends the
     # row to that branch
     E = interval(-0.4, 0.4)
-    rep = verify_main(E, s, K=500)
+    rep, = verify_orders(E, (s,), K=500)
     assert (rep.asym, rep.branch, rep.C, rep.rhs, rep.satisfied) == (2.0, "main", 0.0, 0.0, True)
-    real, table = inequality.perimeter_of_table, inequality.prepare(E, 500).table
+    real, table = inequality.perimeter_of_table, coeff_tables((E,), 500)[0]
 
     def tripled(f, *args):
         P = real(f, *args)
         return dataclasses.replace(P, value=3.0 * P.value) if np.array_equal(f, table) else P
     monkeypatch.setattr(inequality, "perimeter_of_table", tripled)
-    rep = verify_main(E, s, K=500)
+    rep, = verify_orders(E, (s,), K=500)
     assert (rep.asym, rep.branch, rep.C, rep.satisfied) == (2.0, "large_perimeter", 0.0, True)
     # rhs = P_H (asym/2)^{2/s} = P_H, through a log and an exp of a subnormal P_H
     assert rep.rhs == pytest.approx(rep.P_H.value, rel=1e-3)
@@ -444,25 +445,54 @@ def test_levelset_checks_reject_a_field_of_another_set_or_order():
         verify_levelset_bounds(halfline(0.3), s, 0.5, 1e-3, K, field=own)
 
 
+def _hexed(rep):
+    return {k: v.hex() if isinstance(v, float) else v for k, v in rep.columns().items()}
+
+
 @pytest.mark.parametrize("text", ["(-inf,0)", "(-inf,-0.4)", "(0.2,inf)", "(-1.2,-0.3)|(0.4,2)",
                                   "(-inf,0.9)|(1.5,2)"])
-def test_one_record_serves_every_order_as_verify_main_does(text):
-    # the record holds the order-free inputs of E; a set that is its own H
-    # ((-inf, 0), of measure 1/2 exactly) has one table
+def test_one_record_serves_every_order_as_verify_main_does(monkeypatch, text):
+    # one kernel call builds the read-only tables of the working set and of H; a set
+    # that is its own H ((-inf, 0), of measure 1/2 exactly) has one table
     E = sets.parse_set(text)
-    prep = inequality.prepare(E, 2000)
-    assert (prep.table_H is prep.table) == (prep.H == prep.work)
-    assert prep.H == prep.work or text != "(-inf,0)"
-    assert not (prep.table.flags.writeable or prep.table_H.flags.writeable)
+    built, real = [], inequality.coeff_tables
 
-    def hexed(rep):
-        return {k: v.hex() if isinstance(v, float) else v for k, v in rep.columns().items()}
-    for s in (0.25, 0.5, 0.75):
-        a, b = inequality.verify_prepared(prep, s), verify_main(E, s, K=2000)
-        assert hexed(a) == hexed(b) and (a.E, a.P_E, a.P_H) == (b.E, b.P_E, b.P_H)
+    def coeff_tables(group, K):
+        built.append((group, real(group, K)))
+        return built[-1][1]
+    monkeypatch.setattr(inequality, "coeff_tables", coeff_tables)
+    reports = verify_orders(E, (0.25, 0.5, 0.75), K=2000)
+    (group, tables), = built
+    work = complement(E) if measure(E) > 0.5 else E
+    H = ehrhard_symmetrize(work).as_set()
+    assert group == ((work,) if H == work else (work, H))
+    assert len(group) == 1 or text != "(-inf,0)"
+    assert not any(f.flags.writeable for f in tables)
+    for s, a in zip((0.25, 0.5, 0.75), reports, strict=True):
+        b = verify_main(E, s, K=2000)
+        assert _hexed(a) == _hexed(b) and (a.E, a.P_E, a.P_H) == (b.E, b.P_E, b.P_H)
 
 
-def test_verify_main_checks_c_order_measure_convention_and_K_in_that_order():
+@pytest.mark.parametrize("text", ["(-inf,0)", "(0.2,inf)", "(-1.2,-0.3)|(0.4,2)",
+                                  "(-inf,0.9)|(1.5,2)"])
+def test_verify_orders_is_verify_main_at_each_order(text):
+    E = sets.parse_set(text)
+    orders = (0.25, 0.5, 0.75)
+    reports = verify_orders(E, orders)
+    assert [rep.s for rep in reports] == list(orders)
+    assert list(map(_hexed, reports)) == [_hexed(verify_main(E, s)) for s in orders]
+
+
+def test_a_report_holds_the_measure_of_E_and_the_asymmetry_of_its_working_set():
+    # E has measure 0.827, so the check runs on its complement, whose asymmetry
+    # (1.5745) is not that of E (0.3285)
+    E = sets.parse_set("(-inf,0.5)|(1,2)")
+    rep = verify_main(E, 0.5)
+    assert rep.m == measure(E) and rep.asym == asymmetry(complement(E))
+    assert (round(rep.m, 3), round(asymmetry(E), 4), round(rep.asym, 4)) == (0.827, 0.3285, 1.5745)
+
+
+def test_verify_main_checks_c_order_measure_convention_and_K_in_that_order(monkeypatch):
     args = {"c": 0.0, "s": 1.5, "E": EMPTY, "convention": "banana", "K": 0}
     for key, good, error in (("c", 1.0, "constant c must be positive"),
                              ("s", 0.5, "fractional order must lie in (0, 1)"),
@@ -473,15 +503,20 @@ def test_verify_main_checks_c_order_measure_convention_and_K_in_that_order():
             verify_main(args["E"], args["s"], args["c"], args["K"], args["convention"])
         args[key] = good
     assert verify_main(args["E"], args["s"], args["c"], args["K"], args["convention"]).satisfied
-    # the record checks the measure before K, and the per-order stage c, s and convention
-    with pytest.raises(DegenerateSetError):
-        inequality.prepare(EMPTY, 0)
-    prep = inequality.prepare(interval(0.0, 1.0), 500)
-    for c, s, convention, error in ((0.0, 1.5, "banana", "constant c"),
-                                    (1.0, 1.5, "banana", "order"),
-                                    (1.0, 0.5, "banana", "convention")):
+    # verify_orders checks every order in the same place, before the measure and
+    # before any table is built
+    monkeypatch.setattr(inequality, "coeff_tables", lambda *a: pytest.fail("table built"))
+    args = {"c": 0.0, "s_values": (0.5, 1.5), "E": EMPTY, "convention": "banana", "K": 0}
+    for key, good, error in (("c", 1.0, "constant c"),
+                             ("s_values", (0.5, 0.75), "order"),
+                             ("E", interval(0.0, 1.0), "measure"),
+                             ("convention", "remark", "convention"),
+                             ("K", 500, "truncation K")):
         with pytest.raises(DomainError, match=error):
-            inequality.verify_prepared(prep, s, c, convention)
+            verify_orders(**args)
+        args[key] = good
+    monkeypatch.undo()
+    assert [rep.s for rep in verify_orders(**args)] == [0.5, 0.75]
 
 
 def test_an_order_whose_half_rounds_to_0_is_named_as_given():

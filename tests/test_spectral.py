@@ -110,7 +110,7 @@ def _sets_of_1_to_10_endpoints() -> list:
 
 @pytest.mark.parametrize("K", [1, 31, 32, 33, 4000, 10_000, 40_000])
 def test_tables_of_several_sets_equal_one_call_per_set(K):
-    # each set with a halfline, as `inequality.prepare` pairs a set with its H
+    # each set with a halfline, as `verify_orders` pairs a working set with its H
     # (at K = 1e4 the 9-endpoint set alone is one segment and with its halfline
     # two), and all ten sets, 55 endpoints, in one call
     sets = _sets_of_1_to_10_endpoints()
@@ -348,6 +348,21 @@ def test_halfline_profile_matches_mpmath_within_its_bound(r, s):
     pv = halfline_perimeter(r, s, "remark")
     assert pv.K == 40
     assert abs(pv.value - _profile_oracle(r, s)) <= pv.tail_bound < 1e-7 * pv.value
+
+
+# Bare P_{1/2}(H_r) at r = 20 and 30: tanh-sinh and Gauss-Legendre quadrature in
+# y = t^p, p = 1/(1/2 - alpha), at 30 digits agree on them to 2e-7 relative.
+_FAR_TAIL_S = 0.5
+_FAR_TAIL_VALUES = {20.0: 7.2767e-89, 30.0: 1.58697e-197}
+
+
+def test_halfline_profile_bound_fails_in_the_far_tail():
+    # a known defect: the node-count difference stops covering the error at
+    # |r| = 25 for s = 1/2; this test fails once the profile's budget is a bound
+    near = halfline_perimeter(20.0, _FAR_TAIL_S, "remark")
+    assert abs(near.value - _FAR_TAIL_VALUES[20.0]) <= near.tail_bound
+    far = halfline_perimeter(30.0, _FAR_TAIL_S, "remark")
+    assert abs(far.value - _FAR_TAIL_VALUES[30.0]) > far.tail_bound
 
 
 def test_halfline_profile_keeps_rounding_out_of_the_weight_sum():

@@ -63,6 +63,12 @@ def test_main_suite_rows():
     assert all(r["satisfied"] and r["deficit"] >= -r["budget"] for r in rows)
 
 
+def test_main_suite_names_a_bad_c_before_a_bad_K():
+    # verify_main's order: c is checked before K
+    with pytest.raises(DomainError, match="constant c must be positive"):
+        run_main_suite(1, seed=0, K=0, c=0.0)
+
+
 def test_run_suite_dispatch():
     rows, failures = SUITES["main"](2, 3, K=1000)
     assert rows and failures == 0

@@ -160,13 +160,12 @@ def cmd_verify(o: dict) -> tuple[list[dict], int]:
 
 
 def cmd_sweep(o: dict) -> tuple[list[dict], int]:
-    conv, rows = o["convention"], []
-    for r in _parse_grid(o["r_grid"]):
-        for s in _s_list(o):
-            pv = halfline_perimeter(r, s, conv)
-            rows.append({"r": r, "s": s, "convention": conv,
-                         "value": pv.value, "tail_bound": pv.tail_bound})
-    return rows, 0
+    conv, rs, orders = o["convention"], _parse_grid(o["r_grid"]), _s_list(o)
+    # order by order, so that each order's Laguerre rules are read while cached;
+    # the rows are r-major
+    values = [[halfline_perimeter(r, s, conv) for r in rs] for s in orders]
+    return [{"r": r, "s": s, "convention": conv, "value": pv.value, "tail_bound": pv.tail_bound}
+            for r, column in zip(rs, zip(*values)) for s, pv in zip(orders, column)], 0
 
 
 def cmd_asymptotic(o: dict) -> tuple[list[dict], int]:

@@ -94,8 +94,8 @@ def _gauss_laguerre(a: float, n: int) -> tuple[np.ndarray, np.ndarray]:
     return u, w * (math.gamma(a + 1.0) / np.sum(w))
 
 
-# The 9 keys of a seed-7 perfbench `levelset` run: the profile's 40 and 20 nodes
-# at the reference probe's 4 orders, and the Mehler rule's 80 nodes at a = -0.75.
+# The halfline profile reads two rules per order (40 and 20 nodes), and the Mehler
+# rule its 80- and 40-node rules at a = sigma - 1; `sweep` reads one order at a time.
 @lru_cache(maxsize=9)
 def laguerre_roots(a: float, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Read-only nodes and weights of ``_gauss_laguerre(a, n)``, the n-node rule

@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import DegenerateSetError, DomainError, ResolutionError
+from .errors import DomainError, ResolutionError
 from .extension import ExtensionField, extension_field, level_set_with_budget
 from .gauss_core import check_order, check_positive, check_truncation, iso_function
 from .sets import (GaussianSet, _require_proper, asymmetry, complement, ehrhard_symmetrize,
@@ -120,16 +120,12 @@ def z_thresholds(E: GaussianSet, s, P_E: PerimeterValue,
     return ZThresholds(_height(A, m, s, P_E, 72.0), _height(A, m, s, P_H, 144.0))
 
 
-def _z0(F: ExtensionField, s: float, m: float) -> float:
-    """`z0_threshold` from the field of E, with m = gamma(E)."""
-    return _height(F.asymmetry, m, s, F.perimeter, 72.0) if F.asymmetry else 0.0
-
-
 def z0_threshold(E: GaussianSet, s, K: int = 10_000, field=None) -> float:
     """z0 of `z_thresholds` with P_E = P_s(E) at truncation K; 0 where asym(E) = 0.
     ``field`` is as in `verify_levelset_closeness`; P_s(E) and asym(E) are read from it."""
     s, m = check_order(s), _require_proper(E)  # asym(E)'s error, named before a bad K
-    return _z0(_field_of(E, s, K, field), s, m)
+    F = _field_of(E, s, K, field)
+    return _height(F.asymmetry, m, s, F.perimeter, 72.0) if F.asymmetry else 0.0
 
 
 def _exp(x: float) -> float:
@@ -179,9 +175,7 @@ def verify_orders(E: GaussianSet, s_values, c: float = 1.0, K: int = 10_000,
     """
     check_positive(c, "constant c")
     orders = [check_order(s) for s in s_values]
-    m_raw = measure(E)
-    if not (0.0 < m_raw < 1.0):
-        raise DegenerateSetError(f"verify_main needs measure in (0, 1), got {m_raw}")
+    m_raw = _require_proper(E)
     _check_convention(convention)
     K = check_truncation(K)
     work = complement(E) if m_raw > 0.5 else E
@@ -222,9 +216,8 @@ def verify_transfer_lemma(E: GaussianSet, F: GaussianSet, kappa: float) -> str:
     """
     if not (0.0 < kappa < 0.5):
         raise DomainError(f"kappa must lie in (0, 1/2), got {kappa}")
-    mF = measure(F)
-    if mF <= 0.0 or mF >= 1.0 or measure(E) <= 0.0 or measure(E) >= 1.0:
-        raise DegenerateSetError("transfer lemma needs proper sets")
+    mF = _require_proper(F)
+    _require_proper(E)
     AF = asymmetry(F)
     if AF == 0.0:
         return TRANSFER_TRIVIAL
@@ -235,18 +228,13 @@ def verify_transfer_lemma(E: GaussianSet, F: GaussianSet, kappa: float) -> str:
     return TRANSFER_HOLDS if ok else TRANSFER_FAILS
 
 
-def _z_max(F: ExtensionField, s: float, alpha: float) -> float:
-    """`closeness_z_max` from the field of E."""
-    return _height(1.0, 1.0, s, F.perimeter, 8.0 * alpha)
-
-
 def closeness_z_max(E: GaussianSet, s, alpha: float, K: int = 10_000, field=None) -> float:
     """Upper end of the admissible z-range, (s/(8 alpha P_s(E)))^{1/s}; inf where that
     lies past the double range, as at subnormal s.  ``field`` is as in
     `verify_levelset_closeness`; P_s(E) is read from it."""
     s = check_order(s)
     check_positive(alpha, "alpha")
-    return _z_max(_field_of(E, s, K, field), s, alpha)
+    return _height(1.0, 1.0, s, _field_of(E, s, K, field).perimeter, 8.0 * alpha)
 
 
 def _field_of(E: GaussianSet, s: float, K, field) -> ExtensionField:
@@ -267,7 +255,7 @@ def verify_levelset_closeness(E: GaussianSet, s, t: float, z: float,
         raise DomainError(f"t must lie in [1/4, 3/4], got {t}")
     check_positive(alpha, "alpha")
     F = _field_of(E, s, K, field)
-    z_max = _z_max(F, s, alpha)
+    z_max = _height(1.0, 1.0, s, F.perimeter, 8.0 * alpha)
     if not (0.0 < z < z_max):
         raise DomainError(f"z must lie in (0, {z_max}), got {z}")
     rec, budget = level_set_with_budget(F, t, z)
@@ -294,7 +282,7 @@ def verify_levelset_bounds(E: GaussianSet, s, t: float, z: float,
     F = _field_of(E, s, K, field)
     if (A := F.asymmetry) == 0.0:  # z0 = 0: no z is admissible, and the claim is vacuous
         return True
-    z0 = _z0(F, s, m)
+    z0 = _height(A, m, s, F.perimeter, 72.0)
     if not (0.0 < z <= z0):
         raise DomainError(f"z must lie in (0, z0={z0}], got {z}")
     rec, budget = level_set_with_budget(F, t, z)

@@ -140,6 +140,12 @@ def parse_set(text: str) -> GaussianSet:
         pos += 1
 
 
+def _finite(r: float) -> float:
+    if not math.isfinite(r := float(r)):
+        raise DomainError(f"halfline threshold must be finite, got {r}")
+    return r
+
+
 @dataclass(frozen=True)
 class Halfline:
     """Halfline (-inf, r) for orientation 'left', (r, inf) for 'right'."""
@@ -150,8 +156,7 @@ class Halfline:
     def __post_init__(self):
         if self.orientation not in ("left", "right"):
             raise DomainError(f"orientation must be 'left' or 'right', got {self.orientation!r}")
-        if not math.isfinite(self.threshold):
-            raise DomainError("halfline threshold must be finite")
+        _finite(self.threshold)
 
     def as_set(self) -> GaussianSet:
         if self.orientation == "left":
@@ -221,9 +226,10 @@ def reflect(E: GaussianSet) -> GaussianSet:
 
 
 def _require_proper(E: GaussianSet) -> float:
+    """gamma(E), for a set E of measure in (0, 1): the one proper-set check."""
     m = measure(E)
     if m <= 0.0 or m >= 1.0:
-        raise DegenerateSetError(f"operation needs a set of measure in (0, 1), got {m}")
+        raise DegenerateSetError(f"set {E} needs measure in (0, 1), got {m}")
     return m
 
 

@@ -21,7 +21,7 @@ import numpy as np
 from ._kernels_py import coeff_antideriv_table, halfspace_series_sum
 from .errors import DomainError
 from .gauss_core import check_order, check_truncation, k_coefficient, laguerre_roots
-from .sets import GaussianSet, measure
+from .sets import GaussianSet, _finite, measure
 
 __all__ = [
     "PerimeterValue",
@@ -143,12 +143,6 @@ def perimeter_of_table(f: np.ndarray, s: float, convention: str) -> PerimeterVal
     terms = weights * f[1:] ** 2
     return _scaled(0.5 * float(np.sum(terms)),
                    0.5 * _calibrated_tail(terms, window_weights, s, K), s, K, convention)
-
-
-def _finite(r: float) -> float:
-    if not math.isfinite(r := float(r)):
-        raise DomainError(f"halfline threshold must be finite, got {r}")
-    return r
 
 
 def _scaled(value: float, bound: float, s: float, K: int, convention: str) -> PerimeterValue:

@@ -11,7 +11,7 @@ import sys
 from collections import Counter
 
 import fracgaussiso
-from fracgaussiso import cli, inequality, sets, spectral
+from fracgaussiso import cli, gauss_core, inequality, sets, spectral
 from fracgaussiso.sets import GaussianSet, parse_set
 from levelset_golden import GOLDEN, N_SETS, SEED, SUITES
 
@@ -123,6 +123,15 @@ def test_deficit_checks_every_order_before_a_kernel_call(monkeypatch, capsys):
     assert cli.main(["deficit", "--set", "(0,1)", "--s-grid", "0.5:1:0.25"]) == 2
     out, err = capsys.readouterr()
     assert (calls, out) == ([], "") and "fractional order must lie in (0, 1), got 1.0" in err
+
+
+def test_sweep_builds_each_orders_laguerre_rules_once(cold_caches, monkeypatch, capsys):
+    # 9 orders of 2 profile rules each: evaluated r by r, the 18 keys would cycle
+    # through the 9-key cache and build 162 rules
+    builds, build = [], gauss_core._gauss_laguerre
+    monkeypatch.setattr(gauss_core, "_gauss_laguerre", lambda a, n: builds.append(1) or build(a, n))
+    assert cli.main(["sweep", "--r-grid=-2:2:0.5", "--s-grid", "0.1:0.9:0.1"]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 2 + 81 and len(builds) == 18
 
 
 def test_a_set_keeps_its_endpoint_tuples_and_compares_by_intervals():

@@ -97,6 +97,12 @@ def test_main_json_format(capsys):
     assert 0.0 < rows[0]["asym"] < 2.0
 
 
+def test_deficit_of_the_whole_line_names_the_measure_and_no_function(capsys):
+    assert main(["deficit", "--set", "(-inf,inf)"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "measure in (0, 1), got 1.0" in err and "verify_main" not in err
+
+
 def test_main_parse_error_exit_code(capsys):
     code = main(["perimeter", "--set", "(2,1)", "--s", "0.5"])
     assert code == 2
@@ -363,7 +369,9 @@ def test_sweep(capsys):
         assert main(["sweep", "--r-grid=-2:1.5:1.75", "--s-grid", "0.25:0.75:0.25",
                      "--convention", conv]) == 0
         rows = list(csv.DictReader(capsys.readouterr().out.splitlines()[1:]))
-        assert len(rows) == 3 * 3
+        # r-major, though the orders are evaluated one at a time
+        assert [(float(row["r"]), float(row["s"])) for row in rows] == [
+            (r, s) for r in (-2.0, -0.25, 1.5) for s in (0.25, 0.5, 0.75)]
         for row in rows:
             pv = halfline_perimeter(float(row["r"]), float(row["s"]), conv.replace("-", "_"))
             assert (float(row["value"]), float(row["tail_bound"])) == (pv.value, pv.tail_bound)

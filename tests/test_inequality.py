@@ -301,6 +301,32 @@ def test_verify_main_degenerate():
         verify_main(EMPTY, 0.5)
 
 
+_PROPER = interval(0.0, 1.0)
+# Every entry point of the lemma chain that takes a set, with the set X in each of
+# its set positions; the others get a proper set.
+_SET_ENTRY_POINTS = {
+    "verify_main": lambda X: verify_main(X, 0.5),
+    "verify_orders": lambda X: verify_orders(X, (0.25, 0.5)),
+    "verify_transfer_lemma E": lambda X: verify_transfer_lemma(X, _PROPER, 0.3),
+    "verify_transfer_lemma F": lambda X: verify_transfer_lemma(_PROPER, X, 0.3),
+    "z0_threshold": lambda X: z0_threshold(X, 0.5),
+    "verify_levelset_bounds": lambda X: verify_levelset_bounds(X, 0.5, 0.5, 0.1),
+    "asymmetry": asymmetry,
+    "ehrhard_symmetrize": ehrhard_symmetrize,
+}
+
+
+@pytest.mark.parametrize("X", [sets.FULL_LINE, EMPTY, interval(40.0, 41.0)], ids=str)
+@pytest.mark.parametrize("entry", list(_SET_ENTRY_POINTS))
+def test_a_degenerate_set_raises_one_error_that_names_the_set_and_no_function(entry, X):
+    # (40, 41) has measure 1 - 1 = 0.0 in doubles
+    with pytest.raises(DegenerateSetError) as info:
+        _SET_ENTRY_POINTS[entry](X)
+    message = str(info.value)
+    assert f"measure in (0, 1), got {measure(X)}" in message and str(X) in message
+    assert not any(name.split()[0] in message for name in _SET_ENTRY_POINTS)
+
+
 def test_transfer_lemma_identity():
     E = interval(0.0, 1.0)
     assert verify_transfer_lemma(E, E, 0.2) == TRANSFER_HOLDS
@@ -328,6 +354,14 @@ def test_transfer_lemma_perturbation():
 def test_transfer_lemma_kappa_domain():
     with pytest.raises(DomainError):
         verify_transfer_lemma(interval(0, 1), interval(0, 1), 0.6)
+
+
+def test_transfer_lemma_checks_kappa_then_F_then_E():
+    E, F = EMPTY, sets.FULL_LINE
+    for kappa, error in ((0.6, "kappa must lie in (0, 1/2)"),
+                         (0.3, "set (-inf,inf) needs measure in (0, 1), got 1.0")):
+        with pytest.raises(DomainError, match=re.escape(error)):
+            verify_transfer_lemma(E, F, kappa)
 
 
 def test_levelset_closeness_cases():
@@ -496,7 +530,7 @@ def test_verify_main_checks_c_order_measure_convention_and_K_in_that_order(monke
     args = {"c": 0.0, "s": 1.5, "E": EMPTY, "convention": "banana", "K": 0}
     for key, good, error in (("c", 1.0, "constant c must be positive"),
                              ("s", 0.5, "fractional order must lie in (0, 1)"),
-                             ("E", interval(0.0, 1.0), "verify_main needs measure in (0, 1)"),
+                             ("E", interval(0.0, 1.0), "measure in (0, 1), got 0.0"),
                              ("convention", "remark", "unknown convention"),
                              ("K", 500, "perimeter needs truncation K >= 1")):
         with pytest.raises(DomainError, match=re.escape(error)):

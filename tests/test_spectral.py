@@ -12,7 +12,8 @@ from fracgaussiso import spectral
 from fracgaussiso.errors import DomainError
 from fracgaussiso.gauss_core import k_coefficient, phi
 from fracgaussiso._kernels_py import coeff_antideriv_table
-from fracgaussiso.sets import GaussianSet, complement, halfline, interval, measure, reflect
+from fracgaussiso.sets import (GaussianSet, Halfline, complement, halfline, interval, measure,
+                               reflect)
 from fracgaussiso.spectral import (asymptotic_limit, asymptotic_series_value,
                                    coeff_table,
                                    halfspace_series, halfline_perimeter,
@@ -404,9 +405,11 @@ def test_halfline_profile_tends_to_parseval_as_s_to_zero(r):
 
 @pytest.mark.parametrize("r", [math.nan, math.inf, -math.inf])
 def test_halfline_entry_points_reject_a_non_finite_threshold(r):
+    # the halfline and every profile entry raise the one message of sets._finite
     calls = (lambda: halfline_perimeter(r, 0.5), lambda: halfspace_series(r, 0.5, 10),
              lambda: halfline_perimeter_reference(r, 0.5),
-             lambda: asymptotic_series_value(r, 0.5), lambda: asymptotic_limit(r))
+             lambda: asymptotic_series_value(r, 0.5), lambda: asymptotic_limit(r),
+             lambda: Halfline("left", r))
     for call in calls:
-        with pytest.raises(DomainError, match="finite"):
+        with pytest.raises(DomainError, match=f"^halfline threshold must be finite, got {r}$"):
             call()

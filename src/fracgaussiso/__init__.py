@@ -2,8 +2,8 @@
 
 Numerical library for one-dimensional Gaussian sets: Hermite-spectral
 fractional perimeters, Fraenkel asymmetries, the subordinated extension
-field with its level sets, a finite-difference energy cross-check, and
-verifiers for the quantitative isoperimetric inequality.
+field with its level sets, and verifiers for the quantitative isoperimetric
+inequality.  The finite-difference energy cross-check is ``fracgaussiso.pde``.
 """
 
 from ._backend import BACKEND
@@ -14,14 +14,10 @@ from .sets import (EMPTY, FULL_LINE, GaussianSet, Halfline, asymmetry,
                    best_halfline, complement, ehrhard_symmetrize, halfline,
                    interval, intersect, measure, reflect, set_minus,
                    symm_diff, union)
-from .spectral import (PerimeterValue, asymptotic_limit,
-                       asymptotic_series_value, halfline_perimeter,
-                       halfline_perimeter_reference, halfspace_series,
-                       perimeter_spectral)
+from .spectral import (PerimeterValue, asymptotic_limit, asymptotic_series_value,
+                       halfline_perimeter, halfspace_series, perimeter_spectral)
 from .extension import (ExtensionField, LevelSetRecord, evaluate_extension,
-                        extension_field, level_set_with_budget,
-                        mehler_extension)
-from .pde import pde_energy, pde_energy_cylinder
+                        extension_field, level_set_with_budget)
 from .inequality import (DeficitReport, constant_C, sigma_min, verify_levelset_bounds,
                          verify_levelset_closeness, verify_main, verify_orders,
                          verify_transfer_lemma, z0_threshold, z_thresholds)

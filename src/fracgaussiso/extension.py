@@ -268,7 +268,7 @@ class _MehlerRule:
 # quadrature orders, so one set uses 6 rules.  Each keeps one 128 kB grid
 # array, evaluated at the coarse points and in the cells that the
 # thresholds extracted so far could cross.
-_mehler_rule = lru_cache(maxsize=8)(_MehlerRule)
+_mehler_rule = lru_cache(maxsize=8, typed=True)(_MehlerRule)
 
 
 def mehler_extension(E: GaussianSet, sigma: float, x, z: float,

@@ -71,6 +71,10 @@ def _gauss_laguerre(a: float, n: int) -> tuple[np.ndarray, np.ndarray]:
     u P'' = (u - a - 1) P' - n P moves P_n' to the new node.  They are
     normalized to their exact sum Gamma(a + 1).
     """
+    try:
+        n = operator.index(n)
+    except TypeError:
+        raise DomainError(f"Laguerre rule needs an integer node count, got n={n!r}") from None
     if not (a > -1.0 and 1 <= n <= _MAX_LAGUERRE_NODES):
         raise DomainError(f"Laguerre rule needs a > -1 and 1 <= n <= "
                           f"{_MAX_LAGUERRE_NODES}, got a={a}, n={n}")
@@ -96,7 +100,8 @@ def _gauss_laguerre(a: float, n: int) -> tuple[np.ndarray, np.ndarray]:
 
 # The halfline profile reads two rules per order (40 and 20 nodes), and the Mehler
 # rule its 80- and 40-node rules at a = sigma - 1; `sweep` reads one order at a time.
-@lru_cache(maxsize=9)
+# Keyed by type, so a cached int count never answers for an integral float one.
+@lru_cache(maxsize=9, typed=True)
 def laguerre_roots(a: float, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Read-only nodes and weights of ``_gauss_laguerre(a, n)``, the n-node rule
     for u^a e^{-u}, shared by the halfline profile and the Mehler rule."""

@@ -246,13 +246,18 @@ def _field_of(E: GaussianSet, s: float, K, field) -> ExtensionField:
     return own if field is None else field
 
 
+def _check_level(t: float) -> None:
+    """Reject a level t outside [1/4, 3/4]; NaN fails the test too."""
+    if not (0.25 <= t <= 0.75):
+        raise DomainError(f"t must lie in [1/4, 3/4], got {t}")
+
+
 def verify_levelset_closeness(E: GaussianSet, s, t: float, z: float,
                               alpha: float, K: int = 10_000, field=None) -> bool:
     """Both set differences between E and the level set stay below 1/alpha.  ``field``,
     if given, must be ``extension_field(E, s, K)``; z_max is read from it."""
     s = check_order(s)
-    if not (0.25 <= t <= 0.75):
-        raise DomainError(f"t must lie in [1/4, 3/4], got {t}")
+    _check_level(t)
     check_positive(alpha, "alpha")
     F = _field_of(E, s, K, field)
     z_max = _height(1.0, 1.0, s, F.perimeter, 8.0 * alpha)
@@ -276,8 +281,7 @@ def verify_levelset_bounds(E: GaussianSet, s, t: float, z: float,
     `verify_levelset_closeness`; z0 and asym(E) are read from it.
     """
     s = check_order(s)
-    if not (0.25 <= t <= 0.75):
-        raise DomainError(f"t must lie in [1/4, 3/4], got {t}")
+    _check_level(t)
     m = _require_proper(E)  # the error asym(E) raises, named before a bad K
     F = _field_of(E, s, K, field)
     if (A := F.asymmetry) == 0.0:  # z0 = 0: no z is admissible, and the claim is vacuous

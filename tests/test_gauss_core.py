@@ -5,14 +5,16 @@ import numpy as np
 import pytest
 
 from fracgaussiso import (constant_C, extension_field, halfline, halfline_perimeter,
-                          halfline_perimeter_reference, halfspace_series, interval,
-                          pde_energy, perimeter_spectral,
+                          halfspace_series, interval, perimeter_spectral,
                           verify_levelset_bounds, verify_levelset_closeness, verify_main,
                           z0_threshold, z_thresholds)
 from fracgaussiso.errors import DomainError
+from fracgaussiso.extension import mehler_extension
 from fracgaussiso.gauss_core import (check_order, gamma_fn, iso_function,
                                      k_coefficient, laguerre_roots, ndtr, phi, phi_inv)
 from fracgaussiso.inequality import closeness_z_max
+from fracgaussiso.pde import pde_energy
+from fracgaussiso.spectral import halfline_perimeter_reference
 from oracles import hermite_eval, hermite_rule, phi_quad
 
 
@@ -235,6 +237,21 @@ def test_laguerre_rule_domain():
             laguerre_roots(a, n)
     u, w = laguerre_roots(-0.5, 1)  # one node at a + 1, carrying the mass Gamma(a + 1)
     assert u[0] == pytest.approx(0.5, rel=1e-15) and w[0] == pytest.approx(math.sqrt(math.pi))
+
+
+def test_a_node_count_that_is_not_an_integer_raises_whatever_the_caches_hold(cold_caches):
+    # the count is an index, and the caches are keyed by type, so a built
+    # (-0.75, 80) rule never answers for 80.0
+    E = interval(0.0, 1.0)
+    calls = (lambda n: laguerre_roots(-0.75, n)[0],
+             lambda n: mehler_extension(E, 0.25, [0.5], 0.1, n))
+    for built in (False, True):
+        for call in calls:
+            for bad in (80.0, 80.5, "80", None):
+                with pytest.raises(DomainError, match="integer node count, got n="):
+                    call(bad)
+            if not built:
+                assert call(np.int64(80)).tobytes() == call(80).tobytes()
 
 
 def test_k_coefficient_at_one():

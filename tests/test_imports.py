@@ -16,16 +16,23 @@ fifth keeps ``scipy.special`` out of the package (``gauss_core.ndtr`` is the
 Mehler rows' Phi) and every call of ``ndtr`` in ``extension._ndtr_plateau``,
 so the Mehler rows have one Phi, and a sixth keeps the Hermite recurrence in
 ``_kernels_py`` and every coefficient table one kernel call per set.  The last
-test imports the package in a fresh interpreter: the package and every
-command load no scipy, and the PDE solve that uses it imports it.
+tests check the package namespace.  In a fresh interpreter the package and
+every command load neither scipy nor ``fracgaussiso.pde``, and run with
+scipy blocked, while the PDE solve that uses scipy imports it; and the
+cross-checks ``pde_energy``, ``pde_energy_cylinder``,
+``halfline_perimeter_reference`` and ``mehler_extension`` live in their
+modules only.
 """
 import ast
+import importlib
 import json
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+
+import fracgaussiso
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "fracgaussiso"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
@@ -312,23 +319,30 @@ def test_the_check_flags_recurrences_and_looped_kernel_calls():
                                    "summed: kernel call", "terms: recurrence"]
 
 
-# Run in a fresh interpreter; prints, per step, the scipy modules loaded so far.
+# Every CLI command, once.
+_COMMANDS = (["deficit", "--set", "(-1,0.5)|(1,inf)", "--s", "0.5"],
+             ["perimeter", "--set", "(0,1)", "--s", "0.5"],
+             ["asymmetry", "--set", "(-1.2,-0.3)|(0.4,2)"], ["asymptotic"],
+             ["sweep", "--s", "0.5"], ["verify", "--suite", "all", "--n", "1"],
+             ["extension-eval", "--set", "(0,1)", "--x", "0.3", "--z", "0.1"])
+
+# Run in a fresh interpreter; prints, per step, the scipy modules and the PDE
+# module loaded so far.
 _SCIPY_PATHS = """
 import contextlib, io, json, sys
 import fracgaussiso
-from fracgaussiso import cli, pde, sets
 
 def loaded():
-    return sorted(name for name in sys.modules if name.startswith("scipy"))
+    return sorted(name for name in sys.modules
+                  if name.startswith("scipy") or name == "fracgaussiso.pde")
 
 steps = [["import", 0, loaded()]]
-for argv in (["deficit", "--set", "(-1,0.5)|(1,inf)", "--s", "0.5"],
-             ["perimeter", "--set", "(0,1)", "--s", "0.5"], ["asymptotic"],
-             ["sweep", "--s", "0.5"], ["verify", "--suite", "all", "--n", "1"],
-             ["extension-eval", "--set", "(0,1)", "--x", "0.3", "--z", "0.1"]):
+from fracgaussiso import cli
+for argv in %r:
     with contextlib.redirect_stdout(io.StringIO()):
         rc = cli.main(argv)
     steps.append([argv[0], rc, loaded()])
+from fracgaussiso import pde, sets
 energy = pde.pde_energy(sets.halfline(0.0), 0.5, mesh=(64, 64))
 steps.append(["pde_energy", int(not energy > 0.0), loaded()])
 from scipy.sparse import linalg
@@ -339,12 +353,52 @@ print(json.dumps(steps))
 
 
 def test_import_and_the_spectral_commands_load_no_scipy():
-    out = subprocess.run([sys.executable, "-c", _SCIPY_PATHS], capture_output=True, text=True,
-                         check=True).stdout
+    out = subprocess.run([sys.executable, "-c", _SCIPY_PATHS % (_COMMANDS,)],
+                         capture_output=True, text=True, check=True).stdout
     steps = {name: (rc, modules) for name, rc, modules in json.loads(out)}
     assert all(rc == 0 for rc, _ in steps.values()), steps
-    for name in ("import", "deficit", "perimeter", "asymptotic", "sweep", "verify",
-                 "extension-eval"):
+    for name in ["import"] + [argv[0] for argv in _COMMANDS]:
         assert steps[name][1] == [], name
     # only the PDE solve imports scipy, its scipy.linalg
     assert "scipy.linalg" in steps["pde_energy"][1]
+
+
+# Run in a fresh interpreter with every scipy import refused; prints each step's
+# exit code.
+_SCIPY_BLOCKED = """
+import contextlib, io, json, sys
+
+class NoScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name.split(".")[0] == "scipy":
+            raise ImportError(f"{name} is blocked")
+
+sys.meta_path.insert(0, NoScipy())
+import fracgaussiso
+from fracgaussiso import cli
+steps = [["import", 0]]
+for argv in %r:
+    with contextlib.redirect_stdout(io.StringIO()):
+        steps.append([argv[0], cli.main(argv)])
+try:
+    import scipy
+except ImportError:
+    steps.append(["blocked", 0])
+print(json.dumps(steps))
+"""
+
+
+def test_the_package_and_every_command_run_with_scipy_blocked():
+    out = subprocess.run([sys.executable, "-c", _SCIPY_BLOCKED % (_COMMANDS,)],
+                         capture_output=True, text=True, check=True).stdout
+    assert json.loads(out) == [["import", 0]] + [[argv[0], 0] for argv in _COMMANDS] + [
+        ["blocked", 0]]
+
+
+@pytest.mark.parametrize("name, home", [("pde_energy", "pde"), ("pde_energy_cylinder", "pde"),
+                                        ("halfline_perimeter_reference", "spectral"),
+                                        ("mehler_extension", "extension")])
+def test_each_cross_check_lives_in_its_module_and_not_in_the_namespace(name, home):
+    module = importlib.import_module(f"fracgaussiso.{home}")
+    assert not hasattr(fracgaussiso, name)
+    assert name in module.__all__ and callable(getattr(module, name))

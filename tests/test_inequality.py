@@ -430,6 +430,38 @@ def test_levelset_closeness_precondition():
         verify_levelset_closeness(interval(0, 1), 0.5, 0.1, 0.01, 20.0, 500)
 
 
+# The two level-set checks, called with a set, s, t and alpha; the bounds check
+# takes no alpha.
+_LEVEL_CHECKS = {
+    "verify_levelset_closeness":
+        lambda E, s, t, alpha: verify_levelset_closeness(E, s, t, 0.01, alpha, 500),
+    "verify_levelset_bounds": lambda E, s, t, alpha: verify_levelset_bounds(E, s, t, 1e-4, 500),
+}
+
+
+@pytest.mark.parametrize("t", [0.2, 0.8, math.nan])
+@pytest.mark.parametrize("check", list(_LEVEL_CHECKS))
+def test_both_level_set_checks_take_t_through_one_check_after_s(monkeypatch, check, t):
+    call, E = _LEVEL_CHECKS[check], interval(0.0, 1.0)
+    message = re.escape(f"t must lie in [1/4, 3/4], got {t}")
+    with pytest.raises(DomainError, match=message):
+        call(E, 0.5, t, 20.0)
+    with pytest.raises(DomainError, match=r"fractional order must lie in \(0, 1\), got 1.5"):
+        call(E, 1.5, t, 20.0)
+    for X, alpha in ((E, -1.0), (sets.FULL_LINE, 20.0), (EMPTY, 20.0)):
+        with pytest.raises(DomainError, match=message):
+            call(X, 0.5, t, alpha)
+    seen = []
+
+    def one_check(level):
+        seen.append(level)
+        raise DomainError("the one level check")
+    monkeypatch.setattr(inequality, "_check_level", one_check)
+    with pytest.raises(DomainError, match="the one level check"):
+        call(E, 0.5, t, 20.0)
+    assert len(seen) == 1 and seen[0] is t
+
+
 def test_levelset_bounds_case():
     E = GaussianSet.from_intervals([(-math.inf, -0.3), (0.0, 0.25)])
     s = 0.5

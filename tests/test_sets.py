@@ -38,6 +38,20 @@ def test_measure_basics():
     assert m == pytest.approx(0.6826894921370859, rel=1e-12)
 
 
+# Phi(-8.3) - Phi(-9) and Phi(1e-9) - Phi(0) at the double endpoints, by mpmath's
+# ncdf at 40 digits.
+_MIRROR_TAIL_MASS = 5.194283860830715618e-17
+_NARROW_MASS = 3.989422804014327027e-10
+
+
+def test_measure_loses_the_right_tail_and_narrow_intervals():
+    # a known defect (ROADMAP item 18): Phi(b) - Phi(a) cancels in the right tail
+    # and on narrow intervals; this test fails once measure is accurate there
+    assert measure(interval(8.3, 9.0)) == 0.0
+    assert abs(measure(interval(-9.0, -8.3)) / _MIRROR_TAIL_MASS - 1.0) <= 1e-14
+    assert abs(measure(interval(0.0, 1e-9)) / _NARROW_MASS - 1.0) > 1e-8
+
+
 def test_complement_involution():
     E = GaussianSet.from_intervals([(-INF, -1.0), (0.0, 0.5)])
     assert complement(complement(E)) == E

@@ -48,12 +48,17 @@ def check_order(s, what: str = "fractional order") -> float:
     return s
 
 
+def _check_index(value, what: str) -> int:
+    """operator.index(value); a float (4000.0 too) or a str raises DomainError."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise DomainError(f"{what} must be an integer, got {value!r}") from None
+
+
 def check_truncation(K) -> int:
     """K as an int, for an integer K >= 1; a float K (4000.0 too) raises DomainError."""
-    try:
-        K = operator.index(K)
-    except TypeError:
-        raise DomainError(f"truncation K must be an integer, got {K!r}") from None
+    K = _check_index(K, "truncation K")
     if K < 1:
         raise DomainError("perimeter needs truncation K >= 1")
     return K
@@ -71,10 +76,7 @@ def _gauss_laguerre(a: float, n: int) -> tuple[np.ndarray, np.ndarray]:
     u P'' = (u - a - 1) P' - n P moves P_n' to the new node.  They are
     normalized to their exact sum Gamma(a + 1).
     """
-    try:
-        n = operator.index(n)
-    except TypeError:
-        raise DomainError(f"Laguerre rule needs an integer node count, got n={n!r}") from None
+    n = _check_index(n, "Laguerre node count n")
     if not (a > -1.0 and 1 <= n <= _MAX_LAGUERRE_NODES):
         raise DomainError(f"Laguerre rule needs a > -1 and 1 <= n <= "
                           f"{_MAX_LAGUERRE_NODES}, got a={a}, n={n}")

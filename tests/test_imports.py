@@ -343,6 +343,7 @@ for argv in %r:
         rc = cli.main(argv)
     steps.append([argv[0], rc, loaded()])
 from fracgaussiso import pde, sets
+steps.append(["import pde", 0, loaded()])
 energy = pde.pde_energy(sets.halfline(0.0), 0.5, mesh=(64, 64))
 steps.append(["pde_energy", int(not energy > 0.0), loaded()])
 from scipy.sparse import linalg
@@ -359,6 +360,8 @@ def test_import_and_the_spectral_commands_load_no_scipy():
     assert all(rc == 0 for rc, _ in steps.values()), steps
     for name in ["import"] + [argv[0] for argv in _COMMANDS]:
         assert steps[name][1] == [], name
+    # importing the PDE module loads it alone: scipy waits for the solve
+    assert steps["import pde"][1] == ["fracgaussiso.pde"]
     # only the PDE solve imports scipy, its scipy.linalg
     assert "scipy.linalg" in steps["pde_energy"][1]
 

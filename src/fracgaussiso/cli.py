@@ -68,7 +68,9 @@ def emit(rows: list[dict], fmt: str, out, convention: str) -> None:
 
 def _parse_grid(spec: str) -> list[float]:
     """'a:b:step' inclusive grid of fewer than _MAX_GRID_POINTS finite values,
-    checked before it is built; a bare number is a one-point grid."""
+    checked before it is built; a bare number is a one-point grid.  The count
+    floor((b - a)/step + 1e-9) + 1 forgives rounding relative to the step, so
+    b is reached once however small the step or large |b|."""
     if ":" not in spec:
         return [float(spec)]
     parts = spec.split(":")
@@ -77,13 +79,10 @@ def _parse_grid(spec: str) -> list[float]:
     a, b, step = (float(p) for p in parts)
     if not (-math.inf < a <= b < math.inf and 0.0 < step < math.inf):
         raise DomainError(f"bad grid {spec!r}")
-    top = b + 1e-12 * max(1.0, abs(b))
-    if (top - a) / step >= _MAX_GRID_POINTS:
-        raise DomainError(f"grid {spec!r} has more than {_MAX_GRID_POINTS} points")
-    vals = []
-    while (v := a + len(vals) * step) <= top:
-        vals.append(min(v, b))
-    return vals
+    span = (b - a) / step  # inf where b - a overflows, so it is refused before math.floor
+    if span >= _MAX_GRID_POINTS or (n := math.floor(span + 1e-9) + 1) >= _MAX_GRID_POINTS:
+        raise DomainError(f"grid {spec!r} has more than {_MAX_GRID_POINTS - 1} points")
+    return [min(a + k * step, b) for k in range(n)]
 
 
 def _s_list(o: dict) -> list[float]:

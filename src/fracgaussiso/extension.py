@@ -7,7 +7,7 @@ Every evaluator sums the one family of rows (P_tau chi_E)(x), exact in x
 the first: ``evaluate_extension`` takes a converged trapezoid in v = -log u,
 and ``mehler_extension`` and the level sets {U(., z) > t} of
 ``level_set_with_budget`` an n_quad-node generalized Gauss-Laguerre rule that
-does not resolve small z (README, "Numerical notes").
+does not resolve small z.
 """
 from __future__ import annotations
 
@@ -48,7 +48,7 @@ _FIRST_PREFETCH = 8  # midpoints a bracket prefetches in its first bisection rou
 # Node x point entries per Mehler block.  A block builds about ten
 # (n_quad x points) float temporaries per endpoint; at 16 384 entries each is
 # 128 kB and stays in a core's L2 cache.  Larger blocks spill out of it,
-# smaller ones pay numpy call overhead per block (README, "Numerical notes").
+# smaller ones pay numpy call overhead per block.
 _MEHLER_ENTRIES = 16_384
 # Phi is taken as exactly 1.0 at arguments >= _NDTR_FLAT, which is what ndtr
 # returns there, and as exactly 0.0 at <= -_NDTR_FLAT, where ndtr is at most
@@ -103,8 +103,12 @@ def evaluate_extension(F: ExtensionField, x, z: float):
     m = gamma(E), tau = (z^2/4) e^v, over v = -6, -6 + h, ... up to
     8 - log(z^2/4) (U = m if that range is empty).  h starts at 1/16 and
     halves at each point whose sum differs from its every-other-node sum by
-    more than 1e-8, at most 8 times, and then raises ResolutionError.  A
-    point's value reads only its own rows (README, "Numerical notes").
+    more than 1e-8, at most 8 times, and then raises ResolutionError: x = 1e28
+    on (0, 1) converges at the 5th halving
+    (tests/test_extension.py::test_far_out_points_converge_within_the_halvings).  A
+    point's value reads only its own rows, and lies within 1e-12 of the 30-digit
+    values of tests/golden/extension_oracle.txt
+    (tests/test_extension.py::test_evaluate_extension_matches_the_30_digit_oracle).
     """
     z = float(z)
     if not 0.0 <= z < math.inf:  # a NaN would pass a ``< 0`` test
@@ -278,15 +282,17 @@ def mehler_extension(E: GaussianSet, sigma: float, x, z: float,
 
     The rule does not resolve small z: its smallest node (about 3.5e-3 for
     sigma = 0.25 and 80 nodes) lies far above u = z^2/4, where the
-    semigroup time turns large, so the mass below it is missed (README,
-    "Numerical notes").
+    semigroup time turns large, so the mass below it is missed.
 
     The value is the node-order weighted sum of the semigroup rows at every
     point, in blocks of ``_MEHLER_ENTRIES // n_quad`` points (at least one);
     a point's value reads only its own column, so the block size changes no
-    bit.  The Phi terms are flattened to exactly 1 at arguments >= 9 and 0 at
+    bit (tests/test_extension.py::test_mehler_extension_does_not_depend_on_the_block_budget).
+    The Phi terms are flattened to exactly 1 at arguments >= 9 and 0 at
     <= -9 (``_ndtr_plateau``), which moves U by at most ndtr(-9) = 1.13e-19
-    per finite endpoint, plus rounding.  A NaN or infinite x raises DomainError.
+    per finite endpoint, plus rounding
+    (tests/test_extension.py::test_mehler_extension_is_within_the_dropped_tail_of_plain_ndtr).
+    A NaN or infinite x raises DomainError.
     """
     check_positive(z, "mehler_extension height z")
     rule = _mehler_rule(E, sigma, z, n_quad)

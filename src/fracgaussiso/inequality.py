@@ -105,11 +105,17 @@ def _ratio(A: float, m: float, s: float, P: PerimeterValue, factor: float) -> fl
 
 
 def _height(A: float, m: float, s: float, P: PerimeterValue, factor: float) -> float:
-    """`_ratio` to the power 1/s, or inf where that lies past the double range."""
+    """`_ratio` to the power 1/s, or inf where that lies past the double range.  A positive
+    ratio whose power underflows to 0 admits no z, so it raises ResolutionError; a zero
+    ratio (asym(E) = 0) gives 0.0."""
+    ratio = _ratio(A, m, s, P, factor)
     try:
-        return _ratio(A, m, s, P, factor) ** (1.0 / s)
+        z = ratio ** (1.0 / s)
     except OverflowError:
         return math.inf
+    if z == 0.0 and ratio > 0.0:
+        raise ResolutionError(f"the height underflows to 0 at s={s}")
+    return z
 
 
 def z_thresholds(E: GaussianSet, s, P_E: PerimeterValue,

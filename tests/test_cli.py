@@ -3,6 +3,7 @@ import csv
 import json
 import math
 import os
+import re
 import resource
 import shlex
 import subprocess
@@ -330,9 +331,63 @@ def test_reused_parser_keeps_no_state(tmp_path, capsys):
     assert "--set is required" in captured.err
 
 
+_README = Path(__file__).resolve().parents[1] / "README.md"
+
+
 def _readme_cli_section() -> str:
-    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    text = _README.read_text(encoding="utf-8")
     return text.split("## CLI", 1)[1].split("\n## ", 1)[0]
+
+
+def _readme_blocks_and_prose(text: str) -> tuple[list[str], list[str]]:
+    """README's fenced blocks, and its prose: each paragraph or list item outside
+    the fences, without the table rows."""
+    blocks, prose, unit, fence = [], [], [], None
+    for line in text.splitlines():
+        if line.startswith("```"):
+            if fence is not None:
+                blocks.append("".join(f"{row}\n" for row in fence))
+            fence = [] if fence is None else None
+            line = ""
+        elif fence is not None:
+            fence.append(line)
+            continue
+        if not line.strip() or line.startswith(("#", "|")) or re.match(r"\s*- ", line):
+            prose.append(" ".join(unit))
+            unit = []
+        if line.startswith("#"):
+            prose.append(line)
+        elif line.strip() and not line.startswith("|"):
+            unit.append(line.strip())
+    return blocks, [p for p in prose + [" ".join(unit)] if p]
+
+
+# A number written with a point or an exponent: 0.5, 37.567, 1e-9.
+_DECIMAL = re.compile(r"\d\.\d|\d[eE][+-]?\d")
+_TEST_REF = re.compile(r"tests/(test_\w+)\.py::(\w+)")
+
+
+def test_readme_shows_golden_outputs_and_names_the_test_of_each_number():
+    # README, "Shown output" and "Standing failures": a shown command is one of
+    # cli_golden.COMMANDS, shown as its chunk of the golden file; a prose
+    # paragraph or list item with a decimal in it names the test that checks it
+    from cli_golden import GOLDEN
+
+    chunks = {chunk.split("\n", 1)[0]: chunk for chunk in
+              re.split(r"(?m)^(?=\$ frac-gauss-iso )", GOLDEN.read_text(encoding="utf-8"))}
+    blocks, prose = _readme_blocks_and_prose(_README.read_text(encoding="utf-8"))
+    shown = [block for block in blocks if block.startswith("$ frac-gauss-iso ")]
+    assert shown
+    for block in shown:
+        assert block == chunks.get(block.split("\n", 1)[0]), block
+    tests = {path.stem: {node.name for node in ast.parse(path.read_text(encoding="utf-8")).body
+                         if isinstance(node, ast.FunctionDef)}
+             for path in Path(__file__).parent.glob("test_*.py")}
+    for unit in prose:
+        refs = _TEST_REF.findall(unit)
+        assert refs or not _DECIMAL.search(unit), f"names no test: {unit}"
+        for module, name in refs:
+            assert name in tests.get(module, ()), f"no test {module}::{name}: {unit}"
 
 
 def test_readme_examples_parse():
@@ -389,6 +444,22 @@ def test_huge_finite_grids_are_refused_before_they_are_built(argv):
                      env={**os.environ, "OPENBLAS_NUM_THREADS": "1"})
     assert result.returncode == 2 and result.stdout == ""
     assert "more than" in result.stderr
+
+
+@pytest.mark.parametrize("argv, column, points", [
+    (["perimeter", "--set", "(0,1)", "--s-grid", "1e-13:5e-13:1e-13"], "s", 5),
+    (["perimeter", "--set", "(0,1)", "--s-grid", "1e-12:1e-11:1e-12"], "s", 10),
+    (["sweep", "--s", "0.5", "--r-grid", "5e15:5e15:1"], "r", 1),
+    (["sweep", "--s", "0.5", "--r-grid", "1e20:1e20:1"], "r", 1),
+])
+def test_a_grid_reaches_its_end_once_whatever_its_step_and_magnitude(capsys, argv, column,
+                                                                     points):
+    # an end tolerance of 1e-12 max(1, |b|) repeated the end of the first two grids
+    # and built 5001 copies of the third; the fourth it refused as too long
+    assert main(argv) == 0
+    grid = [float(row[column]) for row in csv.DictReader(capsys.readouterr().out.splitlines()[1:])]
+    a, b, _ = map(float, argv[-1].split(":"))
+    assert len(grid) == points and grid == sorted(set(grid)) and (grid[0], grid[-1]) == (a, b)
 
 
 # verify's default suite, "all", runs the main suite with --K among the others
@@ -597,6 +668,8 @@ def test_verify_unknown_suite():
 
 
 def test_cli_outputs_match_the_golden_file():
+    # the golden file also pins a known defect (ROADMAP item 1; README, "Standing
+    # failures"): the (0,1e-9) row is a false counterexample of the K = 1e4 series
     from cli_golden import GOLDEN, render
 
     assert render() == GOLDEN.read_text(encoding="utf-8")

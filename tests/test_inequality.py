@@ -241,8 +241,9 @@ def test_asym_2_gives_no_nan_on_either_branch(monkeypatch, s):
 def test_the_constant_exceeds_the_perimeter_of_a_tail_halfline():
     # on the main branch P_E <= 2 P_H, so deficit <= P_s(H): the statement as coded
     # cannot hold there once asym^{2/s} C > P_H, which C / P_H = 2.55e8 at m = 1e-16
-    # allows from asym = 0.008 at s = 0.5.  This pins the defect until the
-    # constant's form for small m is settled against the paper.
+    # allows from asym = 0.008 at s = 0.5.  This pins the defect (ROADMAP item 17;
+    # README, "Standing failures") until the constant's form for small m is settled
+    # against the paper.
     P_H = halfline_perimeter(phi_inv(1e-16), 0.5)
     assert constant_C(0.5, 1e-16, 1.0, P_H) / P_H.value > 1.0
 
@@ -409,6 +410,29 @@ def test_a_perimeter_that_underflows_to_0_gives_no_height():
                   lambda: verify_levelset_bounds(E, s, 0.5, 0.1)):
         with pytest.raises(ResolutionError, match="perimeter is 0"):
             check()
+
+
+@pytest.mark.parametrize("s", [1e-3, 1e-310])
+def test_a_height_that_underflows_to_0_gives_no_height(s):
+    # the ratio under the 1/s power is positive but below 1 on (0, 1), and its power
+    # rounds to 0.0: the heights were 0.0 and the checks' z-ranges empty
+    E = interval(0.0, 1.0)
+    P_E = perimeter_spectral(E, s, 10_000)
+    P_H = perimeter_spectral(ehrhard_symmetrize(E).as_set(), s, 10_000)
+    for check in (lambda: closeness_z_max(E, s, 20.0), lambda: z0_threshold(E, s),
+                  lambda: z_thresholds(E, s, P_E, P_H),
+                  lambda: verify_levelset_closeness(E, s, 0.5, 0.1, 20.0),
+                  lambda: verify_levelset_bounds(E, s, 0.5, 0.1)):
+        with pytest.raises(ResolutionError, match=f"height underflows to 0 at s={s}"):
+            check()
+
+
+def test_the_budget_near_s_1_is_vacuous():
+    # a known defect (ROADMAP item 10; README, "Standing failures"): at s = 0.99 the
+    # K = 1e4 tail bounds exceed the deficit a hundredfold, so the row is satisfied
+    # whatever it holds; this test fails once the budget near s = 1 is honest
+    rep = verify_main(interval(0.0, 1.0), 0.99)
+    assert rep.satisfied and rep.budget > 100.0 * abs(rep.deficit)
 
 
 def test_each_main_row_fails_below_its_flip_value_of_c():

@@ -45,8 +45,9 @@ _NARROW_MASS = 3.989422804014327027e-10
 
 
 def test_measure_loses_the_right_tail_and_narrow_intervals():
-    # a known defect (ROADMAP item 18): Phi(b) - Phi(a) cancels in the right tail
-    # and on narrow intervals; this test fails once measure is accurate there
+    # a known defect (ROADMAP item 18; README, "Standing failures"): Phi(b) - Phi(a)
+    # cancels in the right tail and on narrow intervals; this test fails once
+    # measure is accurate there
     assert measure(interval(8.3, 9.0)) == 0.0
     assert abs(measure(interval(-9.0, -8.3)) / _MIRROR_TAIL_MASS - 1.0) <= 1e-14
     assert abs(measure(interval(0.0, 1e-9)) / _NARROW_MASS - 1.0) > 1e-8

@@ -358,8 +358,9 @@ _FAR_TAIL_VALUES = {20.0: 7.2767e-89, 30.0: 1.58697e-197}
 
 
 def test_halfline_profile_bound_fails_in_the_far_tail():
-    # a known defect: the node-count difference stops covering the error at
-    # |r| = 25 for s = 1/2; this test fails once the profile's budget is a bound
+    # a known defect (ROADMAP item 15; README, "Standing failures"): the node-count
+    # difference stops covering the error at |r| = 25 for s = 1/2; this test fails
+    # once the profile's budget is a bound
     near = halfline_perimeter(20.0, _FAR_TAIL_S, "remark")
     assert abs(near.value - _FAR_TAIL_VALUES[20.0]) <= near.tail_bound
     far = halfline_perimeter(30.0, _FAR_TAIL_S, "remark")
